@@ -20,12 +20,14 @@ from .errors import (
 )
 from .fcnn import (
     Activation,
+    BatchPass,
     CrossEntropySoftmax,
     FcnnModel,
     ForwardTrace,
     LayerGradients,
     SigmoidGate,
     backprop,
+    batch_pass,
     criterion_batch,
     criterion_eval,
     forward,

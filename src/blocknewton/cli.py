@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .data import synth_blobs, write_idx_images, write_idx_labels
@@ -24,7 +25,7 @@ from .experiments import (
     run_training,
     summary_csv,
 )
-from .trainer import GridResult, TrainConfig, grid_search
+from .trainer import GridResult, grid_search
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,21 +90,12 @@ def _cmd_grid(args) -> int:
     seed = args.seed if args.seed is not None else spec.train_cfg.seed
     ds = spec.load_dataset(seed)
     x_train, y_train, x_test, y_test = ds.split()
-    base = spec.train_cfg
-    base_cfg = TrainConfig(
-        learning_rate=base.learning_rate,
-        momentum=base.momentum,
-        batch_size=base.batch_size,
-        epochs=base.epochs,
-        seed=seed,
-        second_order=base.second_order,
-    )
     results, best_loss, best_acc = grid_search(
         lambda: spec.build_model(seed),
         spec.criterion,
         x_train,
         y_train,
-        base_cfg,
+        replace(spec.train_cfg, seed=seed),
         {k: list(v) for k, v in spec.grid.items()},
         x_test,
         y_test,

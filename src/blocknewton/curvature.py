@@ -21,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .fcnn import (
-    Criterion,
-    FcnnModel,
-    ForwardTrace,
-    backprop_bias_gradients,
-    criterion_batch,
-)
+from .fcnn import BatchPass, FcnnModel, ForwardTrace
 from .linalg import abs_eig, pos_eig
 
 
@@ -44,16 +38,14 @@ class LayerCurvature:
 
     hb is the (possibly modified) bias block E_i[d2 xi / d b^t d b^t].
     ehhT/eh are the Gram matrix and mean of the layer input h^{t-1}
-    (the Kronecker factors of the weight block).  ehhT_prime and
-    diag_term belong to the recursion into layer t-1 and are None where
-    undefined (inputs have no activation derivative; the top layer has no
-    diagonal term).
+    (the Kronecker factors of the weight block).  diag_term is the
+    recursion's diagonal second-derivative term at layer t, averaged over
+    the batch; it is None at the top layer, which has none.
     """
 
     hb: np.ndarray
     ehhT: np.ndarray
     eh: np.ndarray
-    ehhT_prime: np.ndarray | None = None
     diag_term: np.ndarray | None = None
 
 
@@ -65,24 +57,20 @@ def _check_trace(model: FcnnModel, trace: ForwardTrace) -> None:
         raise DimensionError("trace does not match model architecture")
 
 
-def exact_bias_hessian_instances(
-    model: FcnnModel, trace: ForwardTrace, criterion: Criterion, y: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-instance bias Hessians for every layer, plus per-instance bias
-    gradients.
+def exact_bias_hessian_instances(model: FcnnModel, bp: BatchPass) -> list[np.ndarray]:
+    """Per-instance bias Hessians for every layer of the batch in bp.
 
-    Returns (hessians, gradients) where hessians[t-1] has shape
-    (batch, n_t, n_t).  The recursion starts from the criterion Hessian at
-    the output and sandwiches through each hidden layer, adding the
-    diagonal second-derivative term.
+    hessians[t-1] has shape (batch, n_t, n_t).  The recursion starts from
+    the criterion Hessian at the output and sandwiches through each hidden
+    layer, adding the diagonal second-derivative term.
     """
+    trace = bp.trace
     _check_trace(model, trace)
     k = model.num_layers
-    _, grads_out, hess_out = criterion_batch(criterion, trace.h[k], y)
-    gb = backprop_bias_gradients(model, trace, grads_out)
+    gb = bp.grads.bias_per_instance
 
     hbs: list[np.ndarray] = [None] * k
-    hbs[k - 1] = hess_out
+    hbs[k - 1] = bp.hess_out
     for t in range(k, 1, -1):
         w = model.weights[t - 1]
         hp = trace.hprime[t - 1]
@@ -94,38 +82,23 @@ def exact_bias_hessian_instances(
         idx = np.arange(w.shape[1])
         sand[:, idx, idx] += diag_vec
         hbs[t - 2] = sand
-    return hbs, gb
+    return hbs
 
 
-def true_bias_hessian(
-    model: FcnnModel, trace: ForwardTrace, criterion: Criterion, y: np.ndarray
-) -> list[np.ndarray]:
+def true_bias_hessian(model: FcnnModel, bp: BatchPass) -> list[np.ndarray]:
     """Batch means of the exact per-instance bias Hessians, layer by layer."""
-    hbs, _ = exact_bias_hessian_instances(model, trace, criterion, y)
+    hbs = exact_bias_hessian_instances(model, bp)
     return [0.5 * (m + m.T) for m in (h.mean(axis=0) for h in hbs)]
 
 
-def _factors(trace: ForwardTrace, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Kronecker factors of layer t: Gram/mean of h^{t-1} and, when t > 1,
-    the Gram of the activation derivative h^{(t-1)'}."""
+def _factors(trace: ForwardTrace, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kronecker factors of layer t: Gram and mean of h^{t-1}."""
     h = trace.h[t - 1]
-    n = trace.batch_size
-    ehhT = (h.T @ h) / n
-    eh = h.mean(axis=0)
-    ehhT_prime = None
-    if t > 1:
-        hp = trace.hprime[t - 1]
-        ehhT_prime = (hp.T @ hp) / n
-    return ehhT, eh, ehhT_prime
+    return (h.T @ h) / trace.batch_size, h.mean(axis=0)
 
 
 def ea_curvature(
-    model: FcnnModel,
-    trace: ForwardTrace,
-    criterion: Criterion,
-    y: np.ndarray,
-    kind: CurvatureKind,
-    gamma: float = -1.0,
+    model: FcnnModel, bp: BatchPass, kind: CurvatureKind, gamma: float = -1.0
 ) -> list[LayerCurvature]:
     """Expectation-approximated curvature blocks for every layer.
 
@@ -140,13 +113,13 @@ def ea_curvature(
         raise ConfigError("use true_bias_hessian for the exact block diagonal")
     if kind is CurvatureKind.PCH and gamma not in (-1.0, 0.0):
         raise ConfigError(f"PCH gamma must be -1 or 0, got {gamma}")
+    trace = bp.trace
     _check_trace(model, trace)
     k = model.num_layers
     n = trace.batch_size
-    _, grads_out, hess_out = criterion_batch(criterion, trace.h[k], y)
-    gb = backprop_bias_gradients(model, trace, grads_out)
+    gb = bp.grads.bias_per_instance
 
-    top = 0.5 * (hess_out.mean(axis=0) + hess_out.mean(axis=0).T)
+    top = 0.5 * (bp.hess_out.mean(axis=0) + bp.hess_out.mean(axis=0).T)
     if kind is CurvatureKind.PCH:
         hb = pos_eig(top, gamma)
     elif kind is CurvatureKind.GAUSS_NEWTON:
@@ -155,33 +128,26 @@ def ea_curvature(
         hb = (gb[k - 1].T @ gb[k - 1]) / n
 
     layers: list[LayerCurvature] = [None] * k
-    ehhT, eh, _ = _factors(trace, k)
+    ehhT, eh = _factors(trace, k)
     layers[k - 1] = LayerCurvature(hb=hb, ehhT=ehhT, eh=eh)
 
     prev_hb = hb
     for t in range(k, 1, -1):
         w = model.weights[t - 1]
-        ehhT, eh, _ = _factors(trace, t - 1)
-        hp = trace.hprime[t - 1]
-        ehhT_prime = (hp.T @ hp) / n
+        ehhT, eh = _factors(trace, t - 1)
         diag_vec = (trace.hdprime[t - 1] * (gb[t - 1] @ w)).mean(axis=0)
 
         if kind is CurvatureKind.FISHER:
             hb = (gb[t - 2].T @ gb[t - 2]) / n
         else:
-            hb = (w.T @ prev_hb @ w) * ehhT_prime
+            hp = trace.hprime[t - 1]
+            hb = (w.T @ prev_hb @ w) * ((hp.T @ hp) / n)
             if kind is CurvatureKind.PCH:
                 # the term is diagonal, so clipping reduces to |x| or max(x, 0)
                 clipped = np.abs(diag_vec) if gamma == -1.0 else np.maximum(diag_vec, 0.0)
                 hb = hb + np.diag(clipped)
             hb = 0.5 * (hb + hb.T)
-        layers[t - 2] = LayerCurvature(
-            hb=hb,
-            ehhT=ehhT,
-            eh=eh,
-            ehhT_prime=ehhT_prime,
-            diag_term=diag_vec,
-        )
+        layers[t - 2] = LayerCurvature(hb=hb, ehhT=ehhT, eh=eh, diag_term=diag_vec)
         prev_hb = hb
     return layers
 
@@ -194,29 +160,32 @@ class ErrorReport:
     total: float
 
 
+def frobenius_errors(
+    approx: list[np.ndarray], target: list[np.ndarray]
+) -> ErrorReport:
+    """Frobenius distance between matching blocks; total is the norm over
+    all blocks jointly."""
+    if len(approx) != len(target):
+        raise DimensionError("layer counts differ")
+    per_layer = []
+    for a, e in zip(approx, target):
+        if a.shape != e.shape:
+            raise DimensionError(f"block shapes differ: {a.shape} vs {e.shape}")
+        per_layer.append(float(np.linalg.norm(a - e)))
+    total = float(np.sqrt(sum(err * err for err in per_layer)))
+    return ErrorReport(per_layer=per_layer, total=total)
+
+
 def layerwise_error(
     approx: list[np.ndarray], exact: list[np.ndarray]
 ) -> ErrorReport:
     """Frobenius error between approximate blocks and the absolute-eigenvalue
     version of the exact blocks; total is the norm over all blocks jointly."""
-    if len(approx) != len(exact):
-        raise DimensionError("layer counts differ")
-    per_layer = []
-    for a, e in zip(approx, exact):
-        if a.shape != e.shape:
-            raise DimensionError(f"block shapes differ: {a.shape} vs {e.shape}")
-        per_layer.append(float(np.linalg.norm(a - abs_eig(e))))
-    total = float(np.sqrt(sum(err * err for err in per_layer)))
-    return ErrorReport(per_layer=per_layer, total=total)
+    return frobenius_errors(approx, [abs_eig(e) for e in exact])
 
 
 def covariance_bound_check(
-    model: FcnnModel,
-    trace: ForwardTrace,
-    criterion: Criterion,
-    y: np.ndarray,
-    layer_t: int,
-    lipschitz: float,
+    model: FcnnModel, bp: BatchPass, layer_t: int, lipschitz: float
 ) -> tuple[float, float]:
     """Evaluate both sides of the expectation-approximation error bound at
     layer t (2 <= t <= k).
@@ -228,12 +197,12 @@ def covariance_bound_check(
     """
     if not 2 <= layer_t <= model.num_layers:
         raise ConfigError(f"layer_t must be in [2, {model.num_layers}]")
-    if trace.batch_size < 2:
+    if bp.trace.batch_size < 2:
         raise ConfigError("covariance needs batch size >= 2")
-    hbs, _ = exact_bias_hessian_instances(model, trace, criterion, y)
+    hbs = exact_bias_hessian_instances(model, bp)
     w = model.weights[layer_t - 1]
     x = np.einsum("sa,iab,bc->isc", w.T, hbs[layer_t - 1], w, optimize=True)
-    hp = trace.hprime[layer_t - 1]
+    hp = bp.trace.hprime[layer_t - 1]
     yv = hp[:, :, None] * hp[:, None, :]
     cov = (x * yv).mean(axis=0) - x.mean(axis=0) * yv.mean(axis=0)
     lhs = float(np.sum(cov * cov))

@@ -10,16 +10,16 @@ import json
 import os
 import statistics
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .curvature import (
     CurvatureKind,
-    ea_curvature,
     covariance_bound_check,
-    layerwise_error,
+    ea_curvature,
+    frobenius_errors,
     true_bias_hessian,
 )
 from .data import Dataset, load_csv, load_idx, synth_blobs
@@ -30,16 +30,19 @@ from .fcnn import (
     Criterion,
     FcnnModel,
     SigmoidGate,
-    forward,
+    batch_pass,
 )
+from .linalg import abs_eig
 from .solvers import HvpMode, PiPolicy, SolverConfig
 from .trainer import (
     SecondOrderSpec,
     SolverChoice,
     TrainConfig,
     TrainReport,
+    optimizer_step,
     shuffled_indices,
     train,
+    zero_velocity,
 )
 
 DEFAULT_ARCH = [64, 32, 16, 16, 8, 8, 8, 10]  # desk-scale 8-layer default
@@ -70,21 +73,30 @@ class ExperimentSpec:
             raise ConfigError(f"bad architecture {self.architecture}")
 
     def load_dataset(self, seed: int) -> Dataset:
+        """Load the dataset and check that the architecture fits it."""
         spec = dict(self.dataset)
         kind = spec.pop("kind", "blobs")
         if kind == "blobs":
             spec.setdefault("seed", seed)
-            return synth_blobs(**spec)
-        if kind == "idx":
-            return load_idx(spec["images"], spec["labels"], spec.get("train_fraction", 0.8))
-        if kind == "csv":
-            return load_csv(
+            ds = synth_blobs(**spec)
+        elif kind == "idx":
+            ds = load_idx(spec["images"], spec["labels"], spec.get("train_fraction", 0.8))
+        elif kind == "csv":
+            ds = load_csv(
                 spec["path"],
                 spec["label_column"],
                 spec.get("has_header", False),
                 spec.get("train_fraction", 0.8),
             )
-        raise ConfigError(f"unknown dataset kind {kind!r}")
+        else:
+            raise ConfigError(f"unknown dataset kind {kind!r}")
+        widths = (ds.features.shape[1], ds.num_classes)
+        if (self.architecture[0], self.architecture[-1]) != widths:
+            raise ConfigError(
+                f"architecture {self.architecture} does not fit the dataset: it needs "
+                f"input width {widths[0]} and output width {widths[1]}"
+            )
+        return ds
 
     def build_model(self, seed: int) -> FcnnModel:
         return FcnnModel.xavier(self.architecture, self.activation, seed=seed)
@@ -190,16 +202,7 @@ def run_training(
     spec: ExperimentSpec, seed: int | None = None, record_time: bool = True
 ) -> TrainReport:
     """Build model + dataset from the experiment spec and train."""
-    cfg = spec.train_cfg
-    if seed is not None:
-        cfg = TrainConfig(
-            learning_rate=cfg.learning_rate,
-            momentum=cfg.momentum,
-            batch_size=cfg.batch_size,
-            epochs=cfg.epochs,
-            seed=seed,
-            second_order=cfg.second_order,
-        )
+    cfg = spec.train_cfg if seed is None else replace(spec.train_cfg, seed=seed)
     ds = spec.load_dataset(cfg.seed)
     model = spec.build_model(cfg.seed)
     x_train, y_train, x_test, y_test = ds.split()
@@ -246,12 +249,14 @@ class CurvatureErrorTable:
 def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> CurvatureErrorTable:
     """Average layer-wise approximation errors along a short training run.
 
-    Trains for compare_steps mini-batch steps from the seeded initial
-    parameters; at each visited parameter vector (theta^0 .. theta^{s-1})
-    computes the exact block-diagonal bias Hessian on one batch and the
-    errors of Fisher / Gauss-Newton / PCH-1 / PCH-2 against it, then
-    averages per layer.  Gauss-Newton is skipped (column None) for the
-    non-convex criterion, where its top block is indefinite.
+    Takes compare_steps steps of the spec's optimizer, momentum included,
+    from the seeded initial parameters, over the batches train visits in
+    its first epoch.  At each visited parameter vector (theta^0 ..
+    theta^{s-1}) one batch_pass feeds the exact block-diagonal bias
+    Hessian, the errors of Fisher / Gauss-Newton / PCH-1 / PCH-2 against
+    it, and the step; errors are averaged per layer.  Gauss-Newton is
+    skipped (column None) for the non-convex criterion, where its top
+    block is indefinite.
     """
     if spec.compare_steps < 1:
         raise ConfigError("compare_steps must be >= 1")
@@ -275,27 +280,20 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
     sums = {name: np.zeros(k + 1) for name in variants}
     order = shuffled_indices(x_train.shape[0], run_seed, 0)
     n = x_train.shape[0]
-    step_cfg = TrainConfig(
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        batch_size=cfg.batch_size,
-        epochs=1,
-        seed=run_seed,
-        second_order=cfg.second_order,
-    )
+    velocity = zero_velocity(model)
     for step in range(spec.compare_steps):
         lo = (step * cfg.batch_size) % max(n, 1)
         batch = order[lo : lo + cfg.batch_size]
         if batch.size == 0:
             batch = order[:cfg.batch_size]
-        xb, yb = x_train[batch], y_train[batch]
-        trace = forward(model, xb)
-        exact = true_bias_hessian(model, trace, criterion, yb)
+        bp = batch_pass(model, criterion, x_train[batch], y_train[batch])
+        # layerwise_error's targets, each block's eigendecomposition taken once
+        exact = [abs_eig(e) for e in true_bias_hessian(model, bp)]
         for name, (kind, gamma) in variants.items():
-            curv = ea_curvature(model, trace, criterion, yb, kind, gamma)
-            report = layerwise_error([c.hb for c in curv], exact)
+            curv = ea_curvature(model, bp, kind, gamma)
+            report = frobenius_errors([c.hb for c in curv], exact)
             sums[name] += np.array(report.per_layer + [report.total])
-        _advance_one_step(model, criterion, xb, yb, step_cfg)
+        optimizer_step(model, bp, cfg, velocity)
 
     columns: dict[str, list[float] | None] = {
         name: (sums[name] / spec.compare_steps).tolist() for name in variants
@@ -303,22 +301,6 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
     if not convex:
         columns["gauss_newton"] = None
     return CurvatureErrorTable(num_layers=k, columns=columns)
-
-
-def _advance_one_step(model, criterion, xb, yb, cfg: TrainConfig) -> None:
-    """One optimizer step on a single batch (used by the error-table driver)."""
-    from .fcnn import backprop, criterion_batch
-    from .trainer import _second_order_step
-
-    if cfg.second_order is None:
-        trace = forward(model, xb)
-        _, grads_out, _ = criterion_batch(criterion, trace.h[-1], yb)
-        grads = backprop(model, trace, grads_out)
-        for t in range(model.num_layers):
-            model.weights[t] = model.weights[t] - cfg.learning_rate * grads.grad_weight[t]
-            model.biases[t] = model.biases[t] - cfg.learning_rate * grads.grad_bias[t]
-    else:
-        _second_order_step(model, criterion, xb, yb, cfg.second_order, cfg.learning_rate)
 
 
 @dataclass
@@ -338,12 +320,11 @@ def run_bound_check(spec: ExperimentSpec, seed: int | None = None, batch: int = 
     ds = spec.load_dataset(run_seed)
     model = spec.build_model(run_seed)
     x_train, y_train, _, _ = ds.split()
-    xb, yb = x_train[:batch], y_train[:batch]
-    trace = forward(model, xb)
+    bp = batch_pass(model, spec.criterion, x_train[:batch], y_train[:batch])
     lips = model.activation.lipschitz
     results = []
     for t in range(2, model.num_layers + 1):
-        lhs, rhs = covariance_bound_check(model, trace, spec.criterion, yb, t, lips)
+        lhs, rhs = covariance_bound_check(model, bp, t, lips)
         results.append(BoundCheckResult(layer=t, lhs=lhs, rhs=rhs))
     return results
 

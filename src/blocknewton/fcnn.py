@@ -326,3 +326,25 @@ def backprop(
     return LayerGradients(
         grad_bias=grad_bias, grad_weight=grad_weight, bias_per_instance=gb_inst
     )
+
+
+@dataclass
+class BatchPass:
+    """Everything one training batch yields for the optimizer step and the
+    curvature blocks: the forward trace, the per-instance losses and output
+    Hessians, and the gradients with their per-instance bias gradients
+    (grads.bias_per_instance[-1] is the criterion gradient at the output)."""
+
+    trace: ForwardTrace
+    losses: np.ndarray
+    hess_out: np.ndarray
+    grads: LayerGradients
+
+
+def batch_pass(
+    model: FcnnModel, criterion: Criterion, inputs: np.ndarray, y: np.ndarray
+) -> BatchPass:
+    """Forward, criterion and backprop on one batch, each run once."""
+    trace = forward(model, inputs)
+    losses, grads_out, hess_out = criterion_batch(criterion, trace.h[-1], y)
+    return BatchPass(trace, losses, hess_out, backprop(model, trace, grads_out))

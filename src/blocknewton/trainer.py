@@ -16,7 +16,15 @@ import numpy as np
 
 from .curvature import CurvatureKind, ea_curvature
 from .errors import ConfigError, TrainingDivergedError
-from .fcnn import Criterion, FcnnModel, backprop, criterion_batch, forward, softmax
+from .fcnn import (
+    BatchPass,
+    Criterion,
+    FcnnModel,
+    batch_pass,
+    criterion_batch,
+    forward,
+    softmax,
+)
 from .solvers import SolverConfig, ea_cg_direction, kfi_direction
 
 
@@ -52,6 +60,15 @@ class SecondOrderSpec:
     solver: SolverChoice = SolverChoice.EA_CG
     solver_cfg: SolverConfig = field(default_factory=SolverConfig)
 
+    def __post_init__(self):
+        if self.kind is CurvatureKind.TRUE_BLOCK_DIAG:
+            raise ConfigError(
+                "curvature 'true' is the exact reference, not a training "
+                "curvature; use pch, gauss_newton or fisher"
+            )
+        if self.kind is CurvatureKind.PCH and self.gamma not in (-1.0, 0.0):
+            raise ConfigError(f"gamma must be -1 or 0 for pch curvature, got {self.gamma}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -67,6 +84,8 @@ class TrainConfig:
             raise ConfigError(f"learning rate must be >= 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
 @dataclass
@@ -105,23 +124,40 @@ def accuracy(model: FcnnModel, x: np.ndarray, y_index: np.ndarray) -> float:
     return float(np.mean(pred == y_index))
 
 
-def _second_order_step(
-    model: FcnnModel,
-    criterion: Criterion,
-    xb: np.ndarray,
-    yb: np.ndarray,
-    spec: SecondOrderSpec,
-    lr: float,
+Velocity = tuple[list[np.ndarray], list[np.ndarray]]
+
+
+def zero_velocity(model: FcnnModel) -> Velocity:
+    """SGD momentum buffers (weights, biases) at rest."""
+    return [np.zeros_like(w) for w in model.weights], [np.zeros_like(b) for b in model.biases]
+
+
+def optimizer_step(
+    model: FcnnModel, bp: BatchPass, cfg: TrainConfig, velocity: Velocity
 ) -> None:
-    trace = forward(model, xb)
-    _, grads_out, _ = criterion_batch(criterion, trace.h[-1], yb)
-    grads = backprop(model, trace, grads_out)
-    curv = ea_curvature(model, trace, criterion, yb, spec.kind, spec.gamma)
+    """One optimizer step on the batch of bp, in place.
+
+    Second-order optimizers build the batch's curvature and step
+    theta += lr * d (directions come negated from the solvers); SGD
+    updates the momentum buffers v <- momentum v - lr g in place and steps
+    theta += v.
+    """
+    lr = cfg.learning_rate
+    spec = cfg.second_order
+    if spec is None:
+        velocity_w, velocity_b = velocity
+        for t in range(model.num_layers):
+            velocity_w[t] = cfg.momentum * velocity_w[t] - lr * bp.grads.grad_weight[t]
+            velocity_b[t] = cfg.momentum * velocity_b[t] - lr * bp.grads.grad_bias[t]
+            model.weights[t] = model.weights[t] + velocity_w[t]
+            model.biases[t] = model.biases[t] + velocity_b[t]
+        return
+    curv = ea_curvature(model, bp, spec.kind, spec.gamma)
     if spec.solver is SolverChoice.EA_CG:
-        direction = ea_cg_direction(curv, grads, spec.solver_cfg)
+        direction = ea_cg_direction(curv, bp.grads, spec.solver_cfg)
     else:
         direction = kfi_direction(
-            curv, grads, spec.solver_cfg.alpha, spec.solver_cfg.pi_policy
+            curv, bp.grads, spec.solver_cfg.alpha, spec.solver_cfg.pi_policy
         )
     for t in range(model.num_layers):
         model.weights[t] = model.weights[t] + lr * direction.d_weight[t]
@@ -140,10 +176,8 @@ def train(
 ) -> TrainReport:
     """Train in place and return per-epoch metrics.
 
-    y arrays are one-hot.  Second-order optimizers recompute curvature on
-    every mini-batch and step theta += lr * d (directions come negated
-    from the solvers); SGD uses the classical momentum buffer
-    v <- momentum v - lr g, theta <- theta + v.
+    y arrays are one-hot.  Every mini-batch runs one batch_pass and one
+    optimizer_step.
     """
     n = x_train.shape[0]
     if y_train.shape[0] != n:
@@ -153,34 +187,15 @@ def train(
         y_test = y_train[:0]
     y_test_idx = np.argmax(y_test, axis=1) if y_test.shape[0] else np.empty(0, int)
 
-    velocity_w = [np.zeros_like(w) for w in model.weights]
-    velocity_b = [np.zeros_like(b) for b in model.biases]
+    velocity = zero_velocity(model)
     records: list[EpochRecord] = []
     for epoch in range(cfg.epochs):
         start = time.perf_counter()
         order = shuffled_indices(n, cfg.seed, epoch)
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo : lo + cfg.batch_size]
-            xb, yb = x_train[batch], y_train[batch]
-            if cfg.second_order is None:
-                trace = forward(model, xb)
-                _, grads_out, _ = criterion_batch(criterion, trace.h[-1], yb)
-                grads = backprop(model, trace, grads_out)
-                for t in range(model.num_layers):
-                    velocity_w[t] = (
-                        cfg.momentum * velocity_w[t]
-                        - cfg.learning_rate * grads.grad_weight[t]
-                    )
-                    velocity_b[t] = (
-                        cfg.momentum * velocity_b[t]
-                        - cfg.learning_rate * grads.grad_bias[t]
-                    )
-                    model.weights[t] = model.weights[t] + velocity_w[t]
-                    model.biases[t] = model.biases[t] + velocity_b[t]
-            else:
-                _second_order_step(
-                    model, criterion, xb, yb, cfg.second_order, cfg.learning_rate
-                )
+            bp = batch_pass(model, criterion, x_train[batch], y_train[batch])
+            optimizer_step(model, bp, cfg, velocity)
         loss = mean_loss(model, criterion, x_train, y_train)
         if not np.isfinite(loss):
             raise TrainingDivergedError(

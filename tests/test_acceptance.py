@@ -26,6 +26,7 @@ from blocknewton.fcnn import (
     FcnnModel,
     SigmoidGate,
     backprop,
+    batch_pass,
     criterion_batch,
     forward,
 )
@@ -84,8 +85,7 @@ def test_criterion_2_exact_hessian_oracle():
         criterion = both_criteria()[i % 2]
         model = random_model(rng, max_width=6, max_layers=4)
         x, y = random_batch(rng, model, batch=3)
-        trace = forward(model, x)
-        blocks = true_bias_hessian(model, trace, criterion, y)
+        blocks = true_bias_hessian(model, batch_pass(model, criterion, x, y))
         for t in range(1, model.num_layers + 1):
             fd = fd_bias_hessian(model, criterion, x, y, t)
             scale = max(1.0, float(np.max(np.abs(fd))))
@@ -107,18 +107,18 @@ def test_criterion_3_psd_suite():
         criterion = both_criteria()[i % 2]
         model = random_model(rng)
         x, y = random_batch(rng, model)
-        trace = forward(model, x)
+        bp = batch_pass(model, criterion, x, y)
         for kind, gamma in [
             (CurvatureKind.PCH, -1.0),
             (CurvatureKind.PCH, 0.0),
             (CurvatureKind.FISHER, -1.0),
         ]:
-            curv = ea_curvature(model, trace, criterion, y, kind, gamma)
+            curv = ea_curvature(model, bp, kind, gamma)
             ok &= all(
                 float(np.min(np.linalg.eigvalsh(l.hb))) >= -1e-8 for l in curv
             )
         if isinstance(criterion, SigmoidGate) and not saw_indefinite_gn:
-            gn = ea_curvature(model, trace, gate, y, CurvatureKind.GAUSS_NEWTON)
+            gn = ea_curvature(model, batch_pass(model, gate, x, y), CurvatureKind.GAUSS_NEWTON)
             saw_indefinite_gn = any(
                 float(np.min(np.linalg.eigvalsh(l.hb))) < -1e-10 for l in gn
             )
@@ -136,14 +136,14 @@ def test_criterion_4_output_layer_exactness():
     for _ in range(10):
         model = random_model(rng)
         x, y = random_batch(rng, model)
-        trace = forward(model, x)
-        exact = true_bias_hessian(model, trace, criterion, y)
+        bp = batch_pass(model, criterion, x, y)
+        exact = true_bias_hessian(model, bp)
         for kind, gamma in [
             (CurvatureKind.GAUSS_NEWTON, -1.0),
             (CurvatureKind.PCH, -1.0),
             (CurvatureKind.PCH, 0.0),
         ]:
-            curv = ea_curvature(model, trace, criterion, y, kind, gamma)
+            curv = ea_curvature(model, bp, kind, gamma)
             err = layerwise_error([c.hb for c in curv], exact)
             ok &= err.per_layer[-1] <= 1e-10
     report(
@@ -193,10 +193,9 @@ def test_criterion_6_ea_cg_correctness():
     model = random_model(rng)
     x, y = random_batch(rng, model, batch=1)
     criterion = CrossEntropySoftmax()
-    trace = forward(model, x)
-    _, go, _ = criterion_batch(criterion, trace.h[-1], y)
-    grads = backprop(model, trace, go)
-    curv = ea_curvature(model, trace, criterion, y, CurvatureKind.PCH)
+    bp = batch_pass(model, criterion, x, y)
+    grads = bp.grads
+    curv = ea_curvature(model, bp, CurvatureKind.PCH)
     d1 = ea_cg_direction(curv, grads, SolverConfig(alpha=0.02, max_cg=100, eps_cg=1e-13))
     d2 = ea_cg_direction(
         curv,
@@ -268,9 +267,9 @@ def test_criterion_8_covariance_bound():
             criterion = both_criteria()[i % 2]
             model = random_model(rng, activation=activation)
             x, y = random_batch(rng, model, batch=8)
-            trace = forward(model, x)
+            bp = batch_pass(model, criterion, x, y)
             for t in range(2, model.num_layers + 1):
-                lhs, rhs = covariance_bound_check(model, trace, criterion, y, t, lips)
+                lhs, rhs = covariance_bound_check(model, bp, t, lips)
                 ok &= lhs <= rhs + 1e-15
     report(
         "criterion 8: covariance error bound holds on 100 sigmoid and "

@@ -1,9 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 
 from blocknewton.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, cli
 from blocknewton.data import load_idx
+from blocknewton.errors import ConfigError
+from blocknewton.experiments import load_spec
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -69,6 +72,30 @@ class TestExitCodes:
         cfg = write_config(tmp_path, doc)
         assert cli(["train", "--config", cfg]) == EXIT_CONFIG
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["train", "compare-curvature"])
+    def test_architecture_must_fit_dataset(self, tmp_path, capsys, command):
+        dataset = dict(SMALL["dataset"], dim=8)
+        cfg = write_config(tmp_path, dict(SMALL, architecture=[5, 4, 3], dataset=dataset))
+        assert cli([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "architecture" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,change",
+        [
+            ("momentum", {"train": dict(SMALL["train"], momentum=-5)}),
+            ("curvature", {"optimizer": {"kind": "ea_cg", "curvature": "true"}}),
+            ("gamma", {"optimizer": {"kind": "ea_cg", "curvature": "pch", "gamma": -0.5}}),
+        ],
+        ids=["momentum", "curvature", "gamma"],
+    )
+    def test_bad_optimizer_value_rejected_at_load(self, tmp_path, capsys, key, change):
+        cfg = write_config(tmp_path, dict(SMALL, **change))
+        with pytest.raises(ConfigError, match=key):
+            load_spec(cfg)
+        assert cli(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "metrics.jsonl").exists()
 
 
 class TestGrid:

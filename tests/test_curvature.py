@@ -15,6 +15,7 @@ from blocknewton.fcnn import (
     FcnnModel,
     SigmoidGate,
     backprop,
+    batch_pass,
     criterion_batch,
     forward,
 )
@@ -51,7 +52,7 @@ class TestTrueBiasHessian:
         trace = forward(model, x)
         criterion = CrossEntropySoftmax()
         _, _, hesses = criterion_batch(criterion, trace.h[-1], y)
-        blocks = true_bias_hessian(model, trace, criterion, y)
+        blocks = true_bias_hessian(model, batch_pass(model, criterion, x, y))
         assert len(blocks) == 1
         assert np.allclose(blocks[0], hesses.mean(axis=0), atol=1e-14)
 
@@ -62,9 +63,9 @@ class TestTrueBiasHessian:
         model = random_model(rng, activation=Activation.RELU)
         x, y = random_batch(rng, model, batch=1)
         criterion = CrossEntropySoftmax()
-        trace = forward(model, x)
-        exact = true_bias_hessian(model, trace, criterion, y)
-        gn = ea_curvature(model, trace, criterion, y, CurvatureKind.GAUSS_NEWTON)
+        bp = batch_pass(model, criterion, x, y)
+        exact = true_bias_hessian(model, bp)
+        gn = ea_curvature(model, bp, CurvatureKind.GAUSS_NEWTON)
         for e, c in zip(exact, gn):
             assert np.allclose(e, c.hb, atol=1e-10)
 
@@ -73,8 +74,7 @@ class TestTrueBiasHessian:
         rng = np.random.default_rng(2)
         model = random_model(rng, max_width=6, max_layers=3)
         x, y = random_batch(rng, model, batch=4)
-        trace = forward(model, x)
-        blocks = true_bias_hessian(model, trace, criterion, y)
+        blocks = true_bias_hessian(model, batch_pass(model, criterion, x, y))
         for t in range(1, model.num_layers + 1):
             fd = fd_bias_hessian(model, criterion, x, y, t)
             scale = max(1.0, np.max(np.abs(fd)))
@@ -83,9 +83,9 @@ class TestTrueBiasHessian:
     def test_rejects_mismatched_trace(self):
         model = FcnnModel.xavier([3, 2], seed=0)
         other = FcnnModel.xavier([4, 3, 2], seed=0)
-        trace = forward(other, np.ones((2, 4)))
+        bp = batch_pass(other, CrossEntropySoftmax(), np.ones((2, 4)), np.eye(2)[[0, 1]])
         with pytest.raises(DimensionError):
-            true_bias_hessian(model, trace, CrossEntropySoftmax(), np.eye(2)[[0, 1]])
+            true_bias_hessian(model, bp)
 
 
 class TestEaCurvature:
@@ -97,15 +97,15 @@ class TestEaCurvature:
         trace = forward(model, x)
         _, _, hesses = criterion_batch(criterion, trace.h[-1], y)
         top = hesses.mean(axis=0)
-        pch = ea_curvature(model, trace, criterion, y, CurvatureKind.PCH, gamma=-1.0)
+        pch = ea_curvature(model, batch_pass(model, criterion, x, y), CurvatureKind.PCH, gamma=-1.0)
         assert np.allclose(pch[-1].hb, 0.5 * (top + top.T), atol=1e-10)
 
     def test_batch_one_gram_is_rank_one(self):
         rng = np.random.default_rng(4)
         model = random_model(rng)
         x, y = random_batch(rng, model, batch=1)
-        trace = forward(model, x)
-        curv = ea_curvature(model, trace, CrossEntropySoftmax(), y, CurvatureKind.FISHER)
+        bp = batch_pass(model, CrossEntropySoftmax(), x, y)
+        curv = ea_curvature(model, bp, CurvatureKind.FISHER)
         for layer in curv:
             assert np.allclose(layer.ehhT, np.outer(layer.eh, layer.eh), atol=1e-14)
 
@@ -117,9 +117,9 @@ class TestEaCurvature:
         model = random_model(rng)
         x, y = random_batch(rng, model, batch=1)
         criterion = CrossEntropySoftmax()
-        trace = forward(model, x)
-        exact = true_bias_hessian(model, trace, criterion, y)
-        gn = ea_curvature(model, trace, criterion, y, CurvatureKind.GAUSS_NEWTON)
+        bp = batch_pass(model, criterion, x, y)
+        exact = true_bias_hessian(model, bp)
+        gn = ea_curvature(model, bp, CurvatureKind.GAUSS_NEWTON)
         # add back the (unclipped) diagonal term to the GN blocks
         for t in range(model.num_layers - 1, 0, -1):
             approx = gn[t - 1].hb + np.diag(gn[t - 1].diag_term) - np.diag(
@@ -138,8 +138,8 @@ class TestEaCurvature:
         for _ in range(10):
             model = random_model(rng)
             x, y = random_batch(rng, model)
-            trace = forward(model, x)
-            curv = ea_curvature(model, trace, criterion, y, CurvatureKind.PCH, gamma)
+            bp = batch_pass(model, criterion, x, y)
+            curv = ea_curvature(model, bp, CurvatureKind.PCH, gamma)
             for layer in curv:
                 assert np.min(np.linalg.eigvalsh(layer.hb)) >= -1e-8
 
@@ -148,8 +148,8 @@ class TestEaCurvature:
         for criterion in both_criteria():
             model = random_model(rng)
             x, y = random_batch(rng, model)
-            trace = forward(model, x)
-            curv = ea_curvature(model, trace, criterion, y, CurvatureKind.FISHER)
+            bp = batch_pass(model, criterion, x, y)
+            curv = ea_curvature(model, bp, CurvatureKind.FISHER)
             for layer in curv:
                 assert np.min(np.linalg.eigvalsh(layer.hb)) >= -1e-10
 
@@ -160,8 +160,8 @@ class TestEaCurvature:
         for _ in range(50):
             model = random_model(rng)
             x, y = random_batch(rng, model)
-            trace = forward(model, x)
-            gn = ea_curvature(model, trace, criterion, y, CurvatureKind.GAUSS_NEWTON)
+            bp = batch_pass(model, criterion, x, y)
+            gn = ea_curvature(model, bp, CurvatureKind.GAUSS_NEWTON)
             if any(np.min(np.linalg.eigvalsh(l.hb)) < -1e-10 for l in gn):
                 saw_negative = True
                 break
@@ -171,17 +171,17 @@ class TestEaCurvature:
         rng = np.random.default_rng(9)
         model = random_model(rng)
         x, y = random_batch(rng, model)
-        trace = forward(model, x)
+        bp = batch_pass(model, CrossEntropySoftmax(), x, y)
         with pytest.raises(ConfigError):
-            ea_curvature(model, trace, CrossEntropySoftmax(), y, CurvatureKind.TRUE_BLOCK_DIAG)
+            ea_curvature(model, bp, CurvatureKind.TRUE_BLOCK_DIAG)
 
     def test_rejects_bad_gamma(self):
         rng = np.random.default_rng(10)
         model = random_model(rng)
         x, y = random_batch(rng, model)
-        trace = forward(model, x)
+        bp = batch_pass(model, CrossEntropySoftmax(), x, y)
         with pytest.raises(ConfigError):
-            ea_curvature(model, trace, CrossEntropySoftmax(), y, CurvatureKind.PCH, gamma=-0.5)
+            ea_curvature(model, bp, CurvatureKind.PCH, gamma=-0.5)
 
 
 class TestLayerwiseError:
@@ -214,14 +214,14 @@ class TestLayerwiseError:
         model = random_model(rng)
         x, y = random_batch(rng, model)
         criterion = CrossEntropySoftmax()
-        trace = forward(model, x)
-        exact = true_bias_hessian(model, trace, criterion, y)
+        bp = batch_pass(model, criterion, x, y)
+        exact = true_bias_hessian(model, bp)
         for kind, gamma in [
             (CurvatureKind.GAUSS_NEWTON, -1.0),
             (CurvatureKind.PCH, -1.0),
             (CurvatureKind.PCH, 0.0),
         ]:
-            curv = ea_curvature(model, trace, criterion, y, kind, gamma)
+            curv = ea_curvature(model, bp, kind, gamma)
             report = layerwise_error([c.hb for c in curv], exact)
             assert report.per_layer[-1] <= 1e-10
 
@@ -237,10 +237,8 @@ class TestCovarianceBound:
         x, y = random_batch(rng, model, batch=1)
         x = np.repeat(x, 4, axis=0)
         y = np.repeat(y, 4, axis=0)
-        trace = forward(model, x)
-        lhs, rhs = covariance_bound_check(
-            model, trace, CrossEntropySoftmax(), y, 2, model.activation.lipschitz
-        )
+        bp = batch_pass(model, CrossEntropySoftmax(), x, y)
+        lhs, rhs = covariance_bound_check(model, bp, 2, model.activation.lipschitz)
         assert abs(lhs) < 1e-20 and abs(rhs) < 1e-20
 
     @pytest.mark.parametrize(
@@ -254,15 +252,15 @@ class TestCovarianceBound:
             for _ in range(20):
                 model = random_model(rng, activation=activation)
                 x, y = random_batch(rng, model, batch=8)
-                trace = forward(model, x)
+                bp = batch_pass(model, criterion, x, y)
                 for t in range(2, model.num_layers + 1):
-                    lhs, rhs = covariance_bound_check(model, trace, criterion, y, t, lips)
+                    lhs, rhs = covariance_bound_check(model, bp, t, lips)
                     assert lhs <= rhs + 1e-15
 
     def test_rejects_batch_of_one(self):
         rng = np.random.default_rng(16)
         model = random_model(rng)
         x, y = random_batch(rng, model, batch=1)
-        trace = forward(model, x)
+        bp = batch_pass(model, CrossEntropySoftmax(), x, y)
         with pytest.raises(ConfigError):
-            covariance_bound_check(model, trace, CrossEntropySoftmax(), y, 2, 0.25)
+            covariance_bound_check(model, bp, 2, 0.25)

@@ -1,8 +1,11 @@
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
 
+from blocknewton import fcnn
 from blocknewton.curvature import CurvatureKind
 from blocknewton.errors import ConfigError
 from blocknewton.experiments import (
@@ -16,7 +19,7 @@ from blocknewton.experiments import (
     summary_csv,
 )
 from blocknewton.fcnn import Activation, CrossEntropySoftmax, SigmoidGate
-from blocknewton.trainer import SolverChoice, TrainConfig
+from blocknewton.trainer import SecondOrderSpec, SolverChoice, TrainConfig, train
 
 
 def small_spec(**overrides):
@@ -131,6 +134,85 @@ class TestCompareCurvatures:
         spec = small_spec(compare_steps=5)
         table = compare_curvatures(spec, seed=0)
         assert table.columns["pch1"][-1] < table.columns["fisher"][-1]
+
+
+PCH1 = SecondOrderSpec(kind=CurvatureKind.PCH, gamma=-1.0)
+
+
+def spec_with(second_order, **overrides):
+    cfg = TrainConfig(
+        learning_rate=0.1, momentum=0.9, epochs=1, batch_size=8, seed=0,
+        second_order=second_order,
+    )
+    return small_spec(train_cfg=cfg, **overrides)
+
+
+@pytest.fixture
+def pass_calls(monkeypatch):
+    """Count criterion_batch and backprop_bias_gradients calls, wrapped at
+    every blocknewton module name they are looked up under."""
+    counts = {}
+    for name in ("criterion_batch", "backprop_bias_gradients"):
+        original = getattr(fcnn, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "blocknewton" and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+class TestOnePassPerStep:
+    @pytest.mark.parametrize(
+        "second_order",
+        [
+            None,
+            PCH1,
+            SecondOrderSpec(kind=CurvatureKind.FISHER, solver=SolverChoice.KFI),
+        ],
+        ids=["sgd", "ea_cg-pch1", "kfi-fisher"],
+    )
+    def test_train(self, pass_calls, second_order):
+        spec = spec_with(second_order)
+        x_train, y_train, _, _ = spec.load_dataset(0).split()
+        cfg = spec.train_cfg
+        train(spec.build_model(0), spec.criterion, x_train, y_train, cfg)
+        steps = cfg.epochs * math.ceil(x_train.shape[0] / cfg.batch_size)
+        # the per-epoch loss evaluation adds one criterion call and no backprop
+        assert pass_calls == {
+            "criterion_batch": steps + cfg.epochs,
+            "backprop_bias_gradients": steps,
+        }
+
+    @pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd", "ea_cg-pch1"])
+    def test_compare_curvatures(self, pass_calls, second_order):
+        spec = spec_with(second_order, compare_steps=4)
+        compare_curvatures(spec)
+        assert pass_calls == {"criterion_batch": 4, "backprop_bias_gradients": 4}
+
+
+@pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd-momentum", "ea_cg-pch1"])
+def test_compare_curvature_takes_the_steps_of_train(second_order):
+    spec = spec_with(second_order)
+    x_train, y_train, _, _ = spec.load_dataset(0).split()
+    spec.compare_steps = math.ceil(x_train.shape[0] / spec.train_cfg.batch_size)
+    built = []
+    build = spec.build_model
+
+    def build_and_keep(seed):
+        built.append(build(seed))
+        return built[-1]
+
+    spec.build_model = build_and_keep
+    compare_curvatures(spec)
+    trained = build(0)
+    train(trained, spec.criterion, x_train, y_train, spec.train_cfg)
+    assert len(built) == 1
+    assert np.array_equal(built[0].flat_parameters(), trained.flat_parameters())
 
 
 class TestBoundCheck:

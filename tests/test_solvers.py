@@ -6,9 +6,7 @@ from blocknewton.errors import ConfigError
 from blocknewton.fcnn import (
     CrossEntropySoftmax,
     LayerGradients,
-    backprop,
-    criterion_batch,
-    forward,
+    batch_pass,
 )
 from blocknewton.solvers import (
     HvpMode,
@@ -40,11 +38,9 @@ def model_problem(seed, batch=5, kind=CurvatureKind.PCH):
     model = random_model(rng)
     x, y = random_batch(rng, model, batch=batch)
     criterion = CrossEntropySoftmax()
-    trace = forward(model, x)
-    _, grads_out, _ = criterion_batch(criterion, trace.h[-1], y)
-    grads = backprop(model, trace, grads_out)
-    curv = ea_curvature(model, trace, criterion, y, kind)
-    return curv, grads
+    bp = batch_pass(model, criterion, x, y)
+    curv = ea_curvature(model, bp, kind)
+    return curv, bp.grads
 
 
 class TestEaCg:

@@ -8,6 +8,7 @@ from blocknewton.fcnn import (
     CrossEntropySoftmax,
     FcnnModel,
     backprop,
+    batch_pass,
     criterion_batch,
     forward,
 )
@@ -140,14 +141,13 @@ class TestSecondOrder:
         # alpha -> 1 makes the damped system nearly d = -g
         model, x_train, y_train, _, _ = small_problem(seed=4)
         criterion = CrossEntropySoftmax()
-        trace = forward(model, x_train)
-        _, go, _ = criterion_batch(criterion, trace.h[-1], y_train)
-        grads = backprop(model, trace, go)
+        bp = batch_pass(model, criterion, x_train, y_train)
+        grads = bp.grads
 
         from blocknewton.curvature import ea_curvature
         from blocknewton.solvers import ea_cg_direction
 
-        curv = ea_curvature(model, trace, criterion, y_train, CurvatureKind.PCH)
+        curv = ea_curvature(model, bp, CurvatureKind.PCH)
         cfg = SolverConfig(alpha=0.999, max_cg=200, eps_cg=1e-12)
         d = ea_cg_direction(curv, grads, cfg)
         g = grads.flat()

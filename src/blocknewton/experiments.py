@@ -46,6 +46,11 @@ from .trainer import (
 )
 
 DEFAULT_ARCH = [64, 32, 16, 16, 8, 8, 8, 10]  # desk-scale 8-layer default
+DATASET_KEYS = {  # kind -> (required keys, optional keys)
+    "blobs": ({"classes", "dim", "per_class", "spread"}, {"seed", "train_fraction"}),
+    "idx": ({"images", "labels"}, {"train_fraction"}),
+    "csv": ({"path", "label_column"}, {"has_header", "train_fraction"}),
+}
 
 
 @dataclass
@@ -69,27 +74,33 @@ class ExperimentSpec:
     grid: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.architecture) < 2 or any(n < 1 for n in self.architecture):
-            raise ConfigError(f"bad architecture {self.architecture}")
+        arch = self.architecture
+        if not isinstance(arch, (list, tuple)) or len(arch) < 2 or any(
+            isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1 for n in arch
+        ):
+            raise ConfigError(
+                f"architecture: expected a list of at least two positive integers, got {arch!r}"
+            )
 
     def load_dataset(self, seed: int) -> Dataset:
         """Load the dataset and check that the architecture fits it."""
         spec = dict(self.dataset)
-        kind = spec.pop("kind", "blobs")
+        kind = _choice(spec, "dataset.kind", list(DATASET_KEYS), "blobs")
+        spec.pop("kind", None)
+        required, optional = DATASET_KEYS[kind]
+        bad = sorted(required - spec.keys()) or sorted(spec.keys() - required - optional)
+        if bad:
+            raise ConfigError(
+                f"dataset.{bad[0]}: {'missing' if bad[0] in required else 'unknown key'} "
+                f"for kind {kind!r}, whose keys are {sorted(required | optional)}"
+            )
         if kind == "blobs":
             spec.setdefault("seed", seed)
             ds = synth_blobs(**spec)
         elif kind == "idx":
             ds = load_idx(spec["images"], spec["labels"], spec.get("train_fraction", 0.8))
-        elif kind == "csv":
-            ds = load_csv(
-                spec["path"],
-                spec["label_column"],
-                spec.get("has_header", False),
-                spec.get("train_fraction", 0.8),
-            )
         else:
-            raise ConfigError(f"unknown dataset kind {kind!r}")
+            ds = load_csv(**spec)
         widths = (ds.features.shape[1], ds.num_classes)
         if (self.architecture[0], self.architecture[-1]) != widths:
             raise ConfigError(
@@ -102,54 +113,73 @@ class ExperimentSpec:
         return FcnnModel.xavier(self.architecture, self.activation, seed=seed)
 
 
+def _typed(doc: dict, path: str, default, types: tuple):
+    """doc's value for the last key of the dotted path, or default; no bools."""
+    value = doc.get(path.rsplit(".", 1)[-1], default)
+    if isinstance(value, bool) or not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise ConfigError(f"{path}: expected {names}, got {value!r}")
+    return value
+
+
+def _choice(doc: dict, path: str, allowed, default: str | None = None):
+    """Like _typed for a list of names, or an Enum class whose member is returned."""
+    names = [m.value for m in allowed] if isinstance(allowed, type) else allowed
+    value = doc.get(path.rsplit(".", 1)[-1], default)
+    if value not in names:
+        raise ConfigError(f"{path}: {value!r} not in {names}")
+    return allowed(value) if isinstance(allowed, type) else value
+
+
 def spec_from_json(doc: dict) -> ExperimentSpec:
-    """Build an ExperimentSpec from its JSON-document form."""
+    """Build an ExperimentSpec from its JSON-document form.
+
+    A malformed value raises ConfigError naming its dotted key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"spec: expected a JSON object, got {type(doc).__name__}")
     kwargs = {}
     if "architecture" in doc:
-        kwargs["architecture"] = list(doc["architecture"])
-    if "activation" in doc:
-        kwargs["activation"] = Activation(doc["activation"])
-    crit = doc.get("criterion", {"kind": "cross_entropy"})
-    if crit["kind"] == "cross_entropy":
+        kwargs["architecture"] = doc["architecture"]
+    kwargs["activation"] = _choice(doc, "activation", Activation, "sigmoid")
+    crit = _typed(doc, "criterion", {"kind": "cross_entropy"}, (dict,))
+    if _choice(crit, "criterion.kind", ["cross_entropy", "sigmoid_gate"]) == "cross_entropy":
         kwargs["criterion"] = CrossEntropySoftmax()
-    elif crit["kind"] == "sigmoid_gate":
-        kwargs["criterion"] = SigmoidGate(
-            delta=crit.get("delta", 5.0), epsilon=crit.get("epsilon", 0.2)
-        )
     else:
-        raise ConfigError(f"unknown criterion kind {crit['kind']!r}")
+        kwargs["criterion"] = SigmoidGate(
+            delta=_typed(crit, "criterion.delta", 5.0, (int, float)),
+            epsilon=_typed(crit, "criterion.epsilon", 0.2, (int, float)),
+        )
 
-    tdoc = doc.get("train", {})
+    tdoc = _typed(doc, "train", {}, (dict,))
     second = None
-    odoc = doc.get("optimizer", {"kind": "sgd"})
-    if odoc.get("kind", "sgd") != "sgd":
-        scfg = odoc.get("solver_cfg", {})
+    odoc = _typed(doc, "optimizer", {"kind": "sgd"}, (dict,))
+    solver = _choice(odoc, "optimizer.kind", ["sgd", "ea_cg", "kfi"], "sgd")
+    if solver != "sgd":
+        scfg = _typed(odoc, "optimizer.solver_cfg", {}, (dict,))
+        curvatures = ["pch", "gauss_newton", "fisher"]
         second = SecondOrderSpec(
-            kind=CurvatureKind(odoc.get("curvature", "pch")),
-            gamma=float(odoc.get("gamma", -1.0)),
-            solver=SolverChoice(odoc.get("kind")),
+            kind=CurvatureKind(_choice(odoc, "optimizer.curvature", curvatures, "pch")),
+            gamma=float(_typed(odoc, "optimizer.gamma", -1.0, (int, float))),
+            solver=SolverChoice(solver),
             solver_cfg=SolverConfig(
-                alpha=scfg.get("alpha", 0.02),
-                max_cg=scfg.get("max_cg", 20),
-                eps_cg=scfg.get("eps_cg", 1e-5),
-                hvp_mode=HvpMode(scfg.get("hvp_mode", "exact_kron")),
-                pi_policy=PiPolicy(scfg.get("pi_policy", "unit")),
+                alpha=_typed(scfg, "optimizer.solver_cfg.alpha", 0.02, (int, float)),
+                max_cg=_typed(scfg, "optimizer.solver_cfg.max_cg", 20, (int,)),
+                eps_cg=_typed(scfg, "optimizer.solver_cfg.eps_cg", 1e-5, (int, float)),
+                hvp_mode=_choice(scfg, "optimizer.solver_cfg.hvp_mode", HvpMode, "exact_kron"),
+                pi_policy=_choice(scfg, "optimizer.solver_cfg.pi_policy", PiPolicy, "unit"),
             ),
         )
     kwargs["train_cfg"] = TrainConfig(
-        learning_rate=tdoc.get("learning_rate", 0.1),
-        momentum=tdoc.get("momentum", 0.9),
-        batch_size=tdoc.get("batch_size", 32),
-        epochs=tdoc.get("epochs", 10),
-        seed=tdoc.get("seed", 0),
+        learning_rate=_typed(tdoc, "train.learning_rate", 0.1, (int, float)),
+        momentum=_typed(tdoc, "train.momentum", 0.9, (int, float)),
+        batch_size=_typed(tdoc, "train.batch_size", 32, (int,)),
+        epochs=_typed(tdoc, "train.epochs", 10, (int,)),
+        seed=_typed(tdoc, "train.seed", 0, (int,)),
         second_order=second,
     )
-    if "dataset" in doc:
-        kwargs["dataset"] = dict(doc["dataset"])
-    if "compare_steps" in doc:
-        kwargs["compare_steps"] = int(doc["compare_steps"])
-    if "grid" in doc:
-        kwargs["grid"] = dict(doc["grid"])
+    for key, types in (("dataset", (dict,)), ("compare_steps", (int,)), ("grid", (dict,))):
+        if key in doc:
+            kwargs[key] = _typed(doc, key, None, types)
     return ExperimentSpec(**kwargs)
 
 

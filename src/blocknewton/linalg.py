@@ -1,9 +1,9 @@
-"""Dense symmetric linear algebra: Jacobi eigensolver, eigenvalue clipping,
+"""Dense symmetric linear algebra: eigendecomposition, eigenvalue clipping,
 matrix-free conjugate gradient, and the vec-trick for Kronecker products.
 
-Everything works on plain float64 numpy arrays.  Matrices stay small
-(layer widths), so a cyclic Jacobi sweep is plenty; numpy's LAPACK
-eigensolver is only used in the tests as an independent oracle.
+Everything works on plain float64 numpy arrays.  Eigendecompositions are
+numpy's LAPACK symmetric eigensolver (``np.linalg.eigh``) behind a symmetry
+check.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ConfigError, DimensionError, NumericalBreakdownError
 
 _SYMMETRY_RTOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
 
 class EigenDecomposition(NamedTuple):
@@ -50,64 +49,29 @@ def check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def sym_eig(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi.
+    """Eigendecomposition of a real symmetric matrix.
 
     Returns eigenvalues in ascending order and the matching orthonormal
     eigenvector columns, so that a == Q @ diag(w) @ Q.T.
     """
     a = check_symmetric(a, "sym_eig input")
-    n = a.shape[0]
-    d = 0.5 * (a + a.T)  # exact symmetry before rotating
-    q = np.eye(n)
-    norm_a = np.linalg.norm(d)
-    tol = _SYMMETRY_RTOL * max(norm_a, 1e-300)
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.linalg.norm(d - np.diag(np.diag(d)))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apq = d[p, r]
-                if abs(apq) <= tol / max(n, 1):
-                    continue
-                # classic 2x2 rotation annihilating d[p, r]
-                theta = (d[r, r] - d[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * d[:, p] - s * d[:, r]
-                rot_r = s * d[:, p] + c * d[:, r]
-                d[:, p], d[:, r] = rot_p, rot_r
-                rot_p = c * d[p, :] - s * d[r, :]
-                rot_r = s * d[p, :] + c * d[r, :]
-                d[p, :], d[r, :] = rot_p, rot_r
-                rot_p = c * q[:, p] - s * q[:, r]
-                rot_r = s * q[:, p] + c * q[:, r]
-                q[:, p], q[:, r] = rot_p, rot_r
-
-    w = np.diag(d).copy()
-    order = np.argsort(w, kind="stable")
-    return EigenDecomposition(eigenvalues=w[order], eigenvectors=q[:, order])
+    w, q = np.linalg.eigh(0.5 * (a + a.T))
+    return EigenDecomposition(eigenvalues=w, eigenvectors=q)
 
 
-def pos_eig(a: np.ndarray, gamma: float, tol_eig: float | None = None) -> np.ndarray:
+def pos_eig(a: np.ndarray, gamma: float) -> np.ndarray:
     """Replace negative eigenvalues lam of a symmetric matrix by gamma*lam.
 
-    Eigenvalues in [-tol_eig, 0) are clamped to zero instead of scaled so
-    round-off negatives are not amplified.  gamma must be <= 0, which maps
-    gamma=-1 to absolute values and gamma=0 to a projection onto PSD.
+    Eigenvalues in [-tol, 0), tol = 1e-12 * max(1, max |lam|), are clamped
+    to zero instead of scaled so round-off negatives are not amplified.
+    gamma must be <= 0, which maps gamma=-1 to absolute values and gamma=0
+    to a projection onto PSD.
     """
     if gamma > 0:
         raise ConfigError(f"pos_eig gamma must be <= 0, got {gamma}")
     w, q = sym_eig(a)
-    if tol_eig is None:
-        tol_eig = _SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(w))))
-    elif tol_eig <= 0:
-        raise ConfigError(f"pos_eig tol_eig must be > 0, got {tol_eig}")
-    clipped = np.where(w < -tol_eig, gamma * w, np.where(w < 0, 0.0, w))
+    tol = _SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(w))))
+    clipped = np.where(w < -tol, gamma * w, np.where(w < 0, 0.0, w))
     out = (q * clipped) @ q.T
     return 0.5 * (out + out.T)
 

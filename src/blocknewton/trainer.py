@@ -232,9 +232,9 @@ def grid_search(
 ) -> tuple[list[GridResult], GridResult, GridResult]:
     """Cartesian-product grid runs, each from a fresh identically-seeded model.
 
-    Grid keys: learning_rate, batch_size, alpha, max_cg, eps_cg.  Returns
-    (all results in enumeration order, best by final training loss, best
-    by final test accuracy).
+    Grid keys: learning_rate, batch_size, alpha, and under EA-CG max_cg and
+    eps_cg.  Returns (all results in enumeration order, best by final
+    training loss, best by final test accuracy).
     """
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ConfigError("grid must be non-empty")
@@ -262,6 +262,9 @@ def grid_search(
         if solver_updates:
             if cfg.second_order is None:
                 raise ConfigError("solver grid keys require a second-order optimizer")
+            unused = sorted(solver_updates.keys() - {"alpha"})
+            if cfg.second_order.solver is SolverChoice.KFI and unused:
+                raise ConfigError(f"grid keys {unused} have no effect on the kfi solver")
             solver_cfg = replace(cfg.second_order.solver_cfg, **solver_updates)
             cfg = replace(
                 cfg, second_order=replace(cfg.second_order, solver_cfg=solver_cfg)

@@ -23,6 +23,33 @@ SMALL = {
 }
 
 
+# (dotted key the error must name, spec document)
+MALFORMED = [
+    ("activation", dict(SMALL, activation="tanh")),
+    ("optimizer.kind", dict(SMALL, optimizer={"kind": "adam"})),
+    ("optimizer.curvature", dict(SMALL, optimizer={"kind": "ea_cg", "curvature": "foo"})),
+    (
+        "optimizer.solver_cfg.hvp_mode",
+        dict(SMALL, optimizer={"kind": "ea_cg", "solver_cfg": {"hvp_mode": "x"}}),
+    ),
+    (
+        "optimizer.solver_cfg.pi_policy",
+        dict(SMALL, optimizer={"kind": "kfi", "solver_cfg": {"pi_policy": "x"}}),
+    ),
+    ("criterion.kind", dict(SMALL, criterion={"delta": 5.0})),
+    ("spec", [SMALL]),
+    ("train.epochs", dict(SMALL, train=dict(SMALL["train"], epochs="2"))),
+    ("architecture", dict(SMALL, architecture="8,6,3")),
+    (
+        "optimizer.solver_cfg.alpha",
+        dict(SMALL, optimizer={"kind": "ea_cg", "solver_cfg": {"alpha": "0.1"}}),
+    ),
+    ("optimizer.gamma", dict(SMALL, optimizer={"kind": "ea_cg", "gamma": "x"})),
+    ("dataset.images", dict(SMALL, dataset={"kind": "idx", "labels": "labels.idx"})),
+    ("dataset.foo", dict(SMALL, dataset=dict(SMALL["dataset"], foo=1))),
+]
+
+
 class TestTrain:
     def test_writes_metrics_and_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL)
@@ -97,6 +124,13 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("key,doc", MALFORMED, ids=[key for key, _ in MALFORMED])
+    def test_malformed_spec_exits_2_naming_key(self, tmp_path, capsys, key, doc):
+        cfg = write_config(tmp_path, doc)
+        assert cli(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"{key}:" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.jsonl").exists()
+
 
 class TestGrid:
     def test_writes_grid_json(self, tmp_path, capsys):
@@ -107,6 +141,15 @@ class TestGrid:
         assert len(result["runs"]) == 2
         assert "best_by_loss" in result and "best_by_accuracy" in result
         capsys.readouterr()
+
+    @pytest.mark.parametrize("key", ["max_cg", "eps_cg"])
+    def test_kfi_rejects_cg_grid_keys(self, tmp_path, capsys, key):
+        values = {"max_cg": [1, 50], "eps_cg": [1e-3, 1e-6]}[key]
+        doc = dict(SMALL, optimizer={"kind": "kfi"}, grid={key: values})
+        cfg = write_config(tmp_path, doc)
+        assert cli(["grid", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "grid.json").exists()
 
     def test_grid_requires_grid_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL)

@@ -38,7 +38,7 @@ class TestSymEig:
         w, _ = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(w, [-1.0, 1.0])
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 10, 24])
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 24, 128, 784])
     def test_reconstruction_and_orthonormality(self, n):
         rng = np.random.default_rng(n)
         a = random_symmetric(rng, n)

@@ -54,7 +54,6 @@ from .trainer import (
     SolverChoice,
     TrainConfig,
     TrainReport,
-    grid_search,
     train,
 )
 

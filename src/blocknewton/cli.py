@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .data import synth_blobs, write_idx_images, write_idx_labels
@@ -22,10 +21,10 @@ from .experiments import (
     load_spec,
     metrics_jsonl,
     run_bound_check,
+    run_grid,
     run_training,
     summary_csv,
 )
-from .trainer import GridResult, grid_search
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,40 +83,18 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    spec = load_spec(args.config)
-    if not spec.grid:
-        raise ConfigError("spec has no 'grid' section")
-    seed = args.seed if args.seed is not None else spec.train_cfg.seed
-    ds = spec.load_dataset(seed)
-    x_train, y_train, x_test, y_test = ds.split()
-    results, best_loss, best_acc = grid_search(
-        lambda: spec.build_model(seed),
-        spec.criterion,
-        x_train,
-        y_train,
-        replace(spec.train_cfg, seed=seed),
-        {k: list(v) for k, v in spec.grid.items()},
-        x_test,
-        y_test,
-    )
-
-    def row(res: GridResult) -> dict:
-        return {
-            "params": res.params,
-            "final_loss": res.report.final_loss,
-            "final_test_acc": res.report.final_accuracy,
-        }
-
+    rows = [
+        {"params": params, "final_loss": report.final_loss, "final_test_acc": report.final_accuracy}
+        for params, report in run_grid(load_spec(args.config), seed=args.seed)
+    ]
+    best = min(rows, key=lambda row: row["final_loss"])
     doc = {
-        "runs": [row(r) for r in results],
-        "best_by_loss": row(best_loss),
-        "best_by_accuracy": row(best_acc),
+        "runs": rows,
+        "best_by_loss": best,
+        "best_by_accuracy": max(rows, key=lambda row: row["final_test_acc"]),
     }
     atomic_write_text(Path(args.out) / "grid.json", json.dumps(doc, indent=2) + "\n")
-    print(
-        f"{len(results)} runs; best loss {best_loss.report.final_loss:.6f} "
-        f"at {best_loss.params}"
-    )
+    print(f"{len(rows)} runs; best loss {best['final_loss']:.6f} at {best['params']}")
     return EXIT_OK
 
 
@@ -151,8 +128,9 @@ def _cmd_gen_data(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pixels = (ds.features * 255.0).round().astype("uint8")
-    write_idx_images(out / "blobs-images.idx", pixels.reshape(pixels.shape[0], 1, -1))
+    # labels first: they are checked to fit IDX bytes, so a bad --classes writes nothing
     write_idx_labels(out / "blobs-labels.idx", ds.labels)
+    write_idx_images(out / "blobs-images.idx", pixels.reshape(pixels.shape[0], 1, -1))
     print(f"wrote {pixels.shape[0]} instances to {out}")
     return EXIT_OK
 
@@ -175,7 +153,9 @@ def cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    # every path opened comes from the command line or the spec, so an
+    # unreadable or unwritable one is a usage error
+    except (ConfigError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalBreakdownError as exc:

@@ -26,7 +26,6 @@ from .linalg import abs_eig, pos_eig
 
 
 class CurvatureKind(enum.Enum):
-    TRUE_BLOCK_DIAG = "true"
     PCH = "pch"
     GAUSS_NEWTON = "gauss_newton"
     FISHER = "fisher"
@@ -109,8 +108,6 @@ def ea_curvature(
     and no clipping.  Fisher replaces every bias block by the gradient
     outer-product mean.
     """
-    if kind is CurvatureKind.TRUE_BLOCK_DIAG:
-        raise ConfigError("use true_bias_hessian for the exact block diagonal")
     if kind is CurvatureKind.PCH and gamma not in (-1.0, 0.0):
         raise ConfigError(f"PCH gamma must be -1 or 0, got {gamma}")
     trace = bp.trace

@@ -117,6 +117,11 @@ def write_idx_images(path: str | Path, images: np.ndarray) -> None:
 
 
 def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
+    """Write labels as IDX unsigned bytes; a label outside [0, 255] is an error."""
+    if np.size(labels) and not 0 <= np.min(labels) <= np.max(labels) <= 255:
+        raise ConfigError(
+            f"{path}: IDX labels must be in [0, 255], got [{np.min(labels)}, {np.max(labels)}]"
+        )
     labels = np.asarray(labels, dtype=np.uint8)
     with open(path, "wb") as f:
         f.write(struct.pack(">I", IDX_LABEL_MAGIC))
@@ -174,8 +179,8 @@ def synth_blobs(
     Deterministic given the seed; points are clipped to [0, 1] so features
     match the normalized-image contract.
     """
-    if classes < 1 or dim < 1 or per_class < 1:
-        raise ConfigError("classes, dim and per_class must all be >= 1")
+    if classes < 1 or dim < 1 or per_class < 1 or seed < 0:
+        raise ConfigError("classes, dim and per_class must all be >= 1, and seed >= 0")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.15, 0.85, size=(classes, dim))
     features = np.concatenate(

@@ -4,8 +4,10 @@ bound check."""
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
+import itertools
 import json
 import os
 import statistics
@@ -46,32 +48,36 @@ from .trainer import (
 )
 
 DEFAULT_ARCH = [64, 32, 16, 16, 8, 8, 8, 10]  # desk-scale 8-layer default
-DATASET_KEYS = {  # kind -> (required keys, optional keys)
-    "blobs": ({"classes", "dim", "per_class", "spread"}, {"seed", "train_fraction"}),
-    "idx": ({"images", "labels"}, {"train_fraction"}),
-    "csv": ({"path", "label_column"}, {"has_header", "train_fraction"}),
+DEFAULT_DATASET = {"kind": "blobs", "classes": 10, "dim": 64, "per_class": 40, "spread": 0.08}
+_INT, _NUMBER = (int,), (int, float)
+DATASET_KEYS = {  # kind -> (required keys, optional keys), each mapped to its value types
+    "blobs": ({"classes": _INT, "dim": _INT, "per_class": _INT, "spread": _NUMBER},
+              {"seed": _INT, "train_fraction": _NUMBER}),
+    "idx": ({"images": (str,), "labels": (str,)}, {"train_fraction": _NUMBER}),
+    "csv": ({"path": (str,), "label_column": _INT}, {"has_header": (bool,), "train_fraction": _NUMBER}),
+}
+SPEC_KEYS = ["architecture", "activation", "criterion", "train", "optimizer", "dataset",
+             "compare_steps", "grid"]
+TRAIN_KEYS = ["learning_rate", "momentum", "batch_size", "epochs", "seed"]
+SOLVER_CFG_KEYS = {"ea_cg": ["alpha", "max_cg", "eps_cg", "hvp_mode"], "kfi": ["alpha", "pi_policy"]}
+GRID_PATHS = {  # grid key -> the spec section its values are written to
+    **dict.fromkeys(["learning_rate", "batch_size"], ("train",)),
+    **dict.fromkeys(["alpha", "max_cg", "eps_cg"], ("optimizer", "solver_cfg")),
 }
 
 
 @dataclass
 class ExperimentSpec:
-    """One experiment: architecture, criterion, data source, optimizer."""
+    """One experiment: architecture, criterion, data source, optimizer, and
+    the (grid values, spec) of each grid point in enumeration order."""
 
     architecture: list[int] = field(default_factory=lambda: list(DEFAULT_ARCH))
     activation: Activation = Activation.SIGMOID
     criterion: Criterion = field(default_factory=CrossEntropySoftmax)
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
-    dataset: dict = field(
-        default_factory=lambda: {
-            "kind": "blobs",
-            "classes": 10,
-            "dim": 64,
-            "per_class": 40,
-            "spread": 0.08,
-        }
-    )
+    dataset: dict = field(default_factory=lambda: dict(DEFAULT_DATASET))
     compare_steps: int = 10
-    grid: dict = field(default_factory=dict)
+    grid: list[tuple[dict, ExperimentSpec]] = field(default_factory=list)
 
     def __post_init__(self):
         arch = self.architecture
@@ -83,24 +89,31 @@ class ExperimentSpec:
             )
 
     def load_dataset(self, seed: int) -> Dataset:
-        """Load the dataset and check that the architecture fits it."""
+        """Load the dataset with run seed `seed` and check that the architecture fits it."""
+        if seed < 0:
+            raise ConfigError(
+                f"seed: expected a non-negative integer (train.seed or --seed), got {seed}"
+            )
         spec = dict(self.dataset)
         kind = _choice(spec, "dataset.kind", list(DATASET_KEYS), "blobs")
         spec.pop("kind", None)
         required, optional = DATASET_KEYS[kind]
-        bad = sorted(required - spec.keys()) or sorted(spec.keys() - required - optional)
-        if bad:
-            raise ConfigError(
-                f"dataset.{bad[0]}: {'missing' if bad[0] in required else 'unknown key'} "
-                f"for kind {kind!r}, whose keys are {sorted(required | optional)}"
-            )
+        types = required | optional
+        _only(spec, "dataset", sorted(types), f"dataset kind {kind!r}")
+        for key in sorted(spec.keys() | required.keys()):  # a missing key reads as None
+            _typed(spec, f"dataset.{key}", None, types[key])
+        fraction = spec.get("train_fraction", 0.8)
+        if not 0 < fraction <= 1:
+            raise ConfigError(f"dataset.train_fraction: expected a number in (0, 1], got {fraction!r}")
         if kind == "blobs":
             spec.setdefault("seed", seed)
             ds = synth_blobs(**spec)
         elif kind == "idx":
-            ds = load_idx(spec["images"], spec["labels"], spec.get("train_fraction", 0.8))
+            ds = load_idx(spec["images"], spec["labels"], fraction)
         else:
             ds = load_csv(**spec)
+        if ds.train_idx.size == 0:
+            raise ConfigError(f"dataset.train_fraction: {fraction!r} leaves no training instance")
         widths = (ds.features.shape[1], ds.num_classes)
         if (self.architecture[0], self.architecture[-1]) != widths:
             raise ConfigError(
@@ -114,9 +127,10 @@ class ExperimentSpec:
 
 
 def _typed(doc: dict, path: str, default, types: tuple):
-    """doc's value for the last key of the dotted path, or default; no bools."""
+    """doc's value for the last key of the dotted path, or default; a bool
+    passes only where types names bool."""
     value = doc.get(path.rsplit(".", 1)[-1], default)
-    if isinstance(value, bool) or not isinstance(value, types):
+    if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
         names = " or ".join(t.__name__ for t in types)
         raise ConfigError(f"{path}: expected {names}, got {value!r}")
     return value
@@ -131,34 +145,51 @@ def _choice(doc: dict, path: str, allowed, default: str | None = None):
     return allowed(value) if isinstance(allowed, type) else value
 
 
+def _only(doc: dict, path: str, allowed: list[str], where: str = "") -> None:
+    """Reject the first key of the section at the dotted path not in allowed."""
+    unknown = sorted(doc.keys() - set(allowed))
+    if unknown:
+        key = f"{path}.{unknown[0]}" if path else unknown[0]
+        where = f" for {where}" if where else ""
+        raise ConfigError(f"{key}: unknown key{where}; expected one of {allowed}")
+
+
 def spec_from_json(doc: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from its JSON-document form.
 
-    A malformed value raises ConfigError naming its dotted key."""
+    Every key is checked against what its section reads: an unknown key or
+    a malformed value raises ConfigError naming its dotted key."""
     if not isinstance(doc, dict):
         raise ConfigError(f"spec: expected a JSON object, got {type(doc).__name__}")
+    _only(doc, "", SPEC_KEYS)
     kwargs = {}
     if "architecture" in doc:
         kwargs["architecture"] = doc["architecture"]
     kwargs["activation"] = _choice(doc, "activation", Activation, "sigmoid")
     crit = _typed(doc, "criterion", {"kind": "cross_entropy"}, (dict,))
     if _choice(crit, "criterion.kind", ["cross_entropy", "sigmoid_gate"]) == "cross_entropy":
+        _only(crit, "criterion", ["kind"], "criterion kind 'cross_entropy'")
         kwargs["criterion"] = CrossEntropySoftmax()
     else:
+        _only(crit, "criterion", ["kind", "delta", "epsilon"])
         kwargs["criterion"] = SigmoidGate(
             delta=_typed(crit, "criterion.delta", 5.0, (int, float)),
             epsilon=_typed(crit, "criterion.epsilon", 0.2, (int, float)),
         )
 
     tdoc = _typed(doc, "train", {}, (dict,))
+    _only(tdoc, "train", TRAIN_KEYS)
     second = None
     odoc = _typed(doc, "optimizer", {"kind": "sgd"}, (dict,))
     solver = _choice(odoc, "optimizer.kind", ["sgd", "ea_cg", "kfi"], "sgd")
-    if solver != "sgd":
+    if solver == "sgd":
+        _only(odoc, "optimizer", ["kind"], "optimizer kind 'sgd'")
+    else:
+        _only(odoc, "optimizer", ["kind", "curvature", "gamma", "solver_cfg"])
         scfg = _typed(odoc, "optimizer.solver_cfg", {}, (dict,))
-        curvatures = ["pch", "gauss_newton", "fisher"]
+        _only(scfg, "optimizer.solver_cfg", SOLVER_CFG_KEYS[solver], f"optimizer kind {solver!r}")
         second = SecondOrderSpec(
-            kind=CurvatureKind(_choice(odoc, "optimizer.curvature", curvatures, "pch")),
+            kind=_choice(odoc, "optimizer.curvature", CurvatureKind, "pch"),
             gamma=float(_typed(odoc, "optimizer.gamma", -1.0, (int, float))),
             solver=SolverChoice(solver),
             solver_cfg=SolverConfig(
@@ -177,10 +208,46 @@ def spec_from_json(doc: dict) -> ExperimentSpec:
         seed=_typed(tdoc, "train.seed", 0, (int,)),
         second_order=second,
     )
-    for key, types in (("dataset", (dict,)), ("compare_steps", (int,)), ("grid", (dict,))):
+    for key, types in (("dataset", (dict,)), ("compare_steps", (int,))):
         if key in doc:
             kwargs[key] = _typed(doc, key, None, types)
-    return ExperimentSpec(**kwargs)
+    spec = ExperimentSpec(**kwargs)
+    spec.grid = _grid_points(doc)
+    return spec
+
+
+def _grid_points(doc: dict) -> list[tuple[dict, ExperimentSpec]]:
+    """The (grid values, spec) of each point of doc's grid, over the Cartesian
+    product in sorted-key order.  A point is doc with one value per grid key
+    written at GRID_PATHS; each value is first parsed alone, so a bad one is
+    reported under its grid key."""
+    grid = _typed(doc, "grid", {}, (dict,))
+    if not grid:
+        return []
+    _only(grid, "grid", list(GRID_PATHS))
+    base = {key: value for key, value in doc.items() if key != "grid"}
+    for key, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"grid.{key}: expected a non-empty list, got {values!r}")
+        for value in values:
+            try:
+                spec_from_json(_with_grid_values(base, {key: value}))
+            except ConfigError as exc:
+                raise ConfigError(f"grid.{key}: value {value!r} rejected ({exc})") from None
+    keys = sorted(grid)
+    points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+    return [(params, spec_from_json(_with_grid_values(base, params))) for params in points]
+
+
+def _with_grid_values(doc: dict, params: dict) -> dict:
+    """A copy of doc with each grid value written at its spec path."""
+    doc = copy.deepcopy(doc)
+    for key, value in params.items():
+        section = doc
+        for name in GRID_PATHS[key]:
+            section = section.setdefault(name, {})
+        section[key] = value
+    return doc
 
 
 def load_spec(path: str | Path) -> ExperimentSpec:
@@ -246,6 +313,22 @@ def run_training(
         y_test,
         record_time=record_time,
     )
+
+
+def run_grid(spec: ExperimentSpec, seed: int | None = None) -> list[tuple[dict, TrainReport]]:
+    """Train every grid point from the same seeded model on the same data.
+
+    Returns (grid values, report) per point in enumeration order."""
+    if not spec.grid:
+        raise ConfigError("grid: the spec has no grid points")
+    seed = spec.train_cfg.seed if seed is None else seed
+    x_train, y_train, x_test, y_test = spec.load_dataset(seed).split()
+    runs = []
+    for params, point in spec.grid:
+        cfg = replace(point.train_cfg, seed=seed)
+        model = spec.build_model(seed)
+        runs.append((params, train(model, spec.criterion, x_train, y_train, cfg, x_test, y_test)))
+    return runs
 
 
 APPROXIMATION_COLUMNS = ["fisher", "gauss_newton", "pch1", "pch2"]
@@ -350,6 +433,10 @@ def run_bound_check(spec: ExperimentSpec, seed: int | None = None, batch: int = 
     ds = spec.load_dataset(run_seed)
     model = spec.build_model(run_seed)
     x_train, y_train, _, _ = ds.split()
+    if not 2 <= batch <= x_train.shape[0]:
+        raise ConfigError(
+            f"--batch: expected 2 <= batch <= {x_train.shape[0]} training instances, got {batch}"
+        )
     bp = batch_pass(model, spec.criterion, x_train[:batch], y_train[:batch])
     lips = model.activation.lipschitz
     results = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,11 +61,6 @@ class SecondOrderSpec:
     solver_cfg: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.kind is CurvatureKind.TRUE_BLOCK_DIAG:
-            raise ConfigError(
-                "curvature 'true' is the exact reference, not a training "
-                "curvature; use pch, gauss_newton or fisher"
-            )
         if self.kind is CurvatureKind.PCH and self.gamma not in (-1.0, 0.0):
             raise ConfigError(f"gamma must be -1 or 0 for pch curvature, got {self.gamma}")
 
@@ -212,69 +207,3 @@ def train(
             )
         )
     return TrainReport(epochs=records, model=model)
-
-
-@dataclass
-class GridResult:
-    params: dict
-    report: TrainReport
-
-
-def grid_search(
-    model_factory,
-    criterion: Criterion,
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    base_cfg: TrainConfig,
-    grid: dict[str, list],
-    x_test: np.ndarray | None = None,
-    y_test: np.ndarray | None = None,
-) -> tuple[list[GridResult], GridResult, GridResult]:
-    """Cartesian-product grid runs, each from a fresh identically-seeded model.
-
-    Grid keys: learning_rate, batch_size, alpha, and under EA-CG max_cg and
-    eps_cg.  Returns (all results in enumeration order, best by final
-    training loss, best by final test accuracy).
-    """
-    if not grid or any(len(v) == 0 for v in grid.values()):
-        raise ConfigError("grid must be non-empty")
-    allowed = {"learning_rate", "batch_size", "alpha", "max_cg", "eps_cg"}
-    unknown = set(grid) - allowed
-    if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-
-    keys = sorted(grid)
-    combos: list[dict] = [{}]
-    for key in keys:
-        combos = [{**c, key: v} for c in combos for v in grid[key]]
-
-    results = []
-    for params in combos:
-        cfg = base_cfg
-        cfg_updates = {
-            k: params[k] for k in ("learning_rate", "batch_size") if k in params
-        }
-        if cfg_updates:
-            cfg = replace(cfg, **cfg_updates)
-        solver_updates = {
-            k: params[k] for k in ("alpha", "max_cg", "eps_cg") if k in params
-        }
-        if solver_updates:
-            if cfg.second_order is None:
-                raise ConfigError("solver grid keys require a second-order optimizer")
-            unused = sorted(solver_updates.keys() - {"alpha"})
-            if cfg.second_order.solver is SolverChoice.KFI and unused:
-                raise ConfigError(f"grid keys {unused} have no effect on the kfi solver")
-            solver_cfg = replace(cfg.second_order.solver_cfg, **solver_updates)
-            cfg = replace(
-                cfg, second_order=replace(cfg.second_order, solver_cfg=solver_cfg)
-            )
-        model = model_factory()
-        report = train(
-            model, criterion, x_train, y_train, cfg, x_test, y_test
-        )
-        results.append(GridResult(params=params, report=report))
-
-    best_loss = min(results, key=lambda r: r.report.final_loss)
-    best_acc = max(results, key=lambda r: r.report.final_accuracy)
-    return results, best_loss, best_acc

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocknewton.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, cli
 from blocknewton.data import load_idx
@@ -49,6 +53,40 @@ MALFORMED = [
     ("dataset.foo", dict(SMALL, dataset=dict(SMALL["dataset"], foo=1))),
 ]
 
+# keys their section does not read, and dataset values of the wrong type or range
+REJECTED_AT_LOAD = [
+    pytest.param("train.learning_rat", dict(SMALL, train=dict(SMALL["train"], learning_rat=0.1)),
+                 id="typo-in-train"),
+    pytest.param("optimiser", dict(SMALL, optimiser={"kind": "sgd"}), id="typo-at-top"),
+    pytest.param("criterion.delta", dict(SMALL, criterion={"kind": "cross_entropy", "delta": 5.0}),
+                 id="delta-under-cross-entropy"),
+    pytest.param("optimizer.solver_cfg", dict(SMALL, optimizer={"kind": "sgd", "solver_cfg": {}}),
+                 id="solver-cfg-under-sgd"),
+    pytest.param(
+        "optimizer.solver_cfg.max_cg",
+        dict(SMALL, optimizer={"kind": "kfi", "solver_cfg": {"max_cg": 5}}),
+        id="max-cg-under-kfi",
+    ),
+    pytest.param(
+        "optimizer.solver_cfg.pi_policy",
+        dict(SMALL, optimizer={"kind": "ea_cg", "solver_cfg": {"pi_policy": "unit"}}),
+        id="pi-policy-under-ea-cg",
+    ),
+    pytest.param("dataset.classes", dict(SMALL, dataset=dict(SMALL["dataset"], classes="3")),
+                 id="string-classes"),
+    pytest.param("dataset.images", dict(SMALL, dataset={"kind": "idx", "images": 5, "labels": "l"}),
+                 id="numeric-images-path"),
+    pytest.param("dataset.train_fraction", dict(SMALL, dataset=dict(SMALL["dataset"], train_fraction=0)),
+                 id="zero-train-fraction"),
+    pytest.param("dataset.train_fraction",
+                 dict(SMALL, dataset=dict(SMALL["dataset"], train_fraction=1.5)),
+                 id="train-fraction-above-one"),
+    pytest.param("dataset.train_fraction",
+                 dict(SMALL, dataset=dict(SMALL["dataset"], train_fraction=0.01)),
+                 id="empty-training-split"),
+    pytest.param("seed", dict(SMALL, train=dict(SMALL["train"], seed=-1)), id="negative-seed"),
+]
+
 
 class TestTrain:
     def test_writes_metrics_and_summary(self, tmp_path, capsys):
@@ -94,6 +132,12 @@ class TestExitCodes:
         assert cli(["train", "--config", str(path)]) == EXIT_CONFIG
         capsys.readouterr()
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"activation": "sigm\xff"}')
+        assert cli(["train", "--config", str(path)]) == EXIT_CONFIG
+        assert "error" in capsys.readouterr().err
+
     def test_bad_spec_value(self, tmp_path, capsys):
         doc = dict(SMALL, architecture=[4])
         cfg = write_config(tmp_path, doc)
@@ -131,8 +175,34 @@ class TestExitCodes:
         assert f"{key}:" in capsys.readouterr().err
         assert not (tmp_path / "metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["train", "compare-curvature"])
+    @pytest.mark.parametrize("key,doc", REJECTED_AT_LOAD)
+    def test_rejected_at_load_naming_key(self, tmp_path, capsys, command, key, doc):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"{key}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert cli(["train", "--config", cfg, "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
+        assert "seed:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_directory_as_dataset_file(self, tmp_path, capsys):
+        doc = dict(SMALL, dataset={"kind": "idx", "images": str(tmp_path), "labels": str(tmp_path)})
+        cfg = write_config(tmp_path, doc)
+        assert cli(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
 
 class TestGrid:
+    def grid_exit_code(self, tmp_path, grid):
+        cfg = write_config(tmp_path, dict(SMALL, grid=grid))
+        return cli(["grid", "--config", cfg, "--out", str(tmp_path)])
+
     def test_writes_grid_json(self, tmp_path, capsys):
         doc = dict(SMALL, grid={"learning_rate": [0.05, 0.1]})
         cfg = write_config(tmp_path, doc)
@@ -156,6 +226,54 @@ class TestGrid:
         assert cli(["grid", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         capsys.readouterr()
 
+    def test_singleton_grid_matches_train(self, tmp_path, capsys):
+        grid = {"learning_rate": [SMALL["train"]["learning_rate"]]}
+        assert self.grid_exit_code(tmp_path, grid) == EXIT_OK
+        result = json.loads((tmp_path / "grid.json").read_text())
+        cfg = write_config(tmp_path, SMALL, name="plain.json")
+        assert cli(["train", "--config", cfg, "--out", str(tmp_path), "--no-timing"]) == EXIT_OK
+        last = json.loads((tmp_path / "metrics.jsonl").read_text().strip().split("\n")[-1])
+        assert len(result["runs"]) == 1
+        assert result["runs"][0]["final_loss"] == last["loss"]
+        assert result["best_by_loss"] == result["best_by_accuracy"] == result["runs"][0]
+        capsys.readouterr()
+
+    def test_two_by_two_enumeration(self, tmp_path, capsys):
+        grid = {"learning_rate": [0.05, 0.1], "batch_size": [8, 16]}
+        assert self.grid_exit_code(tmp_path, grid) == EXIT_OK
+        runs = json.loads((tmp_path / "grid.json").read_text())["runs"]
+        assert [r["params"] for r in runs] == [
+            {"batch_size": 8, "learning_rate": 0.05},
+            {"batch_size": 8, "learning_rate": 0.1},
+            {"batch_size": 16, "learning_rate": 0.05},
+            {"batch_size": 16, "learning_rate": 0.1},
+        ]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "grid,key",
+        [
+            ({"alpha": [0.02]}, "grid.alpha"),  # solver keys need a second-order optimizer
+            ({"dropout": [0.5]}, "grid.dropout"),
+            ({"learning_rate": 0.1}, "grid.learning_rate"),
+            ({"learning_rate": []}, "grid.learning_rate"),
+            ({"learning_rate": ["x"]}, "grid.learning_rate"),
+            ({"batch_size": [True]}, "grid.batch_size"),
+            ({"batch_size": [8, 0]}, "grid.batch_size"),
+        ],
+        ids=["alpha-under-sgd", "unknown-key", "scalar", "empty", "string", "bool", "zero"],
+    )
+    def test_bad_grid_exits_2_naming_key(self, tmp_path, capsys, grid, key):
+        assert self.grid_exit_code(tmp_path, grid) == EXIT_CONFIG
+        assert f"{key}:" in capsys.readouterr().err
+        assert not (tmp_path / "grid.json").exists()
+
+    def test_bad_grid_rejected_by_train_too(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(SMALL, grid={"learning_rate": ["x"]}))
+        assert cli(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "grid.learning_rate:" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.jsonl").exists()
+
 
 class TestCompareAndBound:
     def test_compare_writes_csv(self, tmp_path, capsys):
@@ -176,6 +294,14 @@ class TestCompareAndBound:
         lines = (tmp_path / "bound_check.jsonl").read_text().strip().split("\n")
         assert all(json.loads(l)["holds"] for l in lines)
 
+    @pytest.mark.parametrize("batch", ["-3", "1", "37"])  # SMALL has 36 training instances
+    def test_bound_check_batch_out_of_range(self, tmp_path, capsys, batch):
+        cfg = write_config(tmp_path, SMALL)
+        args = ["bound-check", "--config", cfg, "--out", str(tmp_path), "--batch", batch]
+        assert cli(args) == EXIT_CONFIG
+        assert "--batch:" in capsys.readouterr().err
+        assert not (tmp_path / "bound_check.jsonl").exists()
+
 
 class TestGenData:
     def test_round_trip(self, tmp_path, capsys):
@@ -195,3 +321,59 @@ class TestGenData:
         assert set(ds.labels) == {0, 1, 2}
         assert np.all(ds.features >= 0.0) and np.all(ds.features <= 1.0)
         capsys.readouterr()
+
+    def test_too_many_classes_for_idx_labels(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        args = ["gen-data", "--classes", "300", "--dim", "2", "--per-class", "1", "--out", str(out)]
+        assert cli(args) == EXIT_CONFIG
+        assert "[0, 255]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+# values around the schema: numbers that are valid somewhere, wrong types and bad ranges
+FUZZ_VALUES = st.sampled_from([1, 2, 8, 0.05, 0.5]) | st.sampled_from(
+    ["x", "", "3", 2.5, -1, 0, None, True, [], {}, "kfi", "ea_cg"]
+)
+FUZZ_PATHS = st.sampled_from(
+    [
+        ("optimiser",),
+        ("train", "learning_rat"),
+        ("train", "learning_rate"),
+        ("train", "batch_size"),
+        ("train", "seed"),
+        ("optimizer", "kind"),
+        ("optimizer", "solver_cfg", "max_cg"),
+        ("optimizer", "solver_cfg", "pi_policy"),
+        ("criterion", "delta"),
+        ("dataset", "kind"),
+        ("dataset", "classes"),
+        ("dataset", "dim"),
+        ("dataset", "images"),
+        ("dataset", "train_fraction"),
+        ("grid", "learning_rate"),
+        ("grid", "batch_size"),
+        ("grid", "alpha"),
+        ("grid", "max_cg"),
+        ("grid", "dropout"),
+    ]
+)
+FUZZ_EDITS = st.lists(
+    st.tuples(FUZZ_PATHS, FUZZ_VALUES | st.lists(FUZZ_VALUES, min_size=1, max_size=2)),
+    max_size=2,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["train", "grid"]), edits=FUZZ_EDITS)
+def test_fuzzed_spec_exits_0_2_or_3(command, edits):
+    doc = json.loads(json.dumps(SMALL))
+    doc["train"]["epochs"] = 1
+    doc["grid"] = {"learning_rate": [0.1]}
+    for path, value in edits:
+        section = doc
+        for name in path[:-1]:
+            section = section.setdefault(name, {})
+        section[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), doc)
+        assert cli([command, "--config", cfg, "--out", tmp]) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)

@@ -167,14 +167,6 @@ class TestEaCurvature:
                 break
         assert saw_negative
 
-    def test_rejects_true_kind(self):
-        rng = np.random.default_rng(9)
-        model = random_model(rng)
-        x, y = random_batch(rng, model)
-        bp = batch_pass(model, CrossEntropySoftmax(), x, y)
-        with pytest.raises(ConfigError):
-            ea_curvature(model, bp, CurvatureKind.TRUE_BLOCK_DIAG)
-
     def test_rejects_bad_gamma(self):
         rng = np.random.default_rng(10)
         model = random_model(rng)

@@ -65,6 +65,23 @@ class TestSpecJson:
         assert so.solver is SolverChoice.EA_CG
         assert so.solver_cfg.alpha == 0.05
 
+    def test_grid_points_are_parsed_specs(self):
+        doc = {
+            "optimizer": {"kind": "ea_cg", "solver_cfg": {"max_cg": 7}},
+            "grid": {"learning_rate": [0.3], "alpha": [0.01, 0.05]},
+        }
+        spec = spec_from_json(doc)
+        assert [params for params, _ in spec.grid] == [
+            {"alpha": 0.01, "learning_rate": 0.3},
+            {"alpha": 0.05, "learning_rate": 0.3},
+        ]
+        cfgs = [point.train_cfg for _, point in spec.grid]
+        assert [cfg.learning_rate for cfg in cfgs] == [0.3, 0.3]
+        solver_cfgs = [cfg.second_order.solver_cfg for cfg in cfgs]
+        assert [(s.alpha, s.max_cg) for s in solver_cfgs] == [(0.01, 7), (0.05, 7)]
+        assert spec.train_cfg.learning_rate == 0.1
+        assert doc["optimizer"]["solver_cfg"] == {"max_cg": 7}  # the document is not edited
+
     def test_unknown_criterion(self):
         with pytest.raises(ConfigError):
             spec_from_json({"criterion": {"kind": "hinge"}})

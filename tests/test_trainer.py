@@ -17,7 +17,6 @@ from blocknewton.trainer import (
     SecondOrderSpec,
     SolverChoice,
     TrainConfig,
-    grid_search,
     shuffled_indices,
     splitmix64,
     train,
@@ -153,67 +152,3 @@ class TestSecondOrder:
         g = grads.flat()
         rel = np.linalg.norm(d.flat() + g) / np.linalg.norm(g)
         assert rel <= 1e-2
-
-
-class TestGridSearch:
-    def test_singleton_grid_matches_plain_training(self):
-        criterion = CrossEntropySoftmax()
-        _, x_train, y_train, x_test, y_test = small_problem(seed=6)
-        cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=8, seed=0)
-
-        def factory():
-            return FcnnModel.xavier([4, 8, 3], seed=6)
-
-        results, best_loss, best_acc = grid_search(
-            factory, criterion, x_train, y_train, cfg, {"learning_rate": [0.1]},
-            x_test, y_test,
-        )
-        assert len(results) == 1
-        direct = train(
-            factory(), criterion, x_train, y_train, cfg, x_test, y_test
-        )
-        assert results[0].report.final_loss == direct.final_loss
-        assert best_loss is results[0] and best_acc is results[0]
-
-    def test_two_by_two_enumeration(self):
-        criterion = CrossEntropySoftmax()
-        _, x_train, y_train, x_test, y_test = small_problem(seed=7)
-        cfg = TrainConfig(epochs=1, batch_size=8, seed=0)
-
-        def factory():
-            return FcnnModel.xavier([4, 8, 3], seed=7)
-
-        grid = {"learning_rate": [0.05, 0.1], "batch_size": [8, 16]}
-        results, _, _ = grid_search(
-            factory, criterion, x_train, y_train, cfg, grid, x_test, y_test
-        )
-        assert [r.params for r in results] == [
-            {"batch_size": 8, "learning_rate": 0.05},
-            {"batch_size": 8, "learning_rate": 0.1},
-            {"batch_size": 16, "learning_rate": 0.05},
-            {"batch_size": 16, "learning_rate": 0.1},
-        ]
-
-    def test_solver_keys_need_second_order(self):
-        _, x_train, y_train, _, _ = small_problem()
-        with pytest.raises(ConfigError):
-            grid_search(
-                lambda: FcnnModel.xavier([4, 8, 3], seed=0),
-                CrossEntropySoftmax(),
-                x_train,
-                y_train,
-                TrainConfig(epochs=1),
-                {"alpha": [0.02]},
-            )
-
-    def test_rejects_unknown_key(self):
-        _, x_train, y_train, _, _ = small_problem()
-        with pytest.raises(ConfigError):
-            grid_search(
-                lambda: FcnnModel.xavier([4, 8, 3], seed=0),
-                CrossEntropySoftmax(),
-                x_train,
-                y_train,
-                TrainConfig(epochs=1),
-                {"dropout": [0.5]},
-            )

@@ -9,8 +9,8 @@ Two routes are implemented:
   Fisher variants.
 
 Weight-block curvature is never materialized: each layer only carries its
-bias block together with the Kronecker factors (E[h h^T], E[h]) needed by
-the solvers.
+bias block together with the layer-input batch h and its mean E[h], from
+which the solvers apply the Kronecker factor E[h h^T] = h^T h / b.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError, check_range
 from .fcnn import BatchPass, FcnnModel, ForwardTrace
 from .linalg import abs_eig, pos_eig
 
@@ -36,16 +36,21 @@ class LayerCurvature:
     """Curvature data for one layer t.
 
     hb is the (possibly modified) bias block E_i[d2 xi / d b^t d b^t].
-    ehhT/eh are the Gram matrix and mean of the layer input h^{t-1}
-    (the Kronecker factors of the weight block).  diag_term is the
+    h is the b x n batch of layer inputs h^{t-1} (a view of the forward
+    trace) and eh its mean; the weight block is E[h h^T] kron hb, and
+    ehhT forms that Gram matrix on every read.  diag_term is the
     recursion's diagonal second-derivative term at layer t, averaged over
     the batch; it is None at the top layer, which has none.
     """
 
     hb: np.ndarray
-    ehhT: np.ndarray
+    h: np.ndarray
     eh: np.ndarray
     diag_term: np.ndarray | None = None
+
+    @property
+    def ehhT(self) -> np.ndarray:
+        return (self.h.T @ self.h) / self.h.shape[0]
 
 
 def _check_trace(model: FcnnModel, trace: ForwardTrace) -> None:
@@ -90,12 +95,6 @@ def true_bias_hessian(model: FcnnModel, bp: BatchPass) -> list[np.ndarray]:
     return [0.5 * (m + m.T) for m in (h.mean(axis=0) for h in hbs)]
 
 
-def _factors(trace: ForwardTrace, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kronecker factors of layer t: Gram and mean of h^{t-1}."""
-    h = trace.h[t - 1]
-    return (h.T @ h) / trace.batch_size, h.mean(axis=0)
-
-
 def ea_curvature(
     model: FcnnModel, bp: BatchPass, kind: CurvatureKind, gamma: float = -1.0
 ) -> list[LayerCurvature]:
@@ -108,8 +107,7 @@ def ea_curvature(
     and no clipping.  Fisher replaces every bias block by the gradient
     outer-product mean.
     """
-    if kind is CurvatureKind.PCH and gamma not in (-1.0, 0.0):
-        raise ConfigError(f"PCH gamma must be -1 or 0, got {gamma}")
+    check_range("gamma", gamma, kind is not CurvatureKind.PCH or gamma in (-1.0, 0.0), "-1 or 0")
     trace = bp.trace
     _check_trace(model, trace)
     k = model.num_layers
@@ -125,13 +123,13 @@ def ea_curvature(
         hb = (gb[k - 1].T @ gb[k - 1]) / n
 
     layers: list[LayerCurvature] = [None] * k
-    ehhT, eh = _factors(trace, k)
-    layers[k - 1] = LayerCurvature(hb=hb, ehhT=ehhT, eh=eh)
+    h = trace.h[k - 1]
+    layers[k - 1] = LayerCurvature(hb=hb, h=h, eh=h.mean(axis=0))
 
     prev_hb = hb
     for t in range(k, 1, -1):
         w = model.weights[t - 1]
-        ehhT, eh = _factors(trace, t - 1)
+        h = trace.h[t - 2]
         diag_vec = (trace.hdprime[t - 1] * (gb[t - 1] @ w)).mean(axis=0)
 
         if kind is CurvatureKind.FISHER:
@@ -144,7 +142,7 @@ def ea_curvature(
                 clipped = np.abs(diag_vec) if gamma == -1.0 else np.maximum(diag_vec, 0.0)
                 hb = hb + np.diag(clipped)
             hb = 0.5 * (hb + hb.T)
-        layers[t - 2] = LayerCurvature(hb=hb, ehhT=ehhT, eh=eh, diag_term=diag_vec)
+        layers[t - 2] = LayerCurvature(hb=hb, h=h, eh=h.mean(axis=0), diag_term=diag_vec)
         prev_hb = hb
     return layers
 
@@ -192,10 +190,8 @@ def covariance_bound_check(
     summed elementwise variance of W^T Hb_i W.  The bound asserts lhs <= rhs
     for any activation with Lipschitz constant L.
     """
-    if not 2 <= layer_t <= model.num_layers:
-        raise ConfigError(f"layer_t must be in [2, {model.num_layers}]")
-    if bp.trace.batch_size < 2:
-        raise ConfigError("covariance needs batch size >= 2")
+    check_range("layer_t", layer_t, 2 <= layer_t <= model.num_layers, f"[2, {model.num_layers}]")
+    check_range("batch size", bp.trace.batch_size, bp.trace.batch_size >= 2, ">= 2")
     hbs = exact_bias_hessian_instances(model, bp)
     w = model.weights[layer_t - 1]
     x = np.einsum("sa,iab,bc->isc", w.T, hbs[layer_t - 1], w, optimize=True)

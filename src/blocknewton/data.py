@@ -145,7 +145,7 @@ def load_csv(
                 continue
             if not row:
                 continue
-            if label_column >= len(row):
+            if not 0 <= label_column < len(row):
                 raise ParseError(
                     f"{path}:{line_no}: label column {label_column} out of range"
                 )

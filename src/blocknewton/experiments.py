@@ -25,7 +25,7 @@ from .curvature import (
     true_bias_hessian,
 )
 from .data import Dataset, load_csv, load_idx, synth_blobs
-from .errors import ConfigError
+from .errors import ConfigError, check_range
 from .fcnn import (
     Activation,
     CrossEntropySoftmax,
@@ -90,10 +90,7 @@ class ExperimentSpec:
 
     def load_dataset(self, seed: int) -> Dataset:
         """Load the dataset with run seed `seed` and check that the architecture fits it."""
-        if seed < 0:
-            raise ConfigError(
-                f"seed: expected a non-negative integer (train.seed or --seed), got {seed}"
-            )
+        check_range("seed", seed, seed >= 0, "a non-negative integer (train.seed or --seed)")
         spec = dict(self.dataset)
         kind = _choice(spec, "dataset.kind", list(DATASET_KEYS), "blobs")
         spec.pop("kind", None)
@@ -103,14 +100,14 @@ class ExperimentSpec:
         for key in sorted(spec.keys() | required.keys()):  # a missing key reads as None
             _typed(spec, f"dataset.{key}", None, types[key])
         fraction = spec.get("train_fraction", 0.8)
-        if not 0 < fraction <= 1:
-            raise ConfigError(f"dataset.train_fraction: expected a number in (0, 1], got {fraction!r}")
+        check_range("dataset.train_fraction", fraction, 0 < fraction <= 1, "a number in (0, 1]")
         if kind == "blobs":
             spec.setdefault("seed", seed)
             ds = synth_blobs(**spec)
         elif kind == "idx":
             ds = load_idx(spec["images"], spec["labels"], fraction)
         else:
+            check_range("dataset.label_column", spec["label_column"], spec["label_column"] >= 0, ">= 0")
             ds = load_csv(**spec)
         if ds.train_idx.size == 0:
             raise ConfigError(f"dataset.train_fraction: {fraction!r} leaves no training instance")
@@ -154,6 +151,14 @@ def _only(doc: dict, path: str, allowed: list[str], where: str = "") -> None:
         raise ConfigError(f"{key}: unknown key{where}; expected one of {allowed}")
 
 
+def _in_section(path: str, cls, **kwargs):
+    """cls(**kwargs), a range error naming its field re-raised under path."""
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc}") from None
+
+
 def spec_from_json(doc: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from its JSON-document form.
 
@@ -172,7 +177,8 @@ def spec_from_json(doc: dict) -> ExperimentSpec:
         kwargs["criterion"] = CrossEntropySoftmax()
     else:
         _only(crit, "criterion", ["kind", "delta", "epsilon"])
-        kwargs["criterion"] = SigmoidGate(
+        kwargs["criterion"] = _in_section(
+            "criterion", SigmoidGate,
             delta=_typed(crit, "criterion.delta", 5.0, (int, float)),
             epsilon=_typed(crit, "criterion.epsilon", 0.2, (int, float)),
         )
@@ -188,11 +194,13 @@ def spec_from_json(doc: dict) -> ExperimentSpec:
         _only(odoc, "optimizer", ["kind", "curvature", "gamma", "solver_cfg"])
         scfg = _typed(odoc, "optimizer.solver_cfg", {}, (dict,))
         _only(scfg, "optimizer.solver_cfg", SOLVER_CFG_KEYS[solver], f"optimizer kind {solver!r}")
-        second = SecondOrderSpec(
+        second = _in_section(
+            "optimizer", SecondOrderSpec,
             kind=_choice(odoc, "optimizer.curvature", CurvatureKind, "pch"),
             gamma=float(_typed(odoc, "optimizer.gamma", -1.0, (int, float))),
             solver=SolverChoice(solver),
-            solver_cfg=SolverConfig(
+            solver_cfg=_in_section(
+                "optimizer.solver_cfg", SolverConfig,
                 alpha=_typed(scfg, "optimizer.solver_cfg.alpha", 0.02, (int, float)),
                 max_cg=_typed(scfg, "optimizer.solver_cfg.max_cg", 20, (int,)),
                 eps_cg=_typed(scfg, "optimizer.solver_cfg.eps_cg", 1e-5, (int, float)),
@@ -200,7 +208,8 @@ def spec_from_json(doc: dict) -> ExperimentSpec:
                 pi_policy=_choice(scfg, "optimizer.solver_cfg.pi_policy", PiPolicy, "unit"),
             ),
         )
-    kwargs["train_cfg"] = TrainConfig(
+    kwargs["train_cfg"] = _in_section(
+        "train", TrainConfig,
         learning_rate=_typed(tdoc, "train.learning_rate", 0.1, (int, float)),
         momentum=_typed(tdoc, "train.momentum", 0.9, (int, float)),
         batch_size=_typed(tdoc, "train.batch_size", 32, (int,)),
@@ -371,8 +380,7 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
     skipped (column None) for the non-convex criterion, where its top
     block is indefinite.
     """
-    if spec.compare_steps < 1:
-        raise ConfigError("compare_steps must be >= 1")
+    check_range("compare_steps", spec.compare_steps, spec.compare_steps >= 1, ">= 1")
     cfg = spec.train_cfg
     run_seed = cfg.seed if seed is None else seed
     ds = spec.load_dataset(run_seed)

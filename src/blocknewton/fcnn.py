@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, check_range
 
 
 class Activation(enum.Enum):
@@ -202,11 +202,8 @@ class SigmoidGate:
     epsilon: float = 0.2
 
     def __post_init__(self):
-        if self.delta <= 0 or not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError(
-                f"SigmoidGate needs delta > 0, epsilon in [0,1]; "
-                f"got {self.delta}, {self.epsilon}"
-            )
+        check_range("delta", self.delta, self.delta > 0, "> 0")
+        check_range("epsilon", self.epsilon, 0.0 <= self.epsilon <= 1.0, "a value in [0, 1]")
 
     def batch_eval(self, hk: np.ndarray, y: np.ndarray):
         yhat = softmax(hk)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import LayerCurvature
-from .errors import ConfigError, DimensionError, NumericalBreakdownError
+from .errors import DimensionError, NumericalBreakdownError, check_range
 from .fcnn import LayerGradients
-from .linalg import LinearOperator, cg_solve, kron_apply, sym_eig
+from .linalg import LinearOperator, cg_solve, sym_eig
 
 
 class HvpMode(enum.Enum):
@@ -39,12 +39,9 @@ class SolverConfig:
     pi_policy: PiPolicy = PiPolicy.UNIT
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.max_cg < 1:
-            raise ConfigError(f"max_cg must be >= 1, got {self.max_cg}")
-        if self.eps_cg <= 0:
-            raise ConfigError(f"eps_cg must be > 0, got {self.eps_cg}")
+        check_range("alpha", self.alpha, 0.0 < self.alpha < 1.0, "a value in (0, 1)")
+        check_range("max_cg", self.max_cg, self.max_cg >= 1, ">= 1")
+        check_range("eps_cg", self.eps_cg, self.eps_cg > 0, "> 0")
 
 
 @dataclass
@@ -62,25 +59,25 @@ class NewtonDirection:
         return np.concatenate(parts)
 
 
-def _weight_hvp(layer: LayerCurvature, mode: HvpMode, n_out: int, n_in: int):
-    """Matrix-free product of the layer's weight-block curvature with
-    vec(P), P being n_out x n_in in column-major order."""
+def _weight_hvp(layer: LayerCurvature, mode: HvpMode, alpha: float, n_out: int, n_in: int):
+    """v -> (1-alpha) (F^T F / r kron hb) v + alpha v on v = vec(P), P being
+    n_out x n_in column-major, for the r x n_in factor F: the input batch h
+    (exact_kron, F^T F / b = E[h h^T]) or the row E[h] (ea_one_rank).
+
+    Both modes apply (hb @ (P @ F^T)) @ F / r, transposed on P^T (v's C-order
+    view), in O(m r (2n + m)) for m = n_out, n = n_in, never forming the n x n
+    Gram matrix.  The Gram product costs O(m n (m + n)), less only when
+    b (2n + m) > n (m + n): on layers about as narrow as the batch, both cheap.
+    """
     hb = layer.hb
-    if mode is HvpMode.EXACT_KRON:
-        ehhT = layer.ehhT
+    f = layer.h if mode is HvpMode.EXACT_KRON else layer.eh[None, :]
+    scale = (1 - alpha) / f.shape[0]
 
-        def apply(v: np.ndarray) -> np.ndarray:
-            return kron_apply(hb, ehhT, v)
-
-    else:
-        # one-rank right factor E[h] E[h]^T; only vectors and the n_out x n_in
-        # iterate are ever formed, never the n_in x n_in Gram matrix
-        eh = layer.eh
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            p = v.reshape((n_out, n_in), order="F")
-            r = hb @ (p @ eh)
-            return np.outer(r, eh).reshape(-1, order="F")
+    def apply(v: np.ndarray) -> np.ndarray:
+        out = (f.T @ ((f @ v.reshape((n_in, n_out))) @ hb.T)).reshape(-1)
+        out *= scale
+        out += alpha * v
+        return out
 
     return apply
 
@@ -110,10 +107,9 @@ def ea_cg_direction(
             )
             db, _, _ = cg_solve(op_b, -gb, cfg.max_cg, cfg.eps_cg)
 
-            hvp = _weight_hvp(layer, cfg.hvp_mode, n_out, n_in)
             op_w = LinearOperator(
                 dim=n_out * n_in,
-                apply=lambda v, hvp=hvp: (1 - alpha) * hvp(v) + alpha * v,
+                apply=_weight_hvp(layer, cfg.hvp_mode, alpha, n_out, n_in),
             )
             rhs = -gw.reshape(-1, order="F")
             dw_vec, _, _ = cg_solve(op_w, rhs, cfg.max_cg, cfg.eps_cg)
@@ -138,8 +134,7 @@ def sherman_morrison_apply(
     eh: np.ndarray, damp: float, v: np.ndarray
 ) -> np.ndarray:
     """(eh eh^T + damp I)^{-1} v in O(n) via the rank-one update formula."""
-    if damp <= 0:
-        raise ConfigError(f"sherman_morrison_apply needs damp > 0, got {damp}")
+    check_range("damp", damp, damp > 0, "> 0")
     eh = np.asarray(eh, dtype=float)
     v = np.asarray(v, dtype=float)
     coeff = (eh @ v) / (damp * (damp + eh @ eh))
@@ -161,16 +156,16 @@ def kfi_direction(
     first-layer flag set, H^1 is replaced by the rank-one approximation
     E[h^0] E[h^0]^T + pi sqrt(alpha) I and applied via Sherman-Morrison.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    check_range("alpha", alpha, 0.0 < alpha < 1.0, "a value in (0, 1)")
     sqrt_a = np.sqrt(alpha)
     d_weight, d_bias = [], []
     for t, (layer, gb, gw) in enumerate(
         zip(curv, grads.grad_bias, grads.grad_weight), start=1
     ):
         n_out, n_in = gw.shape
+        ehhT = layer.ehhT  # the one place the n_in x n_in Gram matrix is formed
         if pi_policy is PiPolicy.TRACE_NORM:
-            tr_h = np.trace(layer.ehhT) / n_in
+            tr_h = np.trace(ehhT) / n_in
             tr_g = np.trace(layer.hb) / n_out
             pi = np.sqrt(tr_h / tr_g) if tr_h > 0 and tr_g > 0 else 1.0
         else:
@@ -187,7 +182,7 @@ def kfi_direction(
                     ]
                 )
             else:
-                h_fac = layer.ehhT + pi * sqrt_a * np.eye(n_in)
+                h_fac = ehhT + pi * sqrt_a * np.eye(n_in)
                 dw = -_sym_inverse_apply(h_fac, left.T).T
             db = -_sym_inverse_apply(layer.hb + sqrt_a * np.eye(n_out), gb)
         except NumericalBreakdownError as exc:

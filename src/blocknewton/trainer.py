@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import CurvatureKind, ea_curvature
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, TrainingDivergedError, check_range
 from .fcnn import (
     BatchPass,
     Criterion,
@@ -61,8 +61,8 @@ class SecondOrderSpec:
     solver_cfg: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.kind is CurvatureKind.PCH and self.gamma not in (-1.0, 0.0):
-            raise ConfigError(f"gamma must be -1 or 0 for pch curvature, got {self.gamma}")
+        pch_ok = self.kind is not CurvatureKind.PCH or self.gamma in (-1.0, 0.0)
+        check_range("gamma", self.gamma, pch_ok, "-1 or 0 for pch curvature")
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,10 @@ class TrainConfig:
     second_order: SecondOrderSpec | None = None  # None selects SGD-momentum
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be >= 1")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        check_range("learning_rate", self.learning_rate, self.learning_rate >= 0, ">= 0")
+        check_range("batch_size", self.batch_size, self.batch_size >= 1, ">= 1")
+        check_range("epochs", self.epochs, self.epochs >= 1, ">= 1")
+        check_range("momentum", self.momentum, 0.0 <= self.momentum < 1.0, "a value in [0, 1)")
 
 
 @dataclass

@@ -212,7 +212,7 @@ def test_criterion_6_ea_cg_correctness():
             raise AssertionError("quadratic-space factor touched")
 
     base = make_curvature(rng, 3, 4)
-    poisoned = [LayerCurvature(hb=base.hb, ehhT=Poison(), eh=base.eh)]
+    poisoned = [LayerCurvature(hb=base.hb, h=Poison(), eh=base.eh)]
     pgrads = make_grads(rng, [(3, 4)])
     dp = ea_cg_direction(
         poisoned, pgrads, SolverConfig(alpha=0.1, max_cg=50, hvp_mode=HvpMode.EA_ONE_RANK)

@@ -88,6 +88,34 @@ REJECTED_AT_LOAD = [
 ]
 
 
+# (dotted key, spec document) with a value of the right type out of its range
+OUT_OF_RANGE = [
+    ("train.epochs", dict(SMALL, train=dict(SMALL["train"], epochs=0))),
+    ("train.batch_size", dict(SMALL, train=dict(SMALL["train"], batch_size=0))),
+    ("train.learning_rate", dict(SMALL, train=dict(SMALL["train"], learning_rate=-0.1))),
+    ("train.momentum", dict(SMALL, train=dict(SMALL["train"], momentum=1.0))),
+    ("optimizer.gamma", dict(SMALL, optimizer={"kind": "ea_cg", "gamma": 0.5})),
+    (
+        "optimizer.solver_cfg.alpha",
+        dict(SMALL, optimizer={"kind": "ea_cg", "solver_cfg": {"alpha": 1.5}}),
+    ),
+    (
+        "optimizer.solver_cfg.alpha",
+        dict(SMALL, optimizer={"kind": "kfi", "solver_cfg": {"alpha": 0}}),
+    ),
+    (
+        "optimizer.solver_cfg.max_cg",
+        dict(SMALL, optimizer={"kind": "ea_cg", "solver_cfg": {"max_cg": 0}}),
+    ),
+    (
+        "optimizer.solver_cfg.eps_cg",
+        dict(SMALL, optimizer={"kind": "ea_cg", "solver_cfg": {"eps_cg": 0}}),
+    ),
+    ("criterion.delta", dict(SMALL, criterion={"kind": "sigmoid_gate", "delta": -1})),
+    ("criterion.epsilon", dict(SMALL, criterion={"kind": "sigmoid_gate", "epsilon": 1.5})),
+]
+
+
 class TestTrain:
     def test_writes_metrics_and_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL)
@@ -183,6 +211,25 @@ class TestExitCodes:
         assert cli([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert f"{key}:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,doc", OUT_OF_RANGE, ids=[key for key, _ in OUT_OF_RANGE])
+    def test_out_of_range_value_exits_2_naming_key(self, tmp_path, capsys, key, doc):
+        cfg = write_config(tmp_path, doc)
+        assert cli(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"{key}:" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.jsonl").exists()
+
+    def test_negative_csv_label_column(self, tmp_path, capsys):
+        # the label is the last of three columns; -1 would silently index it from the end
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"{i % 5 / 5},{i % 7 / 7},{i % 3}\n" for i in range(30)))
+        doc = dict(SMALL, architecture=[2, 4, 3], dataset={"kind": "csv", "path": str(data)})
+        for column, code in ((2, EXIT_OK), (-1, EXIT_CONFIG)):
+            out = tmp_path / f"out{column}"
+            cfg = write_config(tmp_path, dict(doc, dataset=dict(doc["dataset"], label_column=column)))
+            assert cli(["train", "--config", cfg, "--out", str(out), "--no-timing"]) == code
+        assert "dataset.label_column:" in capsys.readouterr().err
+        assert not (tmp_path / "out-1").exists()
 
     def test_negative_seed_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL)

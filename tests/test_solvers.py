@@ -23,8 +23,7 @@ def make_curvature(rng, n_out, n_in, psd_shift=1.0):
     m = rng.standard_normal((n_out, n_out))
     hb = m @ m.T / n_out + psd_shift * np.eye(n_out)
     h = rng.standard_normal((8, n_in))
-    ehhT = h.T @ h / 8
-    return LayerCurvature(hb=hb, ehhT=ehhT, eh=h.mean(axis=0))
+    return LayerCurvature(hb=hb, h=h, eh=h.mean(axis=0))
 
 
 def make_grads(rng, shapes):
@@ -50,7 +49,7 @@ class TestEaCg:
         shapes = [(3, 4)]
         curv = [
             LayerCurvature(
-                hb=np.zeros((3, 3)), ehhT=np.zeros((4, 4)), eh=np.zeros(4)
+                hb=np.zeros((3, 3)), h=np.zeros((1, 4)), eh=np.zeros(4)
             )
         ]
         grads = make_grads(rng, shapes)
@@ -78,6 +77,35 @@ class TestEaCg:
             expect_b = np.linalg.solve(small, -grads.grad_bias[0])
             assert np.max(np.abs(d.d_bias[0] - expect_b)) <= 1e-8
 
+    @pytest.mark.parametrize("mode", list(HvpMode))
+    def test_dense_kronecker_oracle_batch_narrower_than_layer(self, mode):
+        # 8 batch rows against 12 inputs: E[h h^T] has rank 8, the shape where
+        # the factored product is cheaper than the Gram matrix
+        rng = np.random.default_rng(9)
+        alpha = 0.02
+        cfg = SolverConfig(alpha=alpha, max_cg=200, eps_cg=1e-14, hvp_mode=mode)
+        curv = [make_curvature(rng, 3, 12)]
+        grads = make_grads(rng, [(3, 12)])
+        d = ea_cg_direction(curv, grads, cfg)
+
+        eh = curv[0].eh
+        right = curv[0].ehhT if mode is HvpMode.EXACT_KRON else np.outer(eh, eh)
+        big = (1 - alpha) * np.kron(right, curv[0].hb) + alpha * np.eye(36)
+        expect = np.linalg.solve(big, -grads.grad_weight[0].reshape(-1, order="F"))
+        assert np.max(np.abs(d.d_weight[0].reshape(-1, order="F") - expect)) <= 1e-8
+
+    @pytest.mark.parametrize("mode", list(HvpMode))
+    def test_ea_cg_never_forms_gram_matrix(self, monkeypatch, mode):
+        def poisoned(layer):
+            raise AssertionError("Gram matrix must not be formed")
+
+        monkeypatch.setattr(LayerCurvature, "ehhT", property(poisoned))
+        curv, grads = model_problem(seed=5)
+        d = ea_cg_direction(curv, grads, SolverConfig(hvp_mode=mode))
+        assert np.all(np.isfinite(d.flat()))
+        with pytest.raises(AssertionError, match="Gram"):  # KFI does read it
+            kfi_direction(curv, grads, alpha=0.02)
+
     def test_batch_one_hvp_modes_agree(self):
         # a single instance makes E[h h^T] = E[h] E[h]^T exactly, so both
         # Hessian-vector-product routes solve the same system
@@ -100,7 +128,7 @@ class TestEaCg:
 
         rng = np.random.default_rng(3)
         base = make_curvature(rng, 3, 4)
-        curv = [LayerCurvature(hb=base.hb, ehhT=Poison(), eh=base.eh)]
+        curv = [LayerCurvature(hb=base.hb, h=Poison(), eh=base.eh)]
         grads = make_grads(rng, [(3, 4)])
         cfg = SolverConfig(alpha=0.1, max_cg=50, hvp_mode=HvpMode.EA_ONE_RANK)
         d = ea_cg_direction(curv, grads, cfg)

@@ -9,8 +9,9 @@ Two routes are implemented:
   Fisher variants.
 
 Weight-block curvature is never materialized: each layer only carries its
-bias block together with the layer-input batch h and its mean E[h], from
-which the solvers apply the Kronecker factor E[h h^T] = h^T h / b.
+bias block together with the layer-input batch h and its mean E[h].  The
+solvers apply the Kronecker factor E[h h^T] = h^T h / b through h itself
+and never form that n x n Gram matrix.
 """
 
 from __future__ import annotations
@@ -37,20 +38,16 @@ class LayerCurvature:
 
     hb is the (possibly modified) bias block E_i[d2 xi / d b^t d b^t].
     h is the b x n batch of layer inputs h^{t-1} (a view of the forward
-    trace) and eh its mean; the weight block is E[h h^T] kron hb, and
-    ehhT forms that Gram matrix on every read.  diag_term is the
-    recursion's diagonal second-derivative term at layer t, averaged over
-    the batch; it is None at the top layer, which has none.
+    trace) and eh its mean; the weight block is (h^T h / b) kron hb, kept
+    in factored form.  diag_term is the recursion's diagonal
+    second-derivative term at layer t, averaged over the batch; it is None
+    at the top layer, which has none.
     """
 
     hb: np.ndarray
     h: np.ndarray
     eh: np.ndarray
     diag_term: np.ndarray | None = None
-
-    @property
-    def ehhT(self) -> np.ndarray:
-        return (self.h.T @ self.h) / self.h.shape[0]
 
 
 def _check_trace(model: FcnnModel, trace: ForwardTrace) -> None:
@@ -79,7 +76,7 @@ def exact_bias_hessian_instances(model: FcnnModel, bp: BatchPass) -> list[np.nda
         w = model.weights[t - 1]
         hp = trace.hprime[t - 1]
         hpp = trace.hdprime[t - 1]
-        sand = np.einsum("sa,iab,bc->isc", w.T, hbs[t - 1], w, optimize=True)
+        sand = w.T @ hbs[t - 1] @ w
         sand *= hp[:, :, None]
         sand *= hp[:, None, :]
         diag_vec = hpp * (gb[t - 1] @ w)
@@ -194,7 +191,7 @@ def covariance_bound_check(
     check_range("batch size", bp.trace.batch_size, bp.trace.batch_size >= 2, ">= 2")
     hbs = exact_bias_hessian_instances(model, bp)
     w = model.weights[layer_t - 1]
-    x = np.einsum("sa,iab,bc->isc", w.T, hbs[layer_t - 1], w, optimize=True)
+    x = w.T @ hbs[layer_t - 1] @ w
     hp = bp.trace.hprime[layer_t - 1]
     yv = hp[:, :, None] * hp[:, None, :]
     cov = (x * yv).mean(axis=0) - x.mean(axis=0) * yv.mean(axis=0)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_range
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -179,8 +179,9 @@ def synth_blobs(
     Deterministic given the seed; points are clipped to [0, 1] so features
     match the normalized-image contract.
     """
-    if classes < 1 or dim < 1 or per_class < 1 or seed < 0:
-        raise ConfigError("classes, dim and per_class must all be >= 1, and seed >= 0")
+    for name, value in (("classes", classes), ("dim", dim), ("per_class", per_class)):
+        check_range(name, value, value >= 1, ">= 1")
+    check_range("seed", seed, seed >= 0, ">= 0")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.15, 0.85, size=(classes, dim))
     features = np.concatenate(

@@ -103,7 +103,7 @@ class ExperimentSpec:
         check_range("dataset.train_fraction", fraction, 0 < fraction <= 1, "a number in (0, 1]")
         if kind == "blobs":
             spec.setdefault("seed", seed)
-            ds = synth_blobs(**spec)
+            ds = _in_section("dataset", synth_blobs, **spec)
         elif kind == "idx":
             ds = load_idx(spec["images"], spec["labels"], fraction)
         else:
@@ -151,10 +151,10 @@ def _only(doc: dict, path: str, allowed: list[str], where: str = "") -> None:
         raise ConfigError(f"{key}: unknown key{where}; expected one of {allowed}")
 
 
-def _in_section(path: str, cls, **kwargs):
-    """cls(**kwargs), a range error naming its field re-raised under path."""
+def _in_section(path: str, build, **kwargs):
+    """build(**kwargs), a range error naming its field re-raised under path."""
     try:
-        return cls(**kwargs)
+        return build(**kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{path}.{exc}") from None
 

@@ -2,9 +2,9 @@
 
 The damped per-layer systems ((1-alpha) H + alpha I) d = -g are solved
 either by conjugate gradient with matrix-free Kronecker Hessian-vector
-products (EA-CG) or by Kronecker-factored inverses (KFI).  Directions are
-returned already negated, i.e. they are descent directions to be added
-with a positive step size.
+products (EA-CG) or by Kronecker-factored inverses applied in each
+factor's eigenbasis (KFI).  Directions are returned already negated,
+i.e. they are descent directions to be added with a positive step size.
 """
 
 from __future__ import annotations
@@ -87,10 +87,10 @@ def ea_cg_direction(
 ) -> NewtonDirection:
     """Per-layer damped Newton directions via conjugate gradient.
 
-    Bias systems are solved directly on the dense block; weight systems
-    matrix-free through the Kronecker Hessian-vector product selected by
-    cfg.hvp_mode, with the damping (1-alpha) HVP + alpha v folded into the
-    operator.
+    Both systems go through cg_solve: the bias system on the dense
+    n_out x n_out block, the weight system matrix-free through the
+    Kronecker Hessian-vector product selected by cfg.hvp_mode.  Each
+    operator folds in the damping (1-alpha) Hv + alpha v.
     """
     if len(curv) != len(grads.grad_bias):
         raise DimensionError("curvature/gradient layer counts differ")
@@ -120,16 +120,6 @@ def ea_cg_direction(
     return NewtonDirection(d_weight=d_weight, d_bias=d_bias)
 
 
-def _sym_inverse_apply(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a @ x = rhs for symmetric positive definite a via eigenvalues."""
-    w, q = sym_eig(a)
-    if np.min(w) <= 0:
-        raise NumericalBreakdownError(
-            f"damped factor is singular (min eigenvalue {np.min(w):.3e})"
-        )
-    return q @ ((q.T @ rhs) / w[..., None] if rhs.ndim == 2 else (q.T @ rhs) / w)
-
-
 def sherman_morrison_apply(
     eh: np.ndarray, damp: float, v: np.ndarray
 ) -> np.ndarray:
@@ -151,10 +141,15 @@ def kfi_direction(
     """Kronecker-factored inverse directions.
 
     Per layer, d_W = -G^{-1} E[grad_W] H^{-1} with damped factors
-    H = E[h h^T] + pi sqrt(alpha) I and G = Hb + (sqrt(alpha)/pi) I;
-    biases use d_b = -(Hb + sqrt(alpha) I)^{-1} E[grad_b].  With the
-    first-layer flag set, H^1 is replaced by the rank-one approximation
-    E[h^0] E[h^0]^T + pi sqrt(alpha) I and applied via Sherman-Morrison.
+    H = F^T F / r + c I, c = pi sqrt(alpha), and G = Hb + (sqrt(alpha)/pi) I;
+    biases use d_b = -(Hb + sqrt(alpha) I)^{-1} E[grad_b].  F is the r x n
+    input batch h (F^T F / r = E[h h^T]), or with the first-layer flag set
+    the row E[h^0], the rank-one factor Sherman-Morrison would invert.
+
+    Each layer is factored once: eigh(Hb) = Q diag(lam) Q^T makes the G and
+    bias solves scalings by 1/(lam + shift), and the thin SVD F = U S V^T
+    gives H^{-1} x = x / c + V ((V^T x) (1/(s^2/r + c) - 1/c)) for any rank
+    of F, so no n x n matrix is formed.
     """
     check_range("alpha", alpha, 0.0 < alpha < 1.0, "a value in (0, 1)")
     sqrt_a = np.sqrt(alpha)
@@ -163,30 +158,29 @@ def kfi_direction(
         zip(curv, grads.grad_bias, grads.grad_weight), start=1
     ):
         n_out, n_in = gw.shape
-        ehhT = layer.ehhT  # the one place the n_in x n_in Gram matrix is formed
         if pi_policy is PiPolicy.TRACE_NORM:
-            tr_h = np.trace(ehhT) / n_in
+            tr_h = np.vdot(layer.h, layer.h) / layer.h.shape[0] / n_in
             tr_g = np.trace(layer.hb) / n_out
             pi = np.sqrt(tr_h / tr_g) if tr_h > 0 and tr_g > 0 else 1.0
         else:
             pi = 1.0
-        g_fac = layer.hb + (sqrt_a / pi) * np.eye(n_out)
+        f = layer.eh[None, :] if t == 1 and first_layer_sherman_morrison else layer.h
         try:
-            left = _sym_inverse_apply(g_fac, gw)
-            if t == 1 and first_layer_sherman_morrison:
-                # row i of d_W needs H^{-1} applied to row i of `left`
-                dw = -np.stack(
-                    [
-                        sherman_morrison_apply(layer.eh, pi * sqrt_a, row)
-                        for row in left
-                    ]
-                )
-            else:
-                h_fac = ehhT + pi * sqrt_a * np.eye(n_in)
-                dw = -_sym_inverse_apply(h_fac, left.T).T
-            db = -_sym_inverse_apply(layer.hb + sqrt_a * np.eye(n_out), gb)
-        except NumericalBreakdownError as exc:
+            lam, q = sym_eig(layer.hb)
+            _, s, vt = np.linalg.svd(f, full_matrices=False)
+        except (NumericalBreakdownError, np.linalg.LinAlgError) as exc:
             raise NumericalBreakdownError(f"layer {t}: {exc}") from exc
+        # ascending damped eigenvalues of G (column 0) and the bias block (column 1)
+        damped = lam[:, None] + np.array([sqrt_a / pi, sqrt_a])
+        if damped[0].min() <= 0:
+            raise NumericalBreakdownError(
+                f"layer {t}: damped factor is singular (min eigenvalue {damped[0].min():.3e})"
+            )
+        left = q @ ((q.T @ gw) / damped[:, :1])
+        db = -(q @ ((q.T @ gb) / damped[:, 1]))
+        c = pi * sqrt_a
+        coeff = 1.0 / (s * s / f.shape[0] + c) - 1.0 / c
+        dw = -(left / c + ((left @ vt.T) * coeff) @ vt)
         d_weight.append(dw)
         d_bias.append(db)
     return NewtonDirection(d_weight=d_weight, d_bias=d_bias)

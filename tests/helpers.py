@@ -69,3 +69,37 @@ def assert_close_rel(actual, expected, rtol, atol=1e-9):
         f"max abs err {np.max(np.abs(actual - expected))}, "
         f"max rel err {np.max(np.abs(actual - expected) / denom)}"
     )
+
+
+def gram(h):
+    """E[h h^T] = h^T h / rows(h), the Kronecker factor the solvers keep factored."""
+    return h.T @ h / h.shape[0]
+
+
+def forbid_shape(shape):
+    """An ndarray subclass whose ufunc results (matmul, elementwise arithmetic,
+    reductions) and numpy.linalg results raise AssertionError when their last
+    two dimensions are `shape`.  Results are of the subclass too, so the check
+    follows every array computed from data viewed as it: a.view(forbid_shape(s)).
+    """
+
+    class Guard(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            def plain(args):
+                return tuple(a.view(np.ndarray) if isinstance(a, Guard) else a for a in args)
+
+            if "out" in kwargs:
+                kwargs["out"] = plain(kwargs["out"])
+            result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+            if isinstance(result, tuple):
+                return tuple(self.__array_wrap__(r) for r in result)
+            return self.__array_wrap__(result)
+
+        def __array_wrap__(self, arr, context=None, return_scalar=False):
+            if np.shape(arr)[-2:] == tuple(shape):
+                raise AssertionError(f"formed a {np.shape(arr)} array")
+            if return_scalar:
+                return arr[()]
+            return arr.view(Guard) if isinstance(arr, np.ndarray) else arr
+
+    return Guard

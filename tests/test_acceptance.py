@@ -42,6 +42,7 @@ from helpers import (
     assert_close_rel,
     both_criteria,
     fd_loss_gradient,
+    gram,
     random_batch,
     random_model,
 )
@@ -181,7 +182,7 @@ def test_criterion_6_ea_cg_correctness():
         curv = [make_curvature(rng, n_out, n_in)]
         grads = make_grads(rng, [(n_out, n_in)])
         d = ea_cg_direction(curv, grads, cfg)
-        big = (1 - alpha) * np.kron(curv[0].ehhT, curv[0].hb) + alpha * np.eye(
+        big = (1 - alpha) * np.kron(gram(curv[0].h), curv[0].hb) + alpha * np.eye(
             n_out * n_in
         )
         expect = np.linalg.solve(big, -grads.grad_weight[0].reshape(-1, order="F"))
@@ -239,7 +240,7 @@ def test_criterion_7_kfi_correctness():
     ):
         n_out, n_in = gw.shape
         g_fac = layer.hb + sqrt_a * np.eye(n_out)
-        h_fac = layer.ehhT + sqrt_a * np.eye(n_in)
+        h_fac = gram(layer.h) + sqrt_a * np.eye(n_in)
         expect_w = -np.linalg.solve(g_fac, gw) @ np.linalg.inv(h_fac)
         expect_b = -np.linalg.solve(layer.hb + sqrt_a * np.eye(n_out), gb)
         ok &= bool(np.max(np.abs(dw - expect_w)) <= 1e-8)

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -113,6 +114,9 @@ OUT_OF_RANGE = [
     ),
     ("criterion.delta", dict(SMALL, criterion={"kind": "sigmoid_gate", "delta": -1})),
     ("criterion.epsilon", dict(SMALL, criterion={"kind": "sigmoid_gate", "epsilon": 1.5})),
+    ("dataset.classes", dict(SMALL, dataset=dict(SMALL["dataset"], classes=0))),
+    ("dataset.dim", dict(SMALL, dataset=dict(SMALL["dataset"], dim=0))),
+    ("dataset.per_class", dict(SMALL, dataset=dict(SMALL["dataset"], per_class=0))),
 ]
 
 
@@ -218,6 +222,31 @@ class TestExitCodes:
         assert cli(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert f"{key}:" in capsys.readouterr().err
         assert not (tmp_path / "metrics.jsonl").exists()
+
+    def test_indefinite_kfi_factor_exits_3_naming_layer(self, tmp_path, capsys):
+        # Gauss-Newton blocks under the non-convex criterion are indefinite;
+        # at this damping the damped KFI factor has a negative eigenvalue
+        doc = dict(
+            SMALL,
+            criterion={"kind": "sigmoid_gate"},
+            optimizer={"kind": "kfi", "curvature": "gauss_newton", "solver_cfg": {"alpha": 1e-4}},
+        )
+        cfg = write_config(tmp_path, doc)
+        assert cli(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        assert re.search(r"layer \d+: damped factor is singular", capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "optimizer", [{"kind": "kfi", "curvature": "fisher"}, {"kind": "ea_cg"}], ids=["kfi", "ea_cg"]
+    )
+    def test_overflowing_step_exits_3(self, tmp_path, capsys, optimizer):
+        # a 1e300 step overflows the ReLU net's curvature to inf and NaN
+        train = dict(SMALL["train"], learning_rate=1e300, epochs=3)
+        doc = dict(SMALL, activation="relu", train=train, optimizer=optimizer)
+        cfg = write_config(tmp_path, doc)
+        with np.errstate(all="ignore"):
+            code = cli(["train", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure:" in capsys.readouterr().err
 
     def test_negative_csv_label_column(self, tmp_path, capsys):
         # the label is the last of three columns; -1 would silently index it from the end

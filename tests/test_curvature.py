@@ -20,7 +20,7 @@ from blocknewton.fcnn import (
     forward,
 )
 from blocknewton.linalg import abs_eig
-from helpers import both_criteria, random_batch, random_model
+from helpers import both_criteria, gram, random_batch, random_model
 
 
 def fd_bias_hessian(model, criterion, x, y, layer_t, step=1e-6):
@@ -107,7 +107,7 @@ class TestEaCurvature:
         bp = batch_pass(model, CrossEntropySoftmax(), x, y)
         curv = ea_curvature(model, bp, CurvatureKind.FISHER)
         for layer in curv:
-            assert np.allclose(layer.ehhT, np.outer(layer.eh, layer.eh), atol=1e-14)
+            assert np.allclose(gram(layer.h), np.outer(layer.eh, layer.eh), atol=1e-14)
 
     def test_batch_one_ea_recursion_collapses_to_exact(self):
         # expectations of a single instance are the instance itself, so the

@@ -75,6 +75,12 @@ class TestSymEig:
         with pytest.raises(DimensionError):
             sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # LAPACK would raise LinAlgError, which is no package error
+        with pytest.raises(NumericalBreakdownError, match="not finite"):
+            sym_eig(np.array([[1.0, bad], [bad, 1.0]]))
+
 
 class TestPosEig:
     def test_flip_negatives(self):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from blocknewton import solvers
 from blocknewton.curvature import CurvatureKind, LayerCurvature, ea_curvature
-from blocknewton.errors import ConfigError
+from blocknewton.errors import ConfigError, NumericalBreakdownError
 from blocknewton.fcnn import (
     CrossEntropySoftmax,
     LayerGradients,
@@ -16,7 +17,7 @@ from blocknewton.solvers import (
     kfi_direction,
     sherman_morrison_apply,
 )
-from helpers import random_batch, random_model
+from helpers import forbid_shape, gram, random_batch, random_model
 
 
 def make_curvature(rng, n_out, n_in, psd_shift=1.0):
@@ -30,6 +31,22 @@ def make_grads(rng, shapes):
     gw = [rng.standard_normal(s) for s in shapes]
     gb = [rng.standard_normal(s[0]) for s in shapes]
     return LayerGradients(grad_bias=gb, grad_weight=gw, bias_per_instance=None)
+
+
+def trace_norm_pi(layer, n_out, n_in):
+    return np.sqrt((np.trace(gram(layer.h)) / n_in) / (np.trace(layer.hb) / n_out))
+
+
+def gram_guarded_problem():
+    """One 3 x 12 layer on an 8-row batch whose input data raise on any
+    12 x 12 result, the shape of E[h h^T]."""
+    rng = np.random.default_rng(11)
+    base = make_curvature(rng, 3, 12)
+    guard = forbid_shape((12, 12))
+    with pytest.raises(AssertionError):  # the guard trips on the Gram matrix itself
+        gram(base.h.view(guard))
+    layer = LayerCurvature(hb=base.hb, h=base.h.view(guard), eh=base.eh.view(guard))
+    return [layer], make_grads(rng, [(3, 12)])
 
 
 def model_problem(seed, batch=5, kind=CurvatureKind.PCH):
@@ -67,7 +84,7 @@ class TestEaCg:
             grads = make_grads(rng, [(n_out, n_in)])
             d = ea_cg_direction(curv, grads, cfg)
 
-            big = (1 - alpha) * np.kron(curv[0].ehhT, curv[0].hb) + alpha * np.eye(
+            big = (1 - alpha) * np.kron(gram(curv[0].h), curv[0].hb) + alpha * np.eye(
                 n_out * n_in
             )
             expect = np.linalg.solve(big, -grads.grad_weight[0].reshape(-1, order="F"))
@@ -89,22 +106,16 @@ class TestEaCg:
         d = ea_cg_direction(curv, grads, cfg)
 
         eh = curv[0].eh
-        right = curv[0].ehhT if mode is HvpMode.EXACT_KRON else np.outer(eh, eh)
+        right = gram(curv[0].h) if mode is HvpMode.EXACT_KRON else np.outer(eh, eh)
         big = (1 - alpha) * np.kron(right, curv[0].hb) + alpha * np.eye(36)
         expect = np.linalg.solve(big, -grads.grad_weight[0].reshape(-1, order="F"))
         assert np.max(np.abs(d.d_weight[0].reshape(-1, order="F") - expect)) <= 1e-8
 
     @pytest.mark.parametrize("mode", list(HvpMode))
-    def test_ea_cg_never_forms_gram_matrix(self, monkeypatch, mode):
-        def poisoned(layer):
-            raise AssertionError("Gram matrix must not be formed")
-
-        monkeypatch.setattr(LayerCurvature, "ehhT", property(poisoned))
-        curv, grads = model_problem(seed=5)
+    def test_ea_cg_never_forms_gram_matrix(self, mode):
+        curv, grads = gram_guarded_problem()
         d = ea_cg_direction(curv, grads, SolverConfig(hvp_mode=mode))
         assert np.all(np.isfinite(d.flat()))
-        with pytest.raises(AssertionError, match="Gram"):  # KFI does read it
-            kfi_direction(curv, grads, alpha=0.02)
 
     def test_batch_one_hvp_modes_agree(self):
         # a single instance makes E[h h^T] = E[h] E[h]^T exactly, so both
@@ -192,7 +203,8 @@ class TestKfi:
         rng = np.random.default_rng(6)
         alpha = 0.02
         sqrt_a = np.sqrt(alpha)
-        shapes = [(4, 3), (3, 4)]
+        # (3, 12) is wider than the 8-row batch, so its E[h h^T] is rank-deficient
+        shapes = [(4, 3), (3, 4), (3, 12)]
         curv = [make_curvature(rng, *s) for s in shapes]
         grads = make_grads(rng, shapes)
         d = kfi_direction(curv, grads, alpha, pi_policy=policy)
@@ -200,14 +212,9 @@ class TestKfi:
             curv, grads.grad_weight, grads.grad_bias, d.d_weight, d.d_bias
         ):
             n_out, n_in = gw.shape
-            if policy is PiPolicy.TRACE_NORM:
-                pi = np.sqrt(
-                    (np.trace(layer.ehhT) / n_in) / (np.trace(layer.hb) / n_out)
-                )
-            else:
-                pi = 1.0
+            pi = trace_norm_pi(layer, n_out, n_in) if policy is PiPolicy.TRACE_NORM else 1.0
             g_fac = layer.hb + (sqrt_a / pi) * np.eye(n_out)
-            h_fac = layer.ehhT + pi * sqrt_a * np.eye(n_in)
+            h_fac = gram(layer.h) + pi * sqrt_a * np.eye(n_in)
             expect_w = -np.linalg.solve(g_fac, gw) @ np.linalg.inv(h_fac)
             expect_b = -np.linalg.solve(layer.hb + sqrt_a * np.eye(n_out), gb)
             assert np.max(np.abs(dw - expect_w)) <= 1e-8
@@ -219,11 +226,56 @@ class TestKfi:
         sqrt_a = np.sqrt(alpha)
         curv = [make_curvature(rng, 3, 5)]
         grads = make_grads(rng, [(3, 5)])
-        d = kfi_direction(curv, grads, alpha, first_layer_sherman_morrison=True)
-        g_fac = curv[0].hb + sqrt_a * np.eye(3)
-        h_rank1 = np.outer(curv[0].eh, curv[0].eh) + sqrt_a * np.eye(5)
-        expect = -np.linalg.solve(g_fac, grads.grad_weight[0]) @ np.linalg.inv(h_rank1)
-        assert np.max(np.abs(d.d_weight[0] - expect)) <= 1e-10
+        for policy in PiPolicy:
+            d = kfi_direction(
+                curv, grads, alpha, pi_policy=policy, first_layer_sherman_morrison=True
+            )
+            # pi still reads the full E[h h^T]; only H^1 becomes the rank-one factor
+            pi = trace_norm_pi(curv[0], 3, 5) if policy is PiPolicy.TRACE_NORM else 1.0
+            g_fac = curv[0].hb + (sqrt_a / pi) * np.eye(3)
+            h_rank1 = np.outer(curv[0].eh, curv[0].eh) + pi * sqrt_a * np.eye(5)
+            expect = -np.linalg.solve(g_fac, grads.grad_weight[0]) @ np.linalg.inv(h_rank1)
+            assert np.max(np.abs(d.d_weight[0] - expect)) <= 1e-10
+
+    @pytest.mark.parametrize("first_layer_sherman_morrison", [False, True])
+    def test_kfi_never_forms_gram_matrix(self, first_layer_sherman_morrison):
+        curv, grads = gram_guarded_problem()
+        for policy in PiPolicy:
+            d = kfi_direction(
+                curv, grads, 0.02, policy, first_layer_sherman_morrison
+            )
+            assert np.all(np.isfinite(d.flat()))
+
+    def test_factors_each_layer_once(self, monkeypatch):
+        curv, grads = model_problem(seed=3)
+        calls = {"sym_eig": 0, "svd": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(solvers, "sym_eig", counting("sym_eig", solvers.sym_eig))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        kfi_direction(curv, grads, 0.02, PiPolicy.TRACE_NORM)
+        assert calls == {"sym_eig": len(curv), "svd": len(curv)}
+
+    @pytest.mark.parametrize("fault", ["indefinite_hb", "non_finite_hb", "non_finite_h"])
+    def test_breakdown_names_layer(self, fault):
+        rng = np.random.default_rng(10)
+        alpha = 0.02
+        curv = [make_curvature(rng, 3, 4), make_curvature(rng, 2, 3)]
+        if fault == "indefinite_hb":
+            curv[1].hb = np.diag([-2.0 * np.sqrt(alpha), 1.0])  # below -sqrt(alpha)
+        elif fault == "non_finite_hb":
+            curv[1].hb[0, 0] = np.inf
+        else:
+            curv[1].h[0, 0] = np.nan  # the SVD's LinAlgError is no package error
+        grads = make_grads(rng, [(3, 4), (2, 3)])
+        with pytest.raises(NumericalBreakdownError, match="layer 2"):
+            kfi_direction(curv, grads, alpha)
 
     def test_descent_on_model_problems(self):
         for seed in range(5):

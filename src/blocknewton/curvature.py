@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, check_range
-from .fcnn import BatchPass, FcnnModel, ForwardTrace
+from .errors import DimensionError, NumericalBreakdownError, check_range
+from .fcnn import BatchPass, FcnnModel, ForwardTrace, batch_moments
 from .linalg import abs_eig, pos_eig
 
 
@@ -102,7 +102,8 @@ def ea_curvature(
     0 zeroes); the sandwich term is PSD by induction and left alone.
     Gauss-Newton runs the same recursion with the diagonal term dropped
     and no clipping.  Fisher replaces every bias block by the gradient
-    outer-product mean.
+    outer-product mean.  The batch means all kinds share are computed on
+    the first call for bp and kept in bp.moments.
     """
     check_range("gamma", gamma, kind is not CurvatureKind.PCH or gamma in (-1.0, 0.0), "-1 or 0")
     trace = bp.trace
@@ -110,36 +111,40 @@ def ea_curvature(
     k = model.num_layers
     n = trace.batch_size
     gb = bp.grads.bias_per_instance
+    if bp.moments is None:
+        bp.moments = batch_moments(model, bp)
+    moments = bp.moments
 
-    top = 0.5 * (bp.hess_out.mean(axis=0) + bp.hess_out.mean(axis=0).T)
     if kind is CurvatureKind.PCH:
-        hb = pos_eig(top, gamma)
+        try:
+            hb = pos_eig(moments.mean_hess_out, gamma)
+        except NumericalBreakdownError as exc:
+            raise NumericalBreakdownError(f"layer {k}: top block: {exc}") from exc
     elif kind is CurvatureKind.GAUSS_NEWTON:
-        hb = top
+        hb = moments.mean_hess_out
     else:  # Fisher
         hb = (gb[k - 1].T @ gb[k - 1]) / n
 
     layers: list[LayerCurvature] = [None] * k
-    h = trace.h[k - 1]
-    layers[k - 1] = LayerCurvature(hb=hb, h=h, eh=h.mean(axis=0))
+    layers[k - 1] = LayerCurvature(hb=hb, h=trace.h[k - 1], eh=moments.eh[k - 1])
 
     prev_hb = hb
     for t in range(k, 1, -1):
         w = model.weights[t - 1]
-        h = trace.h[t - 2]
-        diag_vec = (trace.hdprime[t - 1] * (gb[t - 1] @ w)).mean(axis=0)
+        diag_vec = moments.diag_term[t - 1]
 
         if kind is CurvatureKind.FISHER:
             hb = (gb[t - 2].T @ gb[t - 2]) / n
         else:
-            hp = trace.hprime[t - 1]
-            hb = (w.T @ prev_hb @ w) * ((hp.T @ hp) / n)
+            hb = (w.T @ prev_hb @ w) * moments.hprime_gram[t - 1]
             if kind is CurvatureKind.PCH:
                 # the term is diagonal, so clipping reduces to |x| or max(x, 0)
                 clipped = np.abs(diag_vec) if gamma == -1.0 else np.maximum(diag_vec, 0.0)
                 hb = hb + np.diag(clipped)
             hb = 0.5 * (hb + hb.T)
-        layers[t - 2] = LayerCurvature(hb=hb, h=h, eh=h.mean(axis=0), diag_term=diag_vec)
+        layers[t - 2] = LayerCurvature(
+            hb=hb, h=trace.h[t - 2], eh=moments.eh[t - 2], diag_term=diag_vec
+        )
         prev_hb = hb
     return layers
 

@@ -376,9 +376,10 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
     its first epoch.  At each visited parameter vector (theta^0 ..
     theta^{s-1}) one batch_pass feeds the exact block-diagonal bias
     Hessian, the errors of Fisher / Gauss-Newton / PCH-1 / PCH-2 against
-    it, and the step; errors are averaged per layer.  Gauss-Newton is
-    skipped (column None) for the non-convex criterion, where its top
-    block is indefinite.
+    it, and the step, which reuses the column of the optimizer's
+    curvature kind (and gamma, under PCH); errors are averaged per layer.
+    Gauss-Newton is skipped (column None) for the non-convex criterion,
+    where its top block is indefinite.
     """
     check_range("compare_steps", spec.compare_steps, spec.compare_steps >= 1, ">= 1")
     cfg = spec.train_cfg
@@ -402,6 +403,7 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
     order = shuffled_indices(x_train.shape[0], run_seed, 0)
     n = x_train.shape[0]
     velocity = zero_velocity(model)
+    second = cfg.second_order
     for step in range(spec.compare_steps):
         lo = (step * cfg.batch_size) % max(n, 1)
         batch = order[lo : lo + cfg.batch_size]
@@ -410,11 +412,16 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
         bp = batch_pass(model, criterion, x_train[batch], y_train[batch])
         # layerwise_error's targets, each block's eigendecomposition taken once
         exact = [abs_eig(e) for e in true_bias_hessian(model, bp)]
+        step_curv = None
         for name, (kind, gamma) in variants.items():
             curv = ea_curvature(model, bp, kind, gamma)
             report = frobenius_errors([c.hb for c in curv], exact)
             sums[name] += np.array(report.per_layer + [report.total])
-        optimizer_step(model, bp, cfg, velocity)
+            if second is not None and kind is second.kind and (
+                kind is not CurvatureKind.PCH or gamma == second.gamma
+            ):
+                step_curv = curv
+        optimizer_step(model, bp, cfg, velocity, step_curv)
 
     columns: dict[str, list[float] | None] = {
         name: (sums[name] / spec.compare_steps).tolist() for name in variants

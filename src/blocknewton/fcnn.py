@@ -326,16 +326,56 @@ def backprop(
 
 
 @dataclass
+class BatchMoments:
+    """Batch means of one pass that every expectation-approximated curvature
+    kind reads, indexed like ForwardTrace (t = 0..k, None where undefined).
+
+    mean_hess_out is the symmetrised mean output Hessian; eh[t] = E[h^t]
+    for t < k; hprime_gram[t] = E[h'^t h'^tT] and diag_term[t] =
+    E[h''^t o ((W^{t+1})^T g^{t+1})], the recursion's diagonal term, for
+    0 < t < k, with g^{t+1} the bias gradient of layer t+1.
+    """
+
+    mean_hess_out: np.ndarray
+    eh: list[np.ndarray]
+    hprime_gram: list[np.ndarray | None]
+    diag_term: list[np.ndarray | None]
+
+
+def batch_moments(model: FcnnModel, bp: BatchPass) -> BatchMoments:
+    """The BatchMoments of bp, whose pass ran through model."""
+    trace, gb = bp.trace, bp.grads.bias_per_instance
+    k = model.num_layers
+    n = trace.batch_size
+    mean_out = bp.hess_out.mean(axis=0)
+    hprime_gram: list[np.ndarray | None] = [None] * k
+    diag_term: list[np.ndarray | None] = [None] * k
+    for t in range(1, k):
+        hp = trace.hprime[t]
+        hprime_gram[t] = (hp.T @ hp) / n
+        diag_term[t] = (trace.hdprime[t] * (gb[t] @ model.weights[t])).mean(axis=0)
+    return BatchMoments(
+        mean_hess_out=0.5 * (mean_out + mean_out.T),
+        eh=[h.mean(axis=0) for h in trace.h[:k]],
+        hprime_gram=hprime_gram,
+        diag_term=diag_term,
+    )
+
+
+@dataclass
 class BatchPass:
     """Everything one training batch yields for the optimizer step and the
     curvature blocks: the forward trace, the per-instance losses and output
     Hessians, and the gradients with their per-instance bias gradients
-    (grads.bias_per_instance[-1] is the criterion gradient at the output)."""
+    (grads.bias_per_instance[-1] is the criterion gradient at the output).
+    moments caches the batch_moments the EA curvature computes on first
+    use; SGD never computes them."""
 
     trace: ForwardTrace
     losses: np.ndarray
     hess_out: np.ndarray
     grads: LayerGradients
+    moments: BatchMoments | None = field(default=None, repr=False)
 
 
 def batch_pass(

@@ -109,6 +109,7 @@ def cg_solve(
     b: np.ndarray,
     max_iter: int,
     eps_cg: float,
+    precond: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, int, float]:
     """Conjugate gradient for an SPD operator, zero initial guess.
 
@@ -116,19 +117,26 @@ def cg_solve(
     iterations, returning the best iterate seen.  The residual is
     recomputed from scratch every 50 iterations to limit recurrence drift.
     Raises NumericalBreakdownError when NaNs appear (indefinite operator).
+
+    precond, an SPD approximation of op's inverse applied to the residual,
+    defaults to the identity (plain CG); with op's exact inverse the first
+    iterate is the solution, which the residual test then confirms.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (op.dim,):
         raise DimensionError(f"rhs has shape {b.shape}, operator dim {op.dim}")
     if not np.all(np.isfinite(b)):
         raise NumericalBreakdownError("cg_solve rhs is not finite")
+    if precond is None:
+        precond = _identity
 
     scale = max(1.0, float(np.linalg.norm(b)))
     x = np.zeros_like(b)
     r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    best_x, best_res = x.copy(), np.sqrt(rs) / scale
+    z = precond(r)
+    p = z.copy()
+    rz = float(r @ z)
+    best_x, best_res = x.copy(), np.sqrt(float(r @ r)) / scale
     iters = 0
     for k in range(1, max_iter + 1):
         ap = op.apply(p)
@@ -138,7 +146,7 @@ def cg_solve(
         if denom <= 0.0:
             # operator not positive definite along p; keep best iterate
             break
-        alpha = rs / denom
+        alpha = rz / denom
         x = x + alpha * p
         if k % 50 == 0:
             r = b - op.apply(x)
@@ -146,13 +154,18 @@ def cg_solve(
             r = r - alpha * ap
         if not np.all(np.isfinite(r)):
             raise NumericalBreakdownError(f"cg_solve produced NaN at iteration {k}")
-        rs_new = float(r @ r)
         iters = k
-        res = np.sqrt(rs_new) / scale
-        if res < best_res:
-            best_res, best_x = res, x.copy()
+        res = np.sqrt(float(r @ r)) / scale
         if res <= eps_cg:
             return x, iters, res
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        if res < best_res:
+            best_res, best_x = res, x.copy()
+        z = precond(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     return best_x, iters, best_res
+
+
+def _identity(v: np.ndarray) -> np.ndarray:
+    return v

@@ -1,10 +1,15 @@
 """Newton-direction solvers on block curvature.
 
 The damped per-layer systems ((1-alpha) H + alpha I) d = -g are solved
-either by conjugate gradient with matrix-free Kronecker Hessian-vector
-products (EA-CG) or by Kronecker-factored inverses applied in each
-factor's eigenbasis (KFI).  Directions are returned already negated,
-i.e. they are descent directions to be added with a positive step size.
+in the eigenbases of their Kronecker factors, either exactly (EA-CG) or
+through Kronecker-factored inverses (KFI).  EA-CG solves the bias system
+directly in the eigenbasis of Hb, and the weight system by conjugate
+gradient on the matrix-free Kronecker Hessian-vector product,
+preconditioned by that system's exact inverse, so each solve takes one
+CG iteration that CG's residual test checks.  A damped block with an
+eigenvalue <= 0 raises NumericalBreakdownError naming its layer (exit 3).
+Directions are returned already negated, i.e. they are descent
+directions to be added with a positive step size.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ class NewtonDirection:
         return np.concatenate(parts)
 
 
-def _weight_hvp(layer: LayerCurvature, mode: HvpMode, alpha: float, n_out: int, n_in: int):
+def _weight_hvp(f: np.ndarray, hb: np.ndarray, alpha: float):
     """v -> (1-alpha) (F^T F / r kron hb) v + alpha v on v = vec(P), P being
     n_out x n_in column-major, for the r x n_in factor F: the input batch h
     (exact_kron, F^T F / b = E[h h^T]) or the row E[h] (ea_one_rank).
@@ -69,9 +74,8 @@ def _weight_hvp(layer: LayerCurvature, mode: HvpMode, alpha: float, n_out: int, 
     Gram matrix.  The Gram product costs O(m n (m + n)), less only when
     b (2n + m) > n (m + n): on layers about as narrow as the batch, both cheap.
     """
-    hb = layer.hb
-    f = layer.h if mode is HvpMode.EXACT_KRON else layer.eh[None, :]
-    scale = (1 - alpha) / f.shape[0]
+    n_out, (r, n_in) = hb.shape[0], f.shape
+    scale = (1 - alpha) / r
 
     def apply(v: np.ndarray) -> np.ndarray:
         out = (f.T @ ((f @ v.reshape((n_in, n_out))) @ hb.T)).reshape(-1)
@@ -82,15 +86,65 @@ def _weight_hvp(layer: LayerCurvature, mode: HvpMode, alpha: float, n_out: int, 
     return apply
 
 
+def _weight_inverse(f: np.ndarray, c: np.ndarray, q: np.ndarray, alpha: float):
+    """Exact inverse of the damped weight operator (1-alpha)(F^T F / r kron hb)
+    + alpha I on v = vec(P), for hb = Q diag(lam) Q^T and c = (1-alpha) lam.
+
+    One eigh of the Gram matrix on F's smaller side: F^T F / r = V diag(mu) V^T
+    when n_in <= r, scaling by 1/(mu_j c_i + alpha) in the product basis;
+    otherwise F F^T / r = U diag(mu) U^T, whose W = F^T U / sqrt(r) has
+    W W^T = F^T F / r, and Woodbury gives x / alpha - W ((W^T X Q) o w) Q^T
+    with w_ji = c_i / (alpha (alpha + mu_j c_i)), dividing by no singular
+    value of F and forming no n_in x n_in array.  The damped eigenvalues
+    mu_j c_i + alpha (alpha itself off range(F^T)) must be positive.
+    """
+    r, n_in = f.shape
+    n_out = q.shape[0]
+    if not np.all(np.isfinite(f)):
+        raise NumericalBreakdownError("input factor is not finite")
+    narrow = n_in <= r
+    mu, basis = np.linalg.eigh(f.T @ f / r if narrow else f @ f.T / r)
+    damped = np.multiply.outer(mu, c) + alpha
+    _check_positive(damped)
+    if narrow:
+        scale = 1.0 / damped
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            x = v.reshape((n_in, n_out))
+            return (basis @ (((basis.T @ x) @ q) * scale) @ q.T).reshape(-1)
+
+    else:
+        w_fac = f.T @ (basis / np.sqrt(r))
+        coeff = c / (alpha * damped)
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            x = v.reshape((n_in, n_out))
+            return (x / alpha - w_fac @ ((((w_fac.T @ x) @ q) * coeff) @ q.T)).reshape(-1)
+
+    return apply
+
+
+def _check_positive(damped: np.ndarray) -> None:
+    if damped.min() <= 0:
+        raise NumericalBreakdownError(
+            f"damped block is not positive definite (min eigenvalue {damped.min():.3e})"
+        )
+
+
 def ea_cg_direction(
     curv: list[LayerCurvature], grads: LayerGradients, cfg: SolverConfig
 ) -> NewtonDirection:
-    """Per-layer damped Newton directions via conjugate gradient.
+    """Per-layer damped Newton directions via eigenbasis-preconditioned CG.
 
-    Both systems go through cg_solve: the bias system on the dense
-    n_out x n_out block, the weight system matrix-free through the
-    Kronecker Hessian-vector product selected by cfg.hvp_mode.  Each
-    operator folds in the damping (1-alpha) Hv + alpha v.
+    Each layer is factored once.  eigh(hb) = Q diag(lam) Q^T solves the
+    bias system directly, d_b = -Q ((Q^T g_b) / ((1-alpha) lam + alpha)).
+    Together with one eigh of the Gram matrix of the input factor F
+    (cfg.hvp_mode's batch h, or the row E[h]) it gives the exact inverse of
+    the weight system (see _weight_inverse).  CG applies that inverse as
+    its preconditioner against the true Kronecker Hessian-vector product,
+    so a solve takes one iteration and still stops on cfg.eps_cg /
+    cfg.max_cg.  A damped block with an eigenvalue <= 0 raises
+    NumericalBreakdownError naming its layer.
     """
     if len(curv) != len(grads.grad_bias):
         raise DimensionError("curvature/gradient layer counts differ")
@@ -100,22 +154,20 @@ def ea_cg_direction(
         zip(curv, grads.grad_bias, grads.grad_weight), start=1
     ):
         n_out, n_in = gw.shape
+        f = layer.h if cfg.hvp_mode is HvpMode.EXACT_KRON else layer.eh[None, :]
         try:
-            hb = layer.hb
-            op_b = LinearOperator(
-                dim=n_out, apply=lambda v, hb=hb: (1 - alpha) * (hb @ v) + alpha * v
-            )
-            db, _, _ = cg_solve(op_b, -gb, cfg.max_cg, cfg.eps_cg)
-
-            op_w = LinearOperator(
-                dim=n_out * n_in,
-                apply=_weight_hvp(layer, cfg.hvp_mode, alpha, n_out, n_in),
-            )
+            lam, q = sym_eig(layer.hb)
+            c = (1 - alpha) * lam
+            damped_b = c + alpha
+            _check_positive(damped_b)
+            op_w = LinearOperator(dim=n_out * n_in, apply=_weight_hvp(f, layer.hb, alpha))
             rhs = -gw.reshape(-1, order="F")
-            dw_vec, _, _ = cg_solve(op_w, rhs, cfg.max_cg, cfg.eps_cg)
+            dw_vec, _, _ = cg_solve(
+                op_w, rhs, cfg.max_cg, cfg.eps_cg, _weight_inverse(f, c, q, alpha)
+            )
         except NumericalBreakdownError as exc:
             raise NumericalBreakdownError(f"layer {t}: {exc}") from exc
-        d_bias.append(db)
+        d_bias.append(-(q @ ((q.T @ gb) / damped_b)))
         d_weight.append(dw_vec.reshape((n_out, n_in), order="F"))
     return NewtonDirection(d_weight=d_weight, d_bias=d_bias)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import CurvatureKind, ea_curvature
+from .curvature import CurvatureKind, LayerCurvature, ea_curvature
 from .errors import ConfigError, TrainingDivergedError, check_range
 from .fcnn import (
     BatchPass,
@@ -126,11 +126,16 @@ def zero_velocity(model: FcnnModel) -> Velocity:
 
 
 def optimizer_step(
-    model: FcnnModel, bp: BatchPass, cfg: TrainConfig, velocity: Velocity
+    model: FcnnModel,
+    bp: BatchPass,
+    cfg: TrainConfig,
+    velocity: Velocity,
+    curv: list[LayerCurvature] | None = None,
 ) -> None:
     """One optimizer step on the batch of bp, in place.
 
-    Second-order optimizers build the batch's curvature and step
+    Second-order optimizers build the batch's curvature, unless the caller
+    passes the blocks of cfg's curvature kind for bp as curv, and step
     theta += lr * d (directions come negated from the solvers); SGD
     updates the momentum buffers v <- momentum v - lr g in place and steps
     theta += v.
@@ -145,7 +150,8 @@ def optimizer_step(
             model.weights[t] = model.weights[t] + velocity_w[t]
             model.biases[t] = model.biases[t] + velocity_b[t]
         return
-    curv = ea_curvature(model, bp, spec.kind, spec.gamma)
+    if curv is None:
+        curv = ea_curvature(model, bp, spec.kind, spec.gamma)
     if spec.solver is SolverChoice.EA_CG:
         direction = ea_cg_direction(curv, bp.grads, spec.solver_cfg)
     else:

@@ -1,5 +1,7 @@
 """Shared test utilities: finite-difference oracles and random model setup."""
 
+import sys
+
 import numpy as np
 
 from blocknewton.fcnn import (
@@ -103,3 +105,22 @@ def forbid_shape(shape):
             return arr.view(Guard) if isinstance(arr, np.ndarray) else arr
 
     return Guard
+
+
+def count_calls(monkeypatch, module, name):
+    """Record every call of module.name, wrapped there and at each blocknewton
+    module that imported the same function; returns the list of records
+    (args, kwargs, result), one per call, in call order."""
+    original = getattr(module, name)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(module, name, recorded)
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "blocknewton" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, recorded)
+    return calls

@@ -235,6 +235,18 @@ class TestExitCodes:
         assert cli(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL
         assert re.search(r"layer \d+: damped factor is singular", capsys.readouterr().err)
 
+    def test_indefinite_ea_cg_block_exits_3_naming_layer(self, tmp_path, capsys):
+        # Gauss-Newton blocks under the non-convex criterion are indefinite;
+        # at the default damping the damped EA-CG block has a negative eigenvalue
+        doc = dict(
+            SMALL,
+            criterion={"kind": "sigmoid_gate"},
+            optimizer={"kind": "ea_cg", "curvature": "gauss_newton"},
+        )
+        cfg = write_config(tmp_path, doc)
+        assert cli(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        assert re.search(r"layer \d+: damped block is not positive definite", capsys.readouterr().err)
+
     @pytest.mark.parametrize(
         "optimizer", [{"kind": "kfi", "curvature": "fisher"}, {"kind": "ea_cg"}], ids=["kfi", "ea_cg"]
     )

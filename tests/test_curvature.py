@@ -8,7 +8,7 @@ from blocknewton.curvature import (
     layerwise_error,
     true_bias_hessian,
 )
-from blocknewton.errors import ConfigError, DimensionError
+from blocknewton.errors import ConfigError, DimensionError, NumericalBreakdownError
 from blocknewton.fcnn import (
     Activation,
     CrossEntropySoftmax,
@@ -166,6 +166,16 @@ class TestEaCurvature:
                 saw_negative = True
                 break
         assert saw_negative
+
+    def test_non_finite_top_block_names_layer(self):
+        rng = np.random.default_rng(11)
+        model = random_model(rng)
+        x, y = random_batch(rng, model)
+        bp = batch_pass(model, CrossEntropySoftmax(), x, y)
+        bp.hess_out[0, 0, 0] = np.inf
+        k = model.num_layers
+        with pytest.raises(NumericalBreakdownError, match=f"^layer {k}: top block: "):
+            ea_curvature(model, bp, CurvatureKind.PCH)
 
     def test_rejects_bad_gamma(self):
         rng = np.random.default_rng(10)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from blocknewton import fcnn
+from blocknewton import curvature, fcnn
 from blocknewton.curvature import CurvatureKind
 from blocknewton.errors import ConfigError
 from blocknewton.experiments import (
@@ -20,6 +20,7 @@ from blocknewton.experiments import (
 )
 from blocknewton.fcnn import Activation, CrossEntropySoftmax, SigmoidGate
 from blocknewton.trainer import SecondOrderSpec, SolverChoice, TrainConfig, train
+from helpers import count_calls
 
 
 def small_spec(**overrides):
@@ -210,6 +211,38 @@ class TestOnePassPerStep:
         spec = spec_with(second_order, compare_steps=4)
         compare_curvatures(spec)
         assert pass_calls == {"criterion_batch": 4, "backprop_bias_gradients": 4}
+
+
+class TestCurvaturePerPass:
+    @pytest.mark.parametrize(
+        "second_order",
+        [
+            None,
+            PCH1,
+            SecondOrderSpec(kind=CurvatureKind.PCH, gamma=0.0),
+            SecondOrderSpec(kind=CurvatureKind.FISHER, solver=SolverChoice.KFI),
+        ],
+        ids=["sgd", "ea_cg-pch1", "ea_cg-pch2", "kfi-fisher"],
+    )
+    def test_compare_curvatures_steps_on_its_column(self, monkeypatch, second_order):
+        # the step reuses its kind's column: one ea_curvature call per column
+        # (the convex criterion has all four) and one set of moments per step
+        spec = spec_with(second_order, compare_steps=3)
+        calls = count_calls(monkeypatch, curvature, "ea_curvature")
+        moments = count_calls(monkeypatch, fcnn, "batch_moments")
+        compare_curvatures(spec)
+        assert len(calls) == 4 * spec.compare_steps
+        assert len(moments) == spec.compare_steps
+
+    @pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd", "ea_cg-pch1"])
+    def test_train_computes_moments_once_per_pass(self, monkeypatch, second_order):
+        spec = spec_with(second_order)
+        x_train, y_train, _, _ = spec.load_dataset(0).split()
+        cfg = spec.train_cfg
+        moments = count_calls(monkeypatch, fcnn, "batch_moments")
+        train(spec.build_model(0), spec.criterion, x_train, y_train, cfg)
+        steps = cfg.epochs * math.ceil(x_train.shape[0] / cfg.batch_size)
+        assert len(moments) == (0 if second_order is None else steps)
 
 
 @pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd-momentum", "ea_cg-pch1"])

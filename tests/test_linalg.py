@@ -13,6 +13,35 @@ from blocknewton.linalg import (
 )
 
 
+def plain_cg(op, b, max_iter, eps_cg):
+    """Unpreconditioned CG as cg_solve ran it before it took a preconditioner."""
+    scale = max(1.0, float(np.linalg.norm(b)))
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    best_x, best_res = x.copy(), np.sqrt(rs) / scale
+    iters = 0
+    for k in range(1, max_iter + 1):
+        ap = op.apply(p)
+        denom = float(p @ ap)
+        if denom <= 0.0:
+            break
+        alpha = rs / denom
+        x = x + alpha * p
+        r = b - op.apply(x) if k % 50 == 0 else r - alpha * ap
+        rs_new = float(r @ r)
+        iters = k
+        res = np.sqrt(rs_new) / scale
+        if res < best_res:
+            best_res, best_x = res, x.copy()
+        if res <= eps_cg:
+            return x, iters, res
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return best_x, iters, best_res
+
+
 def random_symmetric(rng, n):
     a = rng.standard_normal((n, n))
     return 0.5 * (a + a.T)
@@ -169,6 +198,36 @@ class TestCgSolve:
         b = rng.standard_normal(n)
         x, _, _ = cg_solve(LinearOperator.from_matrix(a), b, n, 1e-12)
         assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
+
+    def test_exact_preconditioner_one_iteration(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((12, 12))
+        a = a @ a.T + 0.1 * np.eye(12)
+        b = rng.standard_normal(12)
+        inv = np.linalg.inv(a)
+        x, iters, res = cg_solve(LinearOperator.from_matrix(a), b, 12, 1e-10, lambda r: inv @ r)
+        assert iters == 1
+        assert res <= 1e-10
+        assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("case", ["spd", "recompute_residual", "indefinite", "max_iter"])
+    def test_default_is_plain_cg(self, case):
+        # the identity default reproduces plain CG bit for bit, including the
+        # residual recomputed every 50 iterations and the non-positive stop
+        rng = np.random.default_rng(7)
+        n = 80 if case == "recompute_residual" else 10
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        spectrum = np.geomspace(1e-3, 1e3, n)
+        if case == "indefinite":
+            spectrum[:3] *= -1
+        a = (q * spectrum) @ q.T
+        b = rng.standard_normal(n)
+        max_iter = 3 if case == "max_iter" else 200
+        op = LinearOperator.from_matrix(a)
+        got = cg_solve(op, b, max_iter, 1e-12)
+        expect = plain_cg(op, b, max_iter, 1e-12)
+        assert np.array_equal(got[0], expect[0])
+        assert got[1:] == expect[1:]
 
     def test_nan_raises_with_iteration(self):
         op = LinearOperator(dim=2, apply=lambda v: np.array([np.nan, np.nan]))

@@ -17,7 +17,7 @@ from blocknewton.solvers import (
     kfi_direction,
     sherman_morrison_apply,
 )
-from helpers import forbid_shape, gram, random_batch, random_model
+from helpers import count_calls, forbid_shape, gram, random_batch, random_model
 
 
 def make_curvature(rng, n_out, n_in, psd_shift=1.0):
@@ -110,6 +110,62 @@ class TestEaCg:
         big = (1 - alpha) * np.kron(right, curv[0].hb) + alpha * np.eye(36)
         expect = np.linalg.solve(big, -grads.grad_weight[0].reshape(-1, order="F"))
         assert np.max(np.abs(d.d_weight[0].reshape(-1, order="F") - expect)) <= 1e-8
+
+    @pytest.mark.parametrize("mode", list(HvpMode))
+    def test_exact_preconditioner_solves_in_one_iteration(self, mode):
+        # one CG iteration is the dense solution on a layer narrower than the
+        # 8-row batch, one wider, and a one-input layer (narrow in both modes)
+        rng = np.random.default_rng(12)
+        alpha = 0.02
+        cfg = SolverConfig(alpha=alpha, max_cg=1, eps_cg=1e-14, hvp_mode=mode)
+        for n_out, n_in in [(4, 3), (3, 12), (2, 1)]:
+            curv = [make_curvature(rng, n_out, n_in)]
+            grads = make_grads(rng, [(n_out, n_in)])
+            d = ea_cg_direction(curv, grads, cfg)
+
+            eh = curv[0].eh
+            right = gram(curv[0].h) if mode is HvpMode.EXACT_KRON else np.outer(eh, eh)
+            big = (1 - alpha) * np.kron(right, curv[0].hb) + alpha * np.eye(n_out * n_in)
+            expect = np.linalg.solve(big, -grads.grad_weight[0].reshape(-1, order="F"))
+            assert np.max(np.abs(d.d_weight[0].reshape(-1, order="F") - expect)) <= 1e-8
+
+            small = (1 - alpha) * curv[0].hb + alpha * np.eye(n_out)
+            expect_b = np.linalg.solve(small, -grads.grad_bias[0])
+            assert np.max(np.abs(d.d_bias[0] - expect_b)) <= 1e-8
+
+    @pytest.mark.parametrize("mode", list(HvpMode))
+    def test_factors_each_layer_once(self, monkeypatch, mode):
+        # one sym_eig of hb, one eigh of the Gram matrix, and one weight
+        # solve of one CG iteration per layer; the bias needs no CG
+        sym_eig = count_calls(monkeypatch, solvers, "sym_eig")
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        cg = count_calls(monkeypatch, solvers, "cg_solve")
+        layers = 0
+        for seed in range(5):
+            curv, grads = model_problem(seed=seed)
+            sym_eig.clear()  # model_problem's pos_eig calls sym_eig too
+            eigh.clear()
+            ea_cg_direction(curv, grads, SolverConfig(hvp_mode=mode))
+            layers += len(curv)
+            assert len(sym_eig) == len(curv)
+            assert len(eigh) == 2 * len(curv)  # sym_eig's own and the Gram matrix's
+        assert [result[1] for _, _, result in cg] == [1] * layers
+
+    @pytest.mark.parametrize("fault", ["indefinite_hb", "non_finite_hb", "non_finite_h"])
+    def test_breakdown_names_layer(self, fault):
+        rng = np.random.default_rng(10)
+        alpha = 0.02
+        curv = [make_curvature(rng, 3, 4), make_curvature(rng, 2, 3)]
+        if fault == "indefinite_hb":
+            # (1 - alpha) lam + alpha < 0 for the bias, as for the weights
+            curv[1].hb = np.diag([-1.0, 1.0])
+        elif fault == "non_finite_hb":
+            curv[1].hb[0, 0] = np.inf
+        else:
+            curv[1].h[0, 0] = np.nan
+        grads = make_grads(rng, [(3, 4), (2, 3)])
+        with pytest.raises(NumericalBreakdownError, match="layer 2: "):
+            ea_cg_direction(curv, grads, SolverConfig(alpha=alpha))
 
     @pytest.mark.parametrize("mode", list(HvpMode))
     def test_ea_cg_never_forms_gram_matrix(self, mode):
@@ -248,18 +304,10 @@ class TestKfi:
 
     def test_factors_each_layer_once(self, monkeypatch):
         curv, grads = model_problem(seed=3)
-        calls = {"sym_eig": 0, "svd": 0}
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapped
-
-        monkeypatch.setattr(solvers, "sym_eig", counting("sym_eig", solvers.sym_eig))
-        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        sym_eig = count_calls(monkeypatch, solvers, "sym_eig")
+        svd = count_calls(monkeypatch, np.linalg, "svd")
         kfi_direction(curv, grads, 0.02, PiPolicy.TRACE_NORM)
+        calls = {"sym_eig": len(sym_eig), "svd": len(svd)}
         assert calls == {"sym_eig": len(curv), "svd": len(curv)}
 
     @pytest.mark.parametrize("fault", ["indefinite_hb", "non_finite_hb", "non_finite_h"])

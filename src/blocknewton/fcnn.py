@@ -1,16 +1,20 @@
 """Fully-connected networks with tracked activation derivatives.
 
 A model with k layers applies sigma(W h + b) for layers 1..k-1 and leaves
-layer k affine.  The forward pass records, per instance, the activations
-h^t together with the elementwise first and second derivatives of sigma
-evaluated at the pre-activations; both are needed by the curvature
-recursions.  Batches are stored row-wise: arrays of shape (batch, n_t).
+layer k affine.  The forward pass records, per instance, only the
+activations h^t.  The elementwise first and second derivatives of sigma at
+the pre-activations are functions of h^t alone (sigma' = h(1-h) and
+sigma'' = sigma'(1-2h) for the sigmoid), so the trace derives them from h
+the first time backprop or a curvature recursion reads them; evaluation
+never computes them.  Batches are stored row-wise: arrays of shape
+(batch, n_t).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,25 +32,49 @@ class Activation(enum.Enum):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """Logistic function without overflow or branches: with e = exp(-|z|),
+    1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere.  -|z| is taken as
+    min(z, -z), which keeps the sign bit of a NaN input."""
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
+def _activate(kind: Activation, z: np.ndarray) -> np.ndarray:
+    """sigma(z); ReLU writes it into z."""
+    if kind is Activation.SIGMOID:
+        return _sigmoid(z)
+    return np.maximum(z, 0.0, out=z)
+
+
+def _first_derivative(kind: Activation, h: np.ndarray) -> np.ndarray:
+    """sigma' at the pre-activation whose activation is h = sigma(z)."""
+    if kind is Activation.SIGMOID:
+        return h * (1.0 - h)
+    return (h > 0).astype(float)
+
+
+def _second_derivative(kind: Activation, h: np.ndarray, hprime: np.ndarray) -> np.ndarray:
+    """sigma'' at the pre-activation of h, given hprime = sigma' there."""
+    if kind is Activation.SIGMOID:
+        return hprime * (1.0 - 2.0 * h)
+    return np.zeros_like(h)
+
+
 def activation_values(kind: Activation, z: np.ndarray):
-    """Return (sigma(z), sigma'(z), sigma''(z)) elementwise.
+    """Return (sigma(z), sigma'(z), sigma''(z)) elementwise, the derivatives
+    computed from sigma(z) as a ForwardTrace computes them.
 
     ReLU has no curvature away from the kink, so its second derivative is
     taken as zero everywhere.
     """
-    if kind is Activation.SIGMOID:
-        s = _sigmoid(z)
-        return s, s * (1.0 - s), s * (1.0 - s) * (1.0 - 2.0 * s)
-    h = np.maximum(z, 0.0)
-    return h, (z > 0).astype(float), np.zeros_like(z)
+    h = _activate(kind, np.array(z, dtype=float))
+    hp = _first_derivative(kind, h)
+    return h, hp, _second_derivative(kind, h, hp)
 
 
 @dataclass
@@ -117,7 +145,7 @@ class FcnnModel:
         for t in range(self.num_layers):
             w = self.weights[t]
             n = w.size
-            self.weights[t] = theta[pos : pos + n].reshape(w.shape, order="F")
+            self.weights[t] = theta[pos : pos + n].reshape(w.shape, order="F").copy()
             pos += n
             m = self.biases[t].size
             self.biases[t] = theta[pos : pos + m].copy()
@@ -128,45 +156,52 @@ class FcnnModel:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer batch activations and activation derivatives.
+    """Per-layer batch activations, and the activation derivatives derived
+    from them.
 
-    h[t] has shape (batch, n_t) for t = 0..k.  hprime[t]/hdprime[t] hold
-    sigma'/sigma'' at layer t's pre-activation for t = 1..k-1 and None at
-    index 0 and k (input and affine output carry no activation).
+    h[t] has shape (batch, n_t) for t = 0..k; activation is the sigma that
+    produced h[1..k-1].  hprime[t]/hdprime[t] hold sigma'/sigma'' at layer
+    t's pre-activation for t = 1..k-1 and None at index 0 and k (input and
+    affine output carry no activation).  Each list is computed from h on
+    first access and kept, so a trace that is only evaluated computes
+    neither, and one that is only backpropagated computes no sigma''.
     """
 
     h: list[np.ndarray]
-    hprime: list[np.ndarray | None]
-    hdprime: list[np.ndarray | None]
+    activation: Activation
 
     @property
     def batch_size(self) -> int:
         return self.h[0].shape[0]
 
+    @cached_property
+    def hprime(self) -> list[np.ndarray | None]:
+        hidden = [_first_derivative(self.activation, h) for h in self.h[1:-1]]
+        return [None, *hidden, None]
+
+    @cached_property
+    def hdprime(self) -> list[np.ndarray | None]:
+        hidden = [
+            _second_derivative(self.activation, h, hp)
+            for h, hp in zip(self.h[1:-1], self.hprime[1:-1])
+        ]
+        return [None, *hidden, None]
+
 
 def forward(model: FcnnModel, inputs: np.ndarray) -> ForwardTrace:
-    """Run the batch through the network, recording h, h', h''."""
+    """Run the batch through the network, recording the activations h."""
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     if x.shape[1] != model.widths[0]:
         raise DimensionError(
             f"input dim {x.shape[1]} != model input width {model.widths[0]}"
         )
     h: list[np.ndarray] = [x]
-    hp: list[np.ndarray | None] = [None]
-    hpp: list[np.ndarray | None] = [None]
     k = model.num_layers
     for t in range(1, k + 1):
-        z = h[-1] @ model.weights[t - 1].T + model.biases[t - 1]
-        if t < k:
-            a, d1, d2 = activation_values(model.activation, z)
-            h.append(a)
-            hp.append(d1)
-            hpp.append(d2)
-        else:
-            h.append(z)
-            hp.append(None)
-            hpp.append(None)
-    return ForwardTrace(h=h, hprime=hp, hdprime=hpp)
+        z = h[-1] @ model.weights[t - 1].T
+        z += model.biases[t - 1]
+        h.append(_activate(model.activation, z) if t < k else z)
+    return ForwardTrace(h=h, activation=model.activation)
 
 
 # --- criterion functions -------------------------------------------------

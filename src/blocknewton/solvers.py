@@ -200,8 +200,11 @@ def kfi_direction(
 
     Each layer is factored once: eigh(Hb) = Q diag(lam) Q^T makes the G and
     bias solves scalings by 1/(lam + shift), and the thin SVD F = U S V^T
-    gives H^{-1} x = x / c + V ((V^T x) (1/(s^2/r + c) - 1/c)) for any rank
-    of F, so no n x n matrix is formed.
+    gives H^{-1} x = V ((V^T x) / (s^2/r + c)) when n <= r (V then spans
+    R^n) and x / c + V ((V^T x) (1/(s^2/r + c) - 1/c)) otherwise, so no
+    n x n matrix is formed.  The second form at n <= r would cancel x / c
+    against its own projection and leave about eps |x| / c where the
+    exact value is 0.
     """
     check_range("alpha", alpha, 0.0 < alpha < 1.0, "a value in (0, 1)")
     sqrt_a = np.sqrt(alpha)
@@ -231,8 +234,11 @@ def kfi_direction(
         left = q @ ((q.T @ gw) / damped[:, :1])
         db = -(q @ ((q.T @ gb) / damped[:, 1]))
         c = pi * sqrt_a
-        coeff = 1.0 / (s * s / f.shape[0] + c) - 1.0 / c
-        dw = -(left / c + ((left @ vt.T) * coeff) @ vt)
+        inv = 1.0 / (s * s / f.shape[0] + c)
+        if n_in <= f.shape[0]:
+            dw = -(((left @ vt.T) * inv) @ vt)
+        else:
+            dw = -(left / c + ((left @ vt.T) * (inv - 1.0 / c)) @ vt)
         d_weight.append(dw)
         d_bias.append(db)
     return NewtonDirection(d_weight=d_weight, d_bias=d_bias)

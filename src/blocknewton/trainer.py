@@ -132,23 +132,26 @@ def optimizer_step(
     velocity: Velocity,
     curv: list[LayerCurvature] | None = None,
 ) -> None:
-    """One optimizer step on the batch of bp, in place.
+    """One optimizer step on the batch of bp, written into the model's own
+    weight and bias arrays and, for SGD, into velocity's arrays.
 
     Second-order optimizers build the batch's curvature, unless the caller
     passes the blocks of cfg's curvature kind for bp as curv, and step
     theta += lr * d (directions come negated from the solvers); SGD
-    updates the momentum buffers v <- momentum v - lr g in place and steps
-    theta += v.
+    updates the momentum buffers v <- momentum v - lr g and steps
+    theta += v.  Arrays that alias the model's parameters see the step.
     """
     lr = cfg.learning_rate
     spec = cfg.second_order
     if spec is None:
         velocity_w, velocity_b = velocity
         for t in range(model.num_layers):
-            velocity_w[t] = cfg.momentum * velocity_w[t] - lr * bp.grads.grad_weight[t]
-            velocity_b[t] = cfg.momentum * velocity_b[t] - lr * bp.grads.grad_bias[t]
-            model.weights[t] = model.weights[t] + velocity_w[t]
-            model.biases[t] = model.biases[t] + velocity_b[t]
+            velocity_w[t] *= cfg.momentum
+            velocity_w[t] -= lr * bp.grads.grad_weight[t]
+            velocity_b[t] *= cfg.momentum
+            velocity_b[t] -= lr * bp.grads.grad_bias[t]
+            model.weights[t] += velocity_w[t]
+            model.biases[t] += velocity_b[t]
         return
     if curv is None:
         curv = ea_curvature(model, bp, spec.kind, spec.gamma)
@@ -159,8 +162,8 @@ def optimizer_step(
             curv, bp.grads, spec.solver_cfg.alpha, spec.solver_cfg.pi_policy
         )
     for t in range(model.num_layers):
-        model.weights[t] = model.weights[t] + lr * direction.d_weight[t]
-        model.biases[t] = model.biases[t] + lr * direction.d_bias[t]
+        model.weights[t] += lr * direction.d_weight[t]
+        model.biases[t] += lr * direction.d_bias[t]
 
 
 def train(
@@ -176,7 +179,8 @@ def train(
     """Train in place and return per-epoch metrics.
 
     y arrays are one-hot.  Every mini-batch runs one batch_pass and one
-    optimizer_step.
+    optimizer_step, which updates the model's own weight and bias arrays
+    and the momentum buffers in place; report.model is model.
     """
     n = x_train.shape[0]
     if y_train.shape[0] != n:

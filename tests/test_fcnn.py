@@ -7,6 +7,7 @@ from blocknewton.fcnn import (
     CrossEntropySoftmax,
     FcnnModel,
     SigmoidGate,
+    _sigmoid,
     activation_values,
     backprop,
     criterion_batch,
@@ -70,6 +71,56 @@ class TestForward:
     def test_relu_second_derivative_zero(self):
         _, _, hpp = activation_values(Activation.RELU, np.linspace(-2, 2, 9))
         assert np.all(hpp == 0.0)
+
+    @pytest.mark.parametrize("case", ["special", "random"])
+    def test_sigmoid_bit_identical_to_masked_reference(self, case):
+        if case == "special":
+            z = np.array([-np.inf, -745.0, -1.0, -0.0, 0.0, 1.0, 745.0, np.inf, np.nan])
+        else:
+            z = np.random.default_rng(12).standard_normal((128, 256)) * 10
+        with np.errstate(under="ignore"):
+            got, want = _sigmoid(z), masked_sigmoid(z)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", list(Activation))
+    def test_trace_derivatives_equal_activation_values(self, kind):
+        rng = np.random.default_rng(13)
+        model = random_model(rng, activation=kind)
+        x, _ = random_batch(rng, model, batch=16)
+        x -= 0.5  # some ReLU pre-activations negative
+        trace = forward(model, x)
+        for t in range(1, model.num_layers):
+            z = trace.h[t - 1] @ model.weights[t - 1].T + model.biases[t - 1]
+            h, hp, hpp = activation_values(kind, z)
+            assert np.array_equal(trace.h[t], h)
+            assert np.array_equal(trace.hprime[t], hp)
+            assert np.array_equal(trace.hdprime[t], hpp)
+        assert trace.hprime[0] is trace.hprime[-1] is None
+        assert trace.hdprime[0] is trace.hdprime[-1] is None
+
+    @pytest.mark.parametrize("kind", list(Activation))
+    def test_activation_values_match_direct_formulas(self, kind):
+        z = np.random.default_rng(14).standard_normal((32, 9)) * 4
+        if kind is Activation.SIGMOID:
+            s = masked_sigmoid(z)
+            want = (s, s * (1.0 - s), s * (1.0 - s) * (1.0 - 2.0 * s))
+        else:
+            want = (np.maximum(z, 0.0), (z > 0).astype(float), np.zeros_like(z))
+        z_before = z.copy()
+        for got, expect in zip(activation_values(kind, z), want):
+            assert np.array_equal(got, expect)
+        assert np.array_equal(z, z_before)
+
+
+def masked_sigmoid(z):
+    """Reference logistic function: the two overflow-free branches selected
+    by boolean masks."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 class TestCriteria:

@@ -19,7 +19,14 @@ from blocknewton.experiments import (
     summary_csv,
 )
 from blocknewton.fcnn import Activation, CrossEntropySoftmax, SigmoidGate
-from blocknewton.trainer import SecondOrderSpec, SolverChoice, TrainConfig, train
+from blocknewton.trainer import (
+    SecondOrderSpec,
+    SolverChoice,
+    TrainConfig,
+    accuracy,
+    mean_loss,
+    train,
+)
 from helpers import count_calls
 
 
@@ -243,6 +250,25 @@ class TestCurvaturePerPass:
         train(spec.build_model(0), spec.criterion, x_train, y_train, cfg)
         steps = cfg.epochs * math.ceil(x_train.shape[0] / cfg.batch_size)
         assert len(moments) == (0 if second_order is None else steps)
+
+    @pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd", "ea_cg-pch1"])
+    def test_derivatives_computed_only_where_consumed(self, monkeypatch, second_order):
+        # backprop reads sigma' and only the curvature reads sigma''; the
+        # per-epoch evaluation reads neither
+        spec = spec_with(second_order)
+        x_train, y_train, x_test, y_test = spec.load_dataset(0).split()
+        cfg = spec.train_cfg
+        model = spec.build_model(0)
+        first = count_calls(monkeypatch, fcnn, "_first_derivative")
+        second = count_calls(monkeypatch, fcnn, "_second_derivative")
+        mean_loss(model, spec.criterion, x_train, y_train)
+        accuracy(model, x_test, np.argmax(y_test, axis=1))
+        assert (len(first), len(second)) == (0, 0)
+        train(model, spec.criterion, x_train, y_train, cfg, x_test, y_test)
+        hidden = model.num_layers - 1
+        once_per_batch = hidden * cfg.epochs * math.ceil(x_train.shape[0] / cfg.batch_size)
+        assert len(first) == once_per_batch
+        assert len(second) == (0 if second_order is None else once_per_batch)
 
 
 @pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd-momentum", "ea_cg-pch1"])

@@ -276,6 +276,23 @@ class TestKfi:
             assert np.max(np.abs(dw - expect_w)) <= 1e-8
             assert np.max(np.abs(db - expect_b)) <= 1e-8
 
+    def test_full_column_rank_factor_does_not_cancel(self):
+        # a 16 x 6 factor of scale 1e5 makes H's eigenvalues span 1e10 / 0.14:
+        # x / c minus its own projection over c left ~eps |x| / c behind
+        rng = np.random.default_rng(15)
+        alpha = 0.02
+        sqrt_a = np.sqrt(alpha)
+        layer = make_curvature(rng, 3, 6)
+        layer.h = rng.standard_normal((16, 6)) * 1e5
+        layer.eh = layer.h.mean(axis=0)
+        grads = make_grads(rng, [(3, 6)])
+        d = kfi_direction([layer], grads, alpha)
+        g_fac = layer.hb + sqrt_a * np.eye(3)
+        h_fac = gram(layer.h) + sqrt_a * np.eye(6)
+        expect = -np.linalg.solve(g_fac, grads.grad_weight[0]) @ np.linalg.inv(h_fac)
+        rel = np.linalg.norm(d.d_weight[0] - expect) / np.linalg.norm(expect)
+        assert rel <= 1e-12
+
     def test_first_layer_sherman_morrison_matches_dense(self):
         rng = np.random.default_rng(7)
         alpha = 0.1

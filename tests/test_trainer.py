@@ -17,9 +17,11 @@ from blocknewton.trainer import (
     SecondOrderSpec,
     SolverChoice,
     TrainConfig,
+    optimizer_step,
     shuffled_indices,
     splitmix64,
     train,
+    zero_velocity,
 )
 
 
@@ -111,6 +113,16 @@ class TestSgd:
         r = train(model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test)
         assert r.final_loss < r.epochs[0].loss
         assert r.final_accuracy >= 0.9
+
+    def test_step_after_set_flat_parameters_leaves_theta_alone(self):
+        model, x_train, y_train, _, _ = small_problem(seed=6)
+        theta = FcnnModel.xavier([4, 8, 3], seed=7).flat_parameters()
+        theta_before = theta.copy()
+        model.set_flat_parameters(theta)
+        bp = batch_pass(model, CrossEntropySoftmax(), x_train[:8], y_train[:8])
+        optimizer_step(model, bp, TrainConfig(), zero_velocity(model))
+        assert np.array_equal(theta, theta_before)
+        assert not np.array_equal(model.flat_parameters(), theta_before)
 
     def test_rejects_negative_learning_rate(self):
         with pytest.raises(ConfigError):

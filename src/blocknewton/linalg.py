@@ -120,7 +120,9 @@ def cg_solve(
 
     precond, an SPD approximation of op's inverse applied to the residual,
     defaults to the identity (plain CG); with op's exact inverse the first
-    iterate is the solution, which the residual test then confirms.
+    iterate is the solution, which the residual test then confirms.  It
+    returns a new array or the residual itself, never a view of it: the
+    iterates are updated in place, through one scratch vector.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (op.dim,):
@@ -132,11 +134,12 @@ def cg_solve(
 
     scale = max(1.0, float(np.linalg.norm(b)))
     x = np.zeros_like(b)
+    tmp = np.empty_like(b)
     r = b.copy()
     z = precond(r)
-    p = z.copy()
+    p = z.copy() if z is r else z
     rz = float(r @ z)
-    best_x, best_res = x.copy(), np.sqrt(float(r @ r)) / scale
+    best_x, best_res = None, np.sqrt(float(r @ r)) / scale
     iters = 0
     for k in range(1, max_iter + 1):
         ap = op.apply(p)
@@ -147,11 +150,13 @@ def cg_solve(
             # operator not positive definite along p; keep best iterate
             break
         alpha = rz / denom
-        x = x + alpha * p
+        np.multiply(alpha, p, out=tmp)
+        x += tmp
         if k % 50 == 0:
-            r = b - op.apply(x)
+            np.subtract(b, op.apply(x), out=r)
         else:
-            r = r - alpha * ap
+            np.multiply(alpha, ap, out=tmp)
+            r -= tmp
         if not np.all(np.isfinite(r)):
             raise NumericalBreakdownError(f"cg_solve produced NaN at iteration {k}")
         iters = k
@@ -162,9 +167,10 @@ def cg_solve(
             best_res, best_x = res, x.copy()
         z = precond(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
-    return best_x, iters, best_res
+    return (np.zeros_like(b) if best_x is None else best_x), iters, best_res
 
 
 def _identity(v: np.ndarray) -> np.ndarray:

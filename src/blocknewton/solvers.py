@@ -10,11 +10,25 @@ CG iteration that CG's residual test checks.  A damped block with an
 eigenvalue <= 0 raises NumericalBreakdownError naming its layer (exit 3).
 Directions are returned already negated, i.e. they are descent
 directions to be added with a positive step size.
+
+The curvature is block-diagonal, so the layers' factorizations do not
+depend on each other.  EA-CG computes all of them before its first
+solve, and on a net whose widest Hb is at least _OVERLAP_MIN_WIDTH wide,
+with two CPUs usable, it computes them on two threads: a helper thread
+takes every Gram and every other Hb eigendecomposition while the calling
+thread factors the widest Hb.  numpy releases the interpreter lock inside
+LAPACK, so the two overlap.  The solves stay on the calling thread in
+layer order and each factorization is the same LAPACK call on the same
+matrix, so the directions are bit-identical to factoring inline.  BLAS
+threads (OPENBLAS_NUM_THREADS) come on top of the one helper thread.
+KFI factors its layers inline.
 """
 
 from __future__ import annotations
 
 import enum
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +36,13 @@ import numpy as np
 from .curvature import LayerCurvature
 from .errors import DimensionError, NumericalBreakdownError, check_range
 from .fcnn import LayerGradients
-from .linalg import LinearOperator, cg_solve, sym_eig
+from .linalg import EigenDecomposition, LinearOperator, cg_solve, sym_eig
+
+# Narrowest widest-Hb for which ea_cg_direction factors on a helper thread:
+# starting and joining a thread costs 0.07-0.2 ms, one eigh 1.5-2.7 ms at
+# n = 128 and 0.35-0.5 ms at n = 64 (numpy, one BLAS thread, 2-vCPU Xeon).
+# Nets as narrow as the README's (blocks <= 32 wide) factor inline.
+_OVERLAP_MIN_WIDTH = 128
 
 
 class HvpMode(enum.Enum):
@@ -86,13 +106,26 @@ def _weight_hvp(f: np.ndarray, hb: np.ndarray, alpha: float):
     return apply
 
 
-def _weight_inverse(f: np.ndarray, c: np.ndarray, q: np.ndarray, alpha: float):
+def _gram_eig(f: np.ndarray) -> EigenDecomposition:
+    """sym_eig of the Gram matrix on the r x n_in factor F's smaller side:
+    F^T F / r when n_in <= r, otherwise F F^T / r.  numpy forms both
+    products exactly symmetric, so sym_eig's symmetrization leaves them as
+    they are."""
+    if not np.all(np.isfinite(f)):
+        raise NumericalBreakdownError("input factor is not finite")
+    r, n_in = f.shape
+    return sym_eig(f.T @ f / r if n_in <= r else f @ f.T / r)
+
+
+def _weight_inverse(
+    f: np.ndarray, gram: EigenDecomposition, c: np.ndarray, q: np.ndarray, alpha: float
+):
     """Exact inverse of the damped weight operator (1-alpha)(F^T F / r kron hb)
     + alpha I on v = vec(P), for hb = Q diag(lam) Q^T and c = (1-alpha) lam.
 
-    One eigh of the Gram matrix on F's smaller side: F^T F / r = V diag(mu) V^T
-    when n_in <= r, scaling by 1/(mu_j c_i + alpha) in the product basis;
-    otherwise F F^T / r = U diag(mu) U^T, whose W = F^T U / sqrt(r) has
+    gram is _gram_eig(F): F^T F / r = V diag(mu) V^T when n_in <= r,
+    scaling by 1/(mu_j c_i + alpha) in the product basis; otherwise
+    F F^T / r = U diag(mu) U^T, whose W = F^T U / sqrt(r) has
     W W^T = F^T F / r, and Woodbury gives x / alpha - W ((W^T X Q) o w) Q^T
     with w_ji = c_i / (alpha (alpha + mu_j c_i)), dividing by no singular
     value of F and forming no n_in x n_in array.  The damped eigenvalues
@@ -100,13 +133,10 @@ def _weight_inverse(f: np.ndarray, c: np.ndarray, q: np.ndarray, alpha: float):
     """
     r, n_in = f.shape
     n_out = q.shape[0]
-    if not np.all(np.isfinite(f)):
-        raise NumericalBreakdownError("input factor is not finite")
-    narrow = n_in <= r
-    mu, basis = np.linalg.eigh(f.T @ f / r if narrow else f @ f.T / r)
+    mu, basis = gram
     damped = np.multiply.outer(mu, c) + alpha
     _check_positive(damped)
-    if narrow:
+    if n_in <= r:
         scale = 1.0 / damped
 
         def apply(v: np.ndarray) -> np.ndarray:
@@ -119,7 +149,9 @@ def _weight_inverse(f: np.ndarray, c: np.ndarray, q: np.ndarray, alpha: float):
 
         def apply(v: np.ndarray) -> np.ndarray:
             x = v.reshape((n_in, n_out))
-            return (x / alpha - w_fac @ ((((w_fac.T @ x) @ q) * coeff) @ q.T)).reshape(-1)
+            out = x / alpha
+            out -= w_fac @ ((((w_fac.T @ x) @ q) * coeff) @ q.T)
+            return out.reshape(-1)
 
     return apply
 
@@ -131,40 +163,96 @@ def _check_positive(damped: np.ndarray) -> None:
         )
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _factor_layers(curv: list[LayerCurvature], factors: list[np.ndarray]) -> tuple[list, list]:
+    """sym_eig of each layer's hb and _gram_eig of its input factor, as two
+    per-layer lists whose entries are the EigenDecomposition or the
+    exception computing it raised, for the caller to raise at that layer.
+
+    When the widest hb is at least _OVERLAP_MIN_WIDTH wide and two CPUs are
+    usable, one helper thread, started and joined here, computes every
+    factorization but that hb's, which this thread computes meanwhile.
+    """
+    jobs = [(sym_eig, layer.hb) for layer in curv] + [(_gram_eig, f) for f in factors]
+    results: list = [None] * len(jobs)
+
+    def run(indices):
+        for i in indices:
+            fn, arg = jobs[i]
+            try:
+                results[i] = fn(arg)
+            except Exception as exc:  # handed back to the caller's thread
+                results[i] = exc
+
+    k = len(curv)
+    widest = max(range(k), key=lambda t: curv[t].hb.shape[0], default=0)
+    if k and curv[widest].hb.shape[0] >= _OVERLAP_MIN_WIDTH and _usable_cpus() >= 2:
+        helper = threading.Thread(target=run, args=([i for i in range(2 * k) if i != widest],))
+        helper.start()
+        try:
+            run([widest])
+        finally:
+            helper.join()
+    else:
+        run(range(2 * k))
+    return results[:k], results[k:]
+
+
+def _unwrap(result):
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def ea_cg_direction(
     curv: list[LayerCurvature], grads: LayerGradients, cfg: SolverConfig
 ) -> NewtonDirection:
     """Per-layer damped Newton directions via eigenbasis-preconditioned CG.
 
-    Each layer is factored once.  eigh(hb) = Q diag(lam) Q^T solves the
-    bias system directly, d_b = -Q ((Q^T g_b) / ((1-alpha) lam + alpha)).
-    Together with one eigh of the Gram matrix of the input factor F
+    Each layer is factored once, by two sym_eig calls.  eigh(hb) =
+    Q diag(lam) Q^T solves the bias system directly,
+    d_b = -Q ((Q^T g_b) / ((1-alpha) lam + alpha)).  Together with the
+    eigendecomposition of the Gram matrix of the input factor F
     (cfg.hvp_mode's batch h, or the row E[h]) it gives the exact inverse of
     the weight system (see _weight_inverse).  CG applies that inverse as
     its preconditioner against the true Kronecker Hessian-vector product,
     so a solve takes one iteration and still stops on cfg.eps_cg /
     cfg.max_cg.  A damped block with an eigenvalue <= 0 raises
     NumericalBreakdownError naming its layer.
+
+    All factorizations run before the first solve, overlapped on a helper
+    thread on wide nets (see the module docstring and _factor_layers), and
+    the solves then run here in layer order.  A failed factorization is
+    raised at its layer's turn with its inline message, so an error always
+    names the lowest failing layer.
     """
     if len(curv) != len(grads.grad_bias):
         raise DimensionError("curvature/gradient layer counts differ")
     alpha = cfg.alpha
+    factors = [
+        layer.h if cfg.hvp_mode is HvpMode.EXACT_KRON else layer.eh[None, :] for layer in curv
+    ]
+    hb_eigs, gram_eigs = _factor_layers(curv, factors)
     d_weight, d_bias = [], []
-    for t, (layer, gb, gw) in enumerate(
-        zip(curv, grads.grad_bias, grads.grad_weight), start=1
+    for t, (layer, f, hb_eig, gram_eig, gb, gw) in enumerate(
+        zip(curv, factors, hb_eigs, gram_eigs, grads.grad_bias, grads.grad_weight), start=1
     ):
         n_out, n_in = gw.shape
-        f = layer.h if cfg.hvp_mode is HvpMode.EXACT_KRON else layer.eh[None, :]
         try:
-            lam, q = sym_eig(layer.hb)
+            lam, q = _unwrap(hb_eig)
             c = (1 - alpha) * lam
             damped_b = c + alpha
             _check_positive(damped_b)
             op_w = LinearOperator(dim=n_out * n_in, apply=_weight_hvp(f, layer.hb, alpha))
             rhs = -gw.reshape(-1, order="F")
-            dw_vec, _, _ = cg_solve(
-                op_w, rhs, cfg.max_cg, cfg.eps_cg, _weight_inverse(f, c, q, alpha)
-            )
+            precond = _weight_inverse(f, _unwrap(gram_eig), c, q, alpha)
+            dw_vec, _, _ = cg_solve(op_w, rhs, cfg.max_cg, cfg.eps_cg, precond)
         except NumericalBreakdownError as exc:
             raise NumericalBreakdownError(f"layer {t}: {exc}") from exc
         d_bias.append(-(q @ ((q.T @ gb) / damped_b)))

@@ -1,11 +1,16 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from blocknewton import solvers
 from blocknewton.curvature import CurvatureKind, LayerCurvature, ea_curvature
-from blocknewton.errors import ConfigError, NumericalBreakdownError
+from blocknewton.errors import ConfigError, DimensionError, NumericalBreakdownError
 from blocknewton.fcnn import (
+    Activation,
     CrossEntropySoftmax,
+    FcnnModel,
     LayerGradients,
     batch_pass,
 )
@@ -135,8 +140,9 @@ class TestEaCg:
 
     @pytest.mark.parametrize("mode", list(HvpMode))
     def test_factors_each_layer_once(self, monkeypatch, mode):
-        # one sym_eig of hb, one eigh of the Gram matrix, and one weight
-        # solve of one CG iteration per layer; the bias needs no CG
+        # two sym_eig per layer, one of hb and one of the Gram matrix, each
+        # one eigh, and one weight solve of one CG iteration per layer; the
+        # bias needs no CG
         sym_eig = count_calls(monkeypatch, solvers, "sym_eig")
         eigh = count_calls(monkeypatch, np.linalg, "eigh")
         cg = count_calls(monkeypatch, solvers, "cg_solve")
@@ -147,8 +153,10 @@ class TestEaCg:
             eigh.clear()
             ea_cg_direction(curv, grads, SolverConfig(hvp_mode=mode))
             layers += len(curv)
-            assert len(sym_eig) == len(curv)
-            assert len(eigh) == 2 * len(curv)  # sym_eig's own and the Gram matrix's
+            assert len(sym_eig) == 2 * len(curv)
+            assert len(eigh) == 2 * len(curv)
+            factored = [args[0] for args, _, _ in sym_eig]
+            assert all(any(a is layer.hb for a in factored) for layer in curv)
         assert [result[1] for _, _, result in cg] == [1] * layers
 
     @pytest.mark.parametrize("fault", ["indefinite_hb", "non_finite_hb", "non_finite_h"])
@@ -214,6 +222,81 @@ class TestEaCg:
         grads = make_grads(rng, [(3, 4), (2, 3)])
         with pytest.raises(Exception):
             ea_cg_direction(curv, grads, SolverConfig())
+
+
+def paper_width_problem(seed=16):
+    """The 784-256-128-64-10 layer stack on a 128-row batch: the widest hb,
+    256 x 256, is wide enough for EA-CG to factor on a helper thread."""
+    rng = np.random.default_rng(seed)
+    shapes = [(256, 784), (128, 256), (64, 128), (10, 64)]
+    curv = []
+    for n_out, n_in in shapes:
+        m = rng.standard_normal((n_out, n_out))
+        h = rng.uniform(0.0, 1.0, size=(128, n_in))
+        curv.append(LayerCurvature(hb=m @ m.T / n_out + np.eye(n_out), h=h, eh=h.mean(axis=0)))
+    return curv, make_grads(rng, shapes)
+
+
+class TestEaCgOverlap:
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        # two usable CPUs on any host, and every thread started recorded
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        return count_calls(monkeypatch, threading, "Thread")
+
+    @pytest.mark.parametrize("mode", list(HvpMode))
+    def test_bit_identical_to_inline(self, monkeypatch, threads, mode):
+        curv, grads = paper_width_problem()
+        cfg = SolverConfig(hvp_mode=mode)
+        floor = solvers._OVERLAP_MIN_WIDTH
+        monkeypatch.setattr(solvers, "_OVERLAP_MIN_WIDTH", 10**9)
+        inline = ea_cg_direction(curv, grads, cfg).flat().view(np.uint64)
+        assert threads == []
+        monkeypatch.setattr(solvers, "_OVERLAP_MIN_WIDTH", floor)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+        try:
+            for _ in range(20):
+                d = ea_cg_direction(curv, grads, cfg)
+                assert np.array_equal(d.flat().view(np.uint64), inline)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) == 20
+
+    def test_readme_net_starts_no_thread(self, threads):
+        rng = np.random.default_rng(17)
+        model = FcnnModel.xavier([64, 32, 16, 16, 8, 8, 8, 10], Activation.SIGMOID, rng=rng)
+        x, y = random_batch(rng, model, batch=32)
+        bp = batch_pass(model, CrossEntropySoftmax(), x, y)
+        d = ea_cg_direction(ea_curvature(model, bp, CurvatureKind.PCH), bp.grads, SolverConfig())
+        assert np.all(np.isfinite(d.flat()))
+        assert threads == []
+
+    @pytest.mark.parametrize(
+        "faults,error,message",
+        [
+            # layer 1's hb is factored on the calling thread, layer 3's on the helper
+            ({1: "hb", 3: "h"}, NumericalBreakdownError, "layer 1: sym_eig input is not finite"),
+            ({3: "h"}, NumericalBreakdownError, "layer 3: input factor is not finite"),
+            ({3: "hb"}, NumericalBreakdownError, "layer 3: sym_eig input is not finite"),
+            ({3: "asymmetric"}, DimensionError, "sym_eig input is not symmetric within tolerance"),
+        ],
+        ids=["main-and-helper-side", "helper-side-gram", "helper-side-hb", "helper-side-other"],
+    )
+    def test_error_names_lowest_failing_layer(self, threads, faults, error, message):
+        curv, grads = paper_width_problem()
+        for t, fault in faults.items():
+            layer = curv[t - 1]
+            if fault == "hb":
+                layer.hb[0, 0] = np.inf
+            elif fault == "h":
+                layer.h[0, 0] = np.nan
+            else:
+                layer.hb[0, 1] += 1.0
+        with pytest.raises(error) as excinfo:
+            ea_cg_direction(curv, grads, SolverConfig())
+        assert str(excinfo.value) == message
+        assert len(threads) == 1
 
 
 class TestSolverConfig:

@@ -39,15 +39,12 @@ class LayerCurvature:
     hb is the (possibly modified) bias block E_i[d2 xi / d b^t d b^t].
     h is the b x n batch of layer inputs h^{t-1} (a view of the forward
     trace) and eh its mean; the weight block is (h^T h / b) kron hb, kept
-    in factored form.  diag_term is the recursion's diagonal
-    second-derivative term at layer t, averaged over the batch; it is None
-    at the top layer, which has none.
+    in factored form.
     """
 
     hb: np.ndarray
     h: np.ndarray
     eh: np.ndarray
-    diag_term: np.ndarray | None = None
 
 
 def _check_trace(model: FcnnModel, trace: ForwardTrace) -> None:
@@ -131,20 +128,17 @@ def ea_curvature(
     prev_hb = hb
     for t in range(k, 1, -1):
         w = model.weights[t - 1]
-        diag_vec = moments.diag_term[t - 1]
-
         if kind is CurvatureKind.FISHER:
             hb = (gb[t - 2].T @ gb[t - 2]) / n
         else:
             hb = (w.T @ prev_hb @ w) * moments.hprime_gram[t - 1]
             if kind is CurvatureKind.PCH:
                 # the term is diagonal, so clipping reduces to |x| or max(x, 0)
+                diag_vec = moments.diag_term[t - 1]
                 clipped = np.abs(diag_vec) if gamma == -1.0 else np.maximum(diag_vec, 0.0)
                 hb = hb + np.diag(clipped)
             hb = 0.5 * (hb + hb.T)
-        layers[t - 2] = LayerCurvature(
-            hb=hb, h=trace.h[t - 2], eh=moments.eh[t - 2], diag_term=diag_vec
-        )
+        layers[t - 2] = LayerCurvature(hb=hb, h=trace.h[t - 2], eh=moments.eh[t - 2])
         prev_hb = hb
     return layers
 

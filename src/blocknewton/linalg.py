@@ -52,13 +52,14 @@ def sym_eig(a: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a real symmetric matrix.
 
     Returns eigenvalues in ascending order and the matching orthonormal
-    eigenvector columns, so that a == Q @ diag(w) @ Q.T.  Non-finite input
-    raises NumericalBreakdownError instead of reaching LAPACK.
+    eigenvector columns, so that a == Q @ diag(w) @ Q.T.  eigh reads only
+    a's lower triangle, after check_symmetric.  Non-finite input raises
+    NumericalBreakdownError instead of reaching LAPACK.
     """
     if not np.all(np.isfinite(a)):
         raise NumericalBreakdownError("sym_eig input is not finite")
     a = check_symmetric(a, "sym_eig input")
-    w, q = np.linalg.eigh(0.5 * (a + a.T))
+    w, q = np.linalg.eigh(a)
     return EigenDecomposition(eigenvalues=w, eigenvectors=q)
 
 

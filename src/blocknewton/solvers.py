@@ -1,27 +1,30 @@
 """Newton-direction solvers on block curvature.
 
-The damped per-layer systems ((1-alpha) H + alpha I) d = -g are solved
-in the eigenbases of their Kronecker factors, either exactly (EA-CG) or
-through Kronecker-factored inverses (KFI).  EA-CG solves the bias system
-directly in the eigenbasis of Hb, and the weight system by conjugate
-gradient on the matrix-free Kronecker Hessian-vector product,
-preconditioned by that system's exact inverse, so each solve takes one
-CG iteration that CG's residual test checks.  A damped block with an
+Both solvers invert each layer's damped Kronecker block in the eigenbases
+of its two factors, Hb = Q diag(lam) Q^T and the Gram matrix of the
+layer's input factor F, through one helper, _kron_inverse.  EA-CG inverts
+(1-alpha)(Hb kron F^T F / r) + alpha I exactly.  It solves the bias
+system directly in the eigenbasis of Hb, and the weight system by
+conjugate gradient on the matrix-free Kronecker Hessian-vector product,
+preconditioned by that system's exact inverse, so each solve takes one CG
+iteration that CG's residual test checks.  KFI, the Kronecker-factored
+inverse, inverts the two damped factors G = Hb + (sqrt(alpha)/pi) I and
+H = F^T F / r + pi sqrt(alpha) I separately.  A damped block with an
 eigenvalue <= 0 raises NumericalBreakdownError naming its layer (exit 3).
 Directions are returned already negated, i.e. they are descent
-directions to be added with a positive step size.
+directions to be added with a positive step size, as C-ordered arrays;
+EA-CG's CG works on the row-major vec X.reshape(-1) of a weight matrix X.
 
 The curvature is block-diagonal, so the layers' factorizations do not
-depend on each other.  EA-CG computes all of them before its first
-solve, and on a net whose widest Hb is at least _OVERLAP_MIN_WIDTH wide,
-with two CPUs usable, it computes them on two threads: a helper thread
-takes every Gram and every other Hb eigendecomposition while the calling
-thread factors the widest Hb.  numpy releases the interpreter lock inside
-LAPACK, so the two overlap.  The solves stay on the calling thread in
-layer order and each factorization is the same LAPACK call on the same
-matrix, so the directions are bit-identical to factoring inline.  BLAS
-threads (OPENBLAS_NUM_THREADS) come on top of the one helper thread.
-KFI factors its layers inline.
+depend on each other.  Both solvers compute all of them before their
+first solve, in _factor_layers, and on a net whose widest Hb is at least
+_OVERLAP_MIN_WIDTH wide, with two CPUs usable, on two threads: a helper
+thread takes every Gram and every other Hb eigendecomposition while the
+calling thread factors the widest Hb.  numpy releases the interpreter
+lock inside LAPACK, so the two overlap.  The solves stay on the calling
+thread in layer order and each factorization is the same LAPACK call on
+the same matrix, so the directions are bit-identical to factoring inline.
+BLAS threads (OPENBLAS_NUM_THREADS) come on top of the one helper thread.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import DimensionError, NumericalBreakdownError, check_range
 from .fcnn import LayerGradients
 from .linalg import EigenDecomposition, LinearOperator, cg_solve, sym_eig
 
-# Narrowest widest-Hb for which ea_cg_direction factors on a helper thread:
+# Narrowest widest-Hb for which the solvers factor on a helper thread:
 # starting and joining a thread costs 0.07-0.2 ms, one eigh 1.5-2.7 ms at
 # n = 128 and 0.35-0.5 ms at n = 64 (numpy, one BLAS thread, 2-vCPU Xeon).
 # Nets as narrow as the README's (blocks <= 32 wide) factor inline.
@@ -85,20 +88,21 @@ class NewtonDirection:
 
 
 def _weight_hvp(f: np.ndarray, hb: np.ndarray, alpha: float):
-    """v -> (1-alpha) (F^T F / r kron hb) v + alpha v on v = vec(P), P being
-    n_out x n_in column-major, for the r x n_in factor F: the input batch h
-    (exact_kron, F^T F / b = E[h h^T]) or the row E[h] (ea_one_rank).
+    """v -> (1-alpha) (hb kron F^T F / r) v + alpha v on the row-major vec
+    v = X.reshape(-1) of an n_out x n_in matrix X, for the r x n_in factor F:
+    the input batch h (exact_kron, F^T F / b = E[h h^T]) or the row E[h]
+    (ea_one_rank).
 
-    Both modes apply (hb @ (P @ F^T)) @ F / r, transposed on P^T (v's C-order
-    view), in O(m r (2n + m)) for m = n_out, n = n_in, never forming the n x n
-    Gram matrix.  The Gram product costs O(m n (m + n)), less only when
-    b (2n + m) > n (m + n): on layers about as narrow as the batch, both cheap.
+    Both modes apply (hb @ (X @ F^T)) @ F / r, in O(m r (2n + m)) for
+    m = n_out, n = n_in, never forming the n x n Gram matrix.  The Gram
+    product costs O(m n (m + n)), less only when b (2n + m) > n (m + n): on
+    layers about as narrow as the batch, both cheap.
     """
     n_out, (r, n_in) = hb.shape[0], f.shape
     scale = (1 - alpha) / r
 
     def apply(v: np.ndarray) -> np.ndarray:
-        out = (f.T @ ((f @ v.reshape((n_in, n_out))) @ hb.T)).reshape(-1)
+        out = ((hb @ (v.reshape((n_out, n_in)) @ f.T)) @ f).reshape(-1)
         out *= scale
         out += alpha * v
         return out
@@ -109,49 +113,46 @@ def _weight_hvp(f: np.ndarray, hb: np.ndarray, alpha: float):
 def _gram_eig(f: np.ndarray) -> EigenDecomposition:
     """sym_eig of the Gram matrix on the r x n_in factor F's smaller side:
     F^T F / r when n_in <= r, otherwise F F^T / r.  numpy forms both
-    products exactly symmetric, so sym_eig's symmetrization leaves them as
-    they are."""
+    products exactly symmetric, so the triangle eigh reads is the whole."""
     if not np.all(np.isfinite(f)):
         raise NumericalBreakdownError("input factor is not finite")
     r, n_in = f.shape
     return sym_eig(f.T @ f / r if n_in <= r else f @ f.T / r)
 
 
-def _weight_inverse(
-    f: np.ndarray, gram: EigenDecomposition, c: np.ndarray, q: np.ndarray, alpha: float
-):
-    """Exact inverse of the damped weight operator (1-alpha)(F^T F / r kron hb)
-    + alpha I on v = vec(P), for hb = Q diag(lam) Q^T and c = (1-alpha) lam.
+def _kron_inverse(f: np.ndarray, gram: EigenDecomposition, q: np.ndarray, b, d):
+    """X -> Z solving Q diag(b) Q^T Z (F^T F / r) + Q diag(d) Q^T Z = X for
+    n_out x n_in matrices: X's (lam_i, mu_j) eigencomponent divided by
+    b_i mu_j + d_i, and its components off range(F^T) by d_i.  q holds Hb's
+    eigenvectors, gram is _gram_eig(F), and d is a scalar or one value per
+    column of q.
 
-    gram is _gram_eig(F): F^T F / r = V diag(mu) V^T when n_in <= r,
-    scaling by 1/(mu_j c_i + alpha) in the product basis; otherwise
-    F F^T / r = U diag(mu) U^T, whose W = F^T U / sqrt(r) has
-    W W^T = F^T F / r, and Woodbury gives x / alpha - W ((W^T X Q) o w) Q^T
-    with w_ji = c_i / (alpha (alpha + mu_j c_i)), dividing by no singular
-    value of F and forming no n_in x n_in array.  The damped eigenvalues
-    mu_j c_i + alpha (alpha itself off range(F^T)) must be positive.
+    When n_in <= r, gram is F^T F / r = V diag(mu) V^T with V spanning
+    R^n_in, and Z = Q ((Q^T X V) / (b mu + d)) V^T.  Otherwise it is
+    F F^T / r = U diag(mu) U^T, whose W = F^T U / sqrt(r) has W W^T =
+    F^T F / r and W^T W = diag(mu), and Woodbury gives
+    Z = Q (Y / d - ((Y W) o coeff) W^T) for Y = Q^T X and
+    coeff_ij = b_i / (d_i (b_i mu_j + d_i)), dividing by no singular value
+    of F and forming no n_in x n_in array.  A scalar d commutes with Q, so
+    then only X W is rotated: Z = X / d - Q ((Q^T X W) o coeff) W^T.  The
+    damped eigenvalues b_i mu_j + d_i must be positive.
     """
     r, n_in = f.shape
-    n_out = q.shape[0]
     mu, basis = gram
-    damped = np.multiply.outer(mu, c) + alpha
+    d = np.reshape(d, (-1, 1))
+    damped = np.multiply.outer(b, mu) + d
     _check_positive(damped)
     if n_in <= r:
         scale = 1.0 / damped
+        return lambda x: q @ (((q.T @ x) @ basis) * scale) @ basis.T
+    w_fac = f.T @ (basis / np.sqrt(r))
+    coeff = b[:, None] / (d * damped)
+    if d.size == 1:
+        return lambda x: x / d - (q @ ((q.T @ (x @ w_fac)) * coeff)) @ w_fac.T
 
-        def apply(v: np.ndarray) -> np.ndarray:
-            x = v.reshape((n_in, n_out))
-            return (basis @ (((basis.T @ x) @ q) * scale) @ q.T).reshape(-1)
-
-    else:
-        w_fac = f.T @ (basis / np.sqrt(r))
-        coeff = c / (alpha * damped)
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            x = v.reshape((n_in, n_out))
-            out = x / alpha
-            out -= w_fac @ ((((w_fac.T @ x) @ q) * coeff) @ q.T)
-            return out.reshape(-1)
+    def apply(x: np.ndarray) -> np.ndarray:
+        y = q.T @ x
+        return q @ (y / d - ((y @ w_fac) * coeff) @ w_fac.T)
 
     return apply
 
@@ -220,11 +221,11 @@ def ea_cg_direction(
     d_b = -Q ((Q^T g_b) / ((1-alpha) lam + alpha)).  Together with the
     eigendecomposition of the Gram matrix of the input factor F
     (cfg.hvp_mode's batch h, or the row E[h]) it gives the exact inverse of
-    the weight system (see _weight_inverse).  CG applies that inverse as
-    its preconditioner against the true Kronecker Hessian-vector product,
-    so a solve takes one iteration and still stops on cfg.eps_cg /
-    cfg.max_cg.  A damped block with an eigenvalue <= 0 raises
-    NumericalBreakdownError naming its layer.
+    the weight system, _kron_inverse with b = (1-alpha) lam and d = alpha.
+    CG applies that inverse as its preconditioner against the true
+    Kronecker Hessian-vector product, so a solve takes one iteration and
+    still stops on cfg.eps_cg / cfg.max_cg.  A damped block with an
+    eigenvalue <= 0 raises NumericalBreakdownError naming its layer.
 
     All factorizations run before the first solve, overlapped on a helper
     thread on wide nets (see the module docstring and _factor_layers), and
@@ -243,20 +244,24 @@ def ea_cg_direction(
     for t, (layer, f, hb_eig, gram_eig, gb, gw) in enumerate(
         zip(curv, factors, hb_eigs, gram_eigs, grads.grad_bias, grads.grad_weight), start=1
     ):
-        n_out, n_in = gw.shape
         try:
             lam, q = _unwrap(hb_eig)
-            c = (1 - alpha) * lam
-            damped_b = c + alpha
+            b = (1 - alpha) * lam
+            damped_b = b + alpha
             _check_positive(damped_b)
-            op_w = LinearOperator(dim=n_out * n_in, apply=_weight_hvp(f, layer.hb, alpha))
-            rhs = -gw.reshape(-1, order="F")
-            precond = _weight_inverse(f, _unwrap(gram_eig), c, q, alpha)
-            dw_vec, _, _ = cg_solve(op_w, rhs, cfg.max_cg, cfg.eps_cg, precond)
+            op_w = LinearOperator(dim=gw.size, apply=_weight_hvp(f, layer.hb, alpha))
+            inverse = _kron_inverse(f, _unwrap(gram_eig), q, b, alpha)
+            dw_vec, _, _ = cg_solve(
+                op_w,
+                -gw.reshape(-1),
+                cfg.max_cg,
+                cfg.eps_cg,
+                lambda v: inverse(v.reshape(gw.shape)).reshape(-1),
+            )
         except NumericalBreakdownError as exc:
             raise NumericalBreakdownError(f"layer {t}: {exc}") from exc
         d_bias.append(-(q @ ((q.T @ gb) / damped_b)))
-        d_weight.append(dw_vec.reshape((n_out, n_in), order="F"))
+        d_weight.append(dw_vec.reshape(gw.shape))
     return NewtonDirection(d_weight=d_weight, d_bias=d_bias)
 
 
@@ -276,29 +281,30 @@ def kfi_direction(
     grads: LayerGradients,
     alpha: float,
     pi_policy: PiPolicy = PiPolicy.UNIT,
-    first_layer_sherman_morrison: bool = False,
 ) -> NewtonDirection:
     """Kronecker-factored inverse directions.
 
     Per layer, d_W = -G^{-1} E[grad_W] H^{-1} with damped factors
     H = F^T F / r + c I, c = pi sqrt(alpha), and G = Hb + (sqrt(alpha)/pi) I;
     biases use d_b = -(Hb + sqrt(alpha) I)^{-1} E[grad_b].  F is the r x n
-    input batch h (F^T F / r = E[h h^T]), or with the first-layer flag set
-    the row E[h^0], the rank-one factor Sherman-Morrison would invert.
+    input batch h, so F^T F / r = E[h h^T].
 
-    Each layer is factored once: eigh(Hb) = Q diag(lam) Q^T makes the G and
-    bias solves scalings by 1/(lam + shift), and the thin SVD F = U S V^T
-    gives H^{-1} x = V ((V^T x) / (s^2/r + c)) when n <= r (V then spans
-    R^n) and x / c + V ((V^T x) (1/(s^2/r + c) - 1/c)) otherwise, so no
-    n x n matrix is formed.  The second form at n <= r would cancel x / c
-    against its own projection and leave about eps |x| / c where the
-    exact value is 0.
+    The layers are factored as in ea_cg_direction, by _factor_layers:
+    eigh(Hb) = Q diag(lam) Q^T makes the G and bias solves scalings by
+    1/(lam + shift), and with the Gram matrix's eigenvalues mu, G^{-1} X H^{-1}
+    divides X's (lam_i, mu_j) eigencomponent by (lam_i + sqrt(alpha)/pi)
+    (mu_j + c): _kron_inverse with b = lam + sqrt(alpha)/pi and d = b c, which
+    forms no n x n matrix.  A G with an eigenvalue <= 0 raises
+    NumericalBreakdownError naming its layer.
     """
     check_range("alpha", alpha, 0.0 < alpha < 1.0, "a value in (0, 1)")
+    if len(curv) != len(grads.grad_bias):
+        raise DimensionError("curvature/gradient layer counts differ")
     sqrt_a = np.sqrt(alpha)
+    hb_eigs, gram_eigs = _factor_layers(curv, [layer.h for layer in curv])
     d_weight, d_bias = [], []
-    for t, (layer, gb, gw) in enumerate(
-        zip(curv, grads.grad_bias, grads.grad_weight), start=1
+    for t, (layer, hb_eig, gram_eig, gb, gw) in enumerate(
+        zip(curv, hb_eigs, gram_eigs, grads.grad_bias, grads.grad_weight), start=1
     ):
         n_out, n_in = gw.shape
         if pi_policy is PiPolicy.TRACE_NORM:
@@ -307,26 +313,16 @@ def kfi_direction(
             pi = np.sqrt(tr_h / tr_g) if tr_h > 0 and tr_g > 0 else 1.0
         else:
             pi = 1.0
-        f = layer.eh[None, :] if t == 1 and first_layer_sherman_morrison else layer.h
         try:
-            lam, q = sym_eig(layer.hb)
-            _, s, vt = np.linalg.svd(f, full_matrices=False)
-        except (NumericalBreakdownError, np.linalg.LinAlgError) as exc:
+            lam, q = _unwrap(hb_eig)
+            damped_g = lam + sqrt_a / pi
+            if damped_g.min() <= 0:
+                raise NumericalBreakdownError(
+                    f"damped factor is singular (min eigenvalue {damped_g.min():.3e})"
+                )
+            inverse = _kron_inverse(layer.h, _unwrap(gram_eig), q, damped_g, pi * sqrt_a * damped_g)
+        except NumericalBreakdownError as exc:
             raise NumericalBreakdownError(f"layer {t}: {exc}") from exc
-        # ascending damped eigenvalues of G (column 0) and the bias block (column 1)
-        damped = lam[:, None] + np.array([sqrt_a / pi, sqrt_a])
-        if damped[0].min() <= 0:
-            raise NumericalBreakdownError(
-                f"layer {t}: damped factor is singular (min eigenvalue {damped[0].min():.3e})"
-            )
-        left = q @ ((q.T @ gw) / damped[:, :1])
-        db = -(q @ ((q.T @ gb) / damped[:, 1]))
-        c = pi * sqrt_a
-        inv = 1.0 / (s * s / f.shape[0] + c)
-        if n_in <= f.shape[0]:
-            dw = -(((left @ vt.T) * inv) @ vt)
-        else:
-            dw = -(left / c + ((left @ vt.T) * (inv - 1.0 / c)) @ vt)
-        d_weight.append(dw)
-        d_bias.append(db)
+        d_weight.append(-inverse(gw))
+        d_bias.append(-(q @ ((q.T @ gb) / (lam + sqrt_a))))
     return NewtonDirection(d_weight=d_weight, d_bias=d_bias)

@@ -122,9 +122,8 @@ class TestEaCurvature:
         gn = ea_curvature(model, bp, CurvatureKind.GAUSS_NEWTON)
         # add back the (unclipped) diagonal term to the GN blocks
         for t in range(model.num_layers - 1, 0, -1):
-            approx = gn[t - 1].hb + np.diag(gn[t - 1].diag_term) - np.diag(
-                np.zeros_like(gn[t - 1].diag_term)
-            )
+            diag_term = bp.moments.diag_term[t]  # BatchMoments is indexed by layer t
+            approx = gn[t - 1].hb + np.diag(diag_term) - np.diag(np.zeros_like(diag_term))
             # GN drops the diag term entirely; exact = sandwich + diag only
             # when the propagated top block is identical, which holds for the
             # last hidden layer

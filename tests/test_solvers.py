@@ -1,5 +1,6 @@
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -217,11 +218,14 @@ class TestEaCg:
             assert inner < 0
 
     def test_layer_count_mismatch(self):
+        # KFI too: zip would otherwise truncate to the shorter list
         rng = np.random.default_rng(4)
         curv = [make_curvature(rng, 3, 4)]
         grads = make_grads(rng, [(3, 4), (2, 3)])
-        with pytest.raises(Exception):
+        with pytest.raises(DimensionError):
             ea_cg_direction(curv, grads, SolverConfig())
+        with pytest.raises(DimensionError):
+            kfi_direction(curv, grads, 0.02)
 
 
 def paper_width_problem(seed=16):
@@ -237,27 +241,51 @@ def paper_width_problem(seed=16):
     return curv, make_grads(rng, shapes)
 
 
+# (curv, grads) -> NewtonDirection under each solver configuration, the
+# EA-CG ones named by their hvp_mode
+EA_CG = partial(ea_cg_direction, cfg=SolverConfig())
+KFI = partial(kfi_direction, alpha=0.02)
+EVERY_SOLVE = [
+    pytest.param(partial(ea_cg_direction, cfg=SolverConfig(hvp_mode=mode)), id=str(mode))
+    for mode in HvpMode
+] + [
+    pytest.param(partial(kfi_direction, alpha=0.02, pi_policy=policy), id=f"kfi-{policy.value}")
+    for policy in PiPolicy
+]
+
+
+@pytest.mark.parametrize("solve", [EA_CG, KFI], ids=["ea_cg", "kfi"])
+def test_weight_directions_are_c_contiguous(solve):
+    # the in-place step W += lr * d then reads d in W's own order
+    curv, grads = paper_width_problem()
+    d = solve(curv, grads)
+    for dw, gw in zip(d.d_weight, grads.grad_weight):
+        assert dw.shape == gw.shape
+        assert dw.flags.c_contiguous
+
+
 class TestEaCgOverlap:
+    """The helper-thread factorization, which both solvers share."""
+
     @pytest.fixture
     def threads(self, monkeypatch):
         # two usable CPUs on any host, and every thread started recorded
         monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
         return count_calls(monkeypatch, threading, "Thread")
 
-    @pytest.mark.parametrize("mode", list(HvpMode))
-    def test_bit_identical_to_inline(self, monkeypatch, threads, mode):
+    @pytest.mark.parametrize("solve", EVERY_SOLVE)
+    def test_bit_identical_to_inline(self, monkeypatch, threads, solve):
         curv, grads = paper_width_problem()
-        cfg = SolverConfig(hvp_mode=mode)
         floor = solvers._OVERLAP_MIN_WIDTH
         monkeypatch.setattr(solvers, "_OVERLAP_MIN_WIDTH", 10**9)
-        inline = ea_cg_direction(curv, grads, cfg).flat().view(np.uint64)
+        inline = solve(curv, grads).flat().view(np.uint64)
         assert threads == []
         monkeypatch.setattr(solvers, "_OVERLAP_MIN_WIDTH", floor)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
         try:
             for _ in range(20):
-                d = ea_cg_direction(curv, grads, cfg)
+                d = solve(curv, grads)
                 assert np.array_equal(d.flat().view(np.uint64), inline)
         finally:
             sys.setswitchinterval(interval)
@@ -268,22 +296,41 @@ class TestEaCgOverlap:
         model = FcnnModel.xavier([64, 32, 16, 16, 8, 8, 8, 10], Activation.SIGMOID, rng=rng)
         x, y = random_batch(rng, model, batch=32)
         bp = batch_pass(model, CrossEntropySoftmax(), x, y)
-        d = ea_cg_direction(ea_curvature(model, bp, CurvatureKind.PCH), bp.grads, SolverConfig())
-        assert np.all(np.isfinite(d.flat()))
+        curv = ea_curvature(model, bp, CurvatureKind.PCH)
+        for solve in (EA_CG, KFI):
+            assert np.all(np.isfinite(solve(curv, bp.grads).flat()))
         assert threads == []
 
+    # layer 1's hb is factored on the calling thread, layer 3's on the helper
+    ERROR_CASES = {
+        "main-and-helper-side": (
+            {1: "hb", 3: "h"},
+            NumericalBreakdownError,
+            "layer 1: sym_eig input is not finite",
+        ),
+        "helper-side-gram": (
+            {3: "h"},
+            NumericalBreakdownError,
+            "layer 3: input factor is not finite",
+        ),
+        "helper-side-hb": (
+            {3: "hb"},
+            NumericalBreakdownError,
+            "layer 3: sym_eig input is not finite",
+        ),
+        "helper-side-other": (
+            {3: "asymmetric"},
+            DimensionError,
+            "sym_eig input is not symmetric within tolerance",
+        ),
+    }
+
     @pytest.mark.parametrize(
-        "faults,error,message",
-        [
-            # layer 1's hb is factored on the calling thread, layer 3's on the helper
-            ({1: "hb", 3: "h"}, NumericalBreakdownError, "layer 1: sym_eig input is not finite"),
-            ({3: "h"}, NumericalBreakdownError, "layer 3: input factor is not finite"),
-            ({3: "hb"}, NumericalBreakdownError, "layer 3: sym_eig input is not finite"),
-            ({3: "asymmetric"}, DimensionError, "sym_eig input is not symmetric within tolerance"),
-        ],
-        ids=["main-and-helper-side", "helper-side-gram", "helper-side-hb", "helper-side-other"],
+        "solve,faults,error,message",
+        [pytest.param(EA_CG, *case, id=name) for name, case in ERROR_CASES.items()]
+        + [pytest.param(KFI, *case, id=f"kfi-{name}") for name, case in ERROR_CASES.items()],
     )
-    def test_error_names_lowest_failing_layer(self, threads, faults, error, message):
+    def test_error_names_lowest_failing_layer(self, threads, solve, faults, error, message):
         curv, grads = paper_width_problem()
         for t, fault in faults.items():
             layer = curv[t - 1]
@@ -294,7 +341,7 @@ class TestEaCgOverlap:
             else:
                 layer.hb[0, 1] += 1.0
         with pytest.raises(error) as excinfo:
-            ea_cg_direction(curv, grads, SolverConfig())
+            solve(curv, grads)
         assert str(excinfo.value) == message
         assert len(threads) == 1
 
@@ -376,30 +423,10 @@ class TestKfi:
         rel = np.linalg.norm(d.d_weight[0] - expect) / np.linalg.norm(expect)
         assert rel <= 1e-12
 
-    def test_first_layer_sherman_morrison_matches_dense(self):
-        rng = np.random.default_rng(7)
-        alpha = 0.1
-        sqrt_a = np.sqrt(alpha)
-        curv = [make_curvature(rng, 3, 5)]
-        grads = make_grads(rng, [(3, 5)])
-        for policy in PiPolicy:
-            d = kfi_direction(
-                curv, grads, alpha, pi_policy=policy, first_layer_sherman_morrison=True
-            )
-            # pi still reads the full E[h h^T]; only H^1 becomes the rank-one factor
-            pi = trace_norm_pi(curv[0], 3, 5) if policy is PiPolicy.TRACE_NORM else 1.0
-            g_fac = curv[0].hb + (sqrt_a / pi) * np.eye(3)
-            h_rank1 = np.outer(curv[0].eh, curv[0].eh) + pi * sqrt_a * np.eye(5)
-            expect = -np.linalg.solve(g_fac, grads.grad_weight[0]) @ np.linalg.inv(h_rank1)
-            assert np.max(np.abs(d.d_weight[0] - expect)) <= 1e-10
-
-    @pytest.mark.parametrize("first_layer_sherman_morrison", [False, True])
-    def test_kfi_never_forms_gram_matrix(self, first_layer_sherman_morrison):
+    def test_kfi_never_forms_gram_matrix(self):
         curv, grads = gram_guarded_problem()
         for policy in PiPolicy:
-            d = kfi_direction(
-                curv, grads, 0.02, policy, first_layer_sherman_morrison
-            )
+            d = kfi_direction(curv, grads, 0.02, policy)
             assert np.all(np.isfinite(d.flat()))
 
     def test_factors_each_layer_once(self, monkeypatch):
@@ -407,8 +434,9 @@ class TestKfi:
         sym_eig = count_calls(monkeypatch, solvers, "sym_eig")
         svd = count_calls(monkeypatch, np.linalg, "svd")
         kfi_direction(curv, grads, 0.02, PiPolicy.TRACE_NORM)
+        # one sym_eig of each hb and one of each input factor's Gram matrix
         calls = {"sym_eig": len(sym_eig), "svd": len(svd)}
-        assert calls == {"sym_eig": len(curv), "svd": len(curv)}
+        assert calls == {"sym_eig": 2 * len(curv), "svd": 0}
 
     @pytest.mark.parametrize("fault", ["indefinite_hb", "non_finite_hb", "non_finite_h"])
     def test_breakdown_names_layer(self, fault):
@@ -420,7 +448,7 @@ class TestKfi:
         elif fault == "non_finite_hb":
             curv[1].hb[0, 0] = np.inf
         else:
-            curv[1].h[0, 0] = np.nan  # the SVD's LinAlgError is no package error
+            curv[1].h[0, 0] = np.nan
         grads = make_grads(rng, [(3, 4), (2, 3)])
         with pytest.raises(NumericalBreakdownError, match="layer 2"):
             kfi_direction(curv, grads, alpha)

@@ -1,5 +1,6 @@
 """Second-order training for fully-connected networks with block-diagonal
-positive-curvature Hessian approximations and matrix-free Newton solvers."""
+positive-curvature Hessian approximations and Newton solvers that invert
+each layer's damped Kronecker block in its factors' eigenbases."""
 
 from .curvature import (
     CurvatureKind,
@@ -32,14 +33,7 @@ from .fcnn import (
     criterion_eval,
     forward,
 )
-from .linalg import (
-    EigenDecomposition,
-    LinearOperator,
-    cg_solve,
-    kron_apply,
-    pos_eig,
-    sym_eig,
-)
+from .linalg import EigenDecomposition, pos_eig, sym_eig
 from .solvers import (
     HvpMode,
     NewtonDirection,

@@ -59,10 +59,10 @@ DATASET_KEYS = {  # kind -> (required keys, optional keys), each mapped to its v
 SPEC_KEYS = ["architecture", "activation", "criterion", "train", "optimizer", "dataset",
              "compare_steps", "grid"]
 TRAIN_KEYS = ["learning_rate", "momentum", "batch_size", "epochs", "seed"]
-SOLVER_CFG_KEYS = {"ea_cg": ["alpha", "max_cg", "eps_cg", "hvp_mode"], "kfi": ["alpha", "pi_policy"]}
+SOLVER_CFG_KEYS = {"ea_cg": ["alpha", "hvp_mode"], "kfi": ["alpha", "pi_policy"]}
 GRID_PATHS = {  # grid key -> the spec section its values are written to
     **dict.fromkeys(["learning_rate", "batch_size"], ("train",)),
-    **dict.fromkeys(["alpha", "max_cg", "eps_cg"], ("optimizer", "solver_cfg")),
+    "alpha": ("optimizer", "solver_cfg"),
 }
 
 
@@ -193,7 +193,18 @@ def spec_from_json(doc: dict) -> ExperimentSpec:
     else:
         _only(odoc, "optimizer", ["kind", "curvature", "gamma", "solver_cfg"])
         scfg = _typed(odoc, "optimizer.solver_cfg", {}, (dict,))
-        _only(scfg, "optimizer.solver_cfg", SOLVER_CFG_KEYS[solver], f"optimizer kind {solver!r}")
+        accepted = SOLVER_CFG_KEYS[solver]
+        if solver == "ea_cg":
+            # EA-CG solves each layer directly and reads no CG setting, but the
+            # benchmark's EA_CG_PCH1 spec (perfbench/workloads.py) still sets
+            # max_cg and eps_cg, so both stay accepted, are range-checked as
+            # before and then dropped, until that spec no longer sets them.
+            accepted = accepted + ["max_cg", "eps_cg"]
+            max_cg = _typed(scfg, "optimizer.solver_cfg.max_cg", 20, (int,))
+            check_range("optimizer.solver_cfg.max_cg", max_cg, max_cg >= 1, ">= 1")
+            eps_cg = _typed(scfg, "optimizer.solver_cfg.eps_cg", 1e-5, (int, float))
+            check_range("optimizer.solver_cfg.eps_cg", eps_cg, eps_cg > 0, "> 0")
+        _only(scfg, "optimizer.solver_cfg", accepted, f"optimizer kind {solver!r}")
         second = _in_section(
             "optimizer", SecondOrderSpec,
             kind=_choice(odoc, "optimizer.curvature", CurvatureKind, "pch"),
@@ -202,8 +213,6 @@ def spec_from_json(doc: dict) -> ExperimentSpec:
             solver_cfg=_in_section(
                 "optimizer.solver_cfg", SolverConfig,
                 alpha=_typed(scfg, "optimizer.solver_cfg.alpha", 0.02, (int, float)),
-                max_cg=_typed(scfg, "optimizer.solver_cfg.max_cg", 20, (int,)),
-                eps_cg=_typed(scfg, "optimizer.solver_cfg.eps_cg", 1e-5, (int, float)),
                 hvp_mode=_choice(scfg, "optimizer.solver_cfg.hvp_mode", HvpMode, "exact_kron"),
                 pi_policy=_choice(scfg, "optimizer.solver_cfg.pi_policy", PiPolicy, "unit"),
             ),

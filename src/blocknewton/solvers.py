@@ -3,17 +3,15 @@
 Both solvers invert each layer's damped Kronecker block in the eigenbases
 of its two factors, Hb = Q diag(lam) Q^T and the Gram matrix of the
 layer's input factor F, through one helper, _kron_inverse.  EA-CG inverts
-(1-alpha)(Hb kron F^T F / r) + alpha I exactly.  It solves the bias
-system directly in the eigenbasis of Hb, and the weight system by
-conjugate gradient on the matrix-free Kronecker Hessian-vector product,
-preconditioned by that system's exact inverse, so each solve takes one CG
-iteration that CG's residual test checks.  KFI, the Kronecker-factored
-inverse, inverts the two damped factors G = Hb + (sqrt(alpha)/pi) I and
-H = F^T F / r + pi sqrt(alpha) I separately.  A damped block with an
-eigenvalue <= 0 raises NumericalBreakdownError naming its layer (exit 3).
-Directions are returned already negated, i.e. they are descent
-directions to be added with a positive step size, as C-ordered arrays;
-EA-CG's CG works on the row-major vec X.reshape(-1) of a weight matrix X.
+(1-alpha)(Hb kron F^T F / r) + alpha I exactly, and the bias system
+(1-alpha) Hb + alpha I in the eigenbasis of Hb.  KFI, the
+Kronecker-factored inverse, inverts the two damped factors
+G = Hb + (sqrt(alpha)/pi) I and H = F^T F / r + pi sqrt(alpha) I
+separately, and the bias system Hb + sqrt(alpha) I.  A damped block with
+an eigenvalue <= 0, or a non-finite gradient, raises
+NumericalBreakdownError naming its layer (exit 3).  Directions are
+returned already negated, i.e. they are descent directions to be added
+with a positive step size, as C-ordered arrays.
 
 The curvature is block-diagonal, so the layers' factorizations do not
 depend on each other.  Both solvers compute all of them before their
@@ -39,7 +37,7 @@ import numpy as np
 from .curvature import LayerCurvature
 from .errors import DimensionError, NumericalBreakdownError, check_range
 from .fcnn import LayerGradients
-from .linalg import EigenDecomposition, LinearOperator, cg_solve, sym_eig
+from .linalg import EigenDecomposition, sym_eig
 
 # Narrowest widest-Hb for which the solvers factor on a helper thread:
 # starting and joining a thread costs 0.07-0.2 ms, one eigh 1.5-2.7 ms at
@@ -61,15 +59,11 @@ class PiPolicy(enum.Enum):
 @dataclass(frozen=True)
 class SolverConfig:
     alpha: float = 0.02
-    max_cg: int = 20
-    eps_cg: float = 1e-5
     hvp_mode: HvpMode = HvpMode.EXACT_KRON
     pi_policy: PiPolicy = PiPolicy.UNIT
 
     def __post_init__(self):
         check_range("alpha", self.alpha, 0.0 < self.alpha < 1.0, "a value in (0, 1)")
-        check_range("max_cg", self.max_cg, self.max_cg >= 1, ">= 1")
-        check_range("eps_cg", self.eps_cg, self.eps_cg > 0, "> 0")
 
 
 @dataclass
@@ -85,29 +79,6 @@ class NewtonDirection:
             parts.append(dw.reshape(-1, order="F"))
             parts.append(db)
         return np.concatenate(parts)
-
-
-def _weight_hvp(f: np.ndarray, hb: np.ndarray, alpha: float):
-    """v -> (1-alpha) (hb kron F^T F / r) v + alpha v on the row-major vec
-    v = X.reshape(-1) of an n_out x n_in matrix X, for the r x n_in factor F:
-    the input batch h (exact_kron, F^T F / b = E[h h^T]) or the row E[h]
-    (ea_one_rank).
-
-    Both modes apply (hb @ (X @ F^T)) @ F / r, in O(m r (2n + m)) for
-    m = n_out, n = n_in, never forming the n x n Gram matrix.  The Gram
-    product costs O(m n (m + n)), less only when b (2n + m) > n (m + n): on
-    layers about as narrow as the batch, both cheap.
-    """
-    n_out, (r, n_in) = hb.shape[0], f.shape
-    scale = (1 - alpha) / r
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        out = ((hb @ (v.reshape((n_out, n_in)) @ f.T)) @ f).reshape(-1)
-        out *= scale
-        out += alpha * v
-        return out
-
-    return apply
 
 
 def _gram_eig(f: np.ndarray) -> EigenDecomposition:
@@ -211,58 +182,68 @@ def _unwrap(result):
     return result
 
 
-def ea_cg_direction(
-    curv: list[LayerCurvature], grads: LayerGradients, cfg: SolverConfig
+def _solve_layers(
+    curv: list[LayerCurvature], factors: list[np.ndarray], grads: LayerGradients, damping
 ) -> NewtonDirection:
-    """Per-layer damped Newton directions via eigenbasis-preconditioned CG.
+    """d_W = -inverse(g_W) and d_b = -Q ((Q^T g_b) / damped) for each layer,
+    where damping(layer, lam) gives the damped bias eigenvalues and
+    _kron_inverse's b and d from the eigenvalues lam of the layer's Hb.
 
-    Each layer is factored once, by two sym_eig calls.  eigh(hb) =
-    Q diag(lam) Q^T solves the bias system directly,
-    d_b = -Q ((Q^T g_b) / ((1-alpha) lam + alpha)).  Together with the
-    eigendecomposition of the Gram matrix of the input factor F
-    (cfg.hvp_mode's batch h, or the row E[h]) it gives the exact inverse of
-    the weight system, _kron_inverse with b = (1-alpha) lam and d = alpha.
-    CG applies that inverse as its preconditioner against the true
-    Kronecker Hessian-vector product, so a solve takes one iteration and
-    still stops on cfg.eps_cg / cfg.max_cg.  A damped block with an
-    eigenvalue <= 0 raises NumericalBreakdownError naming its layer.
-
-    All factorizations run before the first solve, overlapped on a helper
-    thread on wide nets (see the module docstring and _factor_layers), and
-    the solves then run here in layer order.  A failed factorization is
-    raised at its layer's turn with its inline message, so an error always
-    names the lowest failing layer.
+    Every layer is factored first, by _factor_layers, and then solved here
+    in layer order; a failed factorization is raised at its layer's turn
+    with its inline message, so an error always names the lowest failing
+    layer.
     """
     if len(curv) != len(grads.grad_bias):
         raise DimensionError("curvature/gradient layer counts differ")
-    alpha = cfg.alpha
-    factors = [
-        layer.h if cfg.hvp_mode is HvpMode.EXACT_KRON else layer.eh[None, :] for layer in curv
-    ]
     hb_eigs, gram_eigs = _factor_layers(curv, factors)
     d_weight, d_bias = [], []
     for t, (layer, f, hb_eig, gram_eig, gb, gw) in enumerate(
         zip(curv, factors, hb_eigs, gram_eigs, grads.grad_bias, grads.grad_weight), start=1
     ):
         try:
+            if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
+                raise NumericalBreakdownError("gradient is not finite")
             lam, q = _unwrap(hb_eig)
-            b = (1 - alpha) * lam
-            damped_b = b + alpha
-            _check_positive(damped_b)
-            op_w = LinearOperator(dim=gw.size, apply=_weight_hvp(f, layer.hb, alpha))
-            inverse = _kron_inverse(f, _unwrap(gram_eig), q, b, alpha)
-            dw_vec, _, _ = cg_solve(
-                op_w,
-                -gw.reshape(-1),
-                cfg.max_cg,
-                cfg.eps_cg,
-                lambda v: inverse(v.reshape(gw.shape)).reshape(-1),
-            )
+            damped_bias, b, d = damping(layer, lam)
+            _check_positive(damped_bias)
+            inverse = _kron_inverse(f, _unwrap(gram_eig), q, b, d)
         except NumericalBreakdownError as exc:
             raise NumericalBreakdownError(f"layer {t}: {exc}") from exc
-        d_bias.append(-(q @ ((q.T @ gb) / damped_b)))
-        d_weight.append(dw_vec.reshape(gw.shape))
+        d_weight.append(-inverse(gw))
+        d_bias.append(-(q @ ((q.T @ gb) / damped_bias)))
     return NewtonDirection(d_weight=d_weight, d_bias=d_bias)
+
+
+def ea_cg_direction(
+    curv: list[LayerCurvature], grads: LayerGradients, cfg: SolverConfig
+) -> NewtonDirection:
+    """Per-layer damped Newton directions, each layer's system solved exactly.
+
+    Each layer is factored once, by two sym_eig calls.  eigh(hb) =
+    Q diag(lam) Q^T solves the bias system directly,
+    d_b = -Q ((Q^T g_b) / ((1-alpha) lam + alpha)).  Together with the
+    eigendecomposition of the Gram matrix of the input factor F
+    (cfg.hvp_mode's batch h, or the row E[h]) it gives the exact inverse of
+    the weight system (1-alpha)(hb kron F^T F / r) + alpha I, _kron_inverse
+    with b = (1-alpha) lam and d = alpha, and d_W = -inverse(g_W).  This is
+    the solve that conjugate gradient, preconditioned by this exact
+    inverse, returns after one iteration.  A damped block with an
+    eigenvalue <= 0 raises NumericalBreakdownError naming its layer.
+
+    All factorizations run before the first solve, overlapped on a helper
+    thread on wide nets (see the module docstring and _factor_layers).
+    """
+    alpha = cfg.alpha
+
+    def damping(layer, lam):
+        b = (1 - alpha) * lam
+        return b + alpha, b, alpha
+
+    factors = [
+        layer.h if cfg.hvp_mode is HvpMode.EXACT_KRON else layer.eh[None, :] for layer in curv
+    ]
+    return _solve_layers(curv, factors, grads, damping)
 
 
 def sherman_morrison_apply(
@@ -294,35 +275,23 @@ def kfi_direction(
     1/(lam + shift), and with the Gram matrix's eigenvalues mu, G^{-1} X H^{-1}
     divides X's (lam_i, mu_j) eigencomponent by (lam_i + sqrt(alpha)/pi)
     (mu_j + c): _kron_inverse with b = lam + sqrt(alpha)/pi and d = b c, which
-    forms no n x n matrix.  A G with an eigenvalue <= 0 raises
-    NumericalBreakdownError naming its layer.
+    forms no n x n matrix.  A G or bias block with an eigenvalue <= 0
+    raises NumericalBreakdownError naming its layer.
     """
     check_range("alpha", alpha, 0.0 < alpha < 1.0, "a value in (0, 1)")
-    if len(curv) != len(grads.grad_bias):
-        raise DimensionError("curvature/gradient layer counts differ")
     sqrt_a = np.sqrt(alpha)
-    hb_eigs, gram_eigs = _factor_layers(curv, [layer.h for layer in curv])
-    d_weight, d_bias = [], []
-    for t, (layer, hb_eig, gram_eig, gb, gw) in enumerate(
-        zip(curv, hb_eigs, gram_eigs, grads.grad_bias, grads.grad_weight), start=1
-    ):
-        n_out, n_in = gw.shape
+
+    def damping(layer, lam):
+        pi = 1.0
         if pi_policy is PiPolicy.TRACE_NORM:
-            tr_h = np.vdot(layer.h, layer.h) / layer.h.shape[0] / n_in
-            tr_g = np.trace(layer.hb) / n_out
+            tr_h = np.vdot(layer.h, layer.h) / layer.h.shape[0] / layer.h.shape[1]
+            tr_g = np.trace(layer.hb) / lam.size
             pi = np.sqrt(tr_h / tr_g) if tr_h > 0 and tr_g > 0 else 1.0
-        else:
-            pi = 1.0
-        try:
-            lam, q = _unwrap(hb_eig)
-            damped_g = lam + sqrt_a / pi
-            if damped_g.min() <= 0:
-                raise NumericalBreakdownError(
-                    f"damped factor is singular (min eigenvalue {damped_g.min():.3e})"
-                )
-            inverse = _kron_inverse(layer.h, _unwrap(gram_eig), q, damped_g, pi * sqrt_a * damped_g)
-        except NumericalBreakdownError as exc:
-            raise NumericalBreakdownError(f"layer {t}: {exc}") from exc
-        d_weight.append(-inverse(gw))
-        d_bias.append(-(q @ ((q.T @ gb) / (lam + sqrt_a))))
-    return NewtonDirection(d_weight=d_weight, d_bias=d_bias)
+        damped_g = lam + sqrt_a / pi
+        if damped_g.min() <= 0:
+            raise NumericalBreakdownError(
+                f"damped factor is singular (min eigenvalue {damped_g.min():.3e})"
+            )
+        return lam + sqrt_a, damped_g, pi * sqrt_a * damped_g
+
+    return _solve_layers(curv, [layer.h for layer in curv], grads, damping)

@@ -78,6 +78,13 @@ def gram(h):
     return h.T @ h / h.shape[0]
 
 
+def weight_hvp(f, hb, alpha, x):
+    """(1-alpha) (hb kron F^T F / r) + alpha I applied to the n_out x n_in
+    matrix x, as (1-alpha) hb (x F^T) F / r + alpha x, for the r x n_in
+    factor F: EA-CG's damped weight system, never forming F^T F."""
+    return (1 - alpha) * ((hb @ (x @ f.T)) @ f) / f.shape[0] + alpha * x
+
+
 def forbid_shape(shape):
     """An ndarray subclass whose ufunc results (matmul, elementwise arithmetic,
     reductions) and numpy.linalg results raise AssertionError when their last

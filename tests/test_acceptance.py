@@ -177,7 +177,7 @@ def test_criterion_6_ea_cg_correctness():
     ok = True
     # dense materialized-Kronecker oracle
     alpha = 0.02
-    cfg = SolverConfig(alpha=alpha, max_cg=200, eps_cg=1e-14)
+    cfg = SolverConfig(alpha=alpha)
     for n_out, n_in in [(4, 3), (3, 2)]:
         curv = [make_curvature(rng, n_out, n_in)]
         grads = make_grads(rng, [(n_out, n_in)])
@@ -197,11 +197,11 @@ def test_criterion_6_ea_cg_correctness():
     bp = batch_pass(model, criterion, x, y)
     grads = bp.grads
     curv = ea_curvature(model, bp, CurvatureKind.PCH)
-    d1 = ea_cg_direction(curv, grads, SolverConfig(alpha=0.02, max_cg=100, eps_cg=1e-13))
+    d1 = ea_cg_direction(curv, grads, SolverConfig(alpha=0.02))
     d2 = ea_cg_direction(
         curv,
         grads,
-        SolverConfig(alpha=0.02, max_cg=100, eps_cg=1e-13, hvp_mode=HvpMode.EA_ONE_RANK),
+        SolverConfig(alpha=0.02, hvp_mode=HvpMode.EA_ONE_RANK),
     )
     ok &= bool(np.max(np.abs(d1.flat() - d2.flat())) <= 1e-10)
 
@@ -216,7 +216,7 @@ def test_criterion_6_ea_cg_correctness():
     poisoned = [LayerCurvature(hb=base.hb, h=Poison(), eh=base.eh)]
     pgrads = make_grads(rng, [(3, 4)])
     dp = ea_cg_direction(
-        poisoned, pgrads, SolverConfig(alpha=0.1, max_cg=50, hvp_mode=HvpMode.EA_ONE_RANK)
+        poisoned, pgrads, SolverConfig(alpha=0.1, hvp_mode=HvpMode.EA_ONE_RANK)
     )
     ok &= bool(np.all(np.isfinite(dp.flat())))
     report(

@@ -2,10 +2,11 @@
 asserts an ordering rather than a tolerance fitted to today's numbers."""
 
 import json
+import math
 
 from blocknewton.cli import EXIT_NUMERICAL, EXIT_OK, cli
-from blocknewton.experiments import load_spec
-from blocknewton.trainer import mean_loss
+from blocknewton.experiments import compare_curvatures, load_spec, spec_from_json
+from blocknewton.trainer import mean_loss, train
 
 # the README example config under the non-convex sigmoid-gate criterion
 README_SIGMOID_GATE = {
@@ -43,3 +44,51 @@ def test_sigmoid_gate_pch1_descends_where_gauss_newton_exits_3(tmp_path, capsys)
     capsys.readouterr()
     assert cli(["train", "--config", str(gn), "--out", str(tmp_path / "gn")]) == EXIT_NUMERICAL
     assert "damped block is not positive definite" in capsys.readouterr().err
+
+
+# the paper-width 784-256-128-64-10 sigmoid net on 784-dim blobs, 8 batches
+# of 128 per epoch
+PAPER_WIDTH = {
+    "architecture": [784, 256, 128, 64, 10],
+    "activation": "sigmoid",
+    "criterion": {"kind": "cross_entropy"},
+    "train": {"learning_rate": 0.2, "epochs": 5, "batch_size": 128, "seed": 0},
+    "optimizer": {
+        "kind": "ea_cg", "curvature": "pch", "gamma": -1.0, "solver_cfg": {"alpha": 0.02}
+    },
+    "dataset": {"kind": "blobs", "classes": 10, "dim": 784, "per_class": 128, "spread": 0.08},
+    "compare_steps": 4,
+}
+
+
+def test_paper_width_block_errors_order_pch1_pch2_gauss_newton_fisher():
+    # the PCH blocks keep the exact bias Hessian's second-order term, so
+    # they approximate the true blocks better than Gauss-Newton, which
+    # drops it, and Fisher, which replaces it by gradient outer products
+    totals = {
+        name: column[-1]
+        for name, column in compare_curvatures(spec_from_json(PAPER_WIDTH)).columns.items()
+    }
+    assert totals["pch1"] < totals["pch2"] < totals["gauss_newton"] < totals["fisher"], totals
+
+
+def epochs_to_reach(doc, loss):
+    """The first epoch (1-based) whose training loss is at most loss, or
+    infinity when none of the spec's epochs reaches it."""
+    spec = spec_from_json(doc)
+    x, y, _, _ = spec.load_dataset(0).split()
+    report = train(spec.build_model(0), spec.criterion, x, y, spec.train_cfg, record_time=False)
+    return next((e for e, rec in enumerate(report.epochs, 1) if rec.loss <= loss), math.inf)
+
+
+def test_paper_width_ea_cg_pch1_reaches_loss_in_fewer_epochs_than_sgd():
+    ea_cg = epochs_to_reach(PAPER_WIDTH, 0.5)
+    sgd = {
+        lr: epochs_to_reach(
+            dict(PAPER_WIDTH, optimizer={"kind": "sgd"},
+                 train=dict(PAPER_WIDTH["train"], learning_rate=lr)),
+            0.5,
+        )
+        for lr in (0.1, 0.5)
+    }
+    assert ea_cg < min(sgd.values()), (ea_cg, sgd)

@@ -300,10 +300,19 @@ class TestGrid:
         assert "best_by_loss" in result and "best_by_accuracy" in result
         capsys.readouterr()
 
-    @pytest.mark.parametrize("key", ["max_cg", "eps_cg"])
-    def test_kfi_rejects_cg_grid_keys(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize(
+        "kind,key",
+        [pytest.param("kfi", key, id=key) for key in ("max_cg", "eps_cg")]
+        + [
+            pytest.param(kind, key, id=f"{kind}-{key}")
+            for kind in ("ea_cg", "sgd")
+            for key in ("max_cg", "eps_cg")
+        ],
+    )
+    def test_kfi_rejects_cg_grid_keys(self, tmp_path, capsys, kind, key):
+        # no solver reads max_cg or eps_cg, so neither is a grid key under any kind
         values = {"max_cg": [1, 50], "eps_cg": [1e-3, 1e-6]}[key]
-        doc = dict(SMALL, optimizer={"kind": "kfi"}, grid={key: values})
+        doc = dict(SMALL, optimizer={"kind": kind}, grid={key: values})
         cfg = write_config(tmp_path, doc)
         assert cli(["grid", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err

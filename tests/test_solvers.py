@@ -1,9 +1,12 @@
+import re
 import sys
 import threading
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blocknewton import solvers
 from blocknewton.curvature import CurvatureKind, LayerCurvature, ea_curvature
@@ -23,7 +26,14 @@ from blocknewton.solvers import (
     kfi_direction,
     sherman_morrison_apply,
 )
-from helpers import count_calls, forbid_shape, gram, random_batch, random_model
+from helpers import (
+    count_calls,
+    forbid_shape,
+    gram,
+    random_batch,
+    random_model,
+    weight_hvp,
+)
 
 
 def make_curvature(rng, n_out, n_in, psd_shift=1.0):
@@ -65,6 +75,28 @@ def model_problem(seed, batch=5, kind=CurvatureKind.PCH):
     return curv, bp.grads
 
 
+# faults that make layer 2 of both solvers' breakdown problem unsolvable
+BREAKDOWN_FAULTS = [
+    "indefinite_hb", "non_finite_hb", "non_finite_h", "non_finite_grad", "non_finite_grad_weight"
+]
+
+
+def poison(curv, grads, fault):
+    """Put a non-finite value into layer 2's block, input or gradient."""
+    if fault == "non_finite_hb":
+        curv[1].hb[0, 0] = np.inf
+    elif fault == "non_finite_h":
+        curv[1].h[0, 0] = np.nan
+    elif fault == "non_finite_grad":
+        grads.grad_bias[1][0] = np.nan
+    else:
+        grads.grad_weight[1][0, 1] = np.inf
+
+
+def breakdown_message(fault):
+    return "^layer 2: " + ("gradient is not finite$" if "grad" in fault else "")
+
+
 class TestEaCg:
     def test_zero_curvature_scales_gradient(self):
         # with H = 0 the damped system is alpha * d = -g
@@ -76,7 +108,7 @@ class TestEaCg:
             )
         ]
         grads = make_grads(rng, shapes)
-        cfg = SolverConfig(alpha=0.5, max_cg=30)
+        cfg = SolverConfig(alpha=0.5)
         d = ea_cg_direction(curv, grads, cfg)
         assert np.allclose(d.d_weight[0], -2.0 * grads.grad_weight[0], atol=1e-12)
         assert np.allclose(d.d_bias[0], -2.0 * grads.grad_bias[0], atol=1e-12)
@@ -84,7 +116,7 @@ class TestEaCg:
     def test_dense_kronecker_oracle(self):
         rng = np.random.default_rng(1)
         alpha = 0.02
-        cfg = SolverConfig(alpha=alpha, max_cg=200, eps_cg=1e-14)
+        cfg = SolverConfig(alpha=alpha)
         for n_out, n_in in [(4, 3), (3, 2)]:
             curv = [make_curvature(rng, n_out, n_in)]
             grads = make_grads(rng, [(n_out, n_in)])
@@ -106,7 +138,7 @@ class TestEaCg:
         # the factored product is cheaper than the Gram matrix
         rng = np.random.default_rng(9)
         alpha = 0.02
-        cfg = SolverConfig(alpha=alpha, max_cg=200, eps_cg=1e-14, hvp_mode=mode)
+        cfg = SolverConfig(alpha=alpha, hvp_mode=mode)
         curv = [make_curvature(rng, 3, 12)]
         grads = make_grads(rng, [(3, 12)])
         d = ea_cg_direction(curv, grads, cfg)
@@ -119,11 +151,13 @@ class TestEaCg:
 
     @pytest.mark.parametrize("mode", list(HvpMode))
     def test_exact_preconditioner_solves_in_one_iteration(self, mode):
-        # one CG iteration is the dense solution on a layer narrower than the
-        # 8-row batch, one wider, and a one-input layer (narrow in both modes)
+        # the direct eigenbasis solve, which CG with this exact preconditioner
+        # returns after one iteration, is the dense solution on a layer
+        # narrower than the 8-row batch, one wider, and a one-input layer
+        # (narrow in both modes)
         rng = np.random.default_rng(12)
         alpha = 0.02
-        cfg = SolverConfig(alpha=alpha, max_cg=1, eps_cg=1e-14, hvp_mode=mode)
+        cfg = SolverConfig(alpha=alpha, hvp_mode=mode)
         for n_out, n_in in [(4, 3), (3, 12), (2, 1)]:
             curv = [make_curvature(rng, n_out, n_in)]
             grads = make_grads(rng, [(n_out, n_in)])
@@ -142,38 +176,31 @@ class TestEaCg:
     @pytest.mark.parametrize("mode", list(HvpMode))
     def test_factors_each_layer_once(self, monkeypatch, mode):
         # two sym_eig per layer, one of hb and one of the Gram matrix, each
-        # one eigh, and one weight solve of one CG iteration per layer; the
-        # bias needs no CG
+        # one eigh
         sym_eig = count_calls(monkeypatch, solvers, "sym_eig")
         eigh = count_calls(monkeypatch, np.linalg, "eigh")
-        cg = count_calls(monkeypatch, solvers, "cg_solve")
-        layers = 0
         for seed in range(5):
             curv, grads = model_problem(seed=seed)
             sym_eig.clear()  # model_problem's pos_eig calls sym_eig too
             eigh.clear()
             ea_cg_direction(curv, grads, SolverConfig(hvp_mode=mode))
-            layers += len(curv)
             assert len(sym_eig) == 2 * len(curv)
             assert len(eigh) == 2 * len(curv)
             factored = [args[0] for args, _, _ in sym_eig]
             assert all(any(a is layer.hb for a in factored) for layer in curv)
-        assert [result[1] for _, _, result in cg] == [1] * layers
 
-    @pytest.mark.parametrize("fault", ["indefinite_hb", "non_finite_hb", "non_finite_h"])
+    @pytest.mark.parametrize("fault", BREAKDOWN_FAULTS)
     def test_breakdown_names_layer(self, fault):
         rng = np.random.default_rng(10)
         alpha = 0.02
         curv = [make_curvature(rng, 3, 4), make_curvature(rng, 2, 3)]
+        grads = make_grads(rng, [(3, 4), (2, 3)])
         if fault == "indefinite_hb":
             # (1 - alpha) lam + alpha < 0 for the bias, as for the weights
             curv[1].hb = np.diag([-1.0, 1.0])
-        elif fault == "non_finite_hb":
-            curv[1].hb[0, 0] = np.inf
         else:
-            curv[1].h[0, 0] = np.nan
-        grads = make_grads(rng, [(3, 4), (2, 3)])
-        with pytest.raises(NumericalBreakdownError, match="layer 2: "):
+            poison(curv, grads, fault)
+        with pytest.raises(NumericalBreakdownError, match=breakdown_message(fault)):
             ea_cg_direction(curv, grads, SolverConfig(alpha=alpha))
 
     @pytest.mark.parametrize("mode", list(HvpMode))
@@ -186,10 +213,8 @@ class TestEaCg:
         # a single instance makes E[h h^T] = E[h] E[h]^T exactly, so both
         # Hessian-vector-product routes solve the same system
         curv, grads = model_problem(seed=2, batch=1)
-        cfg_exact = SolverConfig(alpha=0.02, max_cg=100, eps_cg=1e-13)
-        cfg_rank1 = SolverConfig(
-            alpha=0.02, max_cg=100, eps_cg=1e-13, hvp_mode=HvpMode.EA_ONE_RANK
-        )
+        cfg_exact = SolverConfig(alpha=0.02)
+        cfg_rank1 = SolverConfig(alpha=0.02, hvp_mode=HvpMode.EA_ONE_RANK)
         d1 = ea_cg_direction(curv, grads, cfg_exact)
         d2 = ea_cg_direction(curv, grads, cfg_rank1)
         assert np.max(np.abs(d1.flat() - d2.flat())) <= 1e-10
@@ -206,7 +231,7 @@ class TestEaCg:
         base = make_curvature(rng, 3, 4)
         curv = [LayerCurvature(hb=base.hb, h=Poison(), eh=base.eh)]
         grads = make_grads(rng, [(3, 4)])
-        cfg = SolverConfig(alpha=0.1, max_cg=50, hvp_mode=HvpMode.EA_ONE_RANK)
+        cfg = SolverConfig(alpha=0.1, hvp_mode=HvpMode.EA_ONE_RANK)
         d = ea_cg_direction(curv, grads, cfg)
         assert np.all(np.isfinite(d.flat()))
 
@@ -349,7 +374,7 @@ class TestEaCgOverlap:
 class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"alpha": 0.0}, {"alpha": 1.0}, {"max_cg": 0}, {"eps_cg": 0.0}],
+        [{"alpha": 0.0}, {"alpha": 1.0}],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -438,20 +463,27 @@ class TestKfi:
         calls = {"sym_eig": len(sym_eig), "svd": len(svd)}
         assert calls == {"sym_eig": 2 * len(curv), "svd": 0}
 
-    @pytest.mark.parametrize("fault", ["indefinite_hb", "non_finite_hb", "non_finite_h"])
+    @pytest.mark.parametrize("fault", BREAKDOWN_FAULTS + ["indefinite_bias_block"])
     def test_breakdown_names_layer(self, fault):
         rng = np.random.default_rng(10)
         alpha = 0.02
         curv = [make_curvature(rng, 3, 4), make_curvature(rng, 2, 3)]
+        grads = make_grads(rng, [(3, 4), (2, 3)])
+        policy = PiPolicy.UNIT
         if fault == "indefinite_hb":
             curv[1].hb = np.diag([-2.0 * np.sqrt(alpha), 1.0])  # below -sqrt(alpha)
-        elif fault == "non_finite_hb":
-            curv[1].hb[0, 0] = np.inf
+        elif fault == "indefinite_bias_block":
+            # trace_norm's pi = 0.158 makes G = Hb + (sqrt(alpha)/pi) I positive
+            # definite, but Hb + sqrt(alpha) I has the eigenvalue -0.059
+            h = np.full((8, 4), 0.1)
+            curv[1] = LayerCurvature(hb=np.diag([-0.2, 1.0]), h=h, eh=h.mean(axis=0))
+            grads = make_grads(rng, [(3, 4), (2, 4)])
+            grads.grad_bias[1] = np.array([1.0, 0.0])
+            policy = PiPolicy.TRACE_NORM
         else:
-            curv[1].h[0, 0] = np.nan
-        grads = make_grads(rng, [(3, 4), (2, 3)])
-        with pytest.raises(NumericalBreakdownError, match="layer 2"):
-            kfi_direction(curv, grads, alpha)
+            poison(curv, grads, fault)
+        with pytest.raises(NumericalBreakdownError, match=breakdown_message(fault)):
+            kfi_direction(curv, grads, alpha, policy)
 
     def test_descent_on_model_problems(self):
         for seed in range(5):
@@ -465,3 +497,138 @@ class TestKfi:
         grads = make_grads(rng, [(3, 4)])
         with pytest.raises(ConfigError):
             kfi_direction(curv, grads, alpha=1.5)
+
+
+def random_layer(rng, n_out, n_in, batch, hb_kind, h_kind):
+    """A layer whose Hb has eigenvalues of the given kind in a random basis
+    and whose batch x n_in input h is of full rank, rank-deficient or 0."""
+    q, _ = np.linalg.qr(rng.standard_normal((n_out, n_out)))
+    lam = rng.uniform(-0.5 if hb_kind == "indefinite" else 0.0, 2.0, n_out)
+    if hb_kind == "singular":
+        lam[rng.random(n_out) < 0.5] = 0.0
+        lam[0] = 0.0
+    elif hb_kind == "zero":
+        lam[:] = 0.0
+    hb = (q * lam) @ q.T
+    scale = rng.choice([0.1, 1.0])
+    if h_kind == "full":
+        h = rng.uniform(0.0, scale, (batch, n_in))
+    elif h_kind == "rank_deficient":
+        rank = int(rng.integers(0, min(batch, n_in)))
+        h = rng.uniform(0.0, scale, (batch, rank)) @ rng.uniform(0.0, 1.0, (rank, n_in))
+    else:
+        h = np.zeros((batch, n_in))
+    return LayerCurvature(hb=0.5 * (hb + hb.T), h=h, eh=h.mean(axis=0))
+
+
+@st.composite
+def layer_stacks(draw):
+    """(curvature, gradients, alpha) for 1-3 random layers 1-24 wide on a
+    batch of 1-32, so n_in falls on both sides of the batch size."""
+    batch = draw(st.integers(1, 32))
+    widths = draw(st.lists(st.integers(1, 24), min_size=2, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    curv = [
+        random_layer(
+            rng, n_out, n_in, batch,
+            draw(st.sampled_from(["psd", "indefinite", "singular", "zero"])),
+            draw(st.sampled_from(["full", "rank_deficient", "zero"])),
+        )
+        for n_in, n_out in zip(widths, widths[1:])
+    ]
+    grads = make_grads(rng, [(n_out, n_in) for n_in, n_out in zip(widths, widths[1:])])
+    return curv, grads, draw(st.sampled_from([0.001, 0.02, 0.3]))
+
+
+def indefinite_bias_block_stack():
+    """The KFI trace_norm layer whose G is positive definite but whose bias
+    block Hb + sqrt(alpha) I is not (see TestKfi.test_breakdown_names_layer)."""
+    h = np.full((8, 4), 0.1)
+    curv = [LayerCurvature(hb=np.diag([-0.2, 1.0]), h=h, eh=h.mean(axis=0))]
+    grads = make_grads(np.random.default_rng(0), [(2, 4)])
+    grads.grad_bias[0] = np.array([1.0, 0.0])
+    return curv, grads, 0.02
+
+
+def kfi_pi(layer, policy):
+    n_out, n_in = layer.hb.shape[0], layer.h.shape[1]
+    tr_h, tr_g = np.trace(gram(layer.h)) / n_in, np.trace(layer.hb) / n_out
+    ok = policy is PiPolicy.TRACE_NORM and tr_h > 0 and tr_g > 0
+    return np.sqrt(tr_h / tr_g) if ok else 1.0
+
+
+def input_factor(layer, setting):
+    """F: the row E[h] under ea_one_rank, otherwise the input batch h."""
+    return layer.eh[None, :] if setting is HvpMode.EA_ONE_RANK else layer.h
+
+
+def dense_systems(layer, alpha, setting):
+    """The damped weight system on column-major vec(W) and the damped bias
+    system, as dense matrices."""
+    f = input_factor(layer, setting)
+    n_out, n_in = layer.hb.shape[0], f.shape[1]
+    if isinstance(setting, HvpMode):
+        weight = (1 - alpha) * np.kron(gram(f), layer.hb) + alpha * np.eye(n_out * n_in)
+        return weight, (1 - alpha) * layer.hb + alpha * np.eye(n_out)
+    pi, sqrt_a = kfi_pi(layer, setting), np.sqrt(alpha)
+    g_fac = layer.hb + (sqrt_a / pi) * np.eye(n_out)
+    h_fac = gram(f) + pi * sqrt_a * np.eye(n_in)
+    return np.kron(h_fac, g_fac), layer.hb + sqrt_a * np.eye(n_out)
+
+
+def min_damped_eigenvalue(layer, alpha, setting):
+    """The smallest eigenvalue of any damped block the solve divides by,
+    from the factors' spectra (the weight system's are their products)."""
+    lam = np.linalg.eigvalsh(layer.hb)
+    mu = np.linalg.eigvalsh(gram(input_factor(layer, setting)))
+    if isinstance(setting, HvpMode):
+        b = (1 - alpha) * lam
+        return min((np.multiply.outer(b, mu) + alpha).min(), (b + alpha).min())
+    sqrt_a = np.sqrt(alpha)
+    return min((lam + sqrt_a / kfi_pi(layer, setting)).min(), (lam + sqrt_a).min())
+
+
+def assert_solves(system, rhs, x):
+    """x is system^{-1} rhs to within 1e-12 times system's condition number."""
+    w = np.abs(np.linalg.eigvalsh(system))
+    expect = np.linalg.solve(system, rhs)
+    assert np.linalg.norm(x - expect) <= 1e-12 * w.max() / w.min() * np.linalg.norm(expect)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(stack=layer_stacks())
+@example(stack=indefinite_bias_block_stack())
+def test_every_direction_descends_or_names_its_layer(stack):
+    # both solvers, both hvp modes and both pi policies: a direction whose
+    # damped blocks are all positive definite descends on every layer,
+    # matches the dense solve, and (EA-CG) leaves a relative residual of at
+    # most 1e-10; otherwise the solve raises at the lowest such layer
+    curv, grads, alpha = stack
+    for setting in [*HvpMode, *PiPolicy]:
+        if isinstance(setting, HvpMode):
+            solve = partial(ea_cg_direction, cfg=SolverConfig(alpha=alpha, hvp_mode=setting))
+        else:
+            solve = partial(kfi_direction, alpha=alpha, pi_policy=setting)
+        lowest = [min_damped_eigenvalue(layer, alpha, setting) for layer in curv]
+        tol = 1e-12 * max(1.0, max(np.abs(layer.hb).max() for layer in curv))
+        try:
+            d = solve(curv, grads)
+        except NumericalBreakdownError as exc:
+            found = re.match(r"layer (\d+): damped (block|factor) is", str(exc))
+            assert found, str(exc)
+            t = int(found.group(1))
+            assert lowest[t - 1] <= tol and all(m > -tol for m in lowest[: t - 1]), (setting, t)
+            continue
+        assert all(m > -tol for m in lowest), setting
+        for layer, gw, gb, dw, db in zip(
+            curv, grads.grad_weight, grads.grad_bias, d.d_weight, d.d_bias
+        ):
+            assert np.vdot(dw, gw) <= 0 and db @ gb <= 0, setting
+            if gw.size <= 64:
+                weight, bias = dense_systems(layer, alpha, setting)
+                assert_solves(weight, -gw.reshape(-1, order="F"), dw.reshape(-1, order="F"))
+                assert_solves(bias, -gb, db)
+            if isinstance(setting, HvpMode):
+                f = input_factor(layer, setting)
+                residual = weight_hvp(f, layer.hb, alpha, dw) + gw
+                assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(gw), setting

@@ -159,7 +159,7 @@ class TestSecondOrder:
         from blocknewton.solvers import ea_cg_direction
 
         curv = ea_curvature(model, bp, CurvatureKind.PCH)
-        cfg = SolverConfig(alpha=0.999, max_cg=200, eps_cg=1e-12)
+        cfg = SolverConfig(alpha=0.999)
         d = ea_cg_direction(curv, grads, cfg)
         g = grads.flat()
         rel = np.linalg.norm(d.flat() + g) / np.linalg.norm(g)

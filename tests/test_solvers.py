@@ -49,8 +49,13 @@ def make_grads(rng, shapes):
     return LayerGradients(grad_bias=gb, grad_weight=gw, bias_per_instance=None)
 
 
-def trace_norm_pi(layer, n_out, n_in):
-    return np.sqrt((np.trace(gram(layer.h)) / n_in) / (np.trace(layer.hb) / n_out))
+def kfi_pi(layer, policy):
+    """KFI's pi: sqrt of the ratio of the two factors' mean eigenvalues
+    under trace_norm when both are positive, otherwise 1."""
+    n_out, n_in = layer.hb.shape[0], layer.h.shape[1]
+    tr_h, tr_g = np.trace(gram(layer.h)) / n_in, np.trace(layer.hb) / n_out
+    ok = policy is PiPolicy.TRACE_NORM and tr_h > 0 and tr_g > 0
+    return np.sqrt(tr_h / tr_g) if ok else 1.0
 
 
 def gram_guarded_problem():
@@ -423,7 +428,7 @@ class TestKfi:
             curv, grads.grad_weight, grads.grad_bias, d.d_weight, d.d_bias
         ):
             n_out, n_in = gw.shape
-            pi = trace_norm_pi(layer, n_out, n_in) if policy is PiPolicy.TRACE_NORM else 1.0
+            pi = kfi_pi(layer, policy)
             g_fac = layer.hb + (sqrt_a / pi) * np.eye(n_out)
             h_fac = gram(layer.h) + pi * sqrt_a * np.eye(n_in)
             expect_w = -np.linalg.solve(g_fac, gw) @ np.linalg.inv(h_fac)
@@ -548,13 +553,6 @@ def indefinite_bias_block_stack():
     grads = make_grads(np.random.default_rng(0), [(2, 4)])
     grads.grad_bias[0] = np.array([1.0, 0.0])
     return curv, grads, 0.02
-
-
-def kfi_pi(layer, policy):
-    n_out, n_in = layer.hb.shape[0], layer.h.shape[1]
-    tr_h, tr_g = np.trace(gram(layer.h)) / n_in, np.trace(layer.hb) / n_out
-    ok = policy is PiPolicy.TRACE_NORM and tr_h > 0 and tr_g > 0
-    return np.sqrt(tr_h / tr_g) if ok else 1.0
 
 
 def input_factor(layer, setting):

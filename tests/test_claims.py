@@ -8,8 +8,9 @@ from blocknewton.cli import EXIT_NUMERICAL, EXIT_OK, cli
 from blocknewton.experiments import compare_curvatures, load_spec, spec_from_json
 from blocknewton.trainer import mean_loss, train
 
-# the README example config under the non-convex sigmoid-gate criterion
-README_SIGMOID_GATE = {
+# the deep 8-layer net that the README documents as its hard case, under the
+# non-convex sigmoid-gate criterion
+DEEP_SIGMOID_GATE = {
     "architecture": [64, 32, 16, 16, 8, 8, 8, 10],
     "activation": "sigmoid",
     "criterion": {"kind": "sigmoid_gate"},
@@ -18,7 +19,7 @@ README_SIGMOID_GATE = {
         "kind": "ea_cg",
         "curvature": "pch",
         "gamma": -1.0,
-        "solver_cfg": {"alpha": 0.02, "max_cg": 20, "eps_cg": 1e-5},
+        "solver_cfg": {"alpha": 0.02},
     },
     "dataset": {"kind": "blobs", "classes": 10, "dim": 64, "per_class": 40, "spread": 0.08},
 }
@@ -29,7 +30,7 @@ def test_sigmoid_gate_pch1_descends_where_gauss_newton_exits_3(tmp_path, capsys)
     # lowers the training loss; Gauss-Newton's blocks are indefinite there,
     # and EA-CG stops on the first damped block that is not positive definite
     pch = tmp_path / "pch.json"
-    pch.write_text(json.dumps(README_SIGMOID_GATE))
+    pch.write_text(json.dumps(DEEP_SIGMOID_GATE))
     out = tmp_path / "pch"
     assert cli(["train", "--config", str(pch), "--out", str(out), "--no-timing"]) == EXIT_OK
     spec = load_spec(pch)
@@ -38,9 +39,9 @@ def test_sigmoid_gate_pch1_descends_where_gauss_newton_exits_3(tmp_path, capsys)
     records = (out / "metrics.jsonl").read_text().splitlines()
     assert json.loads(records[-1])["loss"] < initial
 
-    gauss_newton = dict(README_SIGMOID_GATE["optimizer"], curvature="gauss_newton")
+    gauss_newton = dict(DEEP_SIGMOID_GATE["optimizer"], curvature="gauss_newton")
     gn = tmp_path / "gn.json"
-    gn.write_text(json.dumps(dict(README_SIGMOID_GATE, optimizer=gauss_newton)))
+    gn.write_text(json.dumps(dict(DEEP_SIGMOID_GATE, optimizer=gauss_newton)))
     capsys.readouterr()
     assert cli(["train", "--config", str(gn), "--out", str(tmp_path / "gn")]) == EXIT_NUMERICAL
     assert "damped block is not positive definite" in capsys.readouterr().err

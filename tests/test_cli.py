@@ -310,7 +310,9 @@ class TestGrid:
         ],
     )
     def test_kfi_rejects_cg_grid_keys(self, tmp_path, capsys, kind, key):
-        # no solver reads max_cg or eps_cg, so neither is a grid key under any kind
+        # no solver reads max_cg or eps_cg, so neither is a grid key under any
+        # kind; the name and the bare [max_cg]/[eps_cg] ids date from when
+        # only KFI rejected them, and stay so the original cases keep their ids
         values = {"max_cg": [1, 50], "eps_cg": [1e-3, 1e-6]}[key]
         doc = dict(SMALL, optimizer={"kind": kind}, grid={key: values})
         cfg = write_config(tmp_path, doc)

@@ -159,7 +159,8 @@ class TestEaCg:
         # the direct eigenbasis solve, which CG with this exact preconditioner
         # returns after one iteration, is the dense solution on a layer
         # narrower than the 8-row batch, one wider, and a one-input layer
-        # (narrow in both modes)
+        # (narrow in both modes); no iteration runs any more, the name stays
+        # so the test keeps its id
         rng = np.random.default_rng(12)
         alpha = 0.02
         cfg = SolverConfig(alpha=alpha, hvp_mode=mode)

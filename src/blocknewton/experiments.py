@@ -453,6 +453,7 @@ class BoundCheckResult:
 
 def run_bound_check(spec: ExperimentSpec, seed: int | None = None, batch: int = 8) -> list[BoundCheckResult]:
     """Evaluate the expectation-approximation error bound at every hidden layer."""
+    check_range("architecture", spec.architecture, len(spec.architecture) > 2, "at least one hidden layer")
     run_seed = spec.train_cfg.seed if seed is None else seed
     ds = spec.load_dataset(run_seed)
     model = spec.build_model(run_seed)

@@ -237,7 +237,8 @@ class SigmoidGate:
     epsilon: float = 0.2
 
     def __post_init__(self):
-        check_range("delta", self.delta, self.delta > 0, "> 0")
+        # batch_eval squares delta, and a Python float square overflows from 2**512
+        check_range("delta", self.delta, 0 < self.delta < 2.0**512, "a value in (0, 2**512)")
         check_range("epsilon", self.epsilon, 0.0 <= self.epsilon <= 1.0, "a value in [0, 1]")
 
     def batch_eval(self, hk: np.ndarray, y: np.ndarray):

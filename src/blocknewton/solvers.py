@@ -13,15 +13,11 @@ NumericalBreakdownError naming its layer (exit 3).  Directions are
 returned already negated, i.e. they are descent directions to be added
 with a positive step size, as C-ordered arrays.
 
-The curvature is block-diagonal, so the layers' factorizations do not
-depend on each other.  Both solvers compute all of them before their
-first solve, in _factor_layers, and on a net whose widest Hb is at least
-_OVERLAP_MIN_WIDTH wide, with two CPUs usable, on two threads: a helper
-thread takes every Gram and every other Hb eigendecomposition while the
-calling thread factors the widest Hb.  numpy releases the interpreter
-lock inside LAPACK, so the two overlap.  The solves stay on the calling
-thread in layer order and each factorization is the same LAPACK call on
-the same matrix, so the directions are bit-identical to factoring inline.
+The curvature is block-diagonal, so each layer's direction is one
+independent job, _solve_layer, and on wide nets _solve_layers runs the jobs
+on two threads.  numpy releases the interpreter lock inside LAPACK and BLAS,
+so the threads overlap, and a job makes the same calls on the same arrays
+on either thread, so the directions are bit-identical to solving inline.
 BLAS threads (OPENBLAS_NUM_THREADS) come on top of the one helper thread.
 """
 
@@ -142,38 +138,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _factor_layers(curv: list[LayerCurvature], factors: list[np.ndarray]) -> tuple[list, list]:
-    """sym_eig of each layer's hb and _gram_eig of its input factor, as two
-    per-layer lists whose entries are the EigenDecomposition or the
-    exception computing it raised, for the caller to raise at that layer.
-
-    When the widest hb is at least _OVERLAP_MIN_WIDTH wide and two CPUs are
-    usable, one helper thread, started and joined here, computes every
-    factorization but that hb's, which this thread computes meanwhile.
-    """
-    jobs = [(sym_eig, layer.hb) for layer in curv] + [(_gram_eig, f) for f in factors]
-    results: list = [None] * len(jobs)
-
-    def run(indices):
-        for i in indices:
-            fn, arg = jobs[i]
-            try:
-                results[i] = fn(arg)
-            except Exception as exc:  # handed back to the caller's thread
-                results[i] = exc
-
-    k = len(curv)
-    widest = max(range(k), key=lambda t: curv[t].hb.shape[0], default=0)
-    if k and curv[widest].hb.shape[0] >= _OVERLAP_MIN_WIDTH and _usable_cpus() >= 2:
-        helper = threading.Thread(target=run, args=([i for i in range(2 * k) if i != widest],))
-        helper.start()
-        try:
-            run([widest])
-        finally:
-            helper.join()
-    else:
-        run(range(2 * k))
-    return results[:k], results[k:]
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised, for the calling thread to raise."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
 
 
 def _unwrap(result):
@@ -182,37 +152,68 @@ def _unwrap(result):
     return result
 
 
+def _solve_layer(layer, f, gw, gb, damping, gram_eig=_gram_eig):
+    """One layer's job: d_W = -inverse(g_W) and d_b = -Q ((Q^T g_b) / damped),
+    from sym_eig(hb) = Q diag(lam) Q^T, the layer's damping(layer, lam) --
+    its damped bias eigenvalues and _kron_inverse's b and d -- and
+    gram_eig(F).  Only the two directions outlive the call."""
+    if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
+        raise NumericalBreakdownError("gradient is not finite")
+    lam, q = sym_eig(layer.hb)
+    damped_bias, b, d = damping(layer, lam)
+    _check_positive(damped_bias)
+    inverse = _kron_inverse(f, gram_eig(f), q, b, d)
+    return -inverse(gw), -(q @ ((q.T @ gb) / damped_bias))
+
+
 def _solve_layers(
     curv: list[LayerCurvature], factors: list[np.ndarray], grads: LayerGradients, damping
 ) -> NewtonDirection:
-    """d_W = -inverse(g_W) and d_b = -Q ((Q^T g_b) / damped) for each layer,
-    where damping(layer, lam) gives the damped bias eigenvalues and
-    _kron_inverse's b and d from the eigenvalues lam of the layer's Hb.
+    """_solve_layer for every layer, each layer one independent job.
 
-    Every layer is factored first, by _factor_layers, and then solved here
-    in layer order; a failed factorization is raised at its layer's turn
-    with its inline message, so an error always names the lowest failing
-    layer.
+    When the widest hb is at least _OVERLAP_MIN_WIDTH wide and two CPUs are
+    usable, one helper thread, started and joined here, first factors the
+    widest layer's Gram matrix and then runs every other layer's job in
+    layer order, while this thread factors the widest hb, waits for that
+    Gram and solves the widest layer.  Results and errors are taken in
+    layer order after the join, so an error always names the lowest
+    failing layer, with its inline message.
     """
     if len(curv) != len(grads.grad_bias):
         raise DimensionError("curvature/gradient layer counts differ")
-    hb_eigs, gram_eigs = _factor_layers(curv, factors)
-    d_weight, d_bias = [], []
-    for t, (layer, f, hb_eig, gram_eig, gb, gw) in enumerate(
-        zip(curv, factors, hb_eigs, gram_eigs, grads.grad_bias, grads.grad_weight), start=1
-    ):
+    jobs = list(zip(curv, factors, grads.grad_weight, grads.grad_bias))
+    widest = max(range(len(jobs)), key=lambda t: curv[t].hb.shape[0], default=0)
+    if jobs and curv[widest].hb.shape[0] >= _OVERLAP_MIN_WIDTH and _usable_cpus() >= 2:
+        results: list = [None] * len(jobs)
+        gram, gram_ready = [], threading.Event()
+
+        def helper():
+            gram.append(_attempt(_gram_eig, factors[widest]))
+            gram_ready.set()
+            for t, job in enumerate(jobs):
+                if t != widest:
+                    results[t] = _attempt(_solve_layer, *job, damping)
+
+        def widest_gram(f):
+            gram_ready.wait()
+            return _unwrap(gram.pop())
+
+        thread = threading.Thread(target=helper)
+        thread.start()
         try:
-            if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-                raise NumericalBreakdownError("gradient is not finite")
-            lam, q = _unwrap(hb_eig)
-            damped_bias, b, d = damping(layer, lam)
-            _check_positive(damped_bias)
-            inverse = _kron_inverse(f, _unwrap(gram_eig), q, b, d)
-        except NumericalBreakdownError as exc:
-            raise NumericalBreakdownError(f"layer {t}: {exc}") from exc
-        d_weight.append(-inverse(gw))
-        d_bias.append(-(q @ ((q.T @ gb) / damped_bias)))
-    return NewtonDirection(d_weight=d_weight, d_bias=d_bias)
+            results[widest] = _attempt(_solve_layer, *jobs[widest], damping, widest_gram)
+        finally:
+            thread.join()
+    else:
+        results = [_attempt(_solve_layer, *job, damping) for job in jobs]
+    direction = NewtonDirection(d_weight=[], d_bias=[])
+    for t, result in enumerate(results, start=1):
+        if isinstance(result, NumericalBreakdownError):
+            raise NumericalBreakdownError(f"layer {t}: {result}") from result
+        d_w, d_b = _unwrap(result)
+        direction.d_weight.append(d_w)
+        direction.d_bias.append(d_b)
+    return direction
 
 
 def ea_cg_direction(
@@ -231,8 +232,7 @@ def ea_cg_direction(
     inverse, returns after one iteration.  A damped block with an
     eigenvalue <= 0 raises NumericalBreakdownError naming its layer.
 
-    All factorizations run before the first solve, overlapped on a helper
-    thread on wide nets (see the module docstring and _factor_layers).
+    Wide nets solve their layers on two threads (see _solve_layers).
     """
     alpha = cfg.alpha
 
@@ -270,7 +270,7 @@ def kfi_direction(
     biases use d_b = -(Hb + sqrt(alpha) I)^{-1} E[grad_b].  F is the r x n
     input batch h, so F^T F / r = E[h h^T].
 
-    The layers are factored as in ea_cg_direction, by _factor_layers:
+    Each layer is factored as in ea_cg_direction, by _solve_layer:
     eigh(Hb) = Q diag(lam) Q^T makes the G and bias solves scalings by
     1/(lam + shift), and with the Gram matrix's eigenvalues mu, G^{-1} X H^{-1}
     divides X's (lam_i, mu_j) eigencomponent by (lam_i + sqrt(alpha)/pi)

@@ -223,6 +223,19 @@ class TestExitCodes:
         assert f"{key}:" in capsys.readouterr().err
         assert not (tmp_path / "metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("delta", [2.0**512, 1e200, float("inf")])
+    def test_delta_whose_square_overflows_exits_2(self, tmp_path, capsys, delta):
+        cfg = write_config(tmp_path, dict(SMALL, criterion={"kind": "sigmoid_gate", "delta": delta}))
+        assert cli(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "criterion.delta:" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.jsonl").exists()
+
+    def test_largest_delta_trains(self, tmp_path, capsys):
+        criterion = {"kind": "sigmoid_gate", "delta": np.nextafter(2.0**512, 0)}
+        cfg = write_config(tmp_path, dict(SMALL, criterion=criterion))
+        assert cli(["train", "--config", cfg, "--out", str(tmp_path), "--no-timing"]) == EXIT_OK
+        capsys.readouterr()
+
     def test_indefinite_kfi_factor_exits_3_naming_layer(self, tmp_path, capsys):
         # Gauss-Newton blocks under the non-convex criterion are indefinite;
         # at this damping the damped KFI factor has a negative eigenvalue
@@ -399,6 +412,13 @@ class TestCompareAndBound:
         args = ["bound-check", "--config", cfg, "--out", str(tmp_path), "--batch", batch]
         assert cli(args) == EXIT_CONFIG
         assert "--batch:" in capsys.readouterr().err
+        assert not (tmp_path / "bound_check.jsonl").exists()
+
+    def test_bound_check_needs_a_hidden_layer(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(SMALL, architecture=[4, 3]))
+        args = ["bound-check", "--config", cfg, "--out", str(tmp_path), "--batch", "8"]
+        assert cli(args) == EXIT_CONFIG
+        assert "architecture:" in capsys.readouterr().err
         assert not (tmp_path / "bound_check.jsonl").exists()
 
 

@@ -259,11 +259,15 @@ class TestEaCg:
             kfi_direction(curv, grads, 0.02)
 
 
-def paper_width_problem(seed=16):
-    """The 784-256-128-64-10 layer stack on a 128-row batch: the widest hb,
-    256 x 256, is wide enough for EA-CG to factor on a helper thread."""
+PAPER_SHAPES = [(256, 784), (128, 256), (64, 128), (10, 64)]
+# 96-64-160-32-10: the widest hb, and so the calling thread's job, is layer 2's
+INNER_WIDEST_SHAPES = [(64, 96), (160, 64), (32, 160), (10, 32)]
+
+
+def paper_width_problem(seed=16, shapes=PAPER_SHAPES):
+    """A layer stack on a 128-row batch, by default 784-256-128-64-10: its
+    widest hb is wide enough for the solvers to use a helper thread."""
     rng = np.random.default_rng(seed)
-    shapes = [(256, 784), (128, 256), (64, 128), (10, 64)]
     curv = []
     for n_out, n_in in shapes:
         m = rng.standard_normal((n_out, n_out))
@@ -296,7 +300,10 @@ def test_weight_directions_are_c_contiguous(solve):
 
 
 class TestEaCgOverlap:
-    """The helper-thread factorization, which both solvers share."""
+    """The two-thread split of the per-layer jobs, which both solvers share:
+    the calling thread factors the widest layer's hb and solves that layer,
+    the helper factors that layer's Gram matrix first and then runs every
+    other layer's job in layer order."""
 
     @pytest.fixture
     def threads(self, monkeypatch):
@@ -306,21 +313,23 @@ class TestEaCgOverlap:
 
     @pytest.mark.parametrize("solve", EVERY_SOLVE)
     def test_bit_identical_to_inline(self, monkeypatch, threads, solve):
-        curv, grads = paper_width_problem()
         floor = solvers._OVERLAP_MIN_WIDTH
-        monkeypatch.setattr(solvers, "_OVERLAP_MIN_WIDTH", 10**9)
-        inline = solve(curv, grads).flat().view(np.uint64)
-        assert threads == []
-        monkeypatch.setattr(solvers, "_OVERLAP_MIN_WIDTH", floor)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
-        try:
-            for _ in range(20):
-                d = solve(curv, grads)
-                assert np.array_equal(d.flat().view(np.uint64), inline)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(threads) == 20
+        for shapes in (PAPER_SHAPES, INNER_WIDEST_SHAPES):
+            curv, grads = paper_width_problem(shapes=shapes)
+            monkeypatch.setattr(solvers, "_OVERLAP_MIN_WIDTH", 10**9)
+            inline = solve(curv, grads).flat().view(np.uint64)
+            assert threads == []
+            monkeypatch.setattr(solvers, "_OVERLAP_MIN_WIDTH", floor)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+            try:
+                for _ in range(20):
+                    d = solve(curv, grads)
+                    assert np.array_equal(d.flat().view(np.uint64), inline)
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(threads) == 20
+            threads.clear()
 
     def test_readme_net_starts_no_thread(self, threads):
         rng = np.random.default_rng(17)
@@ -332,7 +341,8 @@ class TestEaCgOverlap:
             assert np.all(np.isfinite(solve(curv, bp.grads).flat()))
         assert threads == []
 
-    # layer 1's hb is factored on the calling thread, layer 3's on the helper
+    # {layer: fault} on the paper net, where layer 1's job (but its Gram
+    # matrix) runs on the calling thread and layers 2-4 on the helper
     ERROR_CASES = {
         "main-and-helper-side": (
             {1: "hb", 3: "h"},
@@ -354,26 +364,84 @@ class TestEaCgOverlap:
             DimensionError,
             "sym_eig input is not symmetric within tolerance",
         ),
+        "helper-side-widest-gram": (
+            {1: "h"},
+            NumericalBreakdownError,
+            "layer 1: input factor is not finite",
+        ),
+        "main-side-solve-and-helper-side": (
+            {1: "g_W", 3: "h"},
+            NumericalBreakdownError,
+            "layer 1: gradient is not finite",
+        ),
+    }
+    # the same on 96-64-160-32-10, where layer 2's job runs on the calling thread
+    INNER_WIDEST_CASES = {
+        "inner-widest-helper-side-gram-and-main-side": (
+            {1: "h", 2: "hb"},
+            NumericalBreakdownError,
+            "layer 1: input factor is not finite",
+        ),
+        "inner-widest-helper-side-hb-and-main-side-solve": (
+            {1: "hb", 2: "g_W"},
+            NumericalBreakdownError,
+            "layer 1: sym_eig input is not finite",
+        ),
+        "inner-widest-helper-side-widest-gram": (
+            {2: "h", 3: "hb"},
+            NumericalBreakdownError,
+            "layer 2: input factor is not finite",
+        ),
     }
 
-    @pytest.mark.parametrize(
-        "solve,faults,error,message",
-        [pytest.param(EA_CG, *case, id=name) for name, case in ERROR_CASES.items()]
-        + [pytest.param(KFI, *case, id=f"kfi-{name}") for name, case in ERROR_CASES.items()],
-    )
-    def test_error_names_lowest_failing_layer(self, threads, solve, faults, error, message):
-        curv, grads = paper_width_problem()
+    @staticmethod
+    def faulty_problem(shapes, faults):
+        curv, grads = paper_width_problem(shapes=shapes)
         for t, fault in faults.items():
             layer = curv[t - 1]
             if fault == "hb":
                 layer.hb[0, 0] = np.inf
             elif fault == "h":
                 layer.h[0, 0] = np.nan
+            elif fault == "g_W":
+                grads.grad_weight[t - 1][0, 0] = np.nan
+            elif fault == "indefinite":
+                layer.hb = -layer.hb
             else:
                 layer.hb[0, 1] += 1.0
+        return curv, grads
+
+    @pytest.mark.parametrize(
+        "solve,shapes,faults,error,message",
+        [
+            pytest.param(solve, shapes, *case, id=f"{prefix}{name}")
+            for shapes, cases in ((PAPER_SHAPES, ERROR_CASES), (INNER_WIDEST_SHAPES, INNER_WIDEST_CASES))
+            for name, case in cases.items()
+            for prefix, solve in (("", EA_CG), ("kfi-", KFI))
+        ],
+    )
+    def test_error_names_lowest_failing_layer(
+        self, threads, solve, shapes, faults, error, message
+    ):
+        curv, grads = self.faulty_problem(shapes, faults)
         with pytest.raises(error) as excinfo:
             solve(curv, grads)
         assert str(excinfo.value) == message
+        assert len(threads) == 1
+
+    @pytest.mark.parametrize(
+        "solve,message",
+        [
+            (EA_CG, "layer 1: damped block is not positive definite (min eigenvalue -"),
+            (KFI, "layer 1: damped factor is singular (min eigenvalue -"),
+        ],
+        ids=["ea_cg", "kfi"],
+    )
+    def test_indefinite_widest_block_named_before_helper_error(self, threads, solve, message):
+        curv, grads = self.faulty_problem(PAPER_SHAPES, {1: "indefinite", 3: "h"})
+        with pytest.raises(NumericalBreakdownError) as excinfo:
+            solve(curv, grads)
+        assert str(excinfo.value).startswith(message)
         assert len(threads) == 1
 
 

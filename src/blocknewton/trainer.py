@@ -4,16 +4,31 @@ Determinism contract: given the same seed, shuffling, batch order and all
 reductions are fixed, so two runs produce bit-identical reports.  The
 epoch shuffles come from a splitmix64 counter-based generator keyed on
 (seed, epoch) rather than a stateful global RNG.
+
+Evaluation: mean_loss and accuracy score their rows in blocks of
+EVAL_ROWS, one forward pass each, which bounds the activations an
+evaluation keeps alive.  On nets whose widest layer is at least
+solvers._OVERLAP_MIN_WIDTH wide, in a process that may use two or more
+CPUs (the gate the solvers use), train scores epoch e on a helper thread,
+from a copy of the parameters, while the calling thread runs epoch
+e+1's steps; after the last epoch the helper computes the loss while the
+calling thread computes the accuracy.  numpy releases the interpreter lock
+inside BLAS, so the two overlap, and the helper makes the same calls on the
+same values, so the records are bit-identical to scoring inline.  Narrower
+nets score inline and start no thread.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
+import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import solvers
 from .curvature import CurvatureKind, LayerCurvature, ea_curvature
 from .errors import ConfigError, TrainingDivergedError, check_range
 from .fcnn import (
@@ -26,6 +41,12 @@ from .fcnn import (
     softmax,
 )
 from .solvers import SolverConfig, ea_cg_direction, kfi_direction
+
+# Rows per forward pass in mean_loss and accuracy.  At paper width a whole
+# 1024-row training set keeps about 8 MB of activations alive, and on the
+# helper thread, which glibc gives its own heap arena, that memory adds to
+# the peak instead of being reused by the steps.
+EVAL_ROWS = 128
 
 
 def splitmix64(x: int) -> int:
@@ -103,18 +124,57 @@ class TrainReport:
         return self.epochs[-1].test_accuracy
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of EVAL_ROWS rows covering range(n); one empty slice when n is
+    0, so there is always a block to score and to join."""
+    return [slice(lo, lo + EVAL_ROWS) for lo in range(0, max(n, 1), EVAL_ROWS)]
+
+
 def mean_loss(model: FcnnModel, criterion: Criterion, x: np.ndarray, y: np.ndarray) -> float:
-    trace = forward(model, x)
-    losses, _, _ = criterion_batch(criterion, trace.h[-1], y)
-    return float(losses.mean())
+    losses = [
+        criterion_batch(criterion, forward(model, x[rows]).h[-1], y[rows])[0]
+        for rows in _row_blocks(x.shape[0])
+    ]
+    return float(np.concatenate(losses).mean())
 
 
 def accuracy(model: FcnnModel, x: np.ndarray, y_index: np.ndarray) -> float:
     if x.shape[0] == 0:
         return 0.0
-    trace = forward(model, x)
-    pred = np.argmax(softmax(trace.h[-1]), axis=1)
-    return float(np.mean(pred == y_index))
+    pred = [
+        np.argmax(softmax(forward(model, x[rows]).h[-1]), axis=1)
+        for rows in _row_blocks(x.shape[0])
+    ]
+    return float(np.mean(np.concatenate(pred) == y_index))
+
+
+def _start(fn, *args):
+    """Run fn(*args) on a new thread, under the calling thread's numpy error
+    handling (np.errstate is per thread); the returned join() gives its
+    result, or raises its error, in the calling thread."""
+    result, errstate = [], np.geterr()
+
+    def run():
+        with np.errstate(**errstate):
+            result.append(solvers._attempt(fn, *args))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def join():
+        thread.join()
+        return solvers._unwrap(result[0])
+
+    return join
+
+
+def _snapshot(model: FcnnModel) -> FcnnModel:
+    """A copy of model's parameters that skips FcnnModel's checks, which
+    reject the non-finite parameters a diverging epoch leaves."""
+    snap = copy.copy(model)
+    snap.weights = [w.copy() for w in model.weights]
+    snap.biases = [b.copy() for b in model.biases]
+    return snap
 
 
 Velocity = tuple[list[np.ndarray], list[np.ndarray]]
@@ -181,6 +241,15 @@ def train(
     y arrays are one-hot.  Every mini-batch runs one batch_pass and one
     optimizer_step, which updates the model's own weight and bias arrays
     and the momentum buffers in place; report.model is model.
+
+    Each epoch is scored by mean_loss on the training set and accuracy on
+    the test set.  Wide nets score epoch e on a helper thread while epoch
+    e+1's steps run (see the module docstring); the records are the same.
+    An epoch's wall_seconds runs from its first step until its loss is
+    known, so on wide nets it overlaps the next epoch's steps.  A
+    non-finite loss raises TrainingDivergedError naming its epoch, ahead
+    of any error that the next epoch's steps on the diverged parameters
+    raise, and an error raised on the helper is raised here.
     """
     n = x_train.shape[0]
     if y_train.shape[0] != n:
@@ -189,29 +258,49 @@ def train(
         x_test = x_train[:0]
         y_test = y_train[:0]
     y_test_idx = np.argmax(y_test, axis=1) if y_test.shape[0] else np.empty(0, int)
+    spec = cfg.second_order
+    optimizer = "sgd" if spec is None else f"{spec.solver.value}, curvature {spec.kind.value}"
+
+    def timed_loss(params: FcnnModel, epoch: int, start: float) -> tuple[float, float]:
+        """params' training loss and the wall time from start until it is known."""
+        loss = mean_loss(params, criterion, x_train, y_train)
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(
+                f"loss became non-finite at epoch {epoch} (optimizer {optimizer})"
+            )
+        return loss, time.perf_counter() - start if record_time else 0.0
+
+    def score(params: FcnnModel, epoch: int, start: float) -> EpochRecord:
+        loss, wall = timed_loss(params, epoch, start)
+        return EpochRecord(epoch, loss, accuracy(params, x_test, y_test_idx), wall)
 
     velocity = zero_velocity(model)
     records: list[EpochRecord] = []
+    # the solvers' overlap gate, looked up in solvers
+    overlap = max(model.widths[1:]) >= solvers._OVERLAP_MIN_WIDTH and solvers._usable_cpus() >= 2
+    pending = None  # joins the helper scoring the previous epoch
     for epoch in range(cfg.epochs):
         start = time.perf_counter()
-        order = shuffled_indices(n, cfg.seed, epoch)
-        for lo in range(0, n, cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
-            bp = batch_pass(model, criterion, x_train[batch], y_train[batch])
-            optimizer_step(model, bp, cfg, velocity)
-        loss = mean_loss(model, criterion, x_train, y_train)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(
-                f"loss became non-finite at epoch {epoch} "
-                f"(optimizer {'sgd' if cfg.second_order is None else cfg.second_order.kind.value})"
-            )
-        wall = time.perf_counter() - start if record_time else 0.0
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                loss=loss,
-                test_accuracy=accuracy(model, x_test, y_test_idx),
-                wall_seconds=wall,
-            )
-        )
+        try:
+            order = shuffled_indices(n, cfg.seed, epoch)
+            for lo in range(0, n, cfg.batch_size):
+                batch = order[lo : lo + cfg.batch_size]
+                bp = batch_pass(model, criterion, x_train[batch], y_train[batch])
+                optimizer_step(model, bp, cfg, velocity)
+        finally:
+            # the previous epoch's record, or its error, which replaces any
+            # error these steps raised from its diverged parameters
+            if pending is not None:
+                records.append(pending())
+        if not overlap:
+            records.append(score(model, epoch, start))
+        elif epoch + 1 < cfg.epochs:
+            pending = _start(score, _snapshot(model), epoch, start)
+        else:
+            join = _start(timed_loss, model, epoch, start)
+            try:
+                test_accuracy = accuracy(model, x_test, y_test_idx)
+            finally:
+                loss, wall = join()
+            records.append(EpochRecord(epoch, loss, test_accuracy, wall))
     return TrainReport(epochs=records, model=model)

@@ -273,6 +273,29 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL
         assert "numerical failure:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "optimizer, named",
+        [
+            ({"kind": "ea_cg", "curvature": "pch"}, "optimizer ea_cg, curvature pch"),
+            ({"kind": "sgd"}, "optimizer sgd"),
+        ],
+        ids=["ea_cg", "sgd"],
+    )
+    def test_divergence_names_optimizer_and_curvature(self, tmp_path, capsys, optimizer, named):
+        # the README example net and data, at a step that overflows the loss
+        doc = dict(
+            SMALL,
+            architecture=[64, 32, 10],
+            train={"learning_rate": 1e305, "epochs": 3, "batch_size": 32, "seed": 0},
+            optimizer=optimizer,
+            dataset={"kind": "blobs", "classes": 10, "dim": 64, "per_class": 40, "spread": 0.08},
+        )
+        cfg = write_config(tmp_path, doc)
+        with np.errstate(all="ignore"):
+            code = cli(["train", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        assert f"loss became non-finite at epoch 0 ({named})" in capsys.readouterr().err
+
     def test_negative_csv_label_column(self, tmp_path, capsys):
         # the label is the last of three columns; -1 would silently index it from the end
         data = tmp_path / "data.csv"

@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from blocknewton import solvers, trainer
 from blocknewton.curvature import CurvatureKind
 from blocknewton.data import synth_blobs
-from blocknewton.errors import ConfigError
+from blocknewton.errors import ConfigError, NumericalBreakdownError, TrainingDivergedError
 from blocknewton.fcnn import (
     CrossEntropySoftmax,
     FcnnModel,
@@ -11,18 +15,24 @@ from blocknewton.fcnn import (
     batch_pass,
     criterion_batch,
     forward,
+    softmax,
 )
 from blocknewton.solvers import SolverConfig
 from blocknewton.trainer import (
+    EVAL_ROWS,
     SecondOrderSpec,
     SolverChoice,
     TrainConfig,
+    accuracy,
+    mean_loss,
     optimizer_step,
     shuffled_indices,
     splitmix64,
     train,
     zero_velocity,
 )
+
+from helpers import count_calls
 
 
 def small_problem(seed=0, classes=3, per_class=20):
@@ -164,3 +174,180 @@ class TestSecondOrder:
         g = grads.flat()
         rel = np.linalg.norm(d.flat() + g) / np.linalg.norm(g)
         assert rel <= 1e-2
+
+
+def wide_problem(train_fraction=0.8):
+    """A net whose widest layer is solvers._OVERLAP_MIN_WIDTH wide, on 240
+    training rows (one full EVAL_ROWS block and one partial) and 60 test rows."""
+    ds = synth_blobs(
+        classes=3, dim=8, per_class=100, spread=0.05, seed=3, train_fraction=train_fraction
+    )
+    model = FcnnModel.xavier([8, solvers._OVERLAP_MIN_WIDTH, 3], seed=3)
+    return (model, *ds.split())
+
+
+OPTIMIZERS = {
+    "sgd": None,
+    "ea_cg": SecondOrderSpec(kind=CurvatureKind.PCH),
+}
+PATHS = {"inline": 1, "threaded": 2}  # usable CPUs seen by the overlap gate
+
+
+@pytest.fixture(params=list(PATHS))
+def path(request, monkeypatch):
+    """Score inline or on the helper thread, by the CPU count the gate reads."""
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: PATHS[request.param])
+    return request.param
+
+
+class TestEvaluationOverlap:
+    """Scoring epoch e on a helper thread while epoch e+1's steps run."""
+
+    @pytest.mark.parametrize("name", list(OPTIMIZERS))
+    def test_threaded_bit_identical_to_inline(self, monkeypatch, name):
+        cfg = TrainConfig(
+            learning_rate=0.2, epochs=3, batch_size=32, second_order=OPTIMIZERS[name]
+        )
+        runs = {}
+        for label, cpus in PATHS.items():
+            monkeypatch.setattr(solvers, "_usable_cpus", lambda cpus=cpus: cpus)
+            threads = count_calls(monkeypatch, threading, "Thread")
+            model, x_train, y_train, x_test, y_test = wide_problem()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+            try:
+                report = train(
+                    model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test,
+                    record_time=False,
+                )
+            finally:
+                sys.setswitchinterval(interval)
+            runs[label] = report, len(threads)
+            monkeypatch.undo()
+        (inline, inline_threads), (threaded, threaded_threads) = runs["inline"], runs["threaded"]
+        assert inline_threads == 0 and threaded_threads >= 1
+        if name == "sgd":
+            assert threaded_threads == cfg.epochs  # one per epoch; the solvers start none
+        assert [(r.epoch, r.loss, r.test_accuracy) for r in threaded.epochs] == [
+            (r.epoch, r.loss, r.test_accuracy) for r in inline.epochs
+        ]
+        assert np.array_equal(
+            threaded.model.flat_parameters().view(np.uint64),
+            inline.model.flat_parameters().view(np.uint64),
+        )
+        _, x_train, y_train, x_test, y_test = wide_problem()
+        last = threaded.epochs[-1]
+        assert mean_loss(threaded.model, CrossEntropySoftmax(), x_train, y_train) == last.loss
+        y_index = np.argmax(y_test, axis=1)
+        assert accuracy(threaded.model, x_test, y_index) == last.test_accuracy
+
+    def test_readme_net_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        threads = count_calls(monkeypatch, threading, "Thread")
+        ds = synth_blobs(classes=10, dim=64, per_class=20, spread=0.08, seed=0)
+        x_train, y_train, x_test, y_test = ds.split()
+        model = FcnnModel.xavier([64, 32, 10], seed=0)
+        cfg = TrainConfig(epochs=2, second_order=SecondOrderSpec())
+        train(model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test)
+        assert threads == []
+
+    # (learning rate, batch size) that make epoch 0's loss non-finite: SGD's
+    # steps leave non-finite parameters, which the helper's copy must take;
+    # EA-CG's one step leaves finite ones whose loss overflows, and on the
+    # threaded path epoch 1's step fails on them before epoch 0's loss is in
+    DIVERGING = {"sgd": (1e308, 32), "ea_cg": (1e308, 256)}
+
+    @pytest.mark.parametrize("name", list(OPTIMIZERS))
+    def test_divergence_names_its_epoch(self, path, name):
+        model, x_train, y_train, x_test, y_test = wide_problem()
+        lr, batch_size = self.DIVERGING[name]
+        cfg = TrainConfig(
+            learning_rate=lr, epochs=3, batch_size=batch_size, second_order=OPTIMIZERS[name]
+        )
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as err:
+            train(model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test)
+        assert type(err.value) is TrainingDivergedError
+        optimizer = "sgd" if name == "sgd" else "ea_cg, curvature pch"
+        assert str(err.value) == f"loss became non-finite at epoch 0 (optimizer {optimizer})"
+        if name == "sgd":
+            assert not np.all(np.isfinite(model.flat_parameters()))
+        elif path == "threaded":
+            # the diverged model's next step failed, and the loss error won
+            assert isinstance(err.value.__context__, NumericalBreakdownError)
+        if path == "inline":
+            assert err.value.__context__ is None
+
+    def test_helper_keeps_callers_error_handling(self):
+        with np.errstate(over="raise"):
+            join = trainer._start(np.exp, np.array([1000.0]))
+        with pytest.raises(FloatingPointError):
+            join()
+
+    def test_snapshot_skips_parameter_checks(self):
+        model = FcnnModel.xavier([3, 4, 2], seed=0)
+        model.weights[0][0, 0] = np.nan
+        with pytest.raises(ConfigError):
+            model.copy()
+        snap = trainer._snapshot(model)
+        assert snap.activation is model.activation
+        for mine, theirs in zip(snap.weights + snap.biases, model.weights + model.biases):
+            assert mine is not theirs and np.array_equal(mine, theirs, equal_nan=True)
+
+    @pytest.mark.parametrize("failing_epoch", [0, 2])
+    def test_scoring_error_is_raised(self, monkeypatch, path, failing_epoch):
+        # epoch 2 is the last, whose loss the helper computes alone
+        calls, original = [], trainer.mean_loss
+
+        def fail_once(*args):
+            calls.append(threading.current_thread())
+            if len(calls) == failing_epoch + 1:
+                raise RuntimeError("scoring failed")
+            return original(*args)
+
+        monkeypatch.setattr(trainer, "mean_loss", fail_once)
+        model, x_train, y_train, x_test, y_test = wide_problem()
+        cfg = TrainConfig(epochs=3, batch_size=32)
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            train(model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test)
+        on_helper = calls[-1] is not threading.main_thread()
+        assert on_helper == (path == "threaded")
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("rows", [1, EVAL_ROWS - 1, EVAL_ROWS, EVAL_ROWS + 1, 2 * EVAL_ROWS])
+    def test_block_counts_and_values(self, monkeypatch, rows):
+        model, x_train, y_train, _, _ = wide_problem(train_fraction=1.0)
+        x, y = x_train[:rows], y_train[:rows]
+        whole = forward(model, x).h[-1]
+        expected_losses = criterion_batch(CrossEntropySoftmax(), whole, y)[0]
+        expected_pred = np.argmax(softmax(whole), axis=1)
+        y_index = np.argmax(y, axis=1)
+        forwards = count_calls(monkeypatch, trainer, "forward")
+        joined = count_calls(monkeypatch, np, "concatenate")
+        loss = mean_loss(model, CrossEntropySoftmax(), x, y)
+        acc = accuracy(model, x, y_index)
+        blocks = -(-rows // EVAL_ROWS)
+        assert len(forwards) == 2 * blocks
+        assert all(len(args[0]) == blocks for args, _, _ in joined)
+        losses, pred = (result for _, _, result in joined)
+        assert losses.shape == pred.shape == (rows,)
+        # a block's GEMM may round differently from the whole batch's
+        assert np.allclose(losses, expected_losses, rtol=1e-12, atol=0)
+        assert np.array_equal(pred, expected_pred)
+        assert loss == float(losses.mean())
+        assert acc == float(np.mean(expected_pred == y_index))
+
+    def test_no_rows(self, monkeypatch):
+        model, x_train, y_train, _, _ = wide_problem()
+        joined = count_calls(monkeypatch, np, "concatenate")
+        assert accuracy(model, x_train[:0], np.empty(0, int)) == 0.0
+        with np.errstate(all="ignore"), pytest.warns(RuntimeWarning):
+            assert np.isnan(mean_loss(model, CrossEntropySoftmax(), x_train[:0], y_train[:0]))
+        assert [len(args[0]) for args, _, _ in joined] == [1]
+
+    def test_empty_test_split_records_zero_accuracy(self, path):
+        model, x_train, y_train, x_test, y_test = wide_problem(train_fraction=1.0)
+        assert x_test.shape[0] == 0
+        cfg = TrainConfig(epochs=2, batch_size=32)
+        report = train(model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test)
+        assert [r.test_accuracy for r in report.epochs] == [0.0, 0.0]

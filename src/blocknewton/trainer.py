@@ -7,15 +7,14 @@ epoch shuffles come from a splitmix64 counter-based generator keyed on
 
 Evaluation: mean_loss and accuracy score their rows in blocks of
 EVAL_ROWS, one forward pass each, which bounds the activations an
-evaluation keeps alive.  On nets whose widest layer is at least
-solvers._OVERLAP_MIN_WIDTH wide, in a process that may use two or more
-CPUs (the gate the solvers use), train scores epoch e on a helper thread,
-from a copy of the parameters, while the calling thread runs epoch
-e+1's steps; after the last epoch the helper computes the loss while the
-calling thread computes the accuracy.  numpy releases the interpreter lock
-inside BLAS, so the two overlap, and the helper makes the same calls on the
-same values, so the records are bit-identical to scoring inline.  Narrower
-nets score inline and start no thread.
+evaluation keeps alive.  When one evaluation costs at least
+EVAL_OVERLAP_MIN_MACS multiply-adds and the process may use two or more
+CPUs, train scores epoch e on a helper thread, from a copy of the
+parameters, while the calling thread runs epoch e+1's steps; the last epoch
+is scored inline.  numpy releases the interpreter lock inside BLAS, so the
+two overlap, and the helper makes the same calls on the same values, so the
+records are bit-identical to scoring inline.  Cheaper evaluations score
+inline and start no thread.
 """
 
 from __future__ import annotations
@@ -47,6 +46,17 @@ from .solvers import SolverConfig, ea_cg_direction, kfi_direction
 # helper thread, which glibc gives its own heap arena, that memory adds to
 # the peak instead of being reused by the steps.
 EVAL_ROWS = 128
+
+# Multiply-adds in one evaluation (rows scored times weights) from which train
+# scores on a helper thread.  The overlap pays only when evaluation runs
+# mostly inside BLAS, which releases the interpreter lock; below this the
+# helper's interpreter work stalls the steps.  SGD train() time, threaded
+# against inline (one BLAS thread, 2-vCPU host, medians of 8 alternations):
+# 64-32-10 on 400 rows (0.9M) +80 %, 64-128-10 on 1280 rows (12M) +15 %,
+# 64-512-10 on 400 rows (15M) +1 %, 784-16-10 on 1280 rows (16M) -7 %,
+# 64-1024-10 on 400 rows (30M) -16 %, 784-256-128-64-10 on 1280 rows
+# (310M) -17 %.
+EVAL_OVERLAP_MIN_MACS = 2**24
 
 
 def splitmix64(x: int) -> int:
@@ -243,10 +253,10 @@ def train(
     and the momentum buffers in place; report.model is model.
 
     Each epoch is scored by mean_loss on the training set and accuracy on
-    the test set.  Wide nets score epoch e on a helper thread while epoch
-    e+1's steps run (see the module docstring); the records are the same.
-    An epoch's wall_seconds runs from its first step until its loss is
-    known, so on wide nets it overlaps the next epoch's steps.  A
+    the test set.  Large evaluations of epoch e run on a helper thread
+    while epoch e+1's steps run (see the module docstring); the records are
+    the same.  An epoch's wall_seconds runs from its first step until its
+    loss is known, so there it overlaps the next epoch's steps.  A
     non-finite loss raises TrainingDivergedError naming its epoch, ahead
     of any error that the next epoch's steps on the diverged parameters
     raise, and an error raised on the helper is raised here.
@@ -261,23 +271,20 @@ def train(
     spec = cfg.second_order
     optimizer = "sgd" if spec is None else f"{spec.solver.value}, curvature {spec.kind.value}"
 
-    def timed_loss(params: FcnnModel, epoch: int, start: float) -> tuple[float, float]:
-        """params' training loss and the wall time from start until it is known."""
+    def score(params: FcnnModel, epoch: int, start: float) -> EpochRecord:
         loss = mean_loss(params, criterion, x_train, y_train)
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"loss became non-finite at epoch {epoch} (optimizer {optimizer})"
             )
-        return loss, time.perf_counter() - start if record_time else 0.0
-
-    def score(params: FcnnModel, epoch: int, start: float) -> EpochRecord:
-        loss, wall = timed_loss(params, epoch, start)
+        wall = time.perf_counter() - start if record_time else 0.0
         return EpochRecord(epoch, loss, accuracy(params, x_test, y_test_idx), wall)
 
     velocity = zero_velocity(model)
     records: list[EpochRecord] = []
-    # the solvers' overlap gate, looked up in solvers
-    overlap = max(model.widths[1:]) >= solvers._OVERLAP_MIN_WIDTH and solvers._usable_cpus() >= 2
+    eval_macs = (n + x_test.shape[0]) * sum(w.size for w in model.weights)
+    # the CPU count is looked up in solvers, whose gate reads the same one
+    overlap = eval_macs >= EVAL_OVERLAP_MIN_MACS and solvers._usable_cpus() >= 2
     pending = None  # joins the helper scoring the previous epoch
     for epoch in range(cfg.epochs):
         start = time.perf_counter()
@@ -292,15 +299,8 @@ def train(
             # error these steps raised from its diverged parameters
             if pending is not None:
                 records.append(pending())
-        if not overlap:
-            records.append(score(model, epoch, start))
-        elif epoch + 1 < cfg.epochs:
+        if overlap and epoch + 1 < cfg.epochs:
             pending = _start(score, _snapshot(model), epoch, start)
         else:
-            join = _start(timed_loss, model, epoch, start)
-            try:
-                test_accuracy = accuracy(model, x_test, y_test_idx)
-            finally:
-                loss, wall = join()
-            records.append(EpochRecord(epoch, loss, test_accuracy, wall))
+            records.append(score(model, epoch, start))
     return TrainReport(epochs=records, model=model)

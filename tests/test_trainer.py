@@ -193,10 +193,16 @@ OPTIMIZERS = {
 PATHS = {"inline": 1, "threaded": 2}  # usable CPUs seen by the overlap gate
 
 
+def force_path(monkeypatch, name):
+    """Score inline or on the helper thread, by the CPU count the gate reads,
+    with its evaluation-cost threshold lowered to admit wide_problem."""
+    monkeypatch.setattr(trainer, "EVAL_OVERLAP_MIN_MACS", 0)
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: PATHS[name])
+
+
 @pytest.fixture(params=list(PATHS))
 def path(request, monkeypatch):
-    """Score inline or on the helper thread, by the CPU count the gate reads."""
-    monkeypatch.setattr(solvers, "_usable_cpus", lambda: PATHS[request.param])
+    force_path(monkeypatch, request.param)
     return request.param
 
 
@@ -209,8 +215,8 @@ class TestEvaluationOverlap:
             learning_rate=0.2, epochs=3, batch_size=32, second_order=OPTIMIZERS[name]
         )
         runs = {}
-        for label, cpus in PATHS.items():
-            monkeypatch.setattr(solvers, "_usable_cpus", lambda cpus=cpus: cpus)
+        for label in PATHS:
+            force_path(monkeypatch, label)
             threads = count_calls(monkeypatch, threading, "Thread")
             model, x_train, y_train, x_test, y_test = wide_problem()
             interval = sys.getswitchinterval()
@@ -227,7 +233,8 @@ class TestEvaluationOverlap:
         (inline, inline_threads), (threaded, threaded_threads) = runs["inline"], runs["threaded"]
         assert inline_threads == 0 and threaded_threads >= 1
         if name == "sgd":
-            assert threaded_threads == cfg.epochs  # one per epoch; the solvers start none
+            # one per epoch but the last, which is scored inline; the solvers start none
+            assert threaded_threads == cfg.epochs - 1
         assert [(r.epoch, r.loss, r.test_accuracy) for r in threaded.epochs] == [
             (r.epoch, r.loss, r.test_accuracy) for r in inline.epochs
         ]
@@ -250,6 +257,21 @@ class TestEvaluationOverlap:
         cfg = TrainConfig(epochs=2, second_order=SecondOrderSpec())
         train(model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test)
         assert threads == []
+
+    @pytest.mark.parametrize("threshold, threads", [(None, 0), (0, 1), (1, 0)])
+    def test_gate_reads_evaluation_cost(self, monkeypatch, threshold, threads):
+        # wide_problem's widest layer is 128, but its evaluation is cheap:
+        # None keeps the real threshold, 0 and 1 set it at and just past the cost
+        model, x_train, y_train, x_test, y_test = wide_problem()
+        cost = (x_train.shape[0] + x_test.shape[0]) * sum(w.size for w in model.weights)
+        assert cost < trainer.EVAL_OVERLAP_MIN_MACS
+        if threshold is not None:
+            monkeypatch.setattr(trainer, "EVAL_OVERLAP_MIN_MACS", cost + threshold)
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        started = count_calls(monkeypatch, threading, "Thread")
+        cfg = TrainConfig(epochs=2, batch_size=32)
+        train(model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test)
+        assert len(started) == threads
 
     # (learning rate, batch size) that make epoch 0's loss non-finite: SGD's
     # steps leave non-finite parameters, which the helper's copy must take;
@@ -295,7 +317,7 @@ class TestEvaluationOverlap:
 
     @pytest.mark.parametrize("failing_epoch", [0, 2])
     def test_scoring_error_is_raised(self, monkeypatch, path, failing_epoch):
-        # epoch 2 is the last, whose loss the helper computes alone
+        # epoch 2 is the last, which the calling thread scores on either path
         calls, original = [], trainer.mean_loss
 
         def fail_once(*args):
@@ -310,7 +332,7 @@ class TestEvaluationOverlap:
         with pytest.raises(RuntimeError, match="scoring failed"):
             train(model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test)
         on_helper = calls[-1] is not threading.main_thread()
-        assert on_helper == (path == "threaded")
+        assert on_helper == (path == "threaded" and failing_epoch + 1 < cfg.epochs)
 
 
 class TestRowBlocks:

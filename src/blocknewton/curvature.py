@@ -10,8 +10,9 @@ Two routes are implemented:
 
 Weight-block curvature is never materialized: each layer only carries its
 bias block together with the layer-input batch h and its mean E[h].  The
-solvers apply the Kronecker factor E[h h^T] = h^T h / b through h itself
-and never form that n x n Gram matrix.
+solvers factor the Kronecker factor E[h h^T] = h^T h / b through the Gram
+matrix on h's smaller side: h^T h / b when the layer is at most as wide
+as the batch, otherwise the b x b matrix h h^T / b (solvers._gram_eig).
 """
 
 from __future__ import annotations

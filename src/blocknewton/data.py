@@ -184,12 +184,10 @@ def synth_blobs(
     check_range("seed", seed, seed >= 0, ">= 0")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.15, 0.85, size=(classes, dim))
-    features = np.concatenate(
-        [
-            c + spread * rng.standard_normal((per_class, dim))
-            for c in centers
-        ]
-    )
+    features = rng.standard_normal((classes, per_class, dim))
+    features *= spread
+    features += centers[:, None, :]
+    features = features.reshape(classes * per_class, dim)
     labels = np.repeat(np.arange(classes), per_class)
     order = rng.permutation(classes * per_class)
     features = np.clip(features[order], 0.0, 1.0)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -217,16 +218,20 @@ def softmax(h: np.ndarray) -> np.ndarray:
 class CrossEntropySoftmax:
     """Convex criterion: -log softmax(h)[label]."""
 
-    def batch_eval(self, hk: np.ndarray, y: np.ndarray):
-        yhat = softmax(hk)
+    def losses(self, hk: np.ndarray, y: np.ndarray) -> np.ndarray:
         logits = hk - np.max(hk, axis=1, keepdims=True)
         logz = np.log(np.sum(np.exp(logits), axis=1))
-        losses = logz - np.sum(logits * y, axis=1)
-        grads = yhat - y
+        return logz - np.sum(logits * y, axis=1)
+
+    def batch_eval(self, hk: np.ndarray, y: np.ndarray):
+        return self.losses(hk, y), softmax(hk) - y
+
+    def hessians(self, hk: np.ndarray, y: np.ndarray) -> np.ndarray:
+        yhat = softmax(hk)
         hesses = -yhat[:, :, None] * yhat[:, None, :]
         idx = np.arange(hk.shape[1])
         hesses[:, idx, idx] += yhat
-        return losses, grads, hesses
+        return hesses
 
 
 @dataclass(frozen=True)
@@ -237,35 +242,43 @@ class SigmoidGate:
     epsilon: float = 0.2
 
     def __post_init__(self):
-        # batch_eval squares delta, and a Python float square overflows from 2**512
+        # hessians squares delta, and a Python float square overflows from 2**512
         check_range("delta", self.delta, 0 < self.delta < 2.0**512, "a value in (0, 2**512)")
         check_range("epsilon", self.epsilon, 0.0 <= self.epsilon <= 1.0, "a value in [0, 1]")
 
-    def batch_eval(self, hk: np.ndarray, y: np.ndarray):
+    def _gate(self, hk: np.ndarray, y: np.ndarray):
+        """softmax(hk), its true-class probability s, the losses and their
+        derivative in s."""
         yhat = softmax(hk)
-        s = np.sum(yhat * y, axis=1)  # softmax probability of the true class
+        s = np.sum(yhat * y, axis=1)
         loss = _sigmoid(-self.delta * (s - self.epsilon))
-        dl = -self.delta * loss * (1.0 - loss)
-        d2l = self.delta**2 * loss * (1.0 - loss) * (1.0 - 2.0 * loss)
+        return yhat, s, loss, -self.delta * loss * (1.0 - loss)
 
-        # s = yhat_c; grad_h s = s * (e_c - yhat), and the softmax Hessian of
-        # the true-class probability closes the chain rule below.
+    def losses(self, hk: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._gate(hk, y)[2]
+
+    def batch_eval(self, hk: np.ndarray, y: np.ndarray):
+        # s = yhat_c; grad_h s = s * (e_c - yhat)
+        yhat, s, loss, dl = self._gate(hk, y)
+        return loss, dl[:, None] * (s[:, None] * (y - yhat))
+
+    def hessians(self, hk: np.ndarray, y: np.ndarray) -> np.ndarray:
+        yhat, s, loss, dl = self._gate(hk, y)
+        d2l = self.delta**2 * loss * (1.0 - loss) * (1.0 - 2.0 * loss)
+        # the softmax Hessian of the true-class probability closes the chain
+        # rule: hess_s = s * ((e_c - yhat)(e_c - yhat)^T - diag(yhat) + yhat yhat^T)
         e_minus = y - yhat
         grad_s = s[:, None] * e_minus
-        # hess_s = s * ((e_c - yhat)(e_c - yhat)^T - diag(yhat) + yhat yhat^T)
         outer = e_minus[:, :, None] * e_minus[:, None, :]
         yyt = yhat[:, :, None] * yhat[:, None, :]
         hess_s = outer + yyt
         idx = np.arange(hk.shape[1])
         hess_s[:, idx, idx] -= yhat
         hess_s *= s[:, None, None]
-
-        grads = dl[:, None] * grad_s
-        hesses = (
+        return (
             d2l[:, None, None] * grad_s[:, :, None] * grad_s[:, None, :]
             + dl[:, None, None] * hess_s
         )
-        return loss, grads, hesses
 
 
 Criterion = CrossEntropySoftmax | SigmoidGate
@@ -284,19 +297,31 @@ def criterion_eval(criterion: Criterion, hk: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=float)
     if hk.shape != y.shape or hk.ndim != 1:
         raise DimensionError("criterion_eval expects matching 1-d output/label")
-    _check_one_hot(y)
-    losses, grads, hesses = criterion.batch_eval(hk[None, :], y[None, :])
+    losses, grads, hesses = criterion_batch(criterion, hk[None, :], y[None, :])
     return float(losses[0]), grads[0], hesses[0]
 
 
-def criterion_batch(criterion: Criterion, hk: np.ndarray, y: np.ndarray):
-    """Vectorized criterion_eval over a batch; returns (losses, grads, hesses)."""
+def _criterion_rows(hk: np.ndarray, y: np.ndarray):
     hk = np.asarray(hk, dtype=float)
     y = np.asarray(y, dtype=float)
     if hk.shape != y.shape or hk.ndim != 2:
-        raise DimensionError("criterion_batch expects matching (batch, n_k) arrays")
+        raise DimensionError("criterion expects matching (batch, n_k) arrays")
     _check_one_hot(y)
-    return criterion.batch_eval(hk, y)
+    return hk, y
+
+
+def criterion_losses(criterion: Criterion, hk: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The per-row losses of criterion_batch, computed without the rest."""
+    return criterion.losses(*_criterion_rows(hk, y))
+
+
+def criterion_batch(criterion: Criterion, hk: np.ndarray, y: np.ndarray, lazy: bool = False):
+    """Vectorized criterion_eval over a batch; returns (losses, grads, hesses).
+    With lazy=True, hesses is a function of no arguments that builds them."""
+    hk, y = _criterion_rows(hk, y)
+    losses, grads = criterion.batch_eval(hk, y)
+    hesses = partial(criterion.hessians, hk, y)
+    return losses, grads, hesses if lazy else hesses()
 
 
 # --- gradients ------------------------------------------------------------
@@ -401,17 +426,22 @@ def batch_moments(model: FcnnModel, bp: BatchPass) -> BatchMoments:
 @dataclass
 class BatchPass:
     """Everything one training batch yields for the optimizer step and the
-    curvature blocks: the forward trace, the per-instance losses and output
-    Hessians, and the gradients with their per-instance bias gradients
+    curvature blocks: the forward trace, the per-instance losses, and the
+    gradients with their per-instance bias gradients
     (grads.bias_per_instance[-1] is the criterion gradient at the output).
-    moments caches the batch_moments the EA curvature computes on first
-    use; SGD never computes them."""
+    hess_out, the per-instance output Hessians, is built by build_hess_out
+    on first read, and moments caches the batch_moments the EA curvature
+    computes on first use; SGD computes neither."""
 
     trace: ForwardTrace
     losses: np.ndarray
-    hess_out: np.ndarray
     grads: LayerGradients
+    build_hess_out: Callable[[], np.ndarray] = field(repr=False)
     moments: BatchMoments | None = field(default=None, repr=False)
+
+    @cached_property
+    def hess_out(self) -> np.ndarray:
+        return self.build_hess_out()
 
 
 def batch_pass(
@@ -419,5 +449,5 @@ def batch_pass(
 ) -> BatchPass:
     """Forward, criterion and backprop on one batch, each run once."""
     trace = forward(model, inputs)
-    losses, grads_out, hess_out = criterion_batch(criterion, trace.h[-1], y)
-    return BatchPass(trace, losses, hess_out, backprop(model, trace, grads_out))
+    losses, grads_out, hess_out = criterion_batch(criterion, trace.h[-1], y, lazy=True)
+    return BatchPass(trace, losses, backprop(model, trace, grads_out), hess_out)

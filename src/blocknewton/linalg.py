@@ -45,9 +45,14 @@ class LinearOperator:
 
 
 def check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """a as a float array, checked square and symmetric within tolerance.
+    The blocks the package builds are exactly symmetric, which one
+    comparison with a.T accepts before the tolerance test."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
+    if np.array_equal(a, a.T):
+        return a
     scale = max(1.0, float(np.linalg.norm(a)))
     if np.max(np.abs(a - a.T)) > _SYMMETRY_RTOL * scale * 10:
         raise DimensionError(f"{name} is not symmetric within tolerance")

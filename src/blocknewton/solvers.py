@@ -8,8 +8,8 @@ layer's input factor F, through one helper, _kron_inverse.  EA-CG inverts
 Kronecker-factored inverse, inverts the two damped factors
 G = Hb + (sqrt(alpha)/pi) I and H = F^T F / r + pi sqrt(alpha) I
 separately, and the bias system Hb + sqrt(alpha) I.  A damped block with
-an eigenvalue <= 0, or a non-finite gradient, raises
-NumericalBreakdownError naming its layer (exit 3).  Directions are
+an eigenvalue <= 0, a non-finite gradient or a non-finite direction
+raises NumericalBreakdownError naming its layer (exit 3).  Directions are
 returned already negated, i.e. they are descent directions to be added
 with a positive step size, as C-ordered arrays.
 
@@ -19,6 +19,8 @@ on two threads.  numpy releases the interpreter lock inside LAPACK and BLAS,
 so the threads overlap, and a job makes the same calls on the same arrays
 on either thread, so the directions are bit-identical to solving inline.
 BLAS threads (OPENBLAS_NUM_THREADS) come on top of the one helper thread.
+_start, the package's one way to start a thread (the trainer's too), runs
+fn under the caller's numpy error state, so a job fails there as inline.
 """
 
 from __future__ import annotations
@@ -152,18 +154,37 @@ def _unwrap(result):
     return result
 
 
+def _start(fn, *args):
+    """Run fn(*args) on a new thread, under the calling thread's numpy error
+    handling (np.errstate is per thread); the returned join() gives its
+    result, or raises its error, in the calling thread."""
+    result, errstate = [], np.geterr()
+
+    def run():
+        with np.errstate(**errstate):
+            result.append(_attempt(fn, *args))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return lambda: thread.join() or _unwrap(result[0])
+
+
 def _solve_layer(layer, f, gw, gb, damping, gram_eig=_gram_eig):
     """One layer's job: d_W = -inverse(g_W) and d_b = -Q ((Q^T g_b) / damped),
     from sym_eig(hb) = Q diag(lam) Q^T, the layer's damping(layer, lam) --
     its damped bias eigenvalues and _kron_inverse's b and d -- and
-    gram_eig(F).  Only the two directions outlive the call."""
+    gram_eig(F).  Only the two directions outlive the call; a finite but
+    huge gradient can still overflow in the solve, so they are checked too."""
     if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
         raise NumericalBreakdownError("gradient is not finite")
     lam, q = sym_eig(layer.hb)
     damped_bias, b, d = damping(layer, lam)
     _check_positive(damped_bias)
     inverse = _kron_inverse(f, gram_eig(f), q, b, d)
-    return -inverse(gw), -(q @ ((q.T @ gb) / damped_bias))
+    d_w, d_b = -inverse(gw), -(q @ ((q.T @ gb) / damped_bias))
+    if not (np.all(np.isfinite(d_w)) and np.all(np.isfinite(d_b))):
+        raise NumericalBreakdownError("direction is not finite")
+    return d_w, d_b
 
 
 def _solve_layers(
@@ -172,48 +193,40 @@ def _solve_layers(
     """_solve_layer for every layer, each layer one independent job.
 
     When the widest hb is at least _OVERLAP_MIN_WIDTH wide and two CPUs are
-    usable, one helper thread, started and joined here, first factors the
-    widest layer's Gram matrix and then runs every other layer's job in
-    layer order, while this thread factors the widest hb, waits for that
-    Gram and solves the widest layer.  Results and errors are taken in
-    layer order after the join, so an error always names the lowest
-    failing layer, with its inline message.
+    usable, a helper thread (_start) first factors the widest layer's Gram
+    matrix and then runs every other layer's job in layer order, while this
+    thread factors the widest hb, waits for that Gram and solves the widest
+    layer.  Results and errors are taken in layer order after the join, so
+    an error always names the lowest failing layer, with its inline message.
     """
     if len(curv) != len(grads.grad_bias):
         raise DimensionError("curvature/gradient layer counts differ")
     jobs = list(zip(curv, factors, grads.grad_weight, grads.grad_bias))
     widest = max(range(len(jobs)), key=lambda t: curv[t].hb.shape[0], default=0)
     if jobs and curv[widest].hb.shape[0] >= _OVERLAP_MIN_WIDTH and _usable_cpus() >= 2:
-        results: list = [None] * len(jobs)
         gram, gram_ready = [], threading.Event()
 
         def helper():
             gram.append(_attempt(_gram_eig, factors[widest]))
             gram_ready.set()
-            for t, job in enumerate(jobs):
-                if t != widest:
-                    results[t] = _attempt(_solve_layer, *job, damping)
+            others = jobs[:widest] + jobs[widest + 1 :]
+            return [_attempt(_solve_layer, *job, damping) for job in others]
 
         def widest_gram(f):
             gram_ready.wait()
             return _unwrap(gram.pop())
 
-        thread = threading.Thread(target=helper)
-        thread.start()
-        try:
-            results[widest] = _attempt(_solve_layer, *jobs[widest], damping, widest_gram)
-        finally:
-            thread.join()
+        join = _start(helper)
+        widest_result = _attempt(_solve_layer, *jobs[widest], damping, widest_gram)
+        results = join()
+        results.insert(widest, widest_result)
     else:
         results = [_attempt(_solve_layer, *job, damping) for job in jobs]
-    direction = NewtonDirection(d_weight=[], d_bias=[])
     for t, result in enumerate(results, start=1):
         if isinstance(result, NumericalBreakdownError):
             raise NumericalBreakdownError(f"layer {t}: {result}") from result
-        d_w, d_b = _unwrap(result)
-        direction.d_weight.append(d_w)
-        direction.d_bias.append(d_b)
-    return direction
+        _unwrap(result)
+    return NewtonDirection([d_w for d_w, _ in results], [d_b for _, d_b in results])
 
 
 def ea_cg_direction(

@@ -11,17 +11,17 @@ evaluation keeps alive.  When one evaluation costs at least
 EVAL_OVERLAP_MIN_MACS multiply-adds and the process may use two or more
 CPUs, train scores epoch e on a helper thread, from a copy of the
 parameters, while the calling thread runs epoch e+1's steps; the last epoch
-is scored inline.  numpy releases the interpreter lock inside BLAS, so the
-two overlap, and the helper makes the same calls on the same values, so the
-records are bit-identical to scoring inline.  Cheaper evaluations score
-inline and start no thread.
+is scored inline.  The helper is solvers._start's, which runs under the
+caller's numpy error state.  numpy releases the interpreter lock inside
+BLAS, so the two overlap, and the helper makes the same calls on the same
+values, so the records are bit-identical to scoring inline.  Cheaper
+evaluations score inline and start no thread.
 """
 
 from __future__ import annotations
 
 import copy
 import enum
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -35,11 +35,11 @@ from .fcnn import (
     Criterion,
     FcnnModel,
     batch_pass,
-    criterion_batch,
+    criterion_losses,
     forward,
     softmax,
 )
-from .solvers import SolverConfig, ea_cg_direction, kfi_direction
+from .solvers import SolverConfig, _start, ea_cg_direction, kfi_direction
 
 # Rows per forward pass in mean_loss and accuracy.  At paper width a whole
 # 1024-row training set keeps about 8 MB of activations alive, and on the
@@ -142,7 +142,7 @@ def _row_blocks(n: int) -> list[slice]:
 
 def mean_loss(model: FcnnModel, criterion: Criterion, x: np.ndarray, y: np.ndarray) -> float:
     losses = [
-        criterion_batch(criterion, forward(model, x[rows]).h[-1], y[rows])[0]
+        criterion_losses(criterion, forward(model, x[rows]).h[-1], y[rows])
         for rows in _row_blocks(x.shape[0])
     ]
     return float(np.concatenate(losses).mean())
@@ -156,26 +156,6 @@ def accuracy(model: FcnnModel, x: np.ndarray, y_index: np.ndarray) -> float:
         for rows in _row_blocks(x.shape[0])
     ]
     return float(np.mean(np.concatenate(pred) == y_index))
-
-
-def _start(fn, *args):
-    """Run fn(*args) on a new thread, under the calling thread's numpy error
-    handling (np.errstate is per thread); the returned join() gives its
-    result, or raises its error, in the calling thread."""
-    result, errstate = [], np.geterr()
-
-    def run():
-        with np.errstate(**errstate):
-            result.append(solvers._attempt(fn, *args))
-
-    thread = threading.Thread(target=run)
-    thread.start()
-
-    def join():
-        thread.join()
-        return solvers._unwrap(result[0])
-
-    return join
 
 
 def _snapshot(model: FcnnModel) -> FcnnModel:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,17 @@ class TestBlobs:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
         assert not np.array_equal(a.features, c.features)
+
+    def test_seeded_dataset_is_pinned(self):
+        # the digest of this dataset as every earlier version drew it, so a
+        # change in how the points are drawn cannot change a seeded run
+        ds = synth_blobs(classes=3, dim=5, per_class=7, spread=0.1, seed=11)
+        digest = hashlib.sha256(ds.features.astype("<f8").tobytes())
+        for a in (ds.labels, ds.train_idx, ds.test_idx):
+            digest.update(a.astype("<i8").tobytes())
+        assert digest.hexdigest() == (
+            "0e293ac73cbaea207c17b9ecd8bc2fb8f022f66e60df4b7293e9c5cd50dd8652"
+        )
 
     def test_split_shapes(self):
         ds = synth_blobs(classes=4, dim=2, per_class=25, spread=0.05, seed=0)

@@ -10,8 +10,10 @@ from blocknewton.fcnn import (
     _sigmoid,
     activation_values,
     backprop,
+    batch_pass,
     criterion_batch,
     criterion_eval,
+    criterion_losses,
     forward,
     softmax,
 )
@@ -198,6 +200,39 @@ class TestCriteria:
     def test_rejects_non_one_hot(self):
         with pytest.raises(ConfigError):
             criterion_eval(CrossEntropySoftmax(), np.zeros(3), np.array([0.5, 0.5, 0.0]))
+
+    @pytest.mark.parametrize("criterion", both_criteria(), ids=["xent", "gate"])
+    def test_losses_and_lazy_hessians_bitwise_equal(self, criterion):
+        rng = np.random.default_rng(12)
+        hk = rng.standard_normal((40, 6)) * 4
+        y = np.eye(6)[rng.integers(0, 6, 40)]
+        losses, grads, hesses = criterion_batch(criterion, hk, y)
+        assert np.array_equal(criterion_losses(criterion, hk, y), losses)
+        lazy_losses, lazy_grads, build = criterion_batch(criterion, hk, y, lazy=True)
+        assert np.array_equal(lazy_losses, losses) and np.array_equal(lazy_grads, grads)
+        assert np.array_equal(build(), hesses)
+        with pytest.raises(ConfigError):
+            criterion_losses(criterion, hk, 0.5 * y)
+        with pytest.raises(DimensionError):
+            criterion_losses(criterion, hk, y[:, :5])
+
+    def test_batch_pass_builds_output_hessians_once_when_read(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        model = random_model(rng)
+        x, y = random_batch(rng, model)
+        built = []
+        original = CrossEntropySoftmax.hessians
+
+        def counted(self, hk, labels):
+            built.append(hk)
+            return original(self, hk, labels)
+
+        monkeypatch.setattr(CrossEntropySoftmax, "hessians", counted)
+        bp = batch_pass(model, CrossEntropySoftmax(), x, y)
+        assert built == []
+        hess_out = bp.hess_out
+        assert bp.hess_out is hess_out and len(built) == 1
+        assert np.array_equal(hess_out, criterion_batch(CrossEntropySoftmax(), bp.trace.h[-1], y)[2])
 
     def test_gate_validation(self):
         with pytest.raises(ConfigError):

@@ -201,17 +201,17 @@ class TestOnePassPerStep:
         ],
         ids=["sgd", "ea_cg-pch1", "kfi-fisher"],
     )
-    def test_train(self, pass_calls, second_order):
+    def test_train(self, monkeypatch, pass_calls, second_order):
         spec = spec_with(second_order)
         x_train, y_train, _, _ = spec.load_dataset(0).split()
         cfg = spec.train_cfg
+        hessians = count_calls(monkeypatch, CrossEntropySoftmax, "hessians")
         train(spec.build_model(0), spec.criterion, x_train, y_train, cfg)
         steps = cfg.epochs * math.ceil(x_train.shape[0] / cfg.batch_size)
-        # the per-epoch loss evaluation adds one criterion call and no backprop
-        assert pass_calls == {
-            "criterion_batch": steps + cfg.epochs,
-            "backprop_bias_gradients": steps,
-        }
+        # the per-epoch loss evaluation computes losses only, outside
+        # criterion_batch; only the curvature reads the output Hessians
+        assert pass_calls == {"criterion_batch": steps, "backprop_bias_gradients": steps}
+        assert len(hessians) == (0 if second_order is None else steps)
 
     @pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd", "ea_cg-pch1"])
     def test_compare_curvatures(self, pass_calls, second_order):

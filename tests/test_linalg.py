@@ -7,6 +7,7 @@ from blocknewton.errors import ConfigError, DimensionError, NumericalBreakdownEr
 from blocknewton.linalg import (
     LinearOperator,
     cg_solve,
+    check_symmetric,
     kron_apply,
     pos_eig,
     sym_eig,
@@ -109,6 +110,39 @@ class TestSymEig:
         # LAPACK would raise LinAlgError, which is no package error
         with pytest.raises(NumericalBreakdownError, match="not finite"):
             sym_eig(np.array([[1.0, bad], [bad, 1.0]]))
+
+
+class TestCheckSymmetric:
+    @staticmethod
+    def perturbed(scale):
+        # a 6 x 6 block of norm ~30, one off-diagonal entry moved by scale
+        # times the tolerance 1e-11 max(1, |a|_F)
+        a = 10.0 * random_symmetric(np.random.default_rng(7), 6)
+        a[0, 1] += scale * 1e-11 * np.linalg.norm(a)
+        return a
+
+    def test_exactly_symmetric_returned_as_is(self):
+        a = random_symmetric(np.random.default_rng(7), 6)
+        assert check_symmetric(a) is a
+
+    @pytest.mark.parametrize("scale", [0.5, 0.99])
+    def test_asymmetry_inside_tolerance_accepted(self, scale):
+        a = self.perturbed(scale)
+        assert not np.array_equal(a, a.T)
+        assert check_symmetric(a) is a
+
+    @pytest.mark.parametrize("scale", [1.01, 2.0])
+    def test_asymmetry_outside_tolerance_rejected(self, scale):
+        with pytest.raises(DimensionError, match="block is not symmetric within tolerance"):
+            check_symmetric(self.perturbed(scale), "block")
+
+    def test_nan_left_to_the_finiteness_check(self):
+        # a NaN compares unequal to itself, and the tolerance test cannot
+        # reject it; sym_eig's finiteness check does
+        a = np.array([[1.0, np.nan], [0.0, 1.0]])
+        assert check_symmetric(a) is a
+        with pytest.raises(NumericalBreakdownError):
+            sym_eig(a)
 
 
 class TestPosEig:

@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import warnings
 from functools import partial
 
 import numpy as np
@@ -442,6 +443,40 @@ class TestEaCgOverlap:
         with pytest.raises(NumericalBreakdownError) as excinfo:
             solve(curv, grads)
         assert str(excinfo.value).startswith(message)
+        assert len(threads) == 1
+
+    # under numpy's default error state the overflow leaves a non-finite
+    # direction, which the solver rejects; under errstate(all="raise") the
+    # overflow itself raises, on the helper as on the calling thread.  The
+    # fault is in layer 4, whose products are small enough for OpenBLAS to run
+    # on the calling thread: numpy reads the floating-point flags of that
+    # thread only, so an overflow inside a threaded BLAS call (layer 3's) can
+    # surface as "invalid value" or not at all, by BLAS thread count
+    HUGE_GRADIENT = {
+        "default": ({}, NumericalBreakdownError, "layer 4: direction is not finite"),
+        "raise": ({"all": "raise"}, FloatingPointError, "overflow encountered in matmul"),
+    }
+
+    @pytest.mark.parametrize("solve", [EA_CG, KFI], ids=["ea_cg", "kfi"])
+    @pytest.mark.parametrize("state", list(HUGE_GRADIENT))
+    @pytest.mark.parametrize("grad,value", [("g_W", 1e308), ("g_b", 1e308)])
+    def test_huge_gradient_fails_alike_on_both_paths(
+        self, monkeypatch, threads, solve, state, grad, value
+    ):
+        # layer 4's job runs on the helper; its gradient is finite, its solve is not
+        errstate, error, message = self.HUGE_GRADIENT[state]
+        floor = solvers._OVERLAP_MIN_WIDTH
+        failures = []
+        for width in (10**9, floor):  # inline, then threaded
+            monkeypatch.setattr(solvers, "_OVERLAP_MIN_WIDTH", width)
+            curv, grads = paper_width_problem()
+            (grads.grad_weight if grad == "g_W" else grads.grad_bias)[3][...] = value
+            with np.errstate(**errstate), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(error) as excinfo:
+                    solve(curv, grads)
+            failures.append((type(excinfo.value), str(excinfo.value)))
+        assert failures == [(error, message)] * 2
         assert len(threads) == 1
 
 

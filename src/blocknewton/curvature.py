@@ -13,6 +13,10 @@ bias block together with the layer-input batch h and its mean E[h].  The
 solvers factor the Kronecker factor E[h h^T] = h^T h / b through the Gram
 matrix on h's smaller side: h^T h / b when the layer is at most as wide
 as the batch, otherwise the b x b matrix h h^T / b (solvers._gram_eig).
+The same h is the right factor of the mean weight gradient G^T h / b, so
+for a layer wider than the batch the solvers form neither E[h h^T] nor
+the n_out x n_in weight gradient: the direction is B h for an n_out x b
+matrix B.
 """
 
 from __future__ import annotations
@@ -61,12 +65,13 @@ def exact_bias_hessian_instances(model: FcnnModel, bp: BatchPass) -> list[np.nda
 
     hessians[t-1] has shape (batch, n_t, n_t).  The recursion starts from
     the criterion Hessian at the output and sandwiches through each hidden
-    layer, adding the diagonal second-derivative term.
+    layer, adding the diagonal second-derivative term h''^{t-1} o
+    (W^t)^T g^t, whose product backprop kept in bp.grads.grad_h.
     """
     trace = bp.trace
     _check_trace(model, trace)
     k = model.num_layers
-    gb = bp.grads.bias_per_instance
+    grad_h = bp.grads.grad_h
 
     hbs: list[np.ndarray] = [None] * k
     hbs[k - 1] = bp.hess_out
@@ -77,7 +82,7 @@ def exact_bias_hessian_instances(model: FcnnModel, bp: BatchPass) -> list[np.nda
         sand = w.T @ hbs[t - 1] @ w
         sand *= hp[:, :, None]
         sand *= hp[:, None, :]
-        diag_vec = hpp * (gb[t - 1] @ w)
+        diag_vec = hpp * grad_h[t - 1]
         idx = np.arange(w.shape[1])
         sand[:, idx, idx] += diag_vec
         hbs[t - 2] = sand

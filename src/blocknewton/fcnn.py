@@ -327,19 +327,35 @@ def criterion_batch(criterion: Criterion, hk: np.ndarray, y: np.ndarray, lazy: b
 # --- gradients ------------------------------------------------------------
 
 
+def weight_gradient(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The batch-mean weight gradient G^T h / batch of one layer, from its
+    (batch, n_out) per-instance bias gradients G and (batch, n_in) inputs h."""
+    return (g.T @ h) / h.shape[0]
+
+
 @dataclass
 class LayerGradients:
-    """Batch-mean gradients, plus per-instance bias gradients per layer.
+    """Batch-mean gradients per layer, the weight gradients kept factored.
 
-    grad_bias[t-1] is the mean over instances of the loss gradient w.r.t.
-    b^t; grad_weight[t-1] the mean w.r.t. W^t.  bias_per_instance[t-1]
-    keeps the (batch, n_t) per-instance bias gradients the curvature
-    module consumes (Fisher blocks, diagonal recursion term).
+    bias_per_instance[t-1] is the (batch, n_t) matrix G^t of per-instance
+    bias gradients, the factor the curvature module (Fisher blocks) and the
+    solvers consume, and inputs[t-1] the layer's input batch h^{t-1}.
+    grad_bias[t-1] is the mean of G^t over instances.  grad_weight[t-1],
+    the mean gradient w.r.t. W^t, is weight_gradient(G^t, h^{t-1}), built
+    for every layer on the first read and kept; the Newton solvers never
+    read it.  grad_h[t] = (W^{t+1})^T g^{t+1}, per instance, is the
+    gradient w.r.t. h^t for 0 < t < k (None at 0), which the curvature
+    recursion's diagonal term reuses.
     """
 
     grad_bias: list[np.ndarray]
-    grad_weight: list[np.ndarray]
-    bias_per_instance: list[np.ndarray] = field(repr=False, default_factory=list)
+    bias_per_instance: list[np.ndarray] = field(repr=False)
+    inputs: list[np.ndarray] = field(repr=False)
+    grad_h: list[np.ndarray | None] = field(repr=False, default_factory=list)
+
+    @cached_property
+    def grad_weight(self) -> list[np.ndarray]:
+        return [weight_gradient(g, h) for g, h in zip(self.bias_per_instance, self.inputs)]
 
     def flat(self) -> np.ndarray:
         parts = []
@@ -351,20 +367,23 @@ class LayerGradients:
 
 def backprop_bias_gradients(
     model: FcnnModel, trace: ForwardTrace, grad_out: np.ndarray
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
     """Per-instance bias gradients for every layer, output layer first equals
-    grad_out; lower layers follow g^{t-1} = h'^{t-1} o (W^t)^T g^t."""
+    grad_out; lower layers follow g^{t-1} = h'^{t-1} o (W^t)^T g^t.  Returns
+    them with the products (W^t)^T g^t, indexed like LayerGradients.grad_h."""
     k = model.num_layers
     grad_out = np.atleast_2d(np.asarray(grad_out, dtype=float))
     if grad_out.shape != trace.h[k].shape:
         raise DimensionError("grad_out shape does not match trace output")
     per_layer = [None] * k
+    grad_h = [None] * k
     g = grad_out
     per_layer[k - 1] = g
     for t in range(k, 1, -1):
-        g = (g @ model.weights[t - 1]) * trace.hprime[t - 1]
+        grad_h[t - 1] = g @ model.weights[t - 1]
+        g = grad_h[t - 1] * trace.hprime[t - 1]
         per_layer[t - 2] = g
-    return per_layer
+    return per_layer, grad_h
 
 
 def backprop(
@@ -373,16 +392,15 @@ def backprop(
     """Batch-averaged gradients for all weights and biases.
 
     The weight gradient is the exact outer-product form
-    grad_W^t = grad_b^t h^{(t-1)T}, averaged over the batch.
+    grad_W^t = grad_b^t h^{(t-1)T}, averaged over the batch; it is kept
+    as its two factors and multiplied out only when read.
     """
-    gb_inst = backprop_bias_gradients(model, trace, grad_out)
-    n = trace.batch_size
-    grad_bias = [g.mean(axis=0) for g in gb_inst]
-    grad_weight = [
-        (gb_inst[t].T @ trace.h[t]) / n for t in range(model.num_layers)
-    ]
+    gb_inst, grad_h = backprop_bias_gradients(model, trace, grad_out)
     return LayerGradients(
-        grad_bias=grad_bias, grad_weight=grad_weight, bias_per_instance=gb_inst
+        grad_bias=[g.mean(axis=0) for g in gb_inst],
+        bias_per_instance=gb_inst,
+        inputs=trace.h[: model.num_layers],
+        grad_h=grad_h,
     )
 
 
@@ -394,7 +412,8 @@ class BatchMoments:
     mean_hess_out is the symmetrised mean output Hessian; eh[t] = E[h^t]
     for t < k; hprime_gram[t] = E[h'^t h'^tT] and diag_term[t] =
     E[h''^t o ((W^{t+1})^T g^{t+1})], the recursion's diagonal term, for
-    0 < t < k, with g^{t+1} the bias gradient of layer t+1.
+    0 < t < k, with g^{t+1} the bias gradient of layer t+1 (the product is
+    backprop's grad_h[t]).
     """
 
     mean_hess_out: np.ndarray
@@ -405,7 +424,7 @@ class BatchMoments:
 
 def batch_moments(model: FcnnModel, bp: BatchPass) -> BatchMoments:
     """The BatchMoments of bp, whose pass ran through model."""
-    trace, gb = bp.trace, bp.grads.bias_per_instance
+    trace, grad_h = bp.trace, bp.grads.grad_h
     k = model.num_layers
     n = trace.batch_size
     mean_out = bp.hess_out.mean(axis=0)
@@ -414,7 +433,7 @@ def batch_moments(model: FcnnModel, bp: BatchPass) -> BatchMoments:
     for t in range(1, k):
         hp = trace.hprime[t]
         hprime_gram[t] = (hp.T @ hp) / n
-        diag_term[t] = (trace.hdprime[t] * (gb[t] @ model.weights[t])).mean(axis=0)
+        diag_term[t] = (trace.hdprime[t] * grad_h[t]).mean(axis=0)
     return BatchMoments(
         mean_hess_out=0.5 * (mean_out + mean_out.T),
         eh=[h.mean(axis=0) for h in trace.h[:k]],

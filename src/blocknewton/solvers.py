@@ -7,11 +7,15 @@ layer's input factor F, through one helper, _kron_inverse.  EA-CG inverts
 (1-alpha) Hb + alpha I in the eigenbasis of Hb.  KFI, the
 Kronecker-factored inverse, inverts the two damped factors
 G = Hb + (sqrt(alpha)/pi) I and H = F^T F / r + pi sqrt(alpha) I
-separately, and the bias system Hb + sqrt(alpha) I.  A damped block with
-an eigenvalue <= 0, a non-finite gradient or a non-finite direction
-raises NumericalBreakdownError naming its layer (exit 3).  Directions are
-returned already negated, i.e. they are descent directions to be added
-with a positive step size, as C-ordered arrays.
+separately, and the bias system Hb + sqrt(alpha) I.  The weight gradient
+is read in factored form, g^T h / r, from the r x n_out per-instance bias
+gradients g and the input batch h: a layer at most as wide as the batch
+multiplies it out, and a wider one is solved as B h for an n_out x r
+matrix B, forming no n_out x n_in array but the direction.  A damped
+block with an eigenvalue <= 0, a non-finite gradient or a non-finite
+direction raises NumericalBreakdownError naming its layer (exit 3).
+Directions are returned already negated, i.e. they are descent directions
+to be added with a positive step size, as C-ordered arrays.
 
 The curvature is block-diagonal, so each layer's direction is one
 independent job, _solve_layer, and on wide nets _solve_layers runs the jobs
@@ -34,7 +38,7 @@ import numpy as np
 
 from .curvature import LayerCurvature
 from .errors import DimensionError, NumericalBreakdownError, check_range
-from .fcnn import LayerGradients
+from .fcnn import LayerGradients, weight_gradient
 from .linalg import EigenDecomposition, sym_eig
 
 # Narrowest widest-Hb for which the solvers factor on a helper thread:
@@ -79,49 +83,65 @@ class NewtonDirection:
         return np.concatenate(parts)
 
 
-def _gram_eig(f: np.ndarray) -> EigenDecomposition:
-    """sym_eig of the Gram matrix on the r x n_in factor F's smaller side:
-    F^T F / r when n_in <= r, otherwise F F^T / r.  numpy forms both
-    products exactly symmetric, so the triangle eigh reads is the whole."""
+def _gram_eig(h: np.ndarray, eh: np.ndarray | None = None) -> EigenDecomposition:
+    """sym_eig of the Gram matrix of the input factor F -- the r x n_in
+    batch h, or under ea_one_rank the row eh = E[h] (m = 1) -- on its
+    smaller side: F^T F / m when n_in <= m, otherwise F F^T / m.  numpy
+    forms both products exactly symmetric, so the triangle eigh reads is
+    the whole."""
+    f = h if eh is None else eh[None, :]
     if not np.all(np.isfinite(f)):
         raise NumericalBreakdownError("input factor is not finite")
-    r, n_in = f.shape
-    return sym_eig(f.T @ f / r if n_in <= r else f @ f.T / r)
+    m, n_in = f.shape
+    return sym_eig(f.T @ f / m if n_in <= m else f @ f.T / m)
 
 
-def _kron_inverse(f: np.ndarray, gram: EigenDecomposition, q: np.ndarray, b, d):
-    """X -> Z solving Q diag(b) Q^T Z (F^T F / r) + Q diag(d) Q^T Z = X for
-    n_out x n_in matrices: X's (lam_i, mu_j) eigencomponent divided by
-    b_i mu_j + d_i, and its components off range(F^T) by d_i.  q holds Hb's
-    eigenvectors, gram is _gram_eig(F), and d is a scalar or one value per
-    column of q.
+def _kron_inverse(h: np.ndarray, gram: EigenDecomposition, q: np.ndarray, b, d, eh=None):
+    """g -> Z solving Q diag(b) Q^T Z (F^T F / m) + Q diag(d) Q^T Z = X for
+    the mean weight gradient X = g^T h / r of the r x n_out per-instance
+    bias gradients g on the r x n_in input batch h: X's (lam_i, mu_j)
+    eigencomponent divided by b_i mu_j + d_i, and its components off
+    range(F^T) by d_i.  F is h (m = r), or under ea_one_rank the row
+    eh = E[h] (m = 1), which comes with a scalar d.  q holds Hb's
+    eigenvectors, gram is _gram_eig(h, eh), and d is a scalar or one value
+    per column of q.  The damped eigenvalues b_i mu_j + d_i must be positive.
 
-    When n_in <= r, gram is F^T F / r = V diag(mu) V^T with V spanning
-    R^n_in, and Z = Q ((Q^T X V) / (b mu + d)) V^T.  Otherwise it is
-    F F^T / r = U diag(mu) U^T, whose W = F^T U / sqrt(r) has W W^T =
-    F^T F / r and W^T W = diag(mu), and Woodbury gives
-    Z = Q (Y / d - ((Y W) o coeff) W^T) for Y = Q^T X and
-    coeff_ij = b_i / (d_i (b_i mu_j + d_i)), dividing by no singular value
-    of F and forming no n_in x n_in array.  A scalar d commutes with Q, so
-    then only X W is rotated: Z = X / d - Q ((Q^T X W) o coeff) W^T.  The
-    damped eigenvalues b_i mu_j + d_i must be positive.
+    For F = h and n_in <= r, gram is h^T h / r = V diag(mu) V^T with V
+    spanning R^n_in, and Z = Q ((Q^T X V) / (b mu + d)) V^T.  For n_in > r
+    it is h h^T / r = U diag(mu) U^T with U spanning R^r, which gives the
+    same form one side over: X = A h for A = g^T / r, and Z = B h solves
+    the system when B solves it with h h^T / r in place of h^T h / r, so
+    Z = Q ((Q^T A U) / (b mu + d)) U^T h.  This forms neither X nor any
+    other n_out x n_in array but Z.  For the row eh, range(F^T) is spanned
+    by e = eh / |eh| (mu = |eh|^2; e = 0 when eh is), and
+    Z = Q ((Q^T X e) / (b mu + d)) e^T + X_perp / d with
+    X_perp = X - (X e) e^T.  X_perp is projected twice: one pass leaves
+    about eps |X| along e, which the weight system multiplies by b mu + d,
+    against eps |X_perp| after two.
     """
-    r, n_in = f.shape
+    r, n_in = h.shape
     mu, basis = gram
     d = np.reshape(d, (-1, 1))
     damped = np.multiply.outer(b, mu) + d
     _check_positive(damped)
-    if n_in <= r:
-        scale = 1.0 / damped
-        return lambda x: q @ (((q.T @ x) @ basis) * scale) @ basis.T
-    w_fac = f.T @ (basis / np.sqrt(r))
-    coeff = b[:, None] / (d * damped)
-    if d.size == 1:
-        return lambda x: x / d - (q @ ((q.T @ (x @ w_fac)) * coeff)) @ w_fac.T
+    scale = 1.0 / damped
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        y = q.T @ x
-        return q @ (y / d - ((y @ w_fac) * coeff) @ w_fac.T)
+    def solve(y: np.ndarray) -> np.ndarray:
+        return q @ (((q.T @ y) @ basis) * scale) @ basis.T
+
+    if eh is None:
+        if n_in <= r:
+            return lambda g: solve(weight_gradient(g, h))
+        return lambda g: solve(g.T / r) @ h
+    e = eh / np.sqrt(mu) if mu[0] > 0 else eh
+
+    def apply(g: np.ndarray) -> np.ndarray:
+        x = weight_gradient(g, h)
+        along = x @ e
+        x -= np.outer(along, e)
+        again = x @ e
+        x -= np.outer(again, e)
+        return x / d + np.outer(solve((along + again)[:, None]), e)
 
     return apply
 
@@ -169,50 +189,58 @@ def _start(fn, *args):
     return lambda: thread.join() or _unwrap(result[0])
 
 
-def _solve_layer(layer, f, gw, gb, damping, gram_eig=_gram_eig):
-    """One layer's job: d_W = -inverse(g_W) and d_b = -Q ((Q^T g_b) / damped),
+def _solve_layer(layer, g, gb, eh, damping, gram_eig=_gram_eig):
+    """One layer's job: d_W = -inverse(g) and d_b = -Q ((Q^T g_b) / damped),
     from sym_eig(hb) = Q diag(lam) Q^T, the layer's damping(layer, lam) --
     its damped bias eigenvalues and _kron_inverse's b and d -- and
-    gram_eig(F).  Only the two directions outlive the call; a finite but
+    gram_eig(h, eh).  Only the two directions outlive the call; a finite but
     huge gradient can still overflow in the solve, so they are checked too."""
-    if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(gb))):
         raise NumericalBreakdownError("gradient is not finite")
     lam, q = sym_eig(layer.hb)
     damped_bias, b, d = damping(layer, lam)
     _check_positive(damped_bias)
-    inverse = _kron_inverse(f, gram_eig(f), q, b, d)
-    d_w, d_b = -inverse(gw), -(q @ ((q.T @ gb) / damped_bias))
+    inverse = _kron_inverse(layer.h, gram_eig(layer.h, eh), q, b, d, eh)
+    d_w, d_b = -inverse(g), -(q @ ((q.T @ gb) / damped_bias))
     if not (np.all(np.isfinite(d_w)) and np.all(np.isfinite(d_b))):
         raise NumericalBreakdownError("direction is not finite")
     return d_w, d_b
 
 
 def _solve_layers(
-    curv: list[LayerCurvature], factors: list[np.ndarray], grads: LayerGradients, damping
+    curv: list[LayerCurvature], grads: LayerGradients, damping, one_rank: bool = False
 ) -> NewtonDirection:
-    """_solve_layer for every layer, each layer one independent job.
+    """_solve_layer for every layer, each layer one independent job, on the
+    per-instance bias gradients grads.bias_per_instance, whose weight
+    gradient's other factor is the layer's h; one_rank takes the input
+    factor to be E[h] instead of h.
 
     When the widest hb is at least _OVERLAP_MIN_WIDTH wide and two CPUs are
     usable, a helper thread (_start) first factors the widest layer's Gram
     matrix and then runs every other layer's job in layer order, while this
     thread factors the widest hb, waits for that Gram and solves the widest
     layer.  Results and errors are taken in layer order after the join, so
-    an error always names the lowest failing layer, with its inline message.
+    an error always names the lowest failing layer, with its inline message
+    (a FloatingPointError under np.errstate(all="raise") too).
     """
     if len(curv) != len(grads.grad_bias):
         raise DimensionError("curvature/gradient layer counts differ")
-    jobs = list(zip(curv, factors, grads.grad_weight, grads.grad_bias))
+    jobs = [
+        (layer, g, gb, layer.eh if one_rank else None)
+        for layer, g, gb in zip(curv, grads.bias_per_instance, grads.grad_bias)
+    ]
     widest = max(range(len(jobs)), key=lambda t: curv[t].hb.shape[0], default=0)
     if jobs and curv[widest].hb.shape[0] >= _OVERLAP_MIN_WIDTH and _usable_cpus() >= 2:
         gram, gram_ready = [], threading.Event()
 
         def helper():
-            gram.append(_attempt(_gram_eig, factors[widest]))
+            layer, _, _, eh = jobs[widest]
+            gram.append(_attempt(_gram_eig, layer.h, eh))
             gram_ready.set()
             others = jobs[:widest] + jobs[widest + 1 :]
             return [_attempt(_solve_layer, *job, damping) for job in others]
 
-        def widest_gram(f):
+        def widest_gram(h, eh):
             gram_ready.wait()
             return _unwrap(gram.pop())
 
@@ -223,8 +251,8 @@ def _solve_layers(
     else:
         results = [_attempt(_solve_layer, *job, damping) for job in jobs]
     for t, result in enumerate(results, start=1):
-        if isinstance(result, NumericalBreakdownError):
-            raise NumericalBreakdownError(f"layer {t}: {result}") from result
+        if isinstance(result, (NumericalBreakdownError, FloatingPointError)):
+            raise type(result)(f"layer {t}: {result}") from result
         _unwrap(result)
     return NewtonDirection([d_w for d_w, _ in results], [d_b for _, d_b in results])
 
@@ -240,7 +268,8 @@ def ea_cg_direction(
     eigendecomposition of the Gram matrix of the input factor F
     (cfg.hvp_mode's batch h, or the row E[h]) it gives the exact inverse of
     the weight system (1-alpha)(hb kron F^T F / r) + alpha I, _kron_inverse
-    with b = (1-alpha) lam and d = alpha, and d_W = -inverse(g_W).  This is
+    with b = (1-alpha) lam and d = alpha, and d_W = -inverse(g) for the
+    mean weight gradient g^T h / r.  This is
     the solve that conjugate gradient, preconditioned by this exact
     inverse, returns after one iteration.  A damped block with an
     eigenvalue <= 0 raises NumericalBreakdownError naming its layer.
@@ -253,10 +282,7 @@ def ea_cg_direction(
         b = (1 - alpha) * lam
         return b + alpha, b, alpha
 
-    factors = [
-        layer.h if cfg.hvp_mode is HvpMode.EXACT_KRON else layer.eh[None, :] for layer in curv
-    ]
-    return _solve_layers(curv, factors, grads, damping)
+    return _solve_layers(curv, grads, damping, cfg.hvp_mode is HvpMode.EA_ONE_RANK)
 
 
 def sherman_morrison_apply(
@@ -307,4 +333,4 @@ def kfi_direction(
             )
         return lam + sqrt_a, damped_g, pi * sqrt_a * damped_g
 
-    return _solve_layers(curv, [layer.h for layer in curv], grads, damping)
+    return _solve_layers(curv, grads, damping)

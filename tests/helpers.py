@@ -85,10 +85,10 @@ def weight_hvp(f, hb, alpha, x):
     return (1 - alpha) * ((hb @ (x @ f.T)) @ f) / f.shape[0] + alpha * x
 
 
-def forbid_shape(shape):
+def forbid_shape(*shapes):
     """An ndarray subclass whose ufunc results (matmul, elementwise arithmetic,
     reductions) and numpy.linalg results raise AssertionError when their last
-    two dimensions are `shape`.  Results are of the subclass too, so the check
+    two dimensions are one of `shapes`.  Results are of the subclass too, so the check
     follows every array computed from data viewed as it: a.view(forbid_shape(s)).
     """
 
@@ -105,7 +105,7 @@ def forbid_shape(shape):
             return self.__array_wrap__(result)
 
         def __array_wrap__(self, arr, context=None, return_scalar=False):
-            if np.shape(arr)[-2:] == tuple(shape):
+            if np.shape(arr)[-2:] in [tuple(shape) for shape in shapes]:
                 raise AssertionError(f"formed a {np.shape(arr)} array")
             if return_scalar:
                 return arr[()]

@@ -47,7 +47,7 @@ from helpers import (
     random_model,
 )
 from test_curvature import fd_bias_hessian
-from test_solvers import make_curvature, make_grads
+from test_solvers import make_curvature, make_grads, quadratic_guarded_problem
 
 
 def report(name, ok):
@@ -180,7 +180,7 @@ def test_criterion_6_ea_cg_correctness():
     cfg = SolverConfig(alpha=alpha)
     for n_out, n_in in [(4, 3), (3, 2)]:
         curv = [make_curvature(rng, n_out, n_in)]
-        grads = make_grads(rng, [(n_out, n_in)])
+        grads = make_grads(rng, curv)
         d = ea_cg_direction(curv, grads, cfg)
         big = (1 - alpha) * np.kron(gram(curv[0].h), curv[0].hb) + alpha * np.eye(
             n_out * n_in
@@ -205,16 +205,9 @@ def test_criterion_6_ea_cg_correctness():
     )
     ok &= bool(np.max(np.abs(d1.flat() - d2.flat())) <= 1e-10)
 
-    # structural guarantee: the Gram matrix is never touched in one-rank mode
-    from blocknewton.curvature import LayerCurvature
-
-    class Poison:
-        def __getattr__(self, name):
-            raise AssertionError("quadratic-space factor touched")
-
-    base = make_curvature(rng, 3, 4)
-    poisoned = [LayerCurvature(hb=base.hb, h=Poison(), eh=base.eh)]
-    pgrads = make_grads(rng, [(3, 4)])
+    # structural guarantee: no Gram matrix of h is formed in one-rank mode
+    # (h itself is read, as the weight gradient's factor)
+    poisoned, pgrads = quadratic_guarded_problem(rng)
     dp = ea_cg_direction(
         poisoned, pgrads, SolverConfig(alpha=0.1, hvp_mode=HvpMode.EA_ONE_RANK)
     )
@@ -233,7 +226,7 @@ def test_criterion_7_kfi_correctness():
     sqrt_a = np.sqrt(alpha)
     shapes = [(4, 3), (3, 4)]
     curv = [make_curvature(rng, *s) for s in shapes]
-    grads = make_grads(rng, shapes)
+    grads = make_grads(rng, curv)
     d = kfi_direction(curv, grads, alpha)
     for layer, gw, gb, dw, db in zip(
         curv, grads.grad_weight, grads.grad_bias, d.d_weight, d.d_bias

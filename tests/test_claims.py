@@ -4,9 +4,15 @@ asserts an ordering rather than a tolerance fitted to today's numbers."""
 import json
 import math
 
+import numpy as np
+import pytest
+
 from blocknewton.cli import EXIT_NUMERICAL, EXIT_OK, cli
+from blocknewton.curvature import CurvatureKind, ea_curvature, true_bias_hessian
 from blocknewton.experiments import compare_curvatures, load_spec, spec_from_json
-from blocknewton.trainer import mean_loss, train
+from blocknewton.fcnn import batch_pass
+from blocknewton.linalg import abs_eig
+from blocknewton.trainer import mean_loss, optimizer_step, shuffled_indices, train, zero_velocity
 
 # the deep 8-layer net that the README documents as its hard case, under the
 # non-convex sigmoid-gate criterion
@@ -71,6 +77,35 @@ def test_paper_width_block_errors_order_pch1_pch2_gauss_newton_fisher():
         for name, column in compare_curvatures(spec_from_json(PAPER_WIDTH)).columns.items()
     }
     assert totals["pch1"] < totals["pch2"] < totals["gauss_newton"] < totals["fisher"], totals
+
+
+def pch1_relative_errors(seed, steps=4):
+    """PCH-1's relative error ||approx - |H| ||_F / || |H| ||_F per layer, at
+    the parameters that `steps` EA-CG PCH-1 steps of PAPER_WIDTH reach from
+    seed's initial ones, on the epoch's next batch, against the exact
+    block-diagonal bias Hessian with its eigenvalues made absolute."""
+    spec = spec_from_json(PAPER_WIDTH)
+    x, y, _, _ = spec.load_dataset(seed).split()
+    model, cfg = spec.build_model(seed), spec.train_cfg
+    order = shuffled_indices(x.shape[0], seed, 0)
+    batches = [order[i * cfg.batch_size : (i + 1) * cfg.batch_size] for i in range(steps + 1)]
+    velocity = zero_velocity(model)
+    for rows in batches[:steps]:
+        optimizer_step(model, batch_pass(model, spec.criterion, x[rows], y[rows]), cfg, velocity)
+    bp = batch_pass(model, spec.criterion, x[batches[steps]], y[batches[steps]])
+    exact = [abs_eig(block) for block in true_bias_hessian(model, bp)]
+    approx = ea_curvature(model, bp, CurvatureKind.PCH, -1.0)
+    return [np.linalg.norm(a.hb - e) / np.linalg.norm(e) for a, e in zip(approx, exact)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_paper_width_pch1_errors_do_not_accumulate_toward_the_input(seed):
+    # the paper: the recursive approximations' errors "are not accumulated
+    # with layers"; PCH-1's relative error at layer 1, the end of the
+    # recursion, stays below its largest over the hidden layers 2..k-1 (the
+    # convex top block is exact, so layer k is left out)
+    rel = pch1_relative_errors(seed)
+    assert rel[0] < max(rel[1:-1]), rel
 
 
 def epochs_to_reach(doc, loss):

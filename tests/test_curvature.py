@@ -5,6 +5,7 @@ from blocknewton.curvature import (
     CurvatureKind,
     covariance_bound_check,
     ea_curvature,
+    exact_bias_hessian_instances,
     layerwise_error,
     true_bias_hessian,
 )
@@ -15,6 +16,7 @@ from blocknewton.fcnn import (
     FcnnModel,
     SigmoidGate,
     backprop,
+    batch_moments,
     batch_pass,
     criterion_batch,
     forward,
@@ -86,6 +88,39 @@ class TestTrueBiasHessian:
         bp = batch_pass(other, CrossEntropySoftmax(), np.ones((2, 4)), np.eye(2)[[0, 1]])
         with pytest.raises(DimensionError):
             true_bias_hessian(model, bp)
+
+
+@pytest.mark.parametrize("criterion", both_criteria(), ids=["xent", "gate"])
+def test_diagonal_terms_bitwise_equal_recomputed_products(criterion):
+    # backprop's products g^{t+1} W^{t+1} (grads.grad_h) feed the moments and
+    # the exact recursion; both equal, bit for bit, the expressions that
+    # recomputed the product
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        model = random_model(rng)
+        x, y = random_batch(rng, model, batch=6)
+        bp = batch_pass(model, criterion, x, y)
+        trace, gb, k = bp.trace, bp.grads.bias_per_instance, model.num_layers
+        moments = batch_moments(model, bp)
+        mean_out = bp.hess_out.mean(axis=0)
+        assert np.array_equal(moments.mean_hess_out, 0.5 * (mean_out + mean_out.T))
+        expect_hbs = [None] * k
+        expect_hbs[k - 1] = bp.hess_out
+        for t in range(1, k):
+            hp, w = trace.hprime[t], model.weights[t]
+            assert np.array_equal(moments.hprime_gram[t], (hp.T @ hp) / trace.batch_size)
+            diag_term = (trace.hdprime[t] * (gb[t] @ w)).mean(axis=0)
+            assert np.array_equal(moments.diag_term[t], diag_term)
+        for t in range(k, 1, -1):
+            w, hp = model.weights[t - 1], trace.hprime[t - 1]
+            sand = w.T @ expect_hbs[t - 1] @ w
+            sand *= hp[:, :, None]
+            sand *= hp[:, None, :]
+            idx = np.arange(w.shape[1])
+            sand[:, idx, idx] += trace.hdprime[t - 1] * (gb[t - 1] @ w)
+            expect_hbs[t - 2] = sand
+        for got, expect in zip(exact_bias_hessian_instances(model, bp), expect_hbs):
+            assert np.array_equal(got, expect)
 
 
 class TestEaCurvature:

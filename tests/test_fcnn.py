@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blocknewton import fcnn
 from blocknewton.errors import ConfigError, DimensionError
 from blocknewton.fcnn import (
     Activation,
@@ -21,6 +22,7 @@ from helpers import (
     assert_close_rel,
     batch_loss,
     both_criteria,
+    count_calls,
     fd_gradient,
     fd_loss_gradient,
     random_batch,
@@ -271,6 +273,22 @@ class TestBackprop:
         for t in range(model.num_layers):
             outer = np.outer(grads.bias_per_instance[t][0], trace.h[t][0])
             assert np.array_equal(grads.grad_weight[t], outer)
+
+    def test_weight_gradient_built_once_on_first_read(self, monkeypatch):
+        # the factored gradient multiplies out to the mean outer product, bit
+        # for bit, only when read, and only once
+        rng = np.random.default_rng(9)
+        model = random_model(rng)
+        x, _ = random_batch(rng, model, batch=7)
+        trace = forward(model, x)
+        grads = backprop(model, trace, rng.standard_normal(trace.h[-1].shape))
+        built = count_calls(monkeypatch, fcnn, "weight_gradient")
+        assert "grad_weight" not in vars(grads)
+        first = grads.grad_weight
+        assert grads.grad_weight is first and len(built) == model.num_layers
+        for t, gw in enumerate(first):
+            g, h = grads.bias_per_instance[t], trace.h[t]
+            assert np.array_equal(gw, (g.T @ h) / trace.batch_size)
 
     @pytest.mark.parametrize("criterion", both_criteria(), ids=["xent", "gate"])
     def test_gradients_match_finite_differences(self, criterion):

@@ -18,14 +18,16 @@ from blocknewton.experiments import (
     spec_from_json,
     summary_csv,
 )
-from blocknewton.fcnn import Activation, CrossEntropySoftmax, SigmoidGate
+from blocknewton.fcnn import Activation, CrossEntropySoftmax, FcnnModel, SigmoidGate, batch_pass
 from blocknewton.trainer import (
     SecondOrderSpec,
     SolverChoice,
     TrainConfig,
     accuracy,
     mean_loss,
+    optimizer_step,
     train,
+    zero_velocity,
 )
 from helpers import count_calls
 
@@ -269,6 +271,30 @@ class TestCurvaturePerPass:
         once_per_batch = hidden * cfg.epochs * math.ceil(x_train.shape[0] / cfg.batch_size)
         assert len(first) == once_per_batch
         assert len(second) == (0 if second_order is None else once_per_batch)
+
+
+@pytest.mark.parametrize(
+    "second_order",
+    [None, PCH1, SecondOrderSpec(kind=CurvatureKind.PCH, solver=SolverChoice.KFI)],
+    ids=["sgd", "ea_cg-pch1", "kfi-pch1"],
+)
+def test_weight_gradients_multiplied_out_only_for_sgd(monkeypatch, second_order):
+    # at paper width the Newton solvers read each weight gradient as its
+    # factors G^T h / r and never build grads.grad_weight (the layers no
+    # wider than the batch, 3 and 4, multiply theirs out inside the solve);
+    # SGD builds every layer's once per step
+    rng = np.random.default_rng(5)
+    model = FcnnModel.xavier([784, 256, 128, 64, 10], Activation.SIGMOID, rng=rng)
+    x = rng.uniform(0.0, 1.0, (128, 784))
+    y = np.eye(10)[rng.integers(0, 10, 128)]
+    cfg = TrainConfig(learning_rate=0.1, momentum=0.9, batch_size=128, second_order=second_order)
+    built = count_calls(monkeypatch, fcnn, "weight_gradient")
+    velocity = zero_velocity(model)
+    for step in range(1, 3):
+        bp = batch_pass(model, CrossEntropySoftmax(), x, y)
+        optimizer_step(model, bp, cfg, velocity)
+        assert ("grad_weight" in vars(bp.grads)) is (second_order is None)
+        assert len(built) == step * (model.num_layers if second_order is None else 2)
 
 
 @pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd-momentum", "ea_cg-pch1"])

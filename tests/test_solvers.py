@@ -44,10 +44,13 @@ def make_curvature(rng, n_out, n_in, psd_shift=1.0):
     return LayerCurvature(hb=hb, h=h, eh=h.mean(axis=0))
 
 
-def make_grads(rng, shapes):
-    gw = [rng.standard_normal(s) for s in shapes]
-    gb = [rng.standard_normal(s[0]) for s in shapes]
-    return LayerGradients(grad_bias=gb, grad_weight=gw, bias_per_instance=None)
+def make_grads(rng, curv):
+    """Gradients as the solvers read them: per-instance bias gradients G on
+    each layer's batch h, so g_W = G^T h / r (grad_weight, built on read),
+    and a mean bias gradient drawn on its own."""
+    g = [rng.standard_normal((layer.h.shape[0], layer.hb.shape[0])) for layer in curv]
+    gb = [rng.standard_normal(layer.hb.shape[0]) for layer in curv]
+    return LayerGradients(grad_bias=gb, bias_per_instance=g, inputs=[layer.h for layer in curv])
 
 
 def kfi_pi(layer, policy):
@@ -68,7 +71,17 @@ def gram_guarded_problem():
     with pytest.raises(AssertionError):  # the guard trips on the Gram matrix itself
         gram(base.h.view(guard))
     layer = LayerCurvature(hb=base.hb, h=base.h.view(guard), eh=base.eh.view(guard))
-    return [layer], make_grads(rng, [(3, 12)])
+    return [layer], make_grads(rng, [layer])
+
+
+def quadratic_guarded_problem(rng=None):
+    """One 3 x 4 layer on an 8-row batch whose input data raise on any 4 x 4
+    or 8 x 8 result, the shapes of h's two Gram matrices."""
+    rng = np.random.default_rng(3) if rng is None else rng
+    base = make_curvature(rng, 3, 4)
+    guard = forbid_shape((4, 4), (8, 8))
+    layer = LayerCurvature(hb=base.hb, h=base.h.view(guard), eh=base.eh.view(guard))
+    return [layer], make_grads(rng, [layer])
 
 
 def model_problem(seed, batch=5, kind=CurvatureKind.PCH):
@@ -95,8 +108,8 @@ def poison(curv, grads, fault):
         curv[1].h[0, 0] = np.nan
     elif fault == "non_finite_grad":
         grads.grad_bias[1][0] = np.nan
-    else:
-        grads.grad_weight[1][0, 1] = np.inf
+    else:  # g_W's factor G
+        grads.bias_per_instance[1][0, 1] = np.inf
 
 
 def breakdown_message(fault):
@@ -105,15 +118,12 @@ def breakdown_message(fault):
 
 class TestEaCg:
     def test_zero_curvature_scales_gradient(self):
-        # with H = 0 the damped system is alpha * d = -g
+        # with H = 0 the damped system is alpha * d = -g; Hb = 0 makes H = 0
+        # whatever h is, and a nonzero h keeps g_W = G^T h / r nonzero
         rng = np.random.default_rng(0)
-        shapes = [(3, 4)]
-        curv = [
-            LayerCurvature(
-                hb=np.zeros((3, 3)), h=np.zeros((1, 4)), eh=np.zeros(4)
-            )
-        ]
-        grads = make_grads(rng, shapes)
+        h = rng.standard_normal((1, 4))
+        curv = [LayerCurvature(hb=np.zeros((3, 3)), h=h, eh=h.mean(axis=0))]
+        grads = make_grads(rng, curv)
         cfg = SolverConfig(alpha=0.5)
         d = ea_cg_direction(curv, grads, cfg)
         assert np.allclose(d.d_weight[0], -2.0 * grads.grad_weight[0], atol=1e-12)
@@ -125,7 +135,7 @@ class TestEaCg:
         cfg = SolverConfig(alpha=alpha)
         for n_out, n_in in [(4, 3), (3, 2)]:
             curv = [make_curvature(rng, n_out, n_in)]
-            grads = make_grads(rng, [(n_out, n_in)])
+            grads = make_grads(rng, curv)
             d = ea_cg_direction(curv, grads, cfg)
 
             big = (1 - alpha) * np.kron(gram(curv[0].h), curv[0].hb) + alpha * np.eye(
@@ -146,7 +156,7 @@ class TestEaCg:
         alpha = 0.02
         cfg = SolverConfig(alpha=alpha, hvp_mode=mode)
         curv = [make_curvature(rng, 3, 12)]
-        grads = make_grads(rng, [(3, 12)])
+        grads = make_grads(rng, curv)
         d = ea_cg_direction(curv, grads, cfg)
 
         eh = curv[0].eh
@@ -167,7 +177,7 @@ class TestEaCg:
         cfg = SolverConfig(alpha=alpha, hvp_mode=mode)
         for n_out, n_in in [(4, 3), (3, 12), (2, 1)]:
             curv = [make_curvature(rng, n_out, n_in)]
-            grads = make_grads(rng, [(n_out, n_in)])
+            grads = make_grads(rng, curv)
             d = ea_cg_direction(curv, grads, cfg)
 
             eh = curv[0].eh
@@ -201,7 +211,7 @@ class TestEaCg:
         rng = np.random.default_rng(10)
         alpha = 0.02
         curv = [make_curvature(rng, 3, 4), make_curvature(rng, 2, 3)]
-        grads = make_grads(rng, [(3, 4), (2, 3)])
+        grads = make_grads(rng, curv)
         if fault == "indefinite_hb":
             # (1 - alpha) lam + alpha < 0 for the bias, as for the weights
             curv[1].hb = np.diag([-1.0, 1.0])
@@ -227,20 +237,28 @@ class TestEaCg:
         assert np.max(np.abs(d1.flat() - d2.flat())) <= 1e-10
 
     def test_one_rank_mode_never_reads_gram_matrix(self):
-        class Poison:
-            def __getattr__(self, name):
-                raise AssertionError("Gram matrix must not be touched")
-
-            def __matmul__(self, other):
-                raise AssertionError("Gram matrix must not be touched")
-
-        rng = np.random.default_rng(3)
-        base = make_curvature(rng, 3, 4)
-        curv = [LayerCurvature(hb=base.hb, h=Poison(), eh=base.eh)]
-        grads = make_grads(rng, [(3, 4)])
+        # h is read as g_W's factor, but neither of its Gram matrices, 4 x 4
+        # or 8 x 8, is formed; only E[h]'s 1 x 1 one
+        curv, grads = quadratic_guarded_problem()
         cfg = SolverConfig(alpha=0.1, hvp_mode=HvpMode.EA_ONE_RANK)
         d = ea_cg_direction(curv, grads, cfg)
         assert np.all(np.isfinite(d.flat()))
+
+    def test_one_rank_solve_on_inputs_near_their_mean(self):
+        # h = 10 + 1e-3 noise puts g_W almost along E[h], where the damped
+        # weight system's eigenvalue, about 1e3 |Hb|, dwarfs alpha = 0.001: a
+        # solve that leaves eps |g_W| of its alpha-divided part along E[h]
+        # misses by a relative residual near 1e-9
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            layer = make_curvature(rng, 3, 12)
+            layer.h = 10.0 + 1e-3 * rng.standard_normal((8, 12))
+            layer.eh = layer.h.mean(axis=0)
+            grads = make_grads(rng, [layer])
+            cfg = SolverConfig(alpha=0.001, hvp_mode=HvpMode.EA_ONE_RANK)
+            dw, gw = ea_cg_direction([layer], grads, cfg).d_weight[0], grads.grad_weight[0]
+            residual = weight_hvp(layer.eh[None, :], layer.hb, 0.001, dw) + gw
+            assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(gw)
 
     def test_directions_are_descent(self):
         for seed in range(5):
@@ -253,7 +271,7 @@ class TestEaCg:
         # KFI too: zip would otherwise truncate to the shorter list
         rng = np.random.default_rng(4)
         curv = [make_curvature(rng, 3, 4)]
-        grads = make_grads(rng, [(3, 4), (2, 3)])
+        grads = make_grads(rng, curv + [make_curvature(rng, 2, 3)])
         with pytest.raises(DimensionError):
             ea_cg_direction(curv, grads, SolverConfig())
         with pytest.raises(DimensionError):
@@ -274,7 +292,7 @@ def paper_width_problem(seed=16, shapes=PAPER_SHAPES):
         m = rng.standard_normal((n_out, n_out))
         h = rng.uniform(0.0, 1.0, size=(128, n_in))
         curv.append(LayerCurvature(hb=m @ m.T / n_out + np.eye(n_out), h=h, eh=h.mean(axis=0)))
-    return curv, make_grads(rng, shapes)
+    return curv, make_grads(rng, curv)
 
 
 # (curv, grads) -> NewtonDirection under each solver configuration, the
@@ -404,8 +422,8 @@ class TestEaCgOverlap:
                 layer.hb[0, 0] = np.inf
             elif fault == "h":
                 layer.h[0, 0] = np.nan
-            elif fault == "g_W":
-                grads.grad_weight[t - 1][0, 0] = np.nan
+            elif fault == "g_W":  # in its factor G
+                grads.bias_per_instance[t - 1][0, 0] = np.nan
             elif fault == "indefinite":
                 layer.hb = -layer.hb
             else:
@@ -454,7 +472,7 @@ class TestEaCgOverlap:
     # surface as "invalid value" or not at all, by BLAS thread count
     HUGE_GRADIENT = {
         "default": ({}, NumericalBreakdownError, "layer 4: direction is not finite"),
-        "raise": ({"all": "raise"}, FloatingPointError, "overflow encountered in matmul"),
+        "raise": ({"all": "raise"}, FloatingPointError, "layer 4: overflow encountered in matmul"),
     }
 
     @pytest.mark.parametrize("solve", [EA_CG, KFI], ids=["ea_cg", "kfi"])
@@ -470,7 +488,8 @@ class TestEaCgOverlap:
         for width in (10**9, floor):  # inline, then threaded
             monkeypatch.setattr(solvers, "_OVERLAP_MIN_WIDTH", width)
             curv, grads = paper_width_problem()
-            (grads.grad_weight if grad == "g_W" else grads.grad_bias)[3][...] = value
+            # g_W's fault is in its factor G, layer 4's per-instance bias gradients
+            (grads.bias_per_instance if grad == "g_W" else grads.grad_bias)[3][...] = value
             with np.errstate(**errstate), warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 with pytest.raises(error) as excinfo:
@@ -526,7 +545,7 @@ class TestKfi:
         # (3, 12) is wider than the 8-row batch, so its E[h h^T] is rank-deficient
         shapes = [(4, 3), (3, 4), (3, 12)]
         curv = [make_curvature(rng, *s) for s in shapes]
-        grads = make_grads(rng, shapes)
+        grads = make_grads(rng, curv)
         d = kfi_direction(curv, grads, alpha, pi_policy=policy)
         for layer, gw, gb, dw, db in zip(
             curv, grads.grad_weight, grads.grad_bias, d.d_weight, d.d_bias
@@ -549,7 +568,7 @@ class TestKfi:
         layer = make_curvature(rng, 3, 6)
         layer.h = rng.standard_normal((16, 6)) * 1e5
         layer.eh = layer.h.mean(axis=0)
-        grads = make_grads(rng, [(3, 6)])
+        grads = make_grads(rng, [layer])
         d = kfi_direction([layer], grads, alpha)
         g_fac = layer.hb + sqrt_a * np.eye(3)
         h_fac = gram(layer.h) + sqrt_a * np.eye(6)
@@ -577,7 +596,7 @@ class TestKfi:
         rng = np.random.default_rng(10)
         alpha = 0.02
         curv = [make_curvature(rng, 3, 4), make_curvature(rng, 2, 3)]
-        grads = make_grads(rng, [(3, 4), (2, 3)])
+        grads = make_grads(rng, curv)
         policy = PiPolicy.UNIT
         if fault == "indefinite_hb":
             curv[1].hb = np.diag([-2.0 * np.sqrt(alpha), 1.0])  # below -sqrt(alpha)
@@ -586,7 +605,7 @@ class TestKfi:
             # definite, but Hb + sqrt(alpha) I has the eigenvalue -0.059
             h = np.full((8, 4), 0.1)
             curv[1] = LayerCurvature(hb=np.diag([-0.2, 1.0]), h=h, eh=h.mean(axis=0))
-            grads = make_grads(rng, [(3, 4), (2, 4)])
+            grads = make_grads(rng, curv)
             grads.grad_bias[1] = np.array([1.0, 0.0])
             policy = PiPolicy.TRACE_NORM
         else:
@@ -603,7 +622,7 @@ class TestKfi:
     def test_rejects_bad_alpha(self):
         rng = np.random.default_rng(8)
         curv = [make_curvature(rng, 3, 4)]
-        grads = make_grads(rng, [(3, 4)])
+        grads = make_grads(rng, curv)
         with pytest.raises(ConfigError):
             kfi_direction(curv, grads, alpha=1.5)
 
@@ -645,7 +664,7 @@ def layer_stacks(draw):
         )
         for n_in, n_out in zip(widths, widths[1:])
     ]
-    grads = make_grads(rng, [(n_out, n_in) for n_in, n_out in zip(widths, widths[1:])])
+    grads = make_grads(rng, curv)
     return curv, grads, draw(st.sampled_from([0.001, 0.02, 0.3]))
 
 
@@ -654,7 +673,7 @@ def indefinite_bias_block_stack():
     block Hb + sqrt(alpha) I is not (see TestKfi.test_breakdown_names_layer)."""
     h = np.full((8, 4), 0.1)
     curv = [LayerCurvature(hb=np.diag([-0.2, 1.0]), h=h, eh=h.mean(axis=0))]
-    grads = make_grads(np.random.default_rng(0), [(2, 4)])
+    grads = make_grads(np.random.default_rng(0), curv)
     grads.grad_bias[0] = np.array([1.0, 0.0])
     return curv, grads, 0.02
 
@@ -690,6 +709,34 @@ def min_damped_eigenvalue(layer, alpha, setting):
     return min((lam + sqrt_a / kfi_pi(layer, setting)).min(), (lam + sqrt_a).min())
 
 
+def solver_for(setting, alpha):
+    """(curv, grads) -> NewtonDirection: EA-CG under an HvpMode, KFI under a
+    PiPolicy."""
+    if isinstance(setting, HvpMode):
+        return partial(ea_cg_direction, cfg=SolverConfig(alpha=alpha, hvp_mode=setting))
+    return partial(kfi_direction, alpha=alpha, pi_policy=setting)
+
+
+@pytest.mark.parametrize("setting", [*HvpMode, *PiPolicy], ids=lambda s: s.value)
+@pytest.mark.parametrize("n_in", [12, 8, 5], ids=["wider-than-batch", "batch-wide", "narrower"])
+@pytest.mark.parametrize("rows", ["distinct", "repeated"])
+def test_dense_oracle_around_the_batch_width(setting, n_in, rows):
+    # a 3-output layer on an 8-row batch, on either side of n_in = r and at
+    # it; repeated rows make h rank-deficient (rank 4), so h h^T / r is
+    # singular when the solve works on the batch side
+    rng = np.random.default_rng(30 + n_in)
+    layer = make_curvature(rng, 3, n_in)
+    if rows == "repeated":
+        layer.h = np.repeat(layer.h[:4], 2, axis=0)
+        layer.eh = layer.h.mean(axis=0)
+    grads = make_grads(rng, [layer])
+    d = solver_for(setting, 0.02)([layer], grads)
+    weight, bias = dense_systems(layer, 0.02, setting)
+    expect_w = np.linalg.solve(weight, -grads.grad_weight[0].reshape(-1, order="F"))
+    assert np.max(np.abs(d.d_weight[0].reshape(-1, order="F") - expect_w)) <= 1e-8
+    assert np.max(np.abs(d.d_bias[0] - np.linalg.solve(bias, -grads.grad_bias[0]))) <= 1e-8
+
+
 def assert_solves(system, rhs, x):
     """x is system^{-1} rhs to within 1e-12 times system's condition number."""
     w = np.abs(np.linalg.eigvalsh(system))
@@ -707,10 +754,7 @@ def test_every_direction_descends_or_names_its_layer(stack):
     # most 1e-10; otherwise the solve raises at the lowest such layer
     curv, grads, alpha = stack
     for setting in [*HvpMode, *PiPolicy]:
-        if isinstance(setting, HvpMode):
-            solve = partial(ea_cg_direction, cfg=SolverConfig(alpha=alpha, hvp_mode=setting))
-        else:
-            solve = partial(kfi_direction, alpha=alpha, pi_policy=setting)
+        solve = solver_for(setting, alpha)
         lowest = [min_damped_eigenvalue(layer, alpha, setting) for layer in curv]
         tol = 1e-12 * max(1.0, max(np.abs(layer.hb).max() for layer in curv))
         try:

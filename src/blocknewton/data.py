@@ -1,5 +1,10 @@
 """Dataset loading: IDX (MNIST-style big-endian), labeled CSV, and seeded
-synthetic Gaussian blobs for desk-scale experiments."""
+synthetic Gaussian blobs for desk-scale experiments.
+
+Each loader builds its float64 feature matrix once and in place, and
+`Dataset.split` returns row views of it, so a run holds the features once
+from loading to its last epoch.
+"""
 
 from __future__ import annotations
 
@@ -22,18 +27,21 @@ class ParseError(ConfigError):
 
 @dataclass
 class Dataset:
-    """Features in [0, 1], integer class labels, and a train/test split."""
+    """Features in [0, 1], integer class labels, and a train/test split:
+    the first n_train rows train and the rest test."""
 
     features: np.ndarray  # (num_instances, n0) float64
     labels: np.ndarray  # (num_instances,) int
     num_classes: int
-    train_idx: np.ndarray
-    test_idx: np.ndarray
+    n_train: int
 
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
             raise ConfigError("feature/label counts differ")
-        if np.any(~np.isfinite(self.features)):
+        # a NaN propagates through both reductions and an infinity is one of
+        # them, so this reads like np.isfinite(features).all() without its
+        # full-size boolean temporaries
+        if self.features.size and not np.isfinite([self.features.min(), self.features.max()]).all():
             raise ConfigError("features contain NaN/Inf")
         if self.labels.size and int(self.labels.max()) >= self.num_classes:
             raise ConfigError("label index exceeds class count")
@@ -44,21 +52,28 @@ class Dataset:
         out[np.arange(self.labels.shape[0]), self.labels] = 1.0
         return out
 
+    @property
+    def train_idx(self) -> np.ndarray:
+        return np.arange(self.n_train)
+
+    @property
+    def test_idx(self) -> np.ndarray:
+        return np.arange(self.n_train, self.labels.shape[0])
+
     def split(self):
-        """(x_train, y_train_onehot, x_test, y_test_onehot)."""
+        """(x_train, y_train_onehot, x_test, y_test_onehot) as row views.
+
+        x_train and x_test share memory with features, so nothing is copied,
+        and writing into x_train writes into the dataset; the two one-hot
+        parts are views of one fresh one_hot array."""
+        cut = self.n_train
         onehot = self.one_hot
-        return (
-            self.features[self.train_idx],
-            onehot[self.train_idx],
-            self.features[self.test_idx],
-            onehot[self.test_idx],
-        )
+        return self.features[:cut], onehot[:cut], self.features[cut:], onehot[cut:]
 
 
-def _default_split(n: int, train_fraction: float = 0.8):
-    cut = int(round(n * train_fraction))
-    idx = np.arange(n)
-    return idx[:cut], idx[cut:]
+def _default_split(n: int, train_fraction: float = 0.8) -> int:
+    """The number of leading rows that train."""
+    return int(round(n * train_fraction))
 
 
 def _read_be_u32(buf: bytes, offset: int, path: str) -> int:
@@ -100,11 +115,11 @@ def load_idx(
         raise ParseError(
             f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels"
         )
-    features = images.reshape(images.shape[0], -1).astype(float) / 255.0
+    features = images.reshape(images.shape[0], -1).astype(float)
+    features /= 255.0
     labels = labels.astype(int)
     num_classes = int(labels.max()) + 1 if labels.size else 1
-    train_idx, test_idx = _default_split(images.shape[0], train_fraction)
-    return Dataset(features, labels, num_classes, train_idx, test_idx)
+    return Dataset(features, labels, num_classes, _default_split(images.shape[0], train_fraction))
 
 
 def write_idx_images(path: str | Path, images: np.ndarray) -> None:
@@ -135,35 +150,45 @@ def load_csv(
     has_header: bool = False,
     train_fraction: float = 0.8,
 ) -> Dataset:
-    """Numeric CSV with one integer label column; other columns are features."""
+    """Numeric CSV with one integer label column; other columns are features.
+
+    Every data row has as many cells as the first, and its label is a
+    non-negative integer below 2**31 ("3" or "3.0"); a row that breaks
+    either rule raises ParseError naming its line.  Each row is parsed into
+    one float64 array, and the rows are stacked once at the end.
+    """
     rows = []
     labels = []
+    width = None
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        for line_no, row in enumerate(reader, start=1):
-            if has_header and line_no == 1:
+        for line_no, row in enumerate(csv.reader(f), start=1):
+            if (has_header and line_no == 1) or not row:
                 continue
-            if not row:
-                continue
-            if not 0 <= label_column < len(row):
+            if width is None:
+                if not 0 <= label_column < len(row):
+                    raise ParseError(f"{path}:{line_no}: label column {label_column} out of range")
+                width = len(row)
+            elif len(row) != width:
                 raise ParseError(
-                    f"{path}:{line_no}: label column {label_column} out of range"
+                    f"{path}:{line_no}: {len(row)} cells, but the first row has {width}"
                 )
+            cell = row.pop(label_column)
             try:
-                values = [float(cell) for cell in row]
+                label = float(cell)
+                rows.append(np.fromiter(map(float, row), float, len(row)))
             except ValueError as exc:
                 raise ParseError(f"{path}:{line_no}: non-numeric cell ({exc})") from exc
-            labels.append(int(values.pop(label_column)))
-            rows.append(values)
+            if not (0 <= label < 2**31 and label.is_integer()):
+                raise ParseError(
+                    f"{path}:{line_no}: label {cell!r} is not an integer in [0, 2**31)"
+                )
+            labels.append(int(label))
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    features = np.asarray(rows, dtype=float)
+    features = np.stack(rows)
     labels_arr = np.asarray(labels, dtype=int)
-    if labels_arr.min() < 0:
-        raise ParseError(f"{path}: negative label")
     num_classes = int(labels_arr.max()) + 1
-    train_idx, test_idx = _default_split(features.shape[0], train_fraction)
-    return Dataset(features, labels_arr, num_classes, train_idx, test_idx)
+    return Dataset(features, labels_arr, num_classes, _default_split(len(labels), train_fraction))
 
 
 def synth_blobs(
@@ -190,7 +215,7 @@ def synth_blobs(
     features = features.reshape(classes * per_class, dim)
     labels = np.repeat(np.arange(classes), per_class)
     order = rng.permutation(classes * per_class)
-    features = np.clip(features[order], 0.0, 1.0)
+    features = features[order]
+    np.clip(features, 0.0, 1.0, out=features)
     labels = labels[order]
-    train_idx, test_idx = _default_split(features.shape[0], train_fraction)
-    return Dataset(features, labels, classes, train_idx, test_idx)
+    return Dataset(features, labels, classes, _default_split(features.shape[0], train_fraction))

@@ -109,7 +109,7 @@ class ExperimentSpec:
         else:
             check_range("dataset.label_column", spec["label_column"], spec["label_column"] >= 0, ">= 0")
             ds = load_csv(**spec)
-        if ds.train_idx.size == 0:
+        if ds.n_train == 0:
             raise ConfigError(f"dataset.train_fraction: {fraction!r} leaves no training instance")
         widths = (ds.features.shape[1], ds.num_classes)
         if (self.architecture[0], self.architecture[-1]) != widths:

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -307,6 +310,38 @@ class TestExitCodes:
             assert cli(["train", "--config", cfg, "--out", str(out), "--no-timing"]) == code
         assert "dataset.label_column:" in capsys.readouterr().err
         assert not (tmp_path / "out-1").exists()
+
+    @pytest.mark.parametrize(
+        "row, named",
+        [("nan,0.2", "label 'nan'"), ("inf,0.2", "label 'inf'"), ("2.7,0.2", "label '2.7'"),
+         ("1,0.2,0.3", "3 cells, but the first row has 2")],
+        ids=["nan", "inf", "fraction", "ragged"],
+    )
+    def test_bad_csv_row_exits_2_naming_its_line(self, tmp_path, capsys, row, named):
+        data = tmp_path / "data.csv"
+        data.write_text(f"0,0.1\n{row}\n1,0.3\n")
+        doc = dict(SMALL, architecture=[1, 4, 2],
+                   dataset={"kind": "csv", "path": str(data), "label_column": 0})
+        out = tmp_path / "out"
+        assert cli(["train", "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_CONFIG
+        assert f"data.csv:2: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_csv_label_prints_no_traceback(self, tmp_path):
+        # the installed command, in its own interpreter
+        data = tmp_path / "data.csv"
+        data.write_text("0,0.1\nnan,0.2\n1,0.3\n")
+        doc = dict(SMALL, architecture=[1, 4, 2],
+                   dataset={"kind": "csv", "path": str(data), "label_column": 0})
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "blocknewton.cli", "train",
+             "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == EXIT_CONFIG
+        assert "data.csv:2: label 'nan'" in run.stderr and "Traceback" not in run.stderr
 
     def test_negative_seed_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,93 @@ class TestCsv:
         path.write_text("0.1,0.2,0\n0.3,1\n")
         with pytest.raises(ParseError):
             load_csv(path, label_column=2, has_header=False)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("nan,0.2", r"d\.csv:2: label 'nan' is not an integer"),
+            ("inf,0.2", r"d\.csv:2: label 'inf' is not an integer"),
+            ("2.7,0.2", r"d\.csv:2: label '2\.7' is not an integer"),
+            ("-1,0.2", r"d\.csv:2: label '-1' is not an integer"),
+            ("1e300,0.2", r"d\.csv:2: label '1e300' is not an integer"),
+            ("1,0.2,0.3", r"d\.csv:2: 3 cells, but the first row has 2"),
+        ],
+        ids=["nan", "inf", "fraction", "negative", "huge", "ragged"],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "d.csv"
+        path.write_text(f"0,0.1\n{row}\n1,0.3\n")
+        with pytest.raises(ParseError, match=message):
+            load_csv(path, label_column=0)
+
+    def test_integral_float_label_is_its_class(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("0.5,0\n0.25,2.0\n0.75,1e0\n")
+        ds = load_csv(path, label_column=1)
+        assert list(ds.labels) == [0, 2, 1] and ds.num_classes == 3
+        assert np.array_equal(ds.features, [[0.5], [0.25], [0.75]])
+
+    def test_parse_holds_about_two_feature_matrices(self, tmp_path):
+        # each row becomes one float64 array and the rows are stacked once;
+        # a list of Python floats per row held about six times the matrix
+        rng = np.random.default_rng(3)
+        rows, cols = 500, 200
+        values = rng.uniform(size=(rows, cols))
+        labels = rng.integers(0, 10, size=rows)
+        path = tmp_path / "d.csv"
+        path.write_text("".join(
+            ",".join(map(repr, v)) + f",{c}\n" for v, c in zip(values.tolist(), labels)
+        ))
+        ds, peak = traced_peak(load_csv, path, label_column=cols)
+        assert np.array_equal(ds.features, values) and np.array_equal(ds.labels, labels)
+        assert peak <= 2.5 * ds.features.nbytes, (peak, ds.features.nbytes)
+
+
+def traced_peak(load, *args, **kwargs):
+    """load(*args, **kwargs) and the peak of the memory traced while it and
+    its dataset's split() ran."""
+    tracemalloc.start()
+    try:
+        ds = load(*args, **kwargs)
+        ds.split()
+        return ds, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSplit:
+    def test_parts_are_views_of_the_dataset(self):
+        ds = synth_blobs(classes=3, dim=4, per_class=10, spread=0.1, seed=2)
+        x_train, y_train, x_test, y_test = ds.split()
+        assert np.shares_memory(x_train, ds.features)
+        assert np.shares_memory(x_test, ds.features)
+        assert y_train.base is y_test.base is not None
+        one_hot = ds.one_hot
+        for part, want in (
+            (x_train, ds.features[ds.train_idx]),
+            (x_test, ds.features[ds.test_idx]),
+            (y_train, one_hot[ds.train_idx]),
+            (y_test, one_hot[ds.test_idx]),
+        ):
+            assert part.dtype == want.dtype and part.tobytes() == want.tobytes()
+        assert list(ds.train_idx) == list(range(24)) and list(ds.test_idx) == list(range(24, 30))
+
+    def test_whole_dataset_trains_and_nothing_tests(self):
+        ds = synth_blobs(classes=2, dim=3, per_class=5, spread=0.1, seed=0, train_fraction=1.0)
+        x_train, y_train, x_test, y_test = ds.split()
+        assert x_train.shape == (10, 3) and y_train.shape == (10, 2)
+        assert x_test.shape == (0, 3) and y_test.shape == (0, 2)
+        assert ds.test_idx.size == 0
+
+    def test_idx_load_and_split_hold_the_features_once(self, tmp_path):
+        # the file's bytes and one float64 matrix; a copied split held two
+        rng = np.random.default_rng(0)
+        pixels = rng.integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+        write_idx_images(tmp_path / "img.idx", pixels)
+        write_idx_labels(tmp_path / "lab.idx", rng.integers(0, 10, size=2000))
+        ds, peak = traced_peak(load_idx, tmp_path / "img.idx", tmp_path / "lab.idx")
+        file_bytes = (tmp_path / "img.idx").stat().st_size
+        assert peak <= ds.features.nbytes + file_bytes + 2**20, (peak, ds.features.nbytes)
 
 
 class TestBlobs:

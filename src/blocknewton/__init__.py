@@ -5,7 +5,6 @@ each layer's damped Kronecker block in its factors' eigenbases."""
 from .curvature import (
     CurvatureKind,
     ErrorReport,
-    LayerCurvature,
     covariance_bound_check,
     ea_curvature,
     layerwise_error,

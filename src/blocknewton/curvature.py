@@ -8,14 +8,15 @@ Two routes are implemented:
   blocks directly, with the positive-curvature (PCH), Gauss-Newton and
   Fisher variants.
 
-Weight-block curvature is never materialized: each layer only carries its
-bias block together with the layer-input batch h and its mean E[h].  The
-solvers factor the Kronecker factor E[h h^T] = h^T h / b through the Gram
-matrix on h's smaller side: h^T h / b when the layer is at most as wide
-as the batch, otherwise the b x b matrix h h^T / b (solvers._gram_eig).
-The same h is the right factor of the mean weight gradient G^T h / b, so
-for a layer wider than the batch the solvers form neither E[h h^T] nor
-the n_out x n_in weight gradient: the direction is B h for an n_out x b
+Weight-block curvature is never materialized: a layer's curvature is its
+bias block alone.  The weight block is E[h h^T] kron Hb, whose other
+factor comes from the layer-input batch h that the mean weight gradient
+G^T h / b is factored on (LayerGradients.inputs), so the solvers read h
+there.  They factor E[h h^T] = h^T h / b through the Gram matrix on h's
+smaller side: h^T h / b when the layer is at most as wide as the batch,
+otherwise the b x b matrix h h^T / b (solvers._gram_eig).  For a layer
+wider than the batch the solvers form neither E[h h^T] nor the
+n_out x n_in weight gradient: the direction is B h for an n_out x b
 matrix B.
 """
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalBreakdownError, check_range
-from .fcnn import BatchPass, FcnnModel, ForwardTrace, batch_moments
+from .fcnn import BatchPass, FcnnModel, ForwardTrace
 from .linalg import abs_eig, pos_eig
 
 
@@ -35,21 +36,6 @@ class CurvatureKind(enum.Enum):
     PCH = "pch"
     GAUSS_NEWTON = "gauss_newton"
     FISHER = "fisher"
-
-
-@dataclass
-class LayerCurvature:
-    """Curvature data for one layer t.
-
-    hb is the (possibly modified) bias block E_i[d2 xi / d b^t d b^t].
-    h is the b x n batch of layer inputs h^{t-1} (a view of the forward
-    trace) and eh its mean; the weight block is (h^T h / b) kron hb, kept
-    in factored form.
-    """
-
-    hb: np.ndarray
-    h: np.ndarray
-    eh: np.ndarray
 
 
 def _check_trace(model: FcnnModel, trace: ForwardTrace) -> None:
@@ -97,16 +83,17 @@ def true_bias_hessian(model: FcnnModel, bp: BatchPass) -> list[np.ndarray]:
 
 def ea_curvature(
     model: FcnnModel, bp: BatchPass, kind: CurvatureKind, gamma: float = -1.0
-) -> list[LayerCurvature]:
-    """Expectation-approximated curvature blocks for every layer.
+) -> list[np.ndarray]:
+    """Expectation-approximated bias blocks E_i[d2 xi / d b^t d b^t] for
+    every layer t, hbs[t-1] of shape (n_t, n_t).
 
     PCH clips the top block and the recursion's diagonal term through the
     negative-eigenvalue replacement with the given gamma (-1 flips signs,
     0 zeroes); the sandwich term is PSD by induction and left alone.
     Gauss-Newton runs the same recursion with the diagonal term dropped
     and no clipping.  Fisher replaces every bias block by the gradient
-    outer-product mean.  The batch means all kinds share are computed on
-    the first call for bp and kept in bp.moments.
+    outer-product mean.  The batch means all kinds share are bp.moments,
+    computed on the first read.
     """
     check_range("gamma", gamma, kind is not CurvatureKind.PCH or gamma in (-1.0, 0.0), "-1 or 0")
     trace = bp.trace
@@ -114,8 +101,6 @@ def ea_curvature(
     k = model.num_layers
     n = trace.batch_size
     gb = bp.grads.bias_per_instance
-    if bp.moments is None:
-        bp.moments = batch_moments(model, bp)
     moments = bp.moments
 
     if kind is CurvatureKind.PCH:
@@ -128,25 +113,22 @@ def ea_curvature(
     else:  # Fisher
         hb = (gb[k - 1].T @ gb[k - 1]) / n
 
-    layers: list[LayerCurvature] = [None] * k
-    layers[k - 1] = LayerCurvature(hb=hb, h=trace.h[k - 1], eh=moments.eh[k - 1])
-
-    prev_hb = hb
+    hbs: list[np.ndarray] = [None] * k
+    hbs[k - 1] = hb
     for t in range(k, 1, -1):
         w = model.weights[t - 1]
         if kind is CurvatureKind.FISHER:
             hb = (gb[t - 2].T @ gb[t - 2]) / n
         else:
-            hb = (w.T @ prev_hb @ w) * moments.hprime_gram[t - 1]
+            hb = (w.T @ hb @ w) * moments.hprime_gram[t - 1]
             if kind is CurvatureKind.PCH:
                 # the term is diagonal, so clipping reduces to |x| or max(x, 0)
                 diag_vec = moments.diag_term[t - 1]
                 clipped = np.abs(diag_vec) if gamma == -1.0 else np.maximum(diag_vec, 0.0)
                 hb = hb + np.diag(clipped)
             hb = 0.5 * (hb + hb.T)
-        layers[t - 2] = LayerCurvature(hb=hb, h=trace.h[t - 2], eh=moments.eh[t - 2])
-        prev_hb = hb
-    return layers
+        hbs[t - 2] = hb
+    return hbs
 
 
 @dataclass

@@ -52,14 +52,6 @@ class Dataset:
         out[np.arange(self.labels.shape[0]), self.labels] = 1.0
         return out
 
-    @property
-    def train_idx(self) -> np.ndarray:
-        return np.arange(self.n_train)
-
-    @property
-    def test_idx(self) -> np.ndarray:
-        return np.arange(self.n_train, self.labels.shape[0])
-
     def split(self):
         """(x_train, y_train_onehot, x_test, y_test_onehot) as row views.
 

@@ -41,8 +41,8 @@ from .trainer import (
     SolverChoice,
     TrainConfig,
     TrainReport,
+    epoch_batches,
     optimizer_step,
-    shuffled_indices,
     train,
     zero_velocity,
 )
@@ -381,9 +381,9 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
     """Average layer-wise approximation errors along a short training run.
 
     Takes compare_steps steps of the spec's optimizer, momentum included,
-    from the seeded initial parameters, over the batches train visits in
-    its first epoch.  At each visited parameter vector (theta^0 ..
-    theta^{s-1}) one batch_pass feeds the exact block-diagonal bias
+    from the seeded initial parameters, on the first compare_steps batches
+    train visits, epoch after epoch (epoch_batches).  At each visited
+    parameter vector (theta^0 .. theta^{s-1}) one batch_pass feeds the exact block-diagonal bias
     Hessian, the errors of Fisher / Gauss-Newton / PCH-1 / PCH-2 against
     it, and the step, which reuses the column of the optimizer's
     curvature kind (and gamma, under PCH); errors are averaged per layer.
@@ -409,28 +409,26 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
 
     k = model.num_layers
     sums = {name: np.zeros(k + 1) for name in variants}
-    order = shuffled_indices(x_train.shape[0], run_seed, 0)
-    n = x_train.shape[0]
+    schedule = itertools.chain.from_iterable(
+        epoch_batches(x_train.shape[0], cfg.batch_size, run_seed, epoch)
+        for epoch in itertools.count()
+    )
     velocity = zero_velocity(model)
     second = cfg.second_order
-    for step in range(spec.compare_steps):
-        lo = (step * cfg.batch_size) % max(n, 1)
-        batch = order[lo : lo + cfg.batch_size]
-        if batch.size == 0:
-            batch = order[:cfg.batch_size]
+    for batch in itertools.islice(schedule, spec.compare_steps):
         bp = batch_pass(model, criterion, x_train[batch], y_train[batch])
         # layerwise_error's targets, each block's eigendecomposition taken once
         exact = [abs_eig(e) for e in true_bias_hessian(model, bp)]
-        step_curv = None
+        step_hbs = None
         for name, (kind, gamma) in variants.items():
-            curv = ea_curvature(model, bp, kind, gamma)
-            report = frobenius_errors([c.hb for c in curv], exact)
+            hbs = ea_curvature(model, bp, kind, gamma)
+            report = frobenius_errors(hbs, exact)
             sums[name] += np.array(report.per_layer + [report.total])
             if second is not None and kind is second.kind and (
                 kind is not CurvatureKind.PCH or gamma == second.gamma
             ):
-                step_curv = curv
-        optimizer_step(model, bp, cfg, velocity, step_curv)
+                step_hbs = hbs
+        optimizer_step(model, bp, cfg, velocity, step_hbs)
 
     columns: dict[str, list[float] | None] = {
         name: (sums[name] / spec.compare_steps).tolist() for name in variants

@@ -339,7 +339,10 @@ class LayerGradients:
 
     bias_per_instance[t-1] is the (batch, n_t) matrix G^t of per-instance
     bias gradients, the factor the curvature module (Fisher blocks) and the
-    solvers consume, and inputs[t-1] the layer's input batch h^{t-1}.
+    solvers consume, and inputs[t-1] the layer's input batch h^{t-1}, a
+    view of the forward trace: the other factor of the weight gradient and
+    the batch whose Gram matrix E[h h^T] is the Kronecker factor of the
+    layer's weight block in the solvers.
     grad_bias[t-1] is the mean of G^t over instances.  grad_weight[t-1],
     the mean gradient w.r.t. W^t, is weight_gradient(G^t, h^{t-1}), built
     for every layer on the first read and kept; the Newton solvers never
@@ -409,23 +412,22 @@ class BatchMoments:
     """Batch means of one pass that every expectation-approximated curvature
     kind reads, indexed like ForwardTrace (t = 0..k, None where undefined).
 
-    mean_hess_out is the symmetrised mean output Hessian; eh[t] = E[h^t]
-    for t < k; hprime_gram[t] = E[h'^t h'^tT] and diag_term[t] =
+    mean_hess_out is the symmetrised mean output Hessian; hprime_gram[t] =
+    E[h'^t h'^tT] and diag_term[t] =
     E[h''^t o ((W^{t+1})^T g^{t+1})], the recursion's diagonal term, for
     0 < t < k, with g^{t+1} the bias gradient of layer t+1 (the product is
     backprop's grad_h[t]).
     """
 
     mean_hess_out: np.ndarray
-    eh: list[np.ndarray]
     hprime_gram: list[np.ndarray | None]
     diag_term: list[np.ndarray | None]
 
 
-def batch_moments(model: FcnnModel, bp: BatchPass) -> BatchMoments:
-    """The BatchMoments of bp, whose pass ran through model."""
+def batch_moments(bp: BatchPass) -> BatchMoments:
+    """The BatchMoments of the pass bp."""
     trace, grad_h = bp.trace, bp.grads.grad_h
-    k = model.num_layers
+    k = len(trace.h) - 1
     n = trace.batch_size
     mean_out = bp.hess_out.mean(axis=0)
     hprime_gram: list[np.ndarray | None] = [None] * k
@@ -436,7 +438,6 @@ def batch_moments(model: FcnnModel, bp: BatchPass) -> BatchMoments:
         diag_term[t] = (trace.hdprime[t] * grad_h[t]).mean(axis=0)
     return BatchMoments(
         mean_hess_out=0.5 * (mean_out + mean_out.T),
-        eh=[h.mean(axis=0) for h in trace.h[:k]],
         hprime_gram=hprime_gram,
         diag_term=diag_term,
     )
@@ -449,18 +450,21 @@ class BatchPass:
     gradients with their per-instance bias gradients
     (grads.bias_per_instance[-1] is the criterion gradient at the output).
     hess_out, the per-instance output Hessians, is built by build_hess_out
-    on first read, and moments caches the batch_moments the EA curvature
-    computes on first use; SGD computes neither."""
+    and moments, the batch_moments every EA curvature kind reads, by
+    batch_moments, each on first read and kept; SGD reads neither."""
 
     trace: ForwardTrace
     losses: np.ndarray
     grads: LayerGradients
     build_hess_out: Callable[[], np.ndarray] = field(repr=False)
-    moments: BatchMoments | None = field(default=None, repr=False)
 
     @cached_property
     def hess_out(self) -> np.ndarray:
         return self.build_hess_out()
+
+    @cached_property
+    def moments(self) -> BatchMoments:
+        return batch_moments(self)
 
 
 def batch_pass(

@@ -1,15 +1,19 @@
 """Newton-direction solvers on block curvature.
 
-Both solvers invert each layer's damped Kronecker block in the eigenbases
-of its two factors, Hb = Q diag(lam) Q^T and the Gram matrix of the
-layer's input factor F, through one helper, _kron_inverse.  EA-CG inverts
+Both solvers take the curvature as the layers' bias blocks Hb (the
+curvature module's lists) and the gradients as LayerGradients, and invert
+each layer's damped Kronecker block in the eigenbases of its two factors,
+Hb = Q diag(lam) Q^T and the Gram matrix of the layer's input factor F,
+through one helper, _kron_inverse.  F is built from the layer's input
+batch h = grads.inputs[t-1], the array the weight gradient is factored
+on, so the solve always matches the gradient it is given.  EA-CG inverts
 (1-alpha)(Hb kron F^T F / r) + alpha I exactly, and the bias system
 (1-alpha) Hb + alpha I in the eigenbasis of Hb.  KFI, the
 Kronecker-factored inverse, inverts the two damped factors
 G = Hb + (sqrt(alpha)/pi) I and H = F^T F / r + pi sqrt(alpha) I
 separately, and the bias system Hb + sqrt(alpha) I.  The weight gradient
 is read in factored form, g^T h / r, from the r x n_out per-instance bias
-gradients g and the input batch h: a layer at most as wide as the batch
+gradients g and the same h: a layer at most as wide as the batch
 multiplies it out, and a wider one is solved as B h for an n_out x r
 matrix B, forming no n_out x n_in array but the direction.  A damped
 block with an eigenvalue <= 0, a non-finite gradient or a non-finite
@@ -36,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import LayerCurvature
 from .errors import DimensionError, NumericalBreakdownError, check_range
 from .fcnn import LayerGradients, weight_gradient
 from .linalg import EigenDecomposition, sym_eig
@@ -96,8 +99,10 @@ def _gram_eig(h: np.ndarray, eh: np.ndarray | None = None) -> EigenDecomposition
     return sym_eig(f.T @ f / m if n_in <= m else f @ f.T / m)
 
 
-def _kron_inverse(h: np.ndarray, gram: EigenDecomposition, q: np.ndarray, b, d, eh=None):
-    """g -> Z solving Q diag(b) Q^T Z (F^T F / m) + Q diag(d) Q^T Z = X for
+def _kron_inverse(
+    g: np.ndarray, h: np.ndarray, gram: EigenDecomposition, q: np.ndarray, b, d, eh=None
+) -> np.ndarray:
+    """Z solving Q diag(b) Q^T Z (F^T F / m) + Q diag(d) Q^T Z = X for
     the mean weight gradient X = g^T h / r of the r x n_out per-instance
     bias gradients g on the r x n_in input batch h: X's (lam_i, mu_j)
     eigencomponent divided by b_i mu_j + d_i, and its components off
@@ -131,19 +136,15 @@ def _kron_inverse(h: np.ndarray, gram: EigenDecomposition, q: np.ndarray, b, d, 
 
     if eh is None:
         if n_in <= r:
-            return lambda g: solve(weight_gradient(g, h))
-        return lambda g: solve(g.T / r) @ h
+            return solve(weight_gradient(g, h))
+        return solve(g.T / r) @ h
     e = eh / np.sqrt(mu) if mu[0] > 0 else eh
-
-    def apply(g: np.ndarray) -> np.ndarray:
-        x = weight_gradient(g, h)
-        along = x @ e
-        x -= np.outer(along, e)
-        again = x @ e
-        x -= np.outer(again, e)
-        return x / d + np.outer(solve((along + again)[:, None]), e)
-
-    return apply
+    x = weight_gradient(g, h)
+    along = x @ e
+    x -= np.outer(along, e)
+    again = x @ e
+    x -= np.outer(again, e)
+    return x / d + np.outer(solve((along + again)[:, None]), e)
 
 
 def _check_positive(damped: np.ndarray) -> None:
@@ -189,31 +190,33 @@ def _start(fn, *args):
     return lambda: thread.join() or _unwrap(result[0])
 
 
-def _solve_layer(layer, g, gb, eh, damping, gram_eig=_gram_eig):
-    """One layer's job: d_W = -inverse(g) and d_b = -Q ((Q^T g_b) / damped),
-    from sym_eig(hb) = Q diag(lam) Q^T, the layer's damping(layer, lam) --
-    its damped bias eigenvalues and _kron_inverse's b and d -- and
-    gram_eig(h, eh).  Only the two directions outlive the call; a finite but
-    huge gradient can still overflow in the solve, so they are checked too."""
+def _solve_layer(hb, h, g, gb, eh, damping, gram_eig=_gram_eig):
+    """One layer's job: d_W = -_kron_inverse(g, h, ...) and
+    d_b = -Q ((Q^T g_b) / damped), from sym_eig(hb) = Q diag(lam) Q^T, the
+    layer's damping(hb, h, lam) -- its damped bias eigenvalues and
+    _kron_inverse's b and d -- and gram_eig(h, eh).  Only the two directions
+    outlive the call; a finite but huge gradient can still overflow in the
+    solve, so they are checked too."""
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(gb))):
         raise NumericalBreakdownError("gradient is not finite")
-    lam, q = sym_eig(layer.hb)
-    damped_bias, b, d = damping(layer, lam)
+    lam, q = sym_eig(hb)
+    damped_bias, b, d = damping(hb, h, lam)
     _check_positive(damped_bias)
-    inverse = _kron_inverse(layer.h, gram_eig(layer.h, eh), q, b, d, eh)
-    d_w, d_b = -inverse(g), -(q @ ((q.T @ gb) / damped_bias))
+    d_w = -_kron_inverse(g, h, gram_eig(h, eh), q, b, d, eh)
+    d_b = -(q @ ((q.T @ gb) / damped_bias))
     if not (np.all(np.isfinite(d_w)) and np.all(np.isfinite(d_b))):
         raise NumericalBreakdownError("direction is not finite")
     return d_w, d_b
 
 
 def _solve_layers(
-    curv: list[LayerCurvature], grads: LayerGradients, damping, one_rank: bool = False
+    hbs: list[np.ndarray], grads: LayerGradients, damping, one_rank: bool = False
 ) -> NewtonDirection:
     """_solve_layer for every layer, each layer one independent job, on the
-    per-instance bias gradients grads.bias_per_instance, whose weight
-    gradient's other factor is the layer's h; one_rank takes the input
-    factor to be E[h] instead of h.
+    bias blocks hbs and the per-instance bias gradients
+    grads.bias_per_instance, whose weight gradient's other factor is the
+    layer's input batch h = grads.inputs; one_rank takes the input factor to
+    be the row E[h] = h.mean(axis=0) instead of h.
 
     When the widest hb is at least _OVERLAP_MIN_WIDTH wide and two CPUs are
     usable, a helper thread (_start) first factors the widest layer's Gram
@@ -223,19 +226,19 @@ def _solve_layers(
     an error always names the lowest failing layer, with its inline message
     (a FloatingPointError under np.errstate(all="raise") too).
     """
-    if len(curv) != len(grads.grad_bias):
+    if len(hbs) != len(grads.grad_bias):
         raise DimensionError("curvature/gradient layer counts differ")
     jobs = [
-        (layer, g, gb, layer.eh if one_rank else None)
-        for layer, g, gb in zip(curv, grads.bias_per_instance, grads.grad_bias)
+        (hb, h, g, gb, h.mean(axis=0) if one_rank else None)
+        for hb, h, g, gb in zip(hbs, grads.inputs, grads.bias_per_instance, grads.grad_bias)
     ]
-    widest = max(range(len(jobs)), key=lambda t: curv[t].hb.shape[0], default=0)
-    if jobs and curv[widest].hb.shape[0] >= _OVERLAP_MIN_WIDTH and _usable_cpus() >= 2:
+    widest = max(range(len(jobs)), key=lambda t: hbs[t].shape[0], default=0)
+    if jobs and hbs[widest].shape[0] >= _OVERLAP_MIN_WIDTH and _usable_cpus() >= 2:
         gram, gram_ready = [], threading.Event()
 
         def helper():
-            layer, _, _, eh = jobs[widest]
-            gram.append(_attempt(_gram_eig, layer.h, eh))
+            _, h, _, _, eh = jobs[widest]
+            gram.append(_attempt(_gram_eig, h, eh))
             gram_ready.set()
             others = jobs[:widest] + jobs[widest + 1 :]
             return [_attempt(_solve_layer, *job, damping) for job in others]
@@ -258,31 +261,31 @@ def _solve_layers(
 
 
 def ea_cg_direction(
-    curv: list[LayerCurvature], grads: LayerGradients, cfg: SolverConfig
+    hbs: list[np.ndarray], grads: LayerGradients, cfg: SolverConfig
 ) -> NewtonDirection:
     """Per-layer damped Newton directions, each layer's system solved exactly.
 
-    Each layer is factored once, by two sym_eig calls.  eigh(hb) =
-    Q diag(lam) Q^T solves the bias system directly,
+    hbs are the layers' bias blocks, and the weight blocks' other factor
+    is read from grads.inputs.  Each layer is factored once, by two sym_eig
+    calls.  eigh(hb) = Q diag(lam) Q^T solves the bias system directly,
     d_b = -Q ((Q^T g_b) / ((1-alpha) lam + alpha)).  Together with the
     eigendecomposition of the Gram matrix of the input factor F
     (cfg.hvp_mode's batch h, or the row E[h]) it gives the exact inverse of
     the weight system (1-alpha)(hb kron F^T F / r) + alpha I, _kron_inverse
-    with b = (1-alpha) lam and d = alpha, and d_W = -inverse(g) for the
-    mean weight gradient g^T h / r.  This is
-    the solve that conjugate gradient, preconditioned by this exact
-    inverse, returns after one iteration.  A damped block with an
+    with b = (1-alpha) lam and d = alpha, which gives d_W for the mean
+    weight gradient g^T h / r.  This is the solve that conjugate gradient,
+    preconditioned by this exact inverse, returns after one iteration.  A damped block with an
     eigenvalue <= 0 raises NumericalBreakdownError naming its layer.
 
     Wide nets solve their layers on two threads (see _solve_layers).
     """
     alpha = cfg.alpha
 
-    def damping(layer, lam):
+    def damping(hb, h, lam):
         b = (1 - alpha) * lam
         return b + alpha, b, alpha
 
-    return _solve_layers(curv, grads, damping, cfg.hvp_mode is HvpMode.EA_ONE_RANK)
+    return _solve_layers(hbs, grads, damping, cfg.hvp_mode is HvpMode.EA_ONE_RANK)
 
 
 def sherman_morrison_apply(
@@ -297,7 +300,7 @@ def sherman_morrison_apply(
 
 
 def kfi_direction(
-    curv: list[LayerCurvature],
+    hbs: list[np.ndarray],
     grads: LayerGradients,
     alpha: float,
     pi_policy: PiPolicy = PiPolicy.UNIT,
@@ -306,8 +309,9 @@ def kfi_direction(
 
     Per layer, d_W = -G^{-1} E[grad_W] H^{-1} with damped factors
     H = F^T F / r + c I, c = pi sqrt(alpha), and G = Hb + (sqrt(alpha)/pi) I;
-    biases use d_b = -(Hb + sqrt(alpha) I)^{-1} E[grad_b].  F is the r x n
-    input batch h, so F^T F / r = E[h h^T].
+    biases use d_b = -(Hb + sqrt(alpha) I)^{-1} E[grad_b].  Hb is the
+    layer's block in hbs, and F is its r x n input batch h = grads.inputs,
+    so F^T F / r = E[h h^T].
 
     Each layer is factored as in ea_cg_direction, by _solve_layer:
     eigh(Hb) = Q diag(lam) Q^T makes the G and bias solves scalings by
@@ -320,11 +324,11 @@ def kfi_direction(
     check_range("alpha", alpha, 0.0 < alpha < 1.0, "a value in (0, 1)")
     sqrt_a = np.sqrt(alpha)
 
-    def damping(layer, lam):
+    def damping(hb, h, lam):
         pi = 1.0
         if pi_policy is PiPolicy.TRACE_NORM:
-            tr_h = np.vdot(layer.h, layer.h) / layer.h.shape[0] / layer.h.shape[1]
-            tr_g = np.trace(layer.hb) / lam.size
+            tr_h = np.vdot(h, h) / h.shape[0] / h.shape[1]
+            tr_g = np.trace(hb) / lam.size
             pi = np.sqrt(tr_h / tr_g) if tr_h > 0 and tr_g > 0 else 1.0
         damped_g = lam + sqrt_a / pi
         if damped_g.min() <= 0:
@@ -333,4 +337,4 @@ def kfi_direction(
             )
         return lam + sqrt_a, damped_g, pi * sqrt_a * damped_g
 
-    return _solve_layers(curv, grads, damping)
+    return _solve_layers(hbs, grads, damping)

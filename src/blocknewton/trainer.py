@@ -23,12 +23,13 @@ from __future__ import annotations
 import copy
 import enum
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import solvers
-from .curvature import CurvatureKind, LayerCurvature, ea_curvature
+from .curvature import CurvatureKind, ea_curvature
 from .errors import ConfigError, TrainingDivergedError, check_range
 from .fcnn import (
     BatchPass,
@@ -77,6 +78,15 @@ def shuffled_indices(n: int, seed: int, epoch: int) -> np.ndarray:
         j = state % (i + 1)
         idx[i], idx[j] = idx[j], idx[i]
     return idx
+
+
+def epoch_batches(n: int, batch_size: int, seed: int, epoch: int) -> Iterator[np.ndarray]:
+    """The mini-batches of one epoch over range(n), in the order train steps
+    on them: shuffled_indices(n, seed, epoch) cut into runs of batch_size,
+    the last one shorter when batch_size does not divide n."""
+    order = shuffled_indices(n, seed, epoch)
+    for lo in range(0, n, batch_size):
+        yield order[lo : lo + batch_size]
 
 
 class SolverChoice(enum.Enum):
@@ -180,13 +190,13 @@ def optimizer_step(
     bp: BatchPass,
     cfg: TrainConfig,
     velocity: Velocity,
-    curv: list[LayerCurvature] | None = None,
+    hbs: list[np.ndarray] | None = None,
 ) -> None:
     """One optimizer step on the batch of bp, written into the model's own
     weight and bias arrays and, for SGD, into velocity's arrays.
 
     Second-order optimizers build the batch's curvature, unless the caller
-    passes the blocks of cfg's curvature kind for bp as curv, and step
+    passes the bias blocks of cfg's curvature kind for bp as hbs, and step
     theta += lr * d (directions come negated from the solvers); SGD
     updates the momentum buffers v <- momentum v - lr g and steps
     theta += v.  Arrays that alias the model's parameters see the step.
@@ -203,13 +213,13 @@ def optimizer_step(
             model.weights[t] += velocity_w[t]
             model.biases[t] += velocity_b[t]
         return
-    if curv is None:
-        curv = ea_curvature(model, bp, spec.kind, spec.gamma)
+    if hbs is None:
+        hbs = ea_curvature(model, bp, spec.kind, spec.gamma)
     if spec.solver is SolverChoice.EA_CG:
-        direction = ea_cg_direction(curv, bp.grads, spec.solver_cfg)
+        direction = ea_cg_direction(hbs, bp.grads, spec.solver_cfg)
     else:
         direction = kfi_direction(
-            curv, bp.grads, spec.solver_cfg.alpha, spec.solver_cfg.pi_policy
+            hbs, bp.grads, spec.solver_cfg.alpha, spec.solver_cfg.pi_policy
         )
     for t in range(model.num_layers):
         model.weights[t] += lr * direction.d_weight[t]
@@ -269,9 +279,7 @@ def train(
     for epoch in range(cfg.epochs):
         start = time.perf_counter()
         try:
-            order = shuffled_indices(n, cfg.seed, epoch)
-            for lo in range(0, n, cfg.batch_size):
-                batch = order[lo : lo + cfg.batch_size]
+            for batch in epoch_batches(n, cfg.batch_size, cfg.seed, epoch):
                 bp = batch_pass(model, criterion, x_train[batch], y_train[batch])
                 optimizer_step(model, bp, cfg, velocity)
         finally:

@@ -47,7 +47,7 @@ from helpers import (
     random_model,
 )
 from test_curvature import fd_bias_hessian
-from test_solvers import make_curvature, make_grads, quadratic_guarded_problem
+from test_solvers import make_layer, make_problem, quadratic_guarded_problem
 
 
 def report(name, ok):
@@ -116,12 +116,12 @@ def test_criterion_3_psd_suite():
         ]:
             curv = ea_curvature(model, bp, kind, gamma)
             ok &= all(
-                float(np.min(np.linalg.eigvalsh(l.hb))) >= -1e-8 for l in curv
+                float(np.min(np.linalg.eigvalsh(l))) >= -1e-8 for l in curv
             )
         if isinstance(criterion, SigmoidGate) and not saw_indefinite_gn:
             gn = ea_curvature(model, batch_pass(model, gate, x, y), CurvatureKind.GAUSS_NEWTON)
             saw_indefinite_gn = any(
-                float(np.min(np.linalg.eigvalsh(l.hb))) < -1e-10 for l in gn
+                float(np.min(np.linalg.eigvalsh(l))) < -1e-10 for l in gn
             )
     report(
         "criterion 3: PCH/Fisher blocks PSD on 100 nets; Gauss-Newton "
@@ -145,7 +145,7 @@ def test_criterion_4_output_layer_exactness():
             (CurvatureKind.PCH, 0.0),
         ]:
             curv = ea_curvature(model, bp, kind, gamma)
-            err = layerwise_error([c.hb for c in curv], exact)
+            err = layerwise_error(curv, exact)
             ok &= err.per_layer[-1] <= 1e-10
     report(
         "criterion 4: output-layer curvature error 0 for GN/PCH-1/PCH-2 "
@@ -179,10 +179,9 @@ def test_criterion_6_ea_cg_correctness():
     alpha = 0.02
     cfg = SolverConfig(alpha=alpha)
     for n_out, n_in in [(4, 3), (3, 2)]:
-        curv = [make_curvature(rng, n_out, n_in)]
-        grads = make_grads(rng, curv)
+        curv, grads = make_problem(rng, [make_layer(rng, n_out, n_in)])
         d = ea_cg_direction(curv, grads, cfg)
-        big = (1 - alpha) * np.kron(gram(curv[0].h), curv[0].hb) + alpha * np.eye(
+        big = (1 - alpha) * np.kron(gram(grads.inputs[0]), curv[0]) + alpha * np.eye(
             n_out * n_in
         )
         expect = np.linalg.solve(big, -grads.grad_weight[0].reshape(-1, order="F"))
@@ -225,17 +224,16 @@ def test_criterion_7_kfi_correctness():
     alpha = 0.02
     sqrt_a = np.sqrt(alpha)
     shapes = [(4, 3), (3, 4)]
-    curv = [make_curvature(rng, *s) for s in shapes]
-    grads = make_grads(rng, curv)
+    curv, grads = make_problem(rng, [make_layer(rng, *s) for s in shapes])
     d = kfi_direction(curv, grads, alpha)
-    for layer, gw, gb, dw, db in zip(
-        curv, grads.grad_weight, grads.grad_bias, d.d_weight, d.d_bias
+    for hb, h, gw, gb, dw, db in zip(
+        curv, grads.inputs, grads.grad_weight, grads.grad_bias, d.d_weight, d.d_bias
     ):
         n_out, n_in = gw.shape
-        g_fac = layer.hb + sqrt_a * np.eye(n_out)
-        h_fac = gram(layer.h) + sqrt_a * np.eye(n_in)
+        g_fac = hb + sqrt_a * np.eye(n_out)
+        h_fac = gram(h) + sqrt_a * np.eye(n_in)
         expect_w = -np.linalg.solve(g_fac, gw) @ np.linalg.inv(h_fac)
-        expect_b = -np.linalg.solve(layer.hb + sqrt_a * np.eye(n_out), gb)
+        expect_b = -np.linalg.solve(hb + sqrt_a * np.eye(n_out), gb)
         ok &= bool(np.max(np.abs(dw - expect_w)) <= 1e-8)
         ok &= bool(np.max(np.abs(db - expect_b)) <= 1e-8)
 

@@ -26,7 +26,7 @@ class TestIdx:
         assert np.allclose(ds.features, pixels.reshape(10, 6) / 255.0, atol=1e-15)
         assert np.array_equal(ds.labels, labels)
         assert ds.num_classes == int(labels.max()) + 1
-        assert len(ds.train_idx) == 8 and len(ds.test_idx) == 2
+        assert ds.n_train == 8 and ds.labels.shape[0] - ds.n_train == 2
 
     def test_magic_numbers(self, tmp_path):
         write_idx_images(tmp_path / "img.idx", np.zeros((1, 2, 2), dtype=np.uint8))
@@ -137,21 +137,22 @@ class TestSplit:
         assert np.shares_memory(x_test, ds.features)
         assert y_train.base is y_test.base is not None
         one_hot = ds.one_hot
+        train_idx, test_idx = np.arange(ds.n_train), np.arange(ds.n_train, ds.labels.shape[0])
         for part, want in (
-            (x_train, ds.features[ds.train_idx]),
-            (x_test, ds.features[ds.test_idx]),
-            (y_train, one_hot[ds.train_idx]),
-            (y_test, one_hot[ds.test_idx]),
+            (x_train, ds.features[train_idx]),
+            (x_test, ds.features[test_idx]),
+            (y_train, one_hot[train_idx]),
+            (y_test, one_hot[test_idx]),
         ):
             assert part.dtype == want.dtype and part.tobytes() == want.tobytes()
-        assert list(ds.train_idx) == list(range(24)) and list(ds.test_idx) == list(range(24, 30))
+        assert list(train_idx) == list(range(24)) and list(test_idx) == list(range(24, 30))
 
     def test_whole_dataset_trains_and_nothing_tests(self):
         ds = synth_blobs(classes=2, dim=3, per_class=5, spread=0.1, seed=0, train_fraction=1.0)
         x_train, y_train, x_test, y_test = ds.split()
         assert x_train.shape == (10, 3) and y_train.shape == (10, 2)
         assert x_test.shape == (0, 3) and y_test.shape == (0, 2)
-        assert ds.test_idx.size == 0
+        assert ds.n_train == ds.labels.shape[0]
 
     def test_idx_load_and_split_hold_the_features_once(self, tmp_path):
         # the file's bytes and one float64 matrix; a copied split held two
@@ -185,7 +186,7 @@ class TestBlobs:
         # change in how the points are drawn cannot change a seeded run
         ds = synth_blobs(classes=3, dim=5, per_class=7, spread=0.1, seed=11)
         digest = hashlib.sha256(ds.features.astype("<f8").tobytes())
-        for a in (ds.labels, ds.train_idx, ds.test_idx):
+        for a in (ds.labels, np.arange(ds.n_train), np.arange(ds.n_train, ds.labels.shape[0])):
             digest.update(a.astype("<i8").tobytes())
         assert digest.hexdigest() == (
             "0e293ac73cbaea207c17b9ecd8bc2fb8f022f66e60df4b7293e9c5cd50dd8652"

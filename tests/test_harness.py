@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -299,22 +300,26 @@ def test_weight_gradients_multiplied_out_only_for_sgd(monkeypatch, second_order)
 
 @pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd-momentum", "ea_cg-pch1"])
 def test_compare_curvature_takes_the_steps_of_train(second_order):
-    spec = spec_with(second_order)
-    x_train, y_train, _, _ = spec.load_dataset(0).split()
-    spec.compare_steps = math.ceil(x_train.shape[0] / spec.train_cfg.batch_size)
-    built = []
-    build = spec.build_model
+    # one epoch, and two whole epochs: 36 rows in batches of 8 leave a short
+    # fifth batch, so the second epoch starts on its own shuffle's first batch
+    for epochs in (1, 2):
+        spec = spec_with(second_order)
+        spec.train_cfg = replace(spec.train_cfg, epochs=epochs)
+        x_train, y_train, _, _ = spec.load_dataset(0).split()
+        spec.compare_steps = epochs * math.ceil(x_train.shape[0] / spec.train_cfg.batch_size)
+        built = []
+        build = spec.build_model
 
-    def build_and_keep(seed):
-        built.append(build(seed))
-        return built[-1]
+        def build_and_keep(seed):
+            built.append(build(seed))
+            return built[-1]
 
-    spec.build_model = build_and_keep
-    compare_curvatures(spec)
-    trained = build(0)
-    train(trained, spec.criterion, x_train, y_train, spec.train_cfg)
-    assert len(built) == 1
-    assert np.array_equal(built[0].flat_parameters(), trained.flat_parameters())
+        spec.build_model = build_and_keep
+        compare_curvatures(spec)
+        trained = build(0)
+        train(trained, spec.criterion, x_train, y_train, spec.train_cfg)
+        assert len(built) == 1
+        assert np.array_equal(built[0].flat_parameters(), trained.flat_parameters()), epochs
 
 
 class TestBoundCheck:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocknewton import solvers
-from blocknewton.curvature import CurvatureKind, LayerCurvature, ea_curvature
+from blocknewton.curvature import CurvatureKind, ea_curvature
 from blocknewton.errors import ConfigError, DimensionError, NumericalBreakdownError
 from blocknewton.fcnn import (
     Activation,
@@ -37,27 +37,29 @@ from helpers import (
 )
 
 
-def make_curvature(rng, n_out, n_in, psd_shift=1.0):
+def make_layer(rng, n_out, n_in, psd_shift=1.0):
+    """A positive definite bias block Hb and an 8-row input batch h."""
     m = rng.standard_normal((n_out, n_out))
     hb = m @ m.T / n_out + psd_shift * np.eye(n_out)
-    h = rng.standard_normal((8, n_in))
-    return LayerCurvature(hb=hb, h=h, eh=h.mean(axis=0))
+    return hb, rng.standard_normal((8, n_in))
 
 
-def make_grads(rng, curv):
-    """Gradients as the solvers read them: per-instance bias gradients G on
-    each layer's batch h, so g_W = G^T h / r (grad_weight, built on read),
-    and a mean bias gradient drawn on its own."""
-    g = [rng.standard_normal((layer.h.shape[0], layer.hb.shape[0])) for layer in curv]
-    gb = [rng.standard_normal(layer.hb.shape[0]) for layer in curv]
-    return LayerGradients(grad_bias=gb, bias_per_instance=g, inputs=[layer.h for layer in curv])
+def make_problem(rng, layers):
+    """(hbs, grads) for (Hb, h) layers, as the solvers read them: the bias
+    blocks, and per-instance bias gradients G on each layer's inputs h, so
+    g_W = G^T h / r (grad_weight, built on read), with a mean bias gradient
+    drawn on its own."""
+    g = [rng.standard_normal((h.shape[0], hb.shape[0])) for hb, h in layers]
+    gb = [rng.standard_normal(hb.shape[0]) for hb, _ in layers]
+    grads = LayerGradients(grad_bias=gb, bias_per_instance=g, inputs=[h for _, h in layers])
+    return [hb for hb, _ in layers], grads
 
 
-def kfi_pi(layer, policy):
+def kfi_pi(hb, h, policy):
     """KFI's pi: sqrt of the ratio of the two factors' mean eigenvalues
     under trace_norm when both are positive, otherwise 1."""
-    n_out, n_in = layer.hb.shape[0], layer.h.shape[1]
-    tr_h, tr_g = np.trace(gram(layer.h)) / n_in, np.trace(layer.hb) / n_out
+    n_out, n_in = hb.shape[0], h.shape[1]
+    tr_h, tr_g = np.trace(gram(h)) / n_in, np.trace(hb) / n_out
     ok = policy is PiPolicy.TRACE_NORM and tr_h > 0 and tr_g > 0
     return np.sqrt(tr_h / tr_g) if ok else 1.0
 
@@ -66,22 +68,20 @@ def gram_guarded_problem():
     """One 3 x 12 layer on an 8-row batch whose input data raise on any
     12 x 12 result, the shape of E[h h^T]."""
     rng = np.random.default_rng(11)
-    base = make_curvature(rng, 3, 12)
+    hb, h = make_layer(rng, 3, 12)
     guard = forbid_shape((12, 12))
     with pytest.raises(AssertionError):  # the guard trips on the Gram matrix itself
-        gram(base.h.view(guard))
-    layer = LayerCurvature(hb=base.hb, h=base.h.view(guard), eh=base.eh.view(guard))
-    return [layer], make_grads(rng, [layer])
+        gram(h.view(guard))
+    return make_problem(rng, [(hb, h.view(guard))])
 
 
 def quadratic_guarded_problem(rng=None):
     """One 3 x 4 layer on an 8-row batch whose input data raise on any 4 x 4
     or 8 x 8 result, the shapes of h's two Gram matrices."""
     rng = np.random.default_rng(3) if rng is None else rng
-    base = make_curvature(rng, 3, 4)
+    hb, h = make_layer(rng, 3, 4)
     guard = forbid_shape((4, 4), (8, 8))
-    layer = LayerCurvature(hb=base.hb, h=base.h.view(guard), eh=base.eh.view(guard))
-    return [layer], make_grads(rng, [layer])
+    return make_problem(rng, [(hb, h.view(guard))])
 
 
 def model_problem(seed, batch=5, kind=CurvatureKind.PCH):
@@ -100,12 +100,12 @@ BREAKDOWN_FAULTS = [
 ]
 
 
-def poison(curv, grads, fault):
+def poison(hbs, grads, fault):
     """Put a non-finite value into layer 2's block, input or gradient."""
     if fault == "non_finite_hb":
-        curv[1].hb[0, 0] = np.inf
+        hbs[1][0, 0] = np.inf
     elif fault == "non_finite_h":
-        curv[1].h[0, 0] = np.nan
+        grads.inputs[1][0, 0] = np.nan
     elif fault == "non_finite_grad":
         grads.grad_bias[1][0] = np.nan
     else:  # g_W's factor G
@@ -121,11 +121,9 @@ class TestEaCg:
         # with H = 0 the damped system is alpha * d = -g; Hb = 0 makes H = 0
         # whatever h is, and a nonzero h keeps g_W = G^T h / r nonzero
         rng = np.random.default_rng(0)
-        h = rng.standard_normal((1, 4))
-        curv = [LayerCurvature(hb=np.zeros((3, 3)), h=h, eh=h.mean(axis=0))]
-        grads = make_grads(rng, curv)
+        hbs, grads = make_problem(rng, [(np.zeros((3, 3)), rng.standard_normal((1, 4)))])
         cfg = SolverConfig(alpha=0.5)
-        d = ea_cg_direction(curv, grads, cfg)
+        d = ea_cg_direction(hbs, grads, cfg)
         assert np.allclose(d.d_weight[0], -2.0 * grads.grad_weight[0], atol=1e-12)
         assert np.allclose(d.d_bias[0], -2.0 * grads.grad_bias[0], atol=1e-12)
 
@@ -134,17 +132,16 @@ class TestEaCg:
         alpha = 0.02
         cfg = SolverConfig(alpha=alpha)
         for n_out, n_in in [(4, 3), (3, 2)]:
-            curv = [make_curvature(rng, n_out, n_in)]
-            grads = make_grads(rng, curv)
-            d = ea_cg_direction(curv, grads, cfg)
+            hbs, grads = make_problem(rng, [make_layer(rng, n_out, n_in)])
+            d = ea_cg_direction(hbs, grads, cfg)
 
-            big = (1 - alpha) * np.kron(gram(curv[0].h), curv[0].hb) + alpha * np.eye(
+            big = (1 - alpha) * np.kron(gram(grads.inputs[0]), hbs[0]) + alpha * np.eye(
                 n_out * n_in
             )
             expect = np.linalg.solve(big, -grads.grad_weight[0].reshape(-1, order="F"))
             assert np.max(np.abs(d.d_weight[0].reshape(-1, order="F") - expect)) <= 1e-8
 
-            small = (1 - alpha) * curv[0].hb + alpha * np.eye(n_out)
+            small = (1 - alpha) * hbs[0] + alpha * np.eye(n_out)
             expect_b = np.linalg.solve(small, -grads.grad_bias[0])
             assert np.max(np.abs(d.d_bias[0] - expect_b)) <= 1e-8
 
@@ -155,13 +152,12 @@ class TestEaCg:
         rng = np.random.default_rng(9)
         alpha = 0.02
         cfg = SolverConfig(alpha=alpha, hvp_mode=mode)
-        curv = [make_curvature(rng, 3, 12)]
-        grads = make_grads(rng, curv)
-        d = ea_cg_direction(curv, grads, cfg)
+        hbs, grads = make_problem(rng, [make_layer(rng, 3, 12)])
+        d = ea_cg_direction(hbs, grads, cfg)
 
-        eh = curv[0].eh
-        right = gram(curv[0].h) if mode is HvpMode.EXACT_KRON else np.outer(eh, eh)
-        big = (1 - alpha) * np.kron(right, curv[0].hb) + alpha * np.eye(36)
+        eh = grads.inputs[0].mean(axis=0)
+        right = gram(grads.inputs[0]) if mode is HvpMode.EXACT_KRON else np.outer(eh, eh)
+        big = (1 - alpha) * np.kron(right, hbs[0]) + alpha * np.eye(36)
         expect = np.linalg.solve(big, -grads.grad_weight[0].reshape(-1, order="F"))
         assert np.max(np.abs(d.d_weight[0].reshape(-1, order="F") - expect)) <= 1e-8
 
@@ -176,17 +172,16 @@ class TestEaCg:
         alpha = 0.02
         cfg = SolverConfig(alpha=alpha, hvp_mode=mode)
         for n_out, n_in in [(4, 3), (3, 12), (2, 1)]:
-            curv = [make_curvature(rng, n_out, n_in)]
-            grads = make_grads(rng, curv)
-            d = ea_cg_direction(curv, grads, cfg)
+            hbs, grads = make_problem(rng, [make_layer(rng, n_out, n_in)])
+            d = ea_cg_direction(hbs, grads, cfg)
 
-            eh = curv[0].eh
-            right = gram(curv[0].h) if mode is HvpMode.EXACT_KRON else np.outer(eh, eh)
-            big = (1 - alpha) * np.kron(right, curv[0].hb) + alpha * np.eye(n_out * n_in)
+            eh = grads.inputs[0].mean(axis=0)
+            right = gram(grads.inputs[0]) if mode is HvpMode.EXACT_KRON else np.outer(eh, eh)
+            big = (1 - alpha) * np.kron(right, hbs[0]) + alpha * np.eye(n_out * n_in)
             expect = np.linalg.solve(big, -grads.grad_weight[0].reshape(-1, order="F"))
             assert np.max(np.abs(d.d_weight[0].reshape(-1, order="F") - expect)) <= 1e-8
 
-            small = (1 - alpha) * curv[0].hb + alpha * np.eye(n_out)
+            small = (1 - alpha) * hbs[0] + alpha * np.eye(n_out)
             expect_b = np.linalg.solve(small, -grads.grad_bias[0])
             assert np.max(np.abs(d.d_bias[0] - expect_b)) <= 1e-8
 
@@ -204,21 +199,20 @@ class TestEaCg:
             assert len(sym_eig) == 2 * len(curv)
             assert len(eigh) == 2 * len(curv)
             factored = [args[0] for args, _, _ in sym_eig]
-            assert all(any(a is layer.hb for a in factored) for layer in curv)
+            assert all(any(a is hb for a in factored) for hb in curv)
 
     @pytest.mark.parametrize("fault", BREAKDOWN_FAULTS)
     def test_breakdown_names_layer(self, fault):
         rng = np.random.default_rng(10)
         alpha = 0.02
-        curv = [make_curvature(rng, 3, 4), make_curvature(rng, 2, 3)]
-        grads = make_grads(rng, curv)
+        hbs, grads = make_problem(rng, [make_layer(rng, 3, 4), make_layer(rng, 2, 3)])
         if fault == "indefinite_hb":
             # (1 - alpha) lam + alpha < 0 for the bias, as for the weights
-            curv[1].hb = np.diag([-1.0, 1.0])
+            hbs[1] = np.diag([-1.0, 1.0])
         else:
-            poison(curv, grads, fault)
+            poison(hbs, grads, fault)
         with pytest.raises(NumericalBreakdownError, match=breakdown_message(fault)):
-            ea_cg_direction(curv, grads, SolverConfig(alpha=alpha))
+            ea_cg_direction(hbs, grads, SolverConfig(alpha=alpha))
 
     @pytest.mark.parametrize("mode", list(HvpMode))
     def test_ea_cg_never_forms_gram_matrix(self, mode):
@@ -251,13 +245,12 @@ class TestEaCg:
         # misses by a relative residual near 1e-9
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            layer = make_curvature(rng, 3, 12)
-            layer.h = 10.0 + 1e-3 * rng.standard_normal((8, 12))
-            layer.eh = layer.h.mean(axis=0)
-            grads = make_grads(rng, [layer])
+            hb, _ = make_layer(rng, 3, 12)
+            h = 10.0 + 1e-3 * rng.standard_normal((8, 12))
+            hbs, grads = make_problem(rng, [(hb, h)])
             cfg = SolverConfig(alpha=0.001, hvp_mode=HvpMode.EA_ONE_RANK)
-            dw, gw = ea_cg_direction([layer], grads, cfg).d_weight[0], grads.grad_weight[0]
-            residual = weight_hvp(layer.eh[None, :], layer.hb, 0.001, dw) + gw
+            dw, gw = ea_cg_direction(hbs, grads, cfg).d_weight[0], grads.grad_weight[0]
+            residual = weight_hvp(h.mean(axis=0)[None, :], hb, 0.001, dw) + gw
             assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(gw)
 
     def test_directions_are_descent(self):
@@ -270,12 +263,11 @@ class TestEaCg:
     def test_layer_count_mismatch(self):
         # KFI too: zip would otherwise truncate to the shorter list
         rng = np.random.default_rng(4)
-        curv = [make_curvature(rng, 3, 4)]
-        grads = make_grads(rng, curv + [make_curvature(rng, 2, 3)])
+        hbs, grads = make_problem(rng, [make_layer(rng, 3, 4), make_layer(rng, 2, 3)])
         with pytest.raises(DimensionError):
-            ea_cg_direction(curv, grads, SolverConfig())
+            ea_cg_direction(hbs[:1], grads, SolverConfig())
         with pytest.raises(DimensionError):
-            kfi_direction(curv, grads, 0.02)
+            kfi_direction(hbs[:1], grads, 0.02)
 
 
 PAPER_SHAPES = [(256, 784), (128, 256), (64, 128), (10, 64)]
@@ -287,15 +279,14 @@ def paper_width_problem(seed=16, shapes=PAPER_SHAPES):
     """A layer stack on a 128-row batch, by default 784-256-128-64-10: its
     widest hb is wide enough for the solvers to use a helper thread."""
     rng = np.random.default_rng(seed)
-    curv = []
+    layers = []
     for n_out, n_in in shapes:
         m = rng.standard_normal((n_out, n_out))
-        h = rng.uniform(0.0, 1.0, size=(128, n_in))
-        curv.append(LayerCurvature(hb=m @ m.T / n_out + np.eye(n_out), h=h, eh=h.mean(axis=0)))
-    return curv, make_grads(rng, curv)
+        layers.append((m @ m.T / n_out + np.eye(n_out), rng.uniform(0.0, 1.0, size=(128, n_in))))
+    return make_problem(rng, layers)
 
 
-# (curv, grads) -> NewtonDirection under each solver configuration, the
+# (hbs, grads) -> NewtonDirection under each solver configuration, the
 # EA-CG ones named by their hvp_mode
 EA_CG = partial(ea_cg_direction, cfg=SolverConfig())
 KFI = partial(kfi_direction, alpha=0.02)
@@ -415,20 +406,19 @@ class TestEaCgOverlap:
 
     @staticmethod
     def faulty_problem(shapes, faults):
-        curv, grads = paper_width_problem(shapes=shapes)
+        hbs, grads = paper_width_problem(shapes=shapes)
         for t, fault in faults.items():
-            layer = curv[t - 1]
             if fault == "hb":
-                layer.hb[0, 0] = np.inf
+                hbs[t - 1][0, 0] = np.inf
             elif fault == "h":
-                layer.h[0, 0] = np.nan
+                grads.inputs[t - 1][0, 0] = np.nan
             elif fault == "g_W":  # in its factor G
                 grads.bias_per_instance[t - 1][0, 0] = np.nan
             elif fault == "indefinite":
-                layer.hb = -layer.hb
+                hbs[t - 1] = -hbs[t - 1]
             else:
-                layer.hb[0, 1] += 1.0
-        return curv, grads
+                hbs[t - 1][0, 1] += 1.0
+        return hbs, grads
 
     @pytest.mark.parametrize(
         "solve,shapes,faults,error,message",
@@ -544,18 +534,17 @@ class TestKfi:
         sqrt_a = np.sqrt(alpha)
         # (3, 12) is wider than the 8-row batch, so its E[h h^T] is rank-deficient
         shapes = [(4, 3), (3, 4), (3, 12)]
-        curv = [make_curvature(rng, *s) for s in shapes]
-        grads = make_grads(rng, curv)
-        d = kfi_direction(curv, grads, alpha, pi_policy=policy)
-        for layer, gw, gb, dw, db in zip(
-            curv, grads.grad_weight, grads.grad_bias, d.d_weight, d.d_bias
+        hbs, grads = make_problem(rng, [make_layer(rng, *s) for s in shapes])
+        d = kfi_direction(hbs, grads, alpha, pi_policy=policy)
+        for hb, h, gw, gb, dw, db in zip(
+            hbs, grads.inputs, grads.grad_weight, grads.grad_bias, d.d_weight, d.d_bias
         ):
             n_out, n_in = gw.shape
-            pi = kfi_pi(layer, policy)
-            g_fac = layer.hb + (sqrt_a / pi) * np.eye(n_out)
-            h_fac = gram(layer.h) + pi * sqrt_a * np.eye(n_in)
+            pi = kfi_pi(hb, h, policy)
+            g_fac = hb + (sqrt_a / pi) * np.eye(n_out)
+            h_fac = gram(h) + pi * sqrt_a * np.eye(n_in)
             expect_w = -np.linalg.solve(g_fac, gw) @ np.linalg.inv(h_fac)
-            expect_b = -np.linalg.solve(layer.hb + sqrt_a * np.eye(n_out), gb)
+            expect_b = -np.linalg.solve(hb + sqrt_a * np.eye(n_out), gb)
             assert np.max(np.abs(dw - expect_w)) <= 1e-8
             assert np.max(np.abs(db - expect_b)) <= 1e-8
 
@@ -565,13 +554,12 @@ class TestKfi:
         rng = np.random.default_rng(15)
         alpha = 0.02
         sqrt_a = np.sqrt(alpha)
-        layer = make_curvature(rng, 3, 6)
-        layer.h = rng.standard_normal((16, 6)) * 1e5
-        layer.eh = layer.h.mean(axis=0)
-        grads = make_grads(rng, [layer])
-        d = kfi_direction([layer], grads, alpha)
-        g_fac = layer.hb + sqrt_a * np.eye(3)
-        h_fac = gram(layer.h) + sqrt_a * np.eye(6)
+        hb, _ = make_layer(rng, 3, 6)
+        h = rng.standard_normal((16, 6)) * 1e5
+        hbs, grads = make_problem(rng, [(hb, h)])
+        d = kfi_direction(hbs, grads, alpha)
+        g_fac = hb + sqrt_a * np.eye(3)
+        h_fac = gram(h) + sqrt_a * np.eye(6)
         expect = -np.linalg.solve(g_fac, grads.grad_weight[0]) @ np.linalg.inv(h_fac)
         rel = np.linalg.norm(d.d_weight[0] - expect) / np.linalg.norm(expect)
         assert rel <= 1e-12
@@ -595,23 +583,22 @@ class TestKfi:
     def test_breakdown_names_layer(self, fault):
         rng = np.random.default_rng(10)
         alpha = 0.02
-        curv = [make_curvature(rng, 3, 4), make_curvature(rng, 2, 3)]
-        grads = make_grads(rng, curv)
+        layers = [make_layer(rng, 3, 4), make_layer(rng, 2, 3)]
+        hbs, grads = make_problem(rng, layers)
         policy = PiPolicy.UNIT
         if fault == "indefinite_hb":
-            curv[1].hb = np.diag([-2.0 * np.sqrt(alpha), 1.0])  # below -sqrt(alpha)
+            hbs[1] = np.diag([-2.0 * np.sqrt(alpha), 1.0])  # below -sqrt(alpha)
         elif fault == "indefinite_bias_block":
             # trace_norm's pi = 0.158 makes G = Hb + (sqrt(alpha)/pi) I positive
             # definite, but Hb + sqrt(alpha) I has the eigenvalue -0.059
-            h = np.full((8, 4), 0.1)
-            curv[1] = LayerCurvature(hb=np.diag([-0.2, 1.0]), h=h, eh=h.mean(axis=0))
-            grads = make_grads(rng, curv)
+            layers[1] = (np.diag([-0.2, 1.0]), np.full((8, 4), 0.1))
+            hbs, grads = make_problem(rng, layers)
             grads.grad_bias[1] = np.array([1.0, 0.0])
             policy = PiPolicy.TRACE_NORM
         else:
-            poison(curv, grads, fault)
+            poison(hbs, grads, fault)
         with pytest.raises(NumericalBreakdownError, match=breakdown_message(fault)):
-            kfi_direction(curv, grads, alpha, policy)
+            kfi_direction(hbs, grads, alpha, policy)
 
     def test_descent_on_model_problems(self):
         for seed in range(5):
@@ -621,15 +608,14 @@ class TestKfi:
 
     def test_rejects_bad_alpha(self):
         rng = np.random.default_rng(8)
-        curv = [make_curvature(rng, 3, 4)]
-        grads = make_grads(rng, curv)
+        hbs, grads = make_problem(rng, [make_layer(rng, 3, 4)])
         with pytest.raises(ConfigError):
-            kfi_direction(curv, grads, alpha=1.5)
+            kfi_direction(hbs, grads, alpha=1.5)
 
 
 def random_layer(rng, n_out, n_in, batch, hb_kind, h_kind):
-    """A layer whose Hb has eigenvalues of the given kind in a random basis
-    and whose batch x n_in input h is of full rank, rank-deficient or 0."""
+    """A layer (Hb, h) whose Hb has eigenvalues of the given kind in a random
+    basis and whose batch x n_in input h is of full rank, rank-deficient or 0."""
     q, _ = np.linalg.qr(rng.standard_normal((n_out, n_out)))
     lam = rng.uniform(-0.5 if hb_kind == "indefinite" else 0.0, 2.0, n_out)
     if hb_kind == "singular":
@@ -646,17 +632,17 @@ def random_layer(rng, n_out, n_in, batch, hb_kind, h_kind):
         h = rng.uniform(0.0, scale, (batch, rank)) @ rng.uniform(0.0, 1.0, (rank, n_in))
     else:
         h = np.zeros((batch, n_in))
-    return LayerCurvature(hb=0.5 * (hb + hb.T), h=h, eh=h.mean(axis=0))
+    return 0.5 * (hb + hb.T), h
 
 
 @st.composite
 def layer_stacks(draw):
-    """(curvature, gradients, alpha) for 1-3 random layers 1-24 wide on a
+    """(bias blocks, gradients, alpha) for 1-3 random layers 1-24 wide on a
     batch of 1-32, so n_in falls on both sides of the batch size."""
     batch = draw(st.integers(1, 32))
     widths = draw(st.lists(st.integers(1, 24), min_size=2, max_size=4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    curv = [
+    layers = [
         random_layer(
             rng, n_out, n_in, batch,
             draw(st.sampled_from(["psd", "indefinite", "singular", "zero"])),
@@ -664,53 +650,52 @@ def layer_stacks(draw):
         )
         for n_in, n_out in zip(widths, widths[1:])
     ]
-    grads = make_grads(rng, curv)
-    return curv, grads, draw(st.sampled_from([0.001, 0.02, 0.3]))
+    hbs, grads = make_problem(rng, layers)
+    return hbs, grads, draw(st.sampled_from([0.001, 0.02, 0.3]))
 
 
 def indefinite_bias_block_stack():
     """The KFI trace_norm layer whose G is positive definite but whose bias
     block Hb + sqrt(alpha) I is not (see TestKfi.test_breakdown_names_layer)."""
-    h = np.full((8, 4), 0.1)
-    curv = [LayerCurvature(hb=np.diag([-0.2, 1.0]), h=h, eh=h.mean(axis=0))]
-    grads = make_grads(np.random.default_rng(0), curv)
+    layers = [(np.diag([-0.2, 1.0]), np.full((8, 4), 0.1))]
+    hbs, grads = make_problem(np.random.default_rng(0), layers)
     grads.grad_bias[0] = np.array([1.0, 0.0])
-    return curv, grads, 0.02
+    return hbs, grads, 0.02
 
 
-def input_factor(layer, setting):
+def input_factor(h, setting):
     """F: the row E[h] under ea_one_rank, otherwise the input batch h."""
-    return layer.eh[None, :] if setting is HvpMode.EA_ONE_RANK else layer.h
+    return h.mean(axis=0)[None, :] if setting is HvpMode.EA_ONE_RANK else h
 
 
-def dense_systems(layer, alpha, setting):
+def dense_systems(hb, h, alpha, setting):
     """The damped weight system on column-major vec(W) and the damped bias
     system, as dense matrices."""
-    f = input_factor(layer, setting)
-    n_out, n_in = layer.hb.shape[0], f.shape[1]
+    f = input_factor(h, setting)
+    n_out, n_in = hb.shape[0], f.shape[1]
     if isinstance(setting, HvpMode):
-        weight = (1 - alpha) * np.kron(gram(f), layer.hb) + alpha * np.eye(n_out * n_in)
-        return weight, (1 - alpha) * layer.hb + alpha * np.eye(n_out)
-    pi, sqrt_a = kfi_pi(layer, setting), np.sqrt(alpha)
-    g_fac = layer.hb + (sqrt_a / pi) * np.eye(n_out)
+        weight = (1 - alpha) * np.kron(gram(f), hb) + alpha * np.eye(n_out * n_in)
+        return weight, (1 - alpha) * hb + alpha * np.eye(n_out)
+    pi, sqrt_a = kfi_pi(hb, h, setting), np.sqrt(alpha)
+    g_fac = hb + (sqrt_a / pi) * np.eye(n_out)
     h_fac = gram(f) + pi * sqrt_a * np.eye(n_in)
-    return np.kron(h_fac, g_fac), layer.hb + sqrt_a * np.eye(n_out)
+    return np.kron(h_fac, g_fac), hb + sqrt_a * np.eye(n_out)
 
 
-def min_damped_eigenvalue(layer, alpha, setting):
+def min_damped_eigenvalue(hb, h, alpha, setting):
     """The smallest eigenvalue of any damped block the solve divides by,
     from the factors' spectra (the weight system's are their products)."""
-    lam = np.linalg.eigvalsh(layer.hb)
-    mu = np.linalg.eigvalsh(gram(input_factor(layer, setting)))
+    lam = np.linalg.eigvalsh(hb)
+    mu = np.linalg.eigvalsh(gram(input_factor(h, setting)))
     if isinstance(setting, HvpMode):
         b = (1 - alpha) * lam
         return min((np.multiply.outer(b, mu) + alpha).min(), (b + alpha).min())
     sqrt_a = np.sqrt(alpha)
-    return min((lam + sqrt_a / kfi_pi(layer, setting)).min(), (lam + sqrt_a).min())
+    return min((lam + sqrt_a / kfi_pi(hb, h, setting)).min(), (lam + sqrt_a).min())
 
 
 def solver_for(setting, alpha):
-    """(curv, grads) -> NewtonDirection: EA-CG under an HvpMode, KFI under a
+    """(hbs, grads) -> NewtonDirection: EA-CG under an HvpMode, KFI under a
     PiPolicy."""
     if isinstance(setting, HvpMode):
         return partial(ea_cg_direction, cfg=SolverConfig(alpha=alpha, hvp_mode=setting))
@@ -725,13 +710,12 @@ def test_dense_oracle_around_the_batch_width(setting, n_in, rows):
     # it; repeated rows make h rank-deficient (rank 4), so h h^T / r is
     # singular when the solve works on the batch side
     rng = np.random.default_rng(30 + n_in)
-    layer = make_curvature(rng, 3, n_in)
+    hb, h = make_layer(rng, 3, n_in)
     if rows == "repeated":
-        layer.h = np.repeat(layer.h[:4], 2, axis=0)
-        layer.eh = layer.h.mean(axis=0)
-    grads = make_grads(rng, [layer])
-    d = solver_for(setting, 0.02)([layer], grads)
-    weight, bias = dense_systems(layer, 0.02, setting)
+        h = np.repeat(h[:4], 2, axis=0)
+    hbs, grads = make_problem(rng, [(hb, h)])
+    d = solver_for(setting, 0.02)(hbs, grads)
+    weight, bias = dense_systems(hb, h, 0.02, setting)
     expect_w = np.linalg.solve(weight, -grads.grad_weight[0].reshape(-1, order="F"))
     assert np.max(np.abs(d.d_weight[0].reshape(-1, order="F") - expect_w)) <= 1e-8
     assert np.max(np.abs(d.d_bias[0] - np.linalg.solve(bias, -grads.grad_bias[0]))) <= 1e-8
@@ -752,13 +736,13 @@ def test_every_direction_descends_or_names_its_layer(stack):
     # damped blocks are all positive definite descends on every layer,
     # matches the dense solve, and (EA-CG) leaves a relative residual of at
     # most 1e-10; otherwise the solve raises at the lowest such layer
-    curv, grads, alpha = stack
+    hbs, grads, alpha = stack
     for setting in [*HvpMode, *PiPolicy]:
         solve = solver_for(setting, alpha)
-        lowest = [min_damped_eigenvalue(layer, alpha, setting) for layer in curv]
-        tol = 1e-12 * max(1.0, max(np.abs(layer.hb).max() for layer in curv))
+        lowest = [min_damped_eigenvalue(hb, h, alpha, setting) for hb, h in zip(hbs, grads.inputs)]
+        tol = 1e-12 * max(1.0, max(np.abs(hb).max() for hb in hbs))
         try:
-            d = solve(curv, grads)
+            d = solve(hbs, grads)
         except NumericalBreakdownError as exc:
             found = re.match(r"layer (\d+): damped (block|factor) is", str(exc))
             assert found, str(exc)
@@ -766,15 +750,15 @@ def test_every_direction_descends_or_names_its_layer(stack):
             assert lowest[t - 1] <= tol and all(m > -tol for m in lowest[: t - 1]), (setting, t)
             continue
         assert all(m > -tol for m in lowest), setting
-        for layer, gw, gb, dw, db in zip(
-            curv, grads.grad_weight, grads.grad_bias, d.d_weight, d.d_bias
+        for hb, h, gw, gb, dw, db in zip(
+            hbs, grads.inputs, grads.grad_weight, grads.grad_bias, d.d_weight, d.d_bias
         ):
             assert np.vdot(dw, gw) <= 0 and db @ gb <= 0, setting
             if gw.size <= 64:
-                weight, bias = dense_systems(layer, alpha, setting)
+                weight, bias = dense_systems(hb, h, alpha, setting)
                 assert_solves(weight, -gw.reshape(-1, order="F"), dw.reshape(-1, order="F"))
                 assert_solves(bias, -gb, db)
             if isinstance(setting, HvpMode):
-                f = input_factor(layer, setting)
-                residual = weight_hvp(f, layer.hb, alpha, dw) + gw
+                f = input_factor(h, setting)
+                residual = weight_hvp(f, hb, alpha, dw) + gw
                 assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(gw), setting

@@ -28,6 +28,7 @@ from .data import Dataset, load_csv, load_idx, synth_blobs
 from .errors import ConfigError, check_range
 from .fcnn import (
     Activation,
+    BatchPass,
     CrossEntropySoftmax,
     Criterion,
     FcnnModel,
@@ -413,10 +414,10 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
         epoch_batches(x_train.shape[0], cfg.batch_size, run_seed, epoch)
         for epoch in itertools.count()
     )
-    velocity = zero_velocity(model)
     second = cfg.second_order
-    for batch in itertools.islice(schedule, spec.compare_steps):
-        bp = batch_pass(model, criterion, x_train[batch], y_train[batch])
+    velocity = zero_velocity(model) if second is None else None
+
+    def score_and_step(bp: BatchPass) -> None:
         # layerwise_error's targets, each block's eigendecomposition taken once
         exact = [abs_eig(e) for e in true_bias_hessian(model, bp)]
         step_hbs = None
@@ -429,6 +430,10 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
             ):
                 step_hbs = hbs
         optimizer_step(model, bp, cfg, velocity, step_hbs)
+
+    # each pass, with its blocks, is freed before the next one is built
+    for batch in itertools.islice(schedule, spec.compare_steps):
+        score_and_step(batch_pass(model, criterion, x_train[batch], y_train[batch]))
 
     columns: dict[str, list[float] | None] = {
         name: (sums[name] / spec.compare_steps).tolist() for name in variants

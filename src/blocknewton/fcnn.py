@@ -329,8 +329,11 @@ def criterion_batch(criterion: Criterion, hk: np.ndarray, y: np.ndarray, lazy: b
 
 def weight_gradient(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """The batch-mean weight gradient G^T h / batch of one layer, from its
-    (batch, n_out) per-instance bias gradients G and (batch, n_in) inputs h."""
-    return (g.T @ h) / h.shape[0]
+    (batch, n_out) per-instance bias gradients G and (batch, n_in) inputs h,
+    divided in place, so the product is the one n_out x n_in array formed."""
+    x = g.T @ h
+    x /= h.shape[0]
+    return x
 
 
 @dataclass
@@ -345,8 +348,9 @@ class LayerGradients:
     layer's weight block in the solvers.
     grad_bias[t-1] is the mean of G^t over instances.  grad_weight[t-1],
     the mean gradient w.r.t. W^t, is weight_gradient(G^t, h^{t-1}), built
-    for every layer on the first read and kept; the Newton solvers never
-    read it.  grad_h[t] = (W^{t+1})^T g^{t+1}, per instance, is the
+    for every layer on the first read and kept, for flat(); training never
+    reads it (SGD forms one layer's at a time, the Newton solvers keep it
+    factored).  grad_h[t] = (W^{t+1})^T g^{t+1}, per instance, is the
     gradient w.r.t. h^t for 0 < t < k (None at 0), which the curvature
     recursion's diagonal term reuses.
     """

@@ -102,8 +102,8 @@ def _gram_eig(h: np.ndarray, eh: np.ndarray | None = None) -> EigenDecomposition
 def _kron_inverse(
     g: np.ndarray, h: np.ndarray, gram: EigenDecomposition, q: np.ndarray, b, d, eh=None
 ) -> np.ndarray:
-    """Z solving Q diag(b) Q^T Z (F^T F / m) + Q diag(d) Q^T Z = X for
-    the mean weight gradient X = g^T h / r of the r x n_out per-instance
+    """-Z, for the Z solving Q diag(b) Q^T Z (F^T F / m) + Q diag(d) Q^T Z = X
+    for the mean weight gradient X = g^T h / r of the r x n_out per-instance
     bias gradients g on the r x n_in input batch h: X's (lam_i, mu_j)
     eigencomponent divided by b_i mu_j + d_i, and its components off
     range(F^T) by d_i.  F is h (m = r), or under ea_one_rank the row
@@ -123,13 +123,17 @@ def _kron_inverse(
     X_perp = X - (X e) e^T.  X_perp is projected twice: one pass leaves
     about eps |X| along e, which the weight system multiplies by b mu + d,
     against eps |X_perp| after two.
+
+    The sign rides on the divisors, -1 / (b mu + d) and -d: IEEE rounding
+    commutes with negation, so the result is bit for bit -Z without the
+    n_out x n_in copy that negating Z would take.
     """
     r, n_in = h.shape
     mu, basis = gram
     d = np.reshape(d, (-1, 1))
     damped = np.multiply.outer(b, mu) + d
     _check_positive(damped)
-    scale = 1.0 / damped
+    scale = -1.0 / damped
 
     def solve(y: np.ndarray) -> np.ndarray:
         return q @ (((q.T @ y) @ basis) * scale) @ basis.T
@@ -144,7 +148,9 @@ def _kron_inverse(
     x -= np.outer(along, e)
     again = x @ e
     x -= np.outer(again, e)
-    return x / d + np.outer(solve((along + again)[:, None]), e)
+    x /= -d
+    x += np.outer(solve((along + again)[:, None]), e)
+    return x
 
 
 def _check_positive(damped: np.ndarray) -> None:
@@ -191,7 +197,7 @@ def _start(fn, *args):
 
 
 def _solve_layer(hb, h, g, gb, eh, damping, gram_eig=_gram_eig):
-    """One layer's job: d_W = -_kron_inverse(g, h, ...) and
+    """One layer's job: d_W = _kron_inverse(g, h, ...), already negated, and
     d_b = -Q ((Q^T g_b) / damped), from sym_eig(hb) = Q diag(lam) Q^T, the
     layer's damping(hb, h, lam) -- its damped bias eigenvalues and
     _kron_inverse's b and d -- and gram_eig(h, eh).  Only the two directions
@@ -202,7 +208,7 @@ def _solve_layer(hb, h, g, gb, eh, damping, gram_eig=_gram_eig):
     lam, q = sym_eig(hb)
     damped_bias, b, d = damping(hb, h, lam)
     _check_positive(damped_bias)
-    d_w = -_kron_inverse(g, h, gram_eig(h, eh), q, b, d, eh)
+    d_w = _kron_inverse(g, h, gram_eig(h, eh), q, b, d, eh)
     d_b = -(q @ ((q.T @ gb) / damped_bias))
     if not (np.all(np.isfinite(d_w)) and np.all(np.isfinite(d_b))):
         raise NumericalBreakdownError("direction is not finite")

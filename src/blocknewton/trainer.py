@@ -39,6 +39,7 @@ from .fcnn import (
     criterion_losses,
     forward,
     softmax,
+    weight_gradient,
 )
 from .solvers import SolverConfig, _start, ea_cg_direction, kfi_direction
 
@@ -70,14 +71,20 @@ def splitmix64(x: int) -> int:
 
 
 def shuffled_indices(n: int, seed: int, epoch: int) -> np.ndarray:
-    """Fisher-Yates permutation of range(n), keyed on (seed, epoch)."""
+    """Fisher-Yates permutation of range(n), keyed on (seed, epoch): swap i
+    takes j = state % (i + 1) for state = splitmix64(previous state).  The
+    splitmix64 step is inlined and the swaps run on a Python list, which is
+    turned into an int64 array once."""
     state = splitmix64((seed & 0xFFFFFFFFFFFFFFFF) ^ splitmix64(epoch))
-    idx = np.arange(n)
+    idx = list(range(n))
     for i in range(n - 1, 0, -1):
-        state = splitmix64(state)
+        x = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        state = x ^ (x >> 31)
         j = state % (i + 1)
         idx[i], idx[j] = idx[j], idx[i]
-    return idx
+    return np.array(idx, dtype=np.int64)
 
 
 def epoch_batches(n: int, batch_size: int, seed: int, epoch: int) -> Iterator[np.ndarray]:
@@ -189,27 +196,37 @@ def optimizer_step(
     model: FcnnModel,
     bp: BatchPass,
     cfg: TrainConfig,
-    velocity: Velocity,
+    velocity: Velocity | None,
     hbs: list[np.ndarray] | None = None,
 ) -> None:
     """One optimizer step on the batch of bp, written into the model's own
-    weight and bias arrays and, for SGD, into velocity's arrays.
+    weight and bias arrays and, for SGD, into velocity's arrays; only SGD
+    reads velocity, which second-order optimizers take as None.
 
     Second-order optimizers build the batch's curvature, unless the caller
     passes the bias blocks of cfg's curvature kind for bp as hbs, and step
-    theta += lr * d (directions come negated from the solvers); SGD
-    updates the momentum buffers v <- momentum v - lr g and steps
-    theta += v.  Arrays that alias the model's parameters see the step.
+    theta += lr * d, scaling each weight direction d by lr in place
+    (directions come negated from the solvers).  SGD updates the momentum
+    buffers v <- momentum v - lr g and steps theta += v, one layer at a
+    time: it forms the layer's weight gradient g by weight_gradient, scales
+    it by lr in place and drops it before the next layer, so the step
+    holds at most one n_out x n_in array beyond the model and the buffers,
+    and it never builds bp.grads.grad_weight.  Arrays that alias the
+    model's parameters see the step.
     """
     lr = cfg.learning_rate
     spec = cfg.second_order
     if spec is None:
         velocity_w, velocity_b = velocity
+        grads = bp.grads
         for t in range(model.num_layers):
+            step = weight_gradient(grads.bias_per_instance[t], grads.inputs[t])
+            step *= lr
             velocity_w[t] *= cfg.momentum
-            velocity_w[t] -= lr * bp.grads.grad_weight[t]
+            velocity_w[t] -= step
+            del step
             velocity_b[t] *= cfg.momentum
-            velocity_b[t] -= lr * bp.grads.grad_bias[t]
+            velocity_b[t] -= lr * grads.grad_bias[t]
             model.weights[t] += velocity_w[t]
             model.biases[t] += velocity_b[t]
         return
@@ -222,7 +239,8 @@ def optimizer_step(
             hbs, bp.grads, spec.solver_cfg.alpha, spec.solver_cfg.pi_policy
         )
     for t in range(model.num_layers):
-        model.weights[t] += lr * direction.d_weight[t]
+        direction.d_weight[t] *= lr
+        model.weights[t] += direction.d_weight[t]
         model.biases[t] += lr * direction.d_bias[t]
 
 
@@ -240,7 +258,9 @@ def train(
 
     y arrays are one-hot.  Every mini-batch runs one batch_pass and one
     optimizer_step, which updates the model's own weight and bias arrays
-    and the momentum buffers in place; report.model is model.
+    and, for SGD, the momentum buffers in place; report.model is model.
+    The pass goes straight into the step, so it is freed before the next
+    batch's pass is built and before an epoch is scored.
 
     Each epoch is scored by mean_loss on the training set and accuracy on
     the test set.  Large evaluations of epoch e run on a helper thread
@@ -270,7 +290,7 @@ def train(
         wall = time.perf_counter() - start if record_time else 0.0
         return EpochRecord(epoch, loss, accuracy(params, x_test, y_test_idx), wall)
 
-    velocity = zero_velocity(model)
+    velocity = zero_velocity(model) if spec is None else None
     records: list[EpochRecord] = []
     eval_macs = (n + x_test.shape[0]) * sum(w.size for w in model.weights)
     # the CPU count is looked up in solvers, whose gate reads the same one
@@ -280,8 +300,13 @@ def train(
         start = time.perf_counter()
         try:
             for batch in epoch_batches(n, cfg.batch_size, cfg.seed, epoch):
-                bp = batch_pass(model, criterion, x_train[batch], y_train[batch])
-                optimizer_step(model, bp, cfg, velocity)
+                # no name holds the pass, so it is freed before the next is built
+                optimizer_step(
+                    model,
+                    batch_pass(model, criterion, x_train[batch], y_train[batch]),
+                    cfg,
+                    velocity,
+                )
         finally:
             # the previous epoch's record, or its error, which replaces any
             # error these steps raised from its diverged parameters

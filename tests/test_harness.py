@@ -1,12 +1,14 @@
 import json
 import math
 import sys
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blocknewton import curvature, fcnn
+from blocknewton import curvature, experiments, fcnn, trainer
 from blocknewton.curvature import CurvatureKind
 from blocknewton.errors import ConfigError
 from blocknewton.experiments import (
@@ -281,21 +283,95 @@ class TestCurvaturePerPass:
 )
 def test_weight_gradients_multiplied_out_only_for_sgd(monkeypatch, second_order):
     # at paper width the Newton solvers read each weight gradient as its
-    # factors G^T h / r and never build grads.grad_weight (the layers no
-    # wider than the batch, 3 and 4, multiply theirs out inside the solve);
-    # SGD builds every layer's once per step
+    # factors G^T h / r (the layers no wider than the batch, 3 and 4,
+    # multiply theirs out inside the solve); SGD multiplies out every
+    # layer's once per step, one layer at a time, and no optimizer builds
+    # the grads.grad_weight cache
     rng = np.random.default_rng(5)
     model = FcnnModel.xavier([784, 256, 128, 64, 10], Activation.SIGMOID, rng=rng)
     x = rng.uniform(0.0, 1.0, (128, 784))
     y = np.eye(10)[rng.integers(0, 10, 128)]
     cfg = TrainConfig(learning_rate=0.1, momentum=0.9, batch_size=128, second_order=second_order)
     built = count_calls(monkeypatch, fcnn, "weight_gradient")
-    velocity = zero_velocity(model)
+    velocity = zero_velocity(model) if second_order is None else None
     for step in range(1, 3):
         bp = batch_pass(model, CrossEntropySoftmax(), x, y)
         optimizer_step(model, bp, cfg, velocity)
-        assert ("grad_weight" in vars(bp.grads)) is (second_order is None)
+        assert "grad_weight" not in vars(bp.grads)
         assert len(built) == step * (model.num_layers if second_order is None else 2)
+
+
+def test_sgd_step_holds_one_weight_gradient_at_a_time():
+    # one SGD step at paper width allocates little more than the widest
+    # layer's weight gradient (784 x 256 doubles, 1.53 MiB) beyond what it
+    # keeps; a second array of that size on top, such as a scaled copy of
+    # the gradient, breaks the bound
+    rng = np.random.default_rng(5)
+    model = FcnnModel.xavier([784, 256, 128, 64, 10], Activation.SIGMOID, rng=rng)
+    x = rng.uniform(0.0, 1.0, (128, 784))
+    y = np.eye(10)[rng.integers(0, 10, 128)]
+    cfg = TrainConfig(learning_rate=0.1, momentum=0.9, batch_size=128)
+    bp = batch_pass(model, CrossEntropySoftmax(), x, y)
+    velocity = zero_velocity(model)
+    widest = max(w.nbytes for w in model.weights)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        optimizer_step(model, bp, cfg, velocity)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * widest, peak / widest
+
+
+@pytest.fixture
+def released_passes(monkeypatch):
+    """Wrap batch_pass where trainer and experiments look it up: each call
+    first asserts that the pass the previous call returned is gone, then
+    keeps a weak reference to the new one.  check() asserts the same
+    between calls (before an evaluation, after a run)."""
+    last = []
+    original = fcnn.batch_pass
+
+    def check():
+        assert not last or last[-1]() is None, "the previous batch's pass is still referenced"
+
+    def recorded(*args, **kwargs):
+        check()
+        bp = original(*args, **kwargs)
+        last.append(weakref.ref(bp))
+        return bp
+
+    for mod in (trainer, experiments):
+        monkeypatch.setattr(mod, "batch_pass", recorded)
+    return check, last
+
+
+@pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd-momentum", "ea_cg-pch1"])
+def test_train_releases_each_pass(monkeypatch, released_passes, second_order):
+    check, passes = released_passes
+    scored = []
+
+    def mean_loss_after_release(*args):
+        check()
+        scored.append(True)
+        return mean_loss(*args)
+
+    monkeypatch.setattr(trainer, "mean_loss", mean_loss_after_release)
+    spec = spec_with(second_order)
+    spec.train_cfg = replace(spec.train_cfg, epochs=2)
+    x_train, y_train, x_test, y_test = spec.load_dataset(0).split()
+    train(spec.build_model(0), spec.criterion, x_train, y_train, spec.train_cfg, x_test, y_test)
+    assert len(passes) == 2 * math.ceil(x_train.shape[0] / spec.train_cfg.batch_size)
+    assert len(scored) == 2
+
+
+@pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd-momentum", "ea_cg-pch1"])
+def test_compare_curvatures_releases_each_pass(released_passes, second_order):
+    check, passes = released_passes
+    compare_curvatures(spec_with(second_order, compare_steps=4))
+    check()
+    assert len(passes) == 4
 
 
 @pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd-momentum", "ea_cg-pch1"])

@@ -63,6 +63,27 @@ class TestShuffle:
         assert not np.array_equal(a, d)
 
 
+def reference_shuffle(n, seed, epoch):
+    """The Fisher-Yates loop shuffled_indices was first written as: one
+    splitmix64 call per swap on a numpy index array."""
+    state = splitmix64((seed & 0xFFFFFFFFFFFFFFFF) ^ splitmix64(epoch))
+    idx = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        state = splitmix64(state)
+        j = state % (i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 320, 1024])
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 5])
+def test_shuffle_matches_reference_loop(n, seed):
+    for epoch in (0, 1, 9):
+        order = shuffled_indices(n, seed, epoch)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, reference_shuffle(n, seed, epoch))
+
+
 class TestSgd:
     def test_zero_learning_rate_leaves_model_unchanged(self):
         model, x_train, y_train, x_test, y_test = small_problem()

@@ -87,46 +87,43 @@ def ea_curvature(
     """Expectation-approximated bias blocks E_i[d2 xi / d b^t d b^t] for
     every layer t, hbs[t-1] of shape (n_t, n_t).
 
-    PCH clips the top block and the recursion's diagonal term through the
-    negative-eigenvalue replacement with the given gamma (-1 flips signs,
-    0 zeroes); the sandwich term is PSD by induction and left alone.
-    Gauss-Newton runs the same recursion with the diagonal term dropped
-    and no clipping.  Fisher replaces every bias block by the gradient
-    outer-product mean.  The batch means all kinds share are bp.moments,
-    computed on the first read.
+    Fisher takes every bias block as the gradient outer-product mean
+    G^tT G^t / b and reads nothing else.  Gauss-Newton and PCH start from
+    the symmetrised mean output Hessian bp.hess_out and take layer t-1's
+    block as (W^tT Hb^t W^t) o E[h'^{t-1} h'^{(t-1)T}].  PCH alone adds the
+    recursion's diagonal term E[h''^{t-1} o (W^tT g^t)], from the sigma''
+    of bp.trace and backprop's products bp.grads.grad_h, and clips it and
+    the top block through the negative-eigenvalue replacement with the
+    given gamma (-1 flips signs, 0 zeroes); the sandwich term is PSD by
+    induction and left alone.
     """
     check_range("gamma", gamma, kind is not CurvatureKind.PCH or gamma in (-1.0, 0.0), "-1 or 0")
     trace = bp.trace
     _check_trace(model, trace)
     k = model.num_layers
     n = trace.batch_size
-    gb = bp.grads.bias_per_instance
-    moments = bp.moments
+    if kind is CurvatureKind.FISHER:
+        return [(g.T @ g) / n for g in bp.grads.bias_per_instance]
 
+    mean_out = bp.hess_out.mean(axis=0)
+    hb = 0.5 * (mean_out + mean_out.T)
     if kind is CurvatureKind.PCH:
         try:
-            hb = pos_eig(moments.mean_hess_out, gamma)
+            hb = pos_eig(hb, gamma)
         except NumericalBreakdownError as exc:
             raise NumericalBreakdownError(f"layer {k}: top block: {exc}") from exc
-    elif kind is CurvatureKind.GAUSS_NEWTON:
-        hb = moments.mean_hess_out
-    else:  # Fisher
-        hb = (gb[k - 1].T @ gb[k - 1]) / n
-
     hbs: list[np.ndarray] = [None] * k
     hbs[k - 1] = hb
     for t in range(k, 1, -1):
         w = model.weights[t - 1]
-        if kind is CurvatureKind.FISHER:
-            hb = (gb[t - 2].T @ gb[t - 2]) / n
-        else:
-            hb = (w.T @ hb @ w) * moments.hprime_gram[t - 1]
-            if kind is CurvatureKind.PCH:
-                # the term is diagonal, so clipping reduces to |x| or max(x, 0)
-                diag_vec = moments.diag_term[t - 1]
-                clipped = np.abs(diag_vec) if gamma == -1.0 else np.maximum(diag_vec, 0.0)
-                hb = hb + np.diag(clipped)
-            hb = 0.5 * (hb + hb.T)
+        hp = trace.hprime[t - 1]
+        hb = (w.T @ hb @ w) * ((hp.T @ hp) / n)
+        if kind is CurvatureKind.PCH:
+            # the term is diagonal, so clipping reduces to |x| or max(x, 0)
+            diag_vec = (trace.hdprime[t - 1] * bp.grads.grad_h[t - 1]).mean(axis=0)
+            clipped = np.abs(diag_vec) if gamma == -1.0 else np.maximum(diag_vec, 0.0)
+            hb = hb + np.diag(clipped)
+        hb = 0.5 * (hb + hb.T)
         hbs[t - 2] = hb
     return hbs
 

@@ -11,6 +11,7 @@ import itertools
 import json
 import os
 import statistics
+import sys
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -126,11 +127,14 @@ class ExperimentSpec:
 
 def _typed(doc: dict, path: str, default, types: tuple):
     """doc's value for the last key of the dotted path, or default; a bool
-    passes only where types names bool."""
+    passes only where types names bool, and a number where they name float
+    only if a float holds it: not NaN, not infinite, no int beyond float range."""
     value = doc.get(path.rsplit(".", 1)[-1], default)
     if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
         names = " or ".join(t.__name__ for t in types)
         raise ConfigError(f"{path}: expected {names}, got {value!r}")
+    if float in types and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return value
 
 

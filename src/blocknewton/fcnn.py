@@ -12,6 +12,7 @@ never computes them.  Batches are stored row-wise: arrays of shape
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -107,11 +108,13 @@ class FcnnModel:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     def copy(self) -> "FcnnModel":
-        return FcnnModel(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activation=self.activation,
-        )
+        """A copy with its own arrays.  It skips the constructor's checks:
+        self passed them when built, and the non-finite parameters a
+        diverging epoch leaves are copied as they are."""
+        twin = copy.copy(self)
+        twin.weights = [w.copy() for w in self.weights]
+        twin.biases = [b.copy() for b in self.biases]
+        return twin
 
     @classmethod
     def xavier(
@@ -412,50 +415,15 @@ def backprop(
 
 
 @dataclass
-class BatchMoments:
-    """Batch means of one pass that every expectation-approximated curvature
-    kind reads, indexed like ForwardTrace (t = 0..k, None where undefined).
-
-    mean_hess_out is the symmetrised mean output Hessian; hprime_gram[t] =
-    E[h'^t h'^tT] and diag_term[t] =
-    E[h''^t o ((W^{t+1})^T g^{t+1})], the recursion's diagonal term, for
-    0 < t < k, with g^{t+1} the bias gradient of layer t+1 (the product is
-    backprop's grad_h[t]).
-    """
-
-    mean_hess_out: np.ndarray
-    hprime_gram: list[np.ndarray | None]
-    diag_term: list[np.ndarray | None]
-
-
-def batch_moments(bp: BatchPass) -> BatchMoments:
-    """The BatchMoments of the pass bp."""
-    trace, grad_h = bp.trace, bp.grads.grad_h
-    k = len(trace.h) - 1
-    n = trace.batch_size
-    mean_out = bp.hess_out.mean(axis=0)
-    hprime_gram: list[np.ndarray | None] = [None] * k
-    diag_term: list[np.ndarray | None] = [None] * k
-    for t in range(1, k):
-        hp = trace.hprime[t]
-        hprime_gram[t] = (hp.T @ hp) / n
-        diag_term[t] = (trace.hdprime[t] * grad_h[t]).mean(axis=0)
-    return BatchMoments(
-        mean_hess_out=0.5 * (mean_out + mean_out.T),
-        hprime_gram=hprime_gram,
-        diag_term=diag_term,
-    )
-
-
-@dataclass
 class BatchPass:
     """Everything one training batch yields for the optimizer step and the
     curvature blocks: the forward trace, the per-instance losses, and the
     gradients with their per-instance bias gradients
     (grads.bias_per_instance[-1] is the criterion gradient at the output).
     hess_out, the per-instance output Hessians, is built by build_hess_out
-    and moments, the batch_moments every EA curvature kind reads, by
-    batch_moments, each on first read and kept; SGD reads neither."""
+    on first read and kept, since the exact bias Hessian and the PCH and
+    Gauss-Newton curvature of one pass all start from it; SGD and Fisher
+    never read it."""
 
     trace: ForwardTrace
     losses: np.ndarray
@@ -465,10 +433,6 @@ class BatchPass:
     @cached_property
     def hess_out(self) -> np.ndarray:
         return self.build_hess_out()
-
-    @cached_property
-    def moments(self) -> BatchMoments:
-        return batch_moments(self)
 
 
 def batch_pass(

@@ -20,7 +20,6 @@ evaluations score inline and start no thread.
 
 from __future__ import annotations
 
-import copy
 import enum
 import time
 from collections.abc import Iterator
@@ -175,15 +174,6 @@ def accuracy(model: FcnnModel, x: np.ndarray, y_index: np.ndarray) -> float:
     return float(np.mean(np.concatenate(pred) == y_index))
 
 
-def _snapshot(model: FcnnModel) -> FcnnModel:
-    """A copy of model's parameters that skips FcnnModel's checks, which
-    reject the non-finite parameters a diverging epoch leaves."""
-    snap = copy.copy(model)
-    snap.weights = [w.copy() for w in model.weights]
-    snap.biases = [b.copy() for b in model.biases]
-    return snap
-
-
 Velocity = tuple[list[np.ndarray], list[np.ndarray]]
 
 
@@ -313,7 +303,7 @@ def train(
             if pending is not None:
                 records.append(pending())
         if overlap and epoch + 1 < cfg.epochs:
-            pending = _start(score, _snapshot(model), epoch, start)
+            pending = _start(score, model.copy(), epoch, start)
         else:
             records.append(score(model, epoch, start))
     return TrainReport(epochs=records, model=model)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -92,6 +93,9 @@ REJECTED_AT_LOAD = [
 ]
 
 
+FISHER_KFI = {"kind": "kfi", "curvature": "fisher"}
+GN_EA_CG = {"kind": "ea_cg", "curvature": "gauss_newton"}
+
 # (dotted key, spec document) with a value of the right type out of its range
 OUT_OF_RANGE = [
     ("train.epochs", dict(SMALL, train=dict(SMALL["train"], epochs=0))),
@@ -120,6 +124,27 @@ OUT_OF_RANGE = [
     ("dataset.classes", dict(SMALL, dataset=dict(SMALL["dataset"], classes=0))),
     ("dataset.dim", dict(SMALL, dataset=dict(SMALL["dataset"], dim=0))),
     ("dataset.per_class", dict(SMALL, dataset=dict(SMALL["dataset"], per_class=0))),
+    # a number a float cannot hold, or one that is not finite
+    pytest.param("train.learning_rate", dict(SMALL, train=dict(SMALL["train"], learning_rate=10**400)),
+                 id="train.learning_rate=1e400"),
+    pytest.param("train.learning_rate", dict(SMALL, train=dict(SMALL["train"], learning_rate=math.inf)),
+                 id="train.learning_rate=inf"),
+    pytest.param("optimizer.gamma", dict(SMALL, optimizer={"kind": "ea_cg", "gamma": 10**400}),
+                 id="optimizer.gamma=1e400"),
+    pytest.param("optimizer.gamma", dict(SMALL, optimizer=FISHER_KFI | {"gamma": 10**400}),
+                 id="optimizer.gamma=1e400-fisher"),
+    pytest.param("optimizer.gamma", dict(SMALL, optimizer=FISHER_KFI | {"gamma": math.inf}),
+                 id="optimizer.gamma=inf-fisher"),
+    pytest.param("optimizer.gamma", dict(SMALL, optimizer=FISHER_KFI | {"gamma": math.nan}),
+                 id="optimizer.gamma=nan-fisher"),
+    pytest.param("optimizer.gamma", dict(SMALL, optimizer=GN_EA_CG | {"gamma": math.inf}),
+                 id="optimizer.gamma=inf-gauss_newton"),
+    pytest.param("optimizer.gamma", dict(SMALL, optimizer=GN_EA_CG | {"gamma": math.nan}),
+                 id="optimizer.gamma=nan-gauss_newton"),
+    pytest.param("dataset.spread", dict(SMALL, dataset=dict(SMALL["dataset"], spread=10**400)),
+                 id="dataset.spread=1e400"),
+    pytest.param("dataset.spread", dict(SMALL, dataset=dict(SMALL["dataset"], spread=math.inf)),
+                 id="dataset.spread=inf"),
 ]
 
 
@@ -219,7 +244,9 @@ class TestExitCodes:
         assert f"{key}:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key,doc", OUT_OF_RANGE, ids=[key for key, _ in OUT_OF_RANGE])
+    @pytest.mark.parametrize(
+        "key,doc", OUT_OF_RANGE, ids=[getattr(row, "id", None) or row[0] for row in OUT_OF_RANGE]
+    )
     def test_out_of_range_value_exits_2_naming_key(self, tmp_path, capsys, key, doc):
         cfg = write_config(tmp_path, doc)
         assert cli(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG

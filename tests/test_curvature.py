@@ -16,12 +16,11 @@ from blocknewton.fcnn import (
     FcnnModel,
     SigmoidGate,
     backprop,
-    batch_moments,
     batch_pass,
     criterion_batch,
     forward,
 )
-from blocknewton.linalg import abs_eig
+from blocknewton.linalg import abs_eig, pos_eig
 from helpers import both_criteria, gram, random_batch, random_model
 
 
@@ -92,25 +91,34 @@ class TestTrueBiasHessian:
 
 @pytest.mark.parametrize("criterion", both_criteria(), ids=["xent", "gate"])
 def test_diagonal_terms_bitwise_equal_recomputed_products(criterion):
-    # backprop's products g^{t+1} W^{t+1} (grads.grad_h) feed the moments and
-    # the exact recursion; both equal, bit for bit, the expressions that
-    # recomputed the product
+    # backprop's products g^{t+1} W^{t+1} (grads.grad_h) feed the PCH
+    # recursion and the exact recursion; both equal, bit for bit, the
+    # expressions that recomputed the product
     rng = np.random.default_rng(21)
     for _ in range(3):
         model = random_model(rng)
         x, y = random_batch(rng, model, batch=6)
         bp = batch_pass(model, criterion, x, y)
         trace, gb, k = bp.trace, bp.grads.bias_per_instance, model.num_layers
-        moments = batch_moments(bp)
+        n = trace.batch_size
         mean_out = bp.hess_out.mean(axis=0)
-        assert np.array_equal(moments.mean_hess_out, 0.5 * (mean_out + mean_out.T))
+        for gamma in (-1.0, 0.0):
+            hb = pos_eig(0.5 * (mean_out + mean_out.T), gamma)
+            expect_ea = [None] * k
+            expect_ea[k - 1] = hb
+            for t in range(k, 1, -1):
+                w, hp = model.weights[t - 1], trace.hprime[t - 1]
+                hb = (w.T @ hb @ w) * ((hp.T @ hp) / n)
+                diag_term = (trace.hdprime[t - 1] * (gb[t - 1] @ w)).mean(axis=0)
+                clipped = np.abs(diag_term) if gamma == -1.0 else np.maximum(diag_term, 0.0)
+                hb = hb + np.diag(clipped)
+                hb = 0.5 * (hb + hb.T)
+                expect_ea[t - 2] = hb
+            got_ea = ea_curvature(model, bp, CurvatureKind.PCH, gamma)
+            for got, expect in zip(got_ea, expect_ea):
+                assert np.array_equal(got, expect)
         expect_hbs = [None] * k
         expect_hbs[k - 1] = bp.hess_out
-        for t in range(1, k):
-            hp, w = trace.hprime[t], model.weights[t]
-            assert np.array_equal(moments.hprime_gram[t], (hp.T @ hp) / trace.batch_size)
-            diag_term = (trace.hdprime[t] * (gb[t] @ w)).mean(axis=0)
-            assert np.array_equal(moments.diag_term[t], diag_term)
         for t in range(k, 1, -1):
             w, hp = model.weights[t - 1], trace.hprime[t - 1]
             sand = w.T @ expect_hbs[t - 1] @ w
@@ -157,8 +165,8 @@ class TestEaCurvature:
         gn = ea_curvature(model, bp, CurvatureKind.GAUSS_NEWTON)
         # add back the (unclipped) diagonal term to the GN blocks
         for t in range(model.num_layers - 1, 0, -1):
-            diag_term = bp.moments.diag_term[t]  # BatchMoments is indexed by layer t
-            approx = gn[t - 1] + np.diag(diag_term) - np.diag(np.zeros_like(diag_term))
+            diag_term = (bp.trace.hdprime[t] * bp.grads.grad_h[t]).mean(axis=0)
+            approx = gn[t - 1] + np.diag(diag_term)
             # GN drops the diag term entirely; exact = sandwich + diag only
             # when the propagated top block is identical, which holds for the
             # last hidden layer
@@ -186,6 +194,16 @@ class TestEaCurvature:
             curv = ea_curvature(model, bp, CurvatureKind.FISHER)
             for hb in curv:
                 assert np.min(np.linalg.eigvalsh(hb)) >= -1e-10
+
+    @pytest.mark.parametrize("criterion", both_criteria(), ids=["xent", "gate"])
+    def test_fisher_reads_no_output_hessian_or_second_derivative(self, criterion):
+        rng = np.random.default_rng(22)
+        model = random_model(rng)
+        x, y = random_batch(rng, model)
+        bp = batch_pass(model, criterion, x, y)
+        ea_curvature(model, bp, CurvatureKind.FISHER)
+        assert "hess_out" not in vars(bp)
+        assert "hdprime" not in vars(bp.trace)
 
     def test_gauss_newton_goes_indefinite_under_nonconvex_criterion(self):
         rng = np.random.default_rng(8)

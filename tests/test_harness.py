@@ -214,9 +214,11 @@ class TestOnePassPerStep:
         train(spec.build_model(0), spec.criterion, x_train, y_train, cfg)
         steps = cfg.epochs * math.ceil(x_train.shape[0] / cfg.batch_size)
         # the per-epoch loss evaluation computes losses only, outside
-        # criterion_batch; only the curvature reads the output Hessians
+        # criterion_batch; only the PCH and Gauss-Newton curvature reads the
+        # output Hessians
         assert pass_calls == {"criterion_batch": steps, "backprop_bias_gradients": steps}
-        assert len(hessians) == (0 if second_order is None else steps)
+        reads_hessians = second_order is not None and second_order.kind is not CurvatureKind.FISHER
+        assert len(hessians) == (steps if reads_hessians else 0)
 
     @pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd", "ea_cg-pch1"])
     def test_compare_curvatures(self, pass_calls, second_order):
@@ -238,23 +240,21 @@ class TestCurvaturePerPass:
     )
     def test_compare_curvatures_steps_on_its_column(self, monkeypatch, second_order):
         # the step reuses its kind's column: one ea_curvature call per column
-        # (the convex criterion has all four) and one set of moments per step
+        # (the convex criterion has all four)
         spec = spec_with(second_order, compare_steps=3)
         calls = count_calls(monkeypatch, curvature, "ea_curvature")
-        moments = count_calls(monkeypatch, fcnn, "batch_moments")
         compare_curvatures(spec)
         assert len(calls) == 4 * spec.compare_steps
-        assert len(moments) == spec.compare_steps
 
     @pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd", "ea_cg-pch1"])
-    def test_train_computes_moments_once_per_pass(self, monkeypatch, second_order):
+    def test_train_builds_curvature_once_per_pass(self, monkeypatch, second_order):
         spec = spec_with(second_order)
         x_train, y_train, _, _ = spec.load_dataset(0).split()
         cfg = spec.train_cfg
-        moments = count_calls(monkeypatch, fcnn, "batch_moments")
+        calls = count_calls(monkeypatch, curvature, "ea_curvature")
         train(spec.build_model(0), spec.criterion, x_train, y_train, cfg)
         steps = cfg.epochs * math.ceil(x_train.shape[0] / cfg.batch_size)
-        assert len(moments) == (0 if second_order is None else steps)
+        assert len(calls) == (0 if second_order is None else steps)
 
     @pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd", "ea_cg-pch1"])
     def test_derivatives_computed_only_where_consumed(self, monkeypatch, second_order):

@@ -29,7 +29,6 @@ from .fcnn import (
     backprop,
     batch_pass,
     criterion_batch,
-    criterion_eval,
     forward,
 )
 from .linalg import EigenDecomposition, pos_eig, sym_eig

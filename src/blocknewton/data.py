@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from .errors import ConfigError, check_range
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+# numpy shapes no array of more than sys.maxsize bytes: this many float64s
+MAX_FLOATS = sys.maxsize // 8
 
 
 class ParseError(ConfigError):
@@ -196,8 +199,12 @@ def synth_blobs(
     Deterministic given the seed; points are clipped to [0, 1] so features
     match the normalized-image contract.
     """
+    size = 1
     for name, value in (("classes", classes), ("dim", dim), ("per_class", per_class)):
         check_range(name, value, value >= 1, ">= 1")
+        size *= value
+        check_range(name, value, size <= MAX_FLOATS, f"classes * dim * per_class <= {MAX_FLOATS}")
+    check_range("spread", spread, 0 <= spread <= sys.float_info.max, "a finite number >= 0")
     check_range("seed", seed, seed >= 0, ">= 0")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.15, 0.85, size=(classes, dim))

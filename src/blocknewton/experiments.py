@@ -25,7 +25,7 @@ from .curvature import (
     frobenius_errors,
     true_bias_hessian,
 )
-from .data import Dataset, load_csv, load_idx, synth_blobs
+from .data import MAX_FLOATS, Dataset, load_csv, load_idx, synth_blobs
 from .errors import ConfigError, check_range
 from .fcnn import (
     Activation,
@@ -88,6 +88,10 @@ class ExperimentSpec:
         ):
             raise ConfigError(
                 f"architecture: expected a list of at least two positive integers, got {arch!r}"
+            )
+        if any(int(n_in) * int(n_out) > MAX_FLOATS for n_in, n_out in zip(arch, arch[1:])):
+            raise ConfigError(
+                f"architecture: expected layers of at most {MAX_FLOATS} weights each, got {arch!r}"
             )
 
     def load_dataset(self, seed: int) -> Dataset:

@@ -67,18 +67,6 @@ def _second_derivative(kind: Activation, h: np.ndarray, hprime: np.ndarray) -> n
     return np.zeros_like(h)
 
 
-def activation_values(kind: Activation, z: np.ndarray):
-    """Return (sigma(z), sigma'(z), sigma''(z)) elementwise, the derivatives
-    computed from sigma(z) as a ForwardTrace computes them.
-
-    ReLU has no curvature away from the kink, so its second derivative is
-    taken as zero everywhere.
-    """
-    h = _activate(kind, np.array(z, dtype=float))
-    hp = _first_derivative(kind, h)
-    return h, hp, _second_derivative(kind, h, hp)
-
-
 @dataclass
 class FcnnModel:
     """Layer weights/biases plus the hidden-layer activation choice."""
@@ -135,28 +123,6 @@ class FcnnModel:
             weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)))
             biases.append(np.zeros(n_out))
         return cls(weights=weights, biases=biases, activation=activation)
-
-    def flat_parameters(self) -> np.ndarray:
-        """Column-major vec of every W followed by its b, layer by layer."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.reshape(-1, order="F"))
-            parts.append(b)
-        return np.concatenate(parts)
-
-    def set_flat_parameters(self, theta: np.ndarray) -> None:
-        pos = 0
-        for t in range(self.num_layers):
-            w = self.weights[t]
-            n = w.size
-            self.weights[t] = theta[pos : pos + n].reshape(w.shape, order="F").copy()
-            pos += n
-            m = self.biases[t].size
-            self.biases[t] = theta[pos : pos + m].copy()
-            pos += m
-        if pos != theta.size:
-            raise DimensionError("flat parameter vector has wrong length")
-
 
 @dataclass
 class ForwardTrace:
@@ -287,29 +253,13 @@ class SigmoidGate:
 Criterion = CrossEntropySoftmax | SigmoidGate
 
 
-def _check_one_hot(y: np.ndarray) -> None:
-    if not (
-        np.all((y == 0.0) | (y == 1.0)) and np.all(np.sum(y, axis=-1) == 1.0)
-    ):
-        raise ConfigError("labels must be one-hot vectors")
-
-
-def criterion_eval(criterion: Criterion, hk: np.ndarray, y: np.ndarray):
-    """Loss, gradient and Hessian of the criterion w.r.t. a single output h^k."""
-    hk = np.asarray(hk, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if hk.shape != y.shape or hk.ndim != 1:
-        raise DimensionError("criterion_eval expects matching 1-d output/label")
-    losses, grads, hesses = criterion_batch(criterion, hk[None, :], y[None, :])
-    return float(losses[0]), grads[0], hesses[0]
-
-
 def _criterion_rows(hk: np.ndarray, y: np.ndarray):
     hk = np.asarray(hk, dtype=float)
     y = np.asarray(y, dtype=float)
     if hk.shape != y.shape or hk.ndim != 2:
         raise DimensionError("criterion expects matching (batch, n_k) arrays")
-    _check_one_hot(y)
+    if not (np.all((y == 0.0) | (y == 1.0)) and np.all(np.sum(y, axis=-1) == 1.0)):
+        raise ConfigError("labels must be one-hot vectors")
     return hk, y
 
 
@@ -318,13 +268,12 @@ def criterion_losses(criterion: Criterion, hk: np.ndarray, y: np.ndarray) -> np.
     return criterion.losses(*_criterion_rows(hk, y))
 
 
-def criterion_batch(criterion: Criterion, hk: np.ndarray, y: np.ndarray, lazy: bool = False):
-    """Vectorized criterion_eval over a batch; returns (losses, grads, hesses).
-    With lazy=True, hesses is a function of no arguments that builds them."""
+def criterion_batch(criterion: Criterion, hk: np.ndarray, y: np.ndarray):
+    """The per-row losses and output gradients of a batch, and a function
+    of no arguments that builds the per-row output Hessians."""
     hk, y = _criterion_rows(hk, y)
     losses, grads = criterion.batch_eval(hk, y)
-    hesses = partial(criterion.hessians, hk, y)
-    return losses, grads, hesses if lazy else hesses()
+    return losses, grads, partial(criterion.hessians, hk, y)
 
 
 # --- gradients ------------------------------------------------------------
@@ -349,30 +298,18 @@ class LayerGradients:
     view of the forward trace: the other factor of the weight gradient and
     the batch whose Gram matrix E[h h^T] is the Kronecker factor of the
     layer's weight block in the solvers.
-    grad_bias[t-1] is the mean of G^t over instances.  grad_weight[t-1],
-    the mean gradient w.r.t. W^t, is weight_gradient(G^t, h^{t-1}), built
-    for every layer on the first read and kept, for flat(); training never
-    reads it (SGD forms one layer's at a time, the Newton solvers keep it
-    factored).  grad_h[t] = (W^{t+1})^T g^{t+1}, per instance, is the
-    gradient w.r.t. h^t for 0 < t < k (None at 0), which the curvature
-    recursion's diagonal term reuses.
+    grad_bias[t-1] is the mean of G^t over instances.  The mean gradient
+    w.r.t. W^t is weight_gradient(G^t, h^{t-1}), which SGD forms one layer
+    at a time; the Newton solvers keep it factored.  grad_h[t] =
+    (W^{t+1})^T g^{t+1}, per instance, is the gradient w.r.t. h^t for
+    0 < t < k (None at 0), which the curvature recursion's diagonal term
+    reuses.
     """
 
     grad_bias: list[np.ndarray]
     bias_per_instance: list[np.ndarray] = field(repr=False)
     inputs: list[np.ndarray] = field(repr=False)
     grad_h: list[np.ndarray | None] = field(repr=False, default_factory=list)
-
-    @cached_property
-    def grad_weight(self) -> list[np.ndarray]:
-        return [weight_gradient(g, h) for g, h in zip(self.bias_per_instance, self.inputs)]
-
-    def flat(self) -> np.ndarray:
-        parts = []
-        for gw, gb in zip(self.grad_weight, self.grad_bias):
-            parts.append(gw.reshape(-1, order="F"))
-            parts.append(gb)
-        return np.concatenate(parts)
 
 
 def backprop_bias_gradients(
@@ -403,7 +340,7 @@ def backprop(
 
     The weight gradient is the exact outer-product form
     grad_W^t = grad_b^t h^{(t-1)T}, averaged over the batch; it is kept
-    as its two factors and multiplied out only when read.
+    as its two factors, which weight_gradient multiplies out.
     """
     gb_inst, grad_h = backprop_bias_gradients(model, trace, grad_out)
     return LayerGradients(
@@ -417,16 +354,15 @@ def backprop(
 @dataclass
 class BatchPass:
     """Everything one training batch yields for the optimizer step and the
-    curvature blocks: the forward trace, the per-instance losses, and the
-    gradients with their per-instance bias gradients
-    (grads.bias_per_instance[-1] is the criterion gradient at the output).
+    curvature blocks: the forward trace and the gradients with their
+    per-instance bias gradients (grads.bias_per_instance[-1] is the
+    criterion gradient at the output).
     hess_out, the per-instance output Hessians, is built by build_hess_out
     on first read and kept, since the exact bias Hessian and the PCH and
     Gauss-Newton curvature of one pass all start from it; SGD and Fisher
     never read it."""
 
     trace: ForwardTrace
-    losses: np.ndarray
     grads: LayerGradients
     build_hess_out: Callable[[], np.ndarray] = field(repr=False)
 
@@ -440,5 +376,5 @@ def batch_pass(
 ) -> BatchPass:
     """Forward, criterion and backprop on one batch, each run once."""
     trace = forward(model, inputs)
-    losses, grads_out, hess_out = criterion_batch(criterion, trace.h[-1], y, lazy=True)
-    return BatchPass(trace, losses, backprop(model, trace, grads_out), hess_out)
+    _, grads_out, hess_out = criterion_batch(criterion, trace.h[-1], y)
+    return BatchPass(trace, backprop(model, trace, grads_out), hess_out)

@@ -78,13 +78,6 @@ class NewtonDirection:
     d_weight: list[np.ndarray]
     d_bias: list[np.ndarray]
 
-    def flat(self) -> np.ndarray:
-        parts = []
-        for dw, db in zip(self.d_weight, self.d_bias):
-            parts.append(dw.reshape(-1, order="F"))
-            parts.append(db)
-        return np.concatenate(parts)
-
 
 def _gram_eig(h: np.ndarray, eh: np.ndarray | None = None) -> EigenDecomposition:
     """sym_eig of the Gram matrix of the input factor F -- the r x n_in

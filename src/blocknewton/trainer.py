@@ -200,9 +200,8 @@ def optimizer_step(
     buffers v <- momentum v - lr g and steps theta += v, one layer at a
     time: it forms the layer's weight gradient g by weight_gradient, scales
     it by lr in place and drops it before the next layer, so the step
-    holds at most one n_out x n_in array beyond the model and the buffers,
-    and it never builds bp.grads.grad_weight.  Arrays that alias the
-    model's parameters see the step.
+    holds at most one n_out x n_in array beyond the model and the
+    buffers.  Arrays that alias the model's parameters see the step.
     """
     lr = cfg.learning_rate
     spec = cfg.second_order

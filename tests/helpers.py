@@ -1,9 +1,12 @@
-"""Shared test utilities: finite-difference oracles and random model setup."""
+"""Shared test utilities: finite-difference oracles, the dense and
+flattened views the oracles compare against, and random model setup."""
 
 import sys
 
 import numpy as np
 
+from blocknewton import fcnn
+from blocknewton.errors import DimensionError
 from blocknewton.fcnn import (
     Activation,
     CrossEntropySoftmax,
@@ -11,6 +14,7 @@ from blocknewton.fcnn import (
     SigmoidGate,
     criterion_batch,
     forward,
+    weight_gradient,
 )
 
 
@@ -34,6 +38,69 @@ def both_criteria():
     return [CrossEntropySoftmax(), SigmoidGate(delta=5.0, epsilon=0.2)]
 
 
+def activation_values(kind, z):
+    """Return (sigma(z), sigma'(z), sigma''(z)) elementwise, the derivatives
+    computed from sigma(z) as a ForwardTrace computes them.
+
+    ReLU has no curvature away from the kink, so its second derivative is
+    taken as zero everywhere.
+    """
+    h = fcnn._activate(kind, np.array(z, dtype=float))
+    hp = fcnn._first_derivative(kind, h)
+    return h, hp, fcnn._second_derivative(kind, h, hp)
+
+
+def criterion_eval(criterion, hk, y):
+    """Loss, gradient and Hessian of the criterion w.r.t. a single output h^k."""
+    hk = np.asarray(hk, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if hk.shape != y.shape or hk.ndim != 1:
+        raise DimensionError("criterion_eval expects matching 1-d output/label")
+    losses, grads, hesses = criterion_batch(criterion, hk[None, :], y[None, :])
+    return float(losses[0]), grads[0], hesses()[0]
+
+
+def weight_gradients(grads):
+    """Every layer's mean weight gradient G^T h / batch, multiplied out."""
+    return [weight_gradient(g, h) for g, h in zip(grads.bias_per_instance, grads.inputs)]
+
+
+def flat(weights, biases):
+    """Column-major vec of every W followed by its b, layer by layer."""
+    parts = []
+    for w, b in zip(weights, biases):
+        parts.append(w.reshape(-1, order="F"))
+        parts.append(b)
+    return np.concatenate(parts)
+
+
+def flat_parameters(model):
+    return flat(model.weights, model.biases)
+
+
+def flat_gradient(grads):
+    return flat(weight_gradients(grads), grads.grad_bias)
+
+
+def flat_direction(d):
+    return flat(d.d_weight, d.d_bias)
+
+
+def set_flat_parameters(model, theta):
+    """Write a flat_parameters vector back into the model's layers."""
+    pos = 0
+    for t in range(model.num_layers):
+        w = model.weights[t]
+        n = w.size
+        model.weights[t] = theta[pos : pos + n].reshape(w.shape, order="F").copy()
+        pos += n
+        m = model.biases[t].size
+        model.biases[t] = theta[pos : pos + m].copy()
+        pos += m
+    if pos != theta.size:
+        raise DimensionError("flat parameter vector has wrong length")
+
+
 def batch_loss(model, criterion, x, y):
     trace = forward(model, x)
     losses, _, _ = criterion_batch(criterion, trace.h[-1], y)
@@ -54,10 +121,10 @@ def fd_gradient(f, theta, step=1e-5):
 def fd_loss_gradient(model, criterion, x, y, step=1e-5):
     """Finite-difference gradient of the batch-mean loss over all parameters."""
     base = model.copy()
-    theta0 = base.flat_parameters()
+    theta0 = flat_parameters(base)
 
     def f(theta):
-        base.set_flat_parameters(theta)
+        set_flat_parameters(base, theta)
         return batch_loss(base, criterion, x, y)
 
     return fd_gradient(f, theta0, step)

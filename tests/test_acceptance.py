@@ -42,9 +42,12 @@ from helpers import (
     assert_close_rel,
     both_criteria,
     fd_loss_gradient,
+    flat_direction,
+    flat_gradient,
     gram,
     random_batch,
     random_model,
+    weight_gradients,
 )
 from test_curvature import fd_bias_hessian
 from test_solvers import make_layer, make_problem, quadratic_guarded_problem
@@ -67,7 +70,7 @@ def test_criterion_1_gradient_oracle():
         _, go, _ = criterion_batch(criterion, trace.h[-1], y)
         grads = backprop(model, trace, go)
         fd = fd_loss_gradient(model, criterion, x, y)
-        analytic = grads.flat()
+        analytic = flat_gradient(grads)
         denom = np.maximum(np.abs(fd), 1e-9 / 1e-6)
         ok &= bool(np.max(np.abs(analytic - fd) / denom) <= 1e-6)
     elapsed = time.perf_counter() - start
@@ -184,7 +187,7 @@ def test_criterion_6_ea_cg_correctness():
         big = (1 - alpha) * np.kron(gram(grads.inputs[0]), curv[0]) + alpha * np.eye(
             n_out * n_in
         )
-        expect = np.linalg.solve(big, -grads.grad_weight[0].reshape(-1, order="F"))
+        expect = np.linalg.solve(big, -weight_gradients(grads)[0].reshape(-1, order="F"))
         ok &= bool(
             np.max(np.abs(d.d_weight[0].reshape(-1, order="F") - expect)) <= 1e-8
         )
@@ -202,7 +205,7 @@ def test_criterion_6_ea_cg_correctness():
         grads,
         SolverConfig(alpha=0.02, hvp_mode=HvpMode.EA_ONE_RANK),
     )
-    ok &= bool(np.max(np.abs(d1.flat() - d2.flat())) <= 1e-10)
+    ok &= bool(np.max(np.abs(flat_direction(d1) - flat_direction(d2))) <= 1e-10)
 
     # structural guarantee: no Gram matrix of h is formed in one-rank mode
     # (h itself is read, as the weight gradient's factor)
@@ -210,7 +213,7 @@ def test_criterion_6_ea_cg_correctness():
     dp = ea_cg_direction(
         poisoned, pgrads, SolverConfig(alpha=0.1, hvp_mode=HvpMode.EA_ONE_RANK)
     )
-    ok &= bool(np.all(np.isfinite(dp.flat())))
+    ok &= bool(np.all(np.isfinite(flat_direction(dp))))
     report(
         "criterion 6: EA-CG matches dense Kronecker solve (1e-8), HVP modes "
         "agree at batch 1 (1e-10), one-rank mode avoids quadratic factors",
@@ -227,7 +230,7 @@ def test_criterion_7_kfi_correctness():
     curv, grads = make_problem(rng, [make_layer(rng, *s) for s in shapes])
     d = kfi_direction(curv, grads, alpha)
     for hb, h, gw, gb, dw, db in zip(
-        curv, grads.inputs, grads.grad_weight, grads.grad_bias, d.d_weight, d.d_bias
+        curv, grads.inputs, weight_gradients(grads), grads.grad_bias, d.d_weight, d.d_bias
     ):
         n_out, n_in = gw.shape
         g_fac = hb + sqrt_a * np.eye(n_out)

@@ -145,6 +145,15 @@ OUT_OF_RANGE = [
                  id="dataset.spread=1e400"),
     pytest.param("dataset.spread", dict(SMALL, dataset=dict(SMALL["dataset"], spread=math.inf)),
                  id="dataset.spread=inf"),
+    pytest.param("dataset.spread", dict(SMALL, dataset=dict(SMALL["dataset"], spread=-1)),
+                 id="dataset.spread=-1"),
+    # dataset sizes numpy cannot shape, rejected before anything is allocated
+    pytest.param("dataset.classes", dict(SMALL, dataset=dict(SMALL["dataset"], classes=10**400)),
+                 id="dataset.classes=1e400"),
+    pytest.param("dataset.dim", dict(SMALL, dataset=dict(SMALL["dataset"], dim=10**30)),
+                 id="dataset.dim=1e30"),
+    pytest.param("dataset.per_class", dict(SMALL, dataset=dict(SMALL["dataset"], per_class=10**30)),
+                 id="dataset.per_class=1e30"),
 ]
 
 
@@ -499,6 +508,15 @@ class TestCompareAndBound:
         assert "--batch:" in capsys.readouterr().err
         assert not (tmp_path / "bound_check.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["train", "compare-curvature", "bound-check"])
+    @pytest.mark.parametrize("width", [10**30, 10**400], ids=["1e30", "1e400"])
+    def test_architecture_numpy_cannot_shape_exits_2(self, tmp_path, capsys, command, width):
+        cfg = write_config(tmp_path, dict(SMALL, architecture=[4, width, 3]))
+        out = tmp_path / "out"
+        assert cli([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "architecture:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bound_check_needs_a_hidden_layer(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(SMALL, architecture=[4, 3]))
         args = ["bound-check", "--config", cfg, "--out", str(tmp_path), "--batch", "8"]
@@ -525,6 +543,25 @@ class TestGenData:
         assert set(ds.labels) == {0, 1, 2}
         assert np.all(ds.features >= 0.0) and np.all(ds.features <= 1.0)
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "option,value,named",
+        [
+            ("--spread", "inf", "spread"),
+            ("--spread", "nan", "spread"),
+            ("--spread", "-1", "spread"),
+            ("--classes", str(10**400), "classes"),
+            ("--dim", str(10**30), "dim"),
+            ("--per-class", str(10**30), "per_class"),
+        ],
+        ids=["spread=inf", "spread=nan", "spread=-1", "classes=1e400", "dim=1e30", "per-class=1e30"],
+    )
+    def test_bad_value_exits_2_naming_option(self, tmp_path, capsys, option, value, named):
+        out = tmp_path / "data"
+        args = ["gen-data", "--classes", "2", "--dim", "2", "--per-class", "3", "--out", str(out)]
+        assert cli([*args, option, value]) == EXIT_CONFIG
+        assert f"{named}:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_many_classes_for_idx_labels(self, tmp_path, capsys):
         out = tmp_path / "data"

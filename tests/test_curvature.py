@@ -55,7 +55,7 @@ class TestTrueBiasHessian:
         _, _, hesses = criterion_batch(criterion, trace.h[-1], y)
         blocks = true_bias_hessian(model, batch_pass(model, criterion, x, y))
         assert len(blocks) == 1
-        assert np.allclose(blocks[0], hesses.mean(axis=0), atol=1e-14)
+        assert np.allclose(blocks[0], hesses().mean(axis=0), atol=1e-14)
 
     def test_relu_reduces_to_sandwich(self):
         # with h'' = 0 the recursion keeps only the sandwich term, so the
@@ -139,7 +139,7 @@ class TestEaCurvature:
         criterion = CrossEntropySoftmax()
         trace = forward(model, x)
         _, _, hesses = criterion_batch(criterion, trace.h[-1], y)
-        top = hesses.mean(axis=0)
+        top = hesses().mean(axis=0)
         pch = ea_curvature(model, batch_pass(model, criterion, x, y), CurvatureKind.PCH, gamma=-1.0)
         assert np.allclose(pch[-1], 0.5 * (top + top.T), atol=1e-10)
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from blocknewton import fcnn
 from blocknewton.errors import ConfigError, DimensionError
 from blocknewton.fcnn import (
     Activation,
@@ -9,24 +8,27 @@ from blocknewton.fcnn import (
     FcnnModel,
     SigmoidGate,
     _sigmoid,
-    activation_values,
     backprop,
     batch_pass,
     criterion_batch,
-    criterion_eval,
     criterion_losses,
     forward,
     softmax,
+    weight_gradient,
 )
 from helpers import (
+    activation_values,
     assert_close_rel,
-    batch_loss,
     both_criteria,
-    count_calls,
+    criterion_eval,
     fd_gradient,
     fd_loss_gradient,
+    flat_gradient,
+    flat_parameters,
     random_batch,
     random_model,
+    set_flat_parameters,
+    weight_gradients,
 )
 
 
@@ -208,11 +210,8 @@ class TestCriteria:
         rng = np.random.default_rng(12)
         hk = rng.standard_normal((40, 6)) * 4
         y = np.eye(6)[rng.integers(0, 6, 40)]
-        losses, grads, hesses = criterion_batch(criterion, hk, y)
+        losses, _, _ = criterion_batch(criterion, hk, y)
         assert np.array_equal(criterion_losses(criterion, hk, y), losses)
-        lazy_losses, lazy_grads, build = criterion_batch(criterion, hk, y, lazy=True)
-        assert np.array_equal(lazy_losses, losses) and np.array_equal(lazy_grads, grads)
-        assert np.array_equal(build(), hesses)
         with pytest.raises(ConfigError):
             criterion_losses(criterion, hk, 0.5 * y)
         with pytest.raises(DimensionError):
@@ -234,7 +233,7 @@ class TestCriteria:
         assert built == []
         hess_out = bp.hess_out
         assert bp.hess_out is hess_out and len(built) == 1
-        assert np.array_equal(hess_out, criterion_batch(CrossEntropySoftmax(), bp.trace.h[-1], y)[2])
+        assert np.array_equal(hess_out, criterion_batch(CrossEntropySoftmax(), bp.trace.h[-1], y)[2]())
 
     def test_gate_validation(self):
         with pytest.raises(ConfigError):
@@ -259,7 +258,7 @@ class TestBackprop:
         x, _ = random_batch(rng, model)
         trace = forward(model, x)
         grads = backprop(model, trace, np.zeros(trace.h[-1].shape))
-        for gb, gw in zip(grads.grad_bias, grads.grad_weight):
+        for gb, gw in zip(grads.grad_bias, weight_gradients(grads)):
             assert np.all(gb == 0) and np.all(gw == 0)
 
     def test_weight_grad_is_outer_product(self):
@@ -272,23 +271,19 @@ class TestBackprop:
         grads = backprop(model, trace, grad_out)
         for t in range(model.num_layers):
             outer = np.outer(grads.bias_per_instance[t][0], trace.h[t][0])
-            assert np.array_equal(grads.grad_weight[t], outer)
+            assert np.array_equal(weight_gradients(grads)[t], outer)
 
-    def test_weight_gradient_built_once_on_first_read(self, monkeypatch):
+    def test_weight_gradient_built_once_on_first_read(self):
         # the factored gradient multiplies out to the mean outer product, bit
-        # for bit, only when read, and only once
+        # for bit
         rng = np.random.default_rng(9)
         model = random_model(rng)
         x, _ = random_batch(rng, model, batch=7)
         trace = forward(model, x)
         grads = backprop(model, trace, rng.standard_normal(trace.h[-1].shape))
-        built = count_calls(monkeypatch, fcnn, "weight_gradient")
-        assert "grad_weight" not in vars(grads)
-        first = grads.grad_weight
-        assert grads.grad_weight is first and len(built) == model.num_layers
-        for t, gw in enumerate(first):
+        for t in range(model.num_layers):
             g, h = grads.bias_per_instance[t], trace.h[t]
-            assert np.array_equal(gw, (g.T @ h) / trace.batch_size)
+            assert np.array_equal(weight_gradient(g, h), (g.T @ h) / trace.batch_size)
 
     @pytest.mark.parametrize("criterion", both_criteria(), ids=["xent", "gate"])
     def test_gradients_match_finite_differences(self, criterion):
@@ -300,7 +295,7 @@ class TestBackprop:
             _, grads_out, _ = criterion_batch(criterion, trace.h[-1], y)
             grads = backprop(model, trace, grads_out)
             fd = fd_loss_gradient(model, criterion, x, y)
-            assert_close_rel(grads.flat(), fd, rtol=1e-6, atol=1e-9)
+            assert_close_rel(flat_gradient(grads), fd, rtol=1e-6, atol=1e-9)
 
     def test_relu_backprop_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -311,7 +306,7 @@ class TestBackprop:
         _, grads_out, _ = criterion_batch(criterion, trace.h[-1], y)
         grads = backprop(model, trace, grads_out)
         fd = fd_loss_gradient(model, criterion, x, y)
-        assert_close_rel(grads.flat(), fd, rtol=1e-5, atol=1e-8)
+        assert_close_rel(flat_gradient(grads), fd, rtol=1e-5, atol=1e-8)
 
 
 class TestModel:
@@ -325,9 +320,9 @@ class TestModel:
 
     def test_flat_roundtrip(self):
         model = FcnnModel.xavier([4, 3, 2], seed=1)
-        theta = model.flat_parameters()
+        theta = flat_parameters(model)
         clone = FcnnModel.xavier([4, 3, 2], seed=99)
-        clone.set_flat_parameters(theta)
+        set_flat_parameters(clone, theta)
         for w1, w2 in zip(model.weights, clone.weights):
             assert np.array_equal(w1, w2)
 

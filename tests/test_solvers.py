@@ -29,10 +29,13 @@ from blocknewton.solvers import (
 )
 from helpers import (
     count_calls,
+    flat_direction,
+    flat_gradient,
     forbid_shape,
     gram,
     random_batch,
     random_model,
+    weight_gradients,
     weight_hvp,
 )
 
@@ -47,8 +50,8 @@ def make_layer(rng, n_out, n_in, psd_shift=1.0):
 def make_problem(rng, layers):
     """(hbs, grads) for (Hb, h) layers, as the solvers read them: the bias
     blocks, and per-instance bias gradients G on each layer's inputs h, so
-    g_W = G^T h / r (grad_weight, built on read), with a mean bias gradient
-    drawn on its own."""
+    g_W = G^T h / r (as weight_gradients multiplies it out), with a mean
+    bias gradient drawn on its own."""
     g = [rng.standard_normal((h.shape[0], hb.shape[0])) for hb, h in layers]
     gb = [rng.standard_normal(hb.shape[0]) for hb, _ in layers]
     grads = LayerGradients(grad_bias=gb, bias_per_instance=g, inputs=[h for _, h in layers])
@@ -124,7 +127,7 @@ class TestEaCg:
         hbs, grads = make_problem(rng, [(np.zeros((3, 3)), rng.standard_normal((1, 4)))])
         cfg = SolverConfig(alpha=0.5)
         d = ea_cg_direction(hbs, grads, cfg)
-        assert np.allclose(d.d_weight[0], -2.0 * grads.grad_weight[0], atol=1e-12)
+        assert np.allclose(d.d_weight[0], -2.0 * weight_gradients(grads)[0], atol=1e-12)
         assert np.allclose(d.d_bias[0], -2.0 * grads.grad_bias[0], atol=1e-12)
 
     def test_dense_kronecker_oracle(self):
@@ -138,7 +141,7 @@ class TestEaCg:
             big = (1 - alpha) * np.kron(gram(grads.inputs[0]), hbs[0]) + alpha * np.eye(
                 n_out * n_in
             )
-            expect = np.linalg.solve(big, -grads.grad_weight[0].reshape(-1, order="F"))
+            expect = np.linalg.solve(big, -weight_gradients(grads)[0].reshape(-1, order="F"))
             assert np.max(np.abs(d.d_weight[0].reshape(-1, order="F") - expect)) <= 1e-8
 
             small = (1 - alpha) * hbs[0] + alpha * np.eye(n_out)
@@ -158,7 +161,7 @@ class TestEaCg:
         eh = grads.inputs[0].mean(axis=0)
         right = gram(grads.inputs[0]) if mode is HvpMode.EXACT_KRON else np.outer(eh, eh)
         big = (1 - alpha) * np.kron(right, hbs[0]) + alpha * np.eye(36)
-        expect = np.linalg.solve(big, -grads.grad_weight[0].reshape(-1, order="F"))
+        expect = np.linalg.solve(big, -weight_gradients(grads)[0].reshape(-1, order="F"))
         assert np.max(np.abs(d.d_weight[0].reshape(-1, order="F") - expect)) <= 1e-8
 
     @pytest.mark.parametrize("mode", list(HvpMode))
@@ -178,7 +181,7 @@ class TestEaCg:
             eh = grads.inputs[0].mean(axis=0)
             right = gram(grads.inputs[0]) if mode is HvpMode.EXACT_KRON else np.outer(eh, eh)
             big = (1 - alpha) * np.kron(right, hbs[0]) + alpha * np.eye(n_out * n_in)
-            expect = np.linalg.solve(big, -grads.grad_weight[0].reshape(-1, order="F"))
+            expect = np.linalg.solve(big, -weight_gradients(grads)[0].reshape(-1, order="F"))
             assert np.max(np.abs(d.d_weight[0].reshape(-1, order="F") - expect)) <= 1e-8
 
             small = (1 - alpha) * hbs[0] + alpha * np.eye(n_out)
@@ -218,7 +221,7 @@ class TestEaCg:
     def test_ea_cg_never_forms_gram_matrix(self, mode):
         curv, grads = gram_guarded_problem()
         d = ea_cg_direction(curv, grads, SolverConfig(hvp_mode=mode))
-        assert np.all(np.isfinite(d.flat()))
+        assert np.all(np.isfinite(flat_direction(d)))
 
     def test_batch_one_hvp_modes_agree(self):
         # a single instance makes E[h h^T] = E[h] E[h]^T exactly, so both
@@ -228,7 +231,7 @@ class TestEaCg:
         cfg_rank1 = SolverConfig(alpha=0.02, hvp_mode=HvpMode.EA_ONE_RANK)
         d1 = ea_cg_direction(curv, grads, cfg_exact)
         d2 = ea_cg_direction(curv, grads, cfg_rank1)
-        assert np.max(np.abs(d1.flat() - d2.flat())) <= 1e-10
+        assert np.max(np.abs(flat_direction(d1) - flat_direction(d2))) <= 1e-10
 
     def test_one_rank_mode_never_reads_gram_matrix(self):
         # h is read as g_W's factor, but neither of its Gram matrices, 4 x 4
@@ -236,7 +239,7 @@ class TestEaCg:
         curv, grads = quadratic_guarded_problem()
         cfg = SolverConfig(alpha=0.1, hvp_mode=HvpMode.EA_ONE_RANK)
         d = ea_cg_direction(curv, grads, cfg)
-        assert np.all(np.isfinite(d.flat()))
+        assert np.all(np.isfinite(flat_direction(d)))
 
     def test_one_rank_solve_on_inputs_near_their_mean(self):
         # h = 10 + 1e-3 noise puts g_W almost along E[h], where the damped
@@ -249,7 +252,7 @@ class TestEaCg:
             h = 10.0 + 1e-3 * rng.standard_normal((8, 12))
             hbs, grads = make_problem(rng, [(hb, h)])
             cfg = SolverConfig(alpha=0.001, hvp_mode=HvpMode.EA_ONE_RANK)
-            dw, gw = ea_cg_direction(hbs, grads, cfg).d_weight[0], grads.grad_weight[0]
+            dw, gw = ea_cg_direction(hbs, grads, cfg).d_weight[0], weight_gradients(grads)[0]
             residual = weight_hvp(h.mean(axis=0)[None, :], hb, 0.001, dw) + gw
             assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(gw)
 
@@ -257,7 +260,7 @@ class TestEaCg:
         for seed in range(5):
             curv, grads = model_problem(seed=seed)
             d = ea_cg_direction(curv, grads, SolverConfig())
-            inner = float(d.flat() @ grads.flat())
+            inner = float(flat_direction(d) @ flat_gradient(grads))
             assert inner < 0
 
     def test_layer_count_mismatch(self):
@@ -304,7 +307,7 @@ def test_weight_directions_are_c_contiguous(solve):
     # the in-place step W += lr * d then reads d in W's own order
     curv, grads = paper_width_problem()
     d = solve(curv, grads)
-    for dw, gw in zip(d.d_weight, grads.grad_weight):
+    for dw, gw in zip(d.d_weight, weight_gradients(grads)):
         assert dw.shape == gw.shape
         assert dw.flags.c_contiguous
 
@@ -327,7 +330,7 @@ class TestEaCgOverlap:
         for shapes in (PAPER_SHAPES, INNER_WIDEST_SHAPES):
             curv, grads = paper_width_problem(shapes=shapes)
             monkeypatch.setattr(solvers, "_OVERLAP_MIN_WIDTH", 10**9)
-            inline = solve(curv, grads).flat().view(np.uint64)
+            inline = flat_direction(solve(curv, grads)).view(np.uint64)
             assert threads == []
             monkeypatch.setattr(solvers, "_OVERLAP_MIN_WIDTH", floor)
             interval = sys.getswitchinterval()
@@ -335,7 +338,7 @@ class TestEaCgOverlap:
             try:
                 for _ in range(20):
                     d = solve(curv, grads)
-                    assert np.array_equal(d.flat().view(np.uint64), inline)
+                    assert np.array_equal(flat_direction(d).view(np.uint64), inline)
             finally:
                 sys.setswitchinterval(interval)
             assert len(threads) == 20
@@ -348,7 +351,7 @@ class TestEaCgOverlap:
         bp = batch_pass(model, CrossEntropySoftmax(), x, y)
         curv = ea_curvature(model, bp, CurvatureKind.PCH)
         for solve in (EA_CG, KFI):
-            assert np.all(np.isfinite(solve(curv, bp.grads).flat()))
+            assert np.all(np.isfinite(flat_direction(solve(curv, bp.grads))))
         assert threads == []
 
     # {layer: fault} on the paper net, where layer 1's job (but its Gram
@@ -537,7 +540,7 @@ class TestKfi:
         hbs, grads = make_problem(rng, [make_layer(rng, *s) for s in shapes])
         d = kfi_direction(hbs, grads, alpha, pi_policy=policy)
         for hb, h, gw, gb, dw, db in zip(
-            hbs, grads.inputs, grads.grad_weight, grads.grad_bias, d.d_weight, d.d_bias
+            hbs, grads.inputs, weight_gradients(grads), grads.grad_bias, d.d_weight, d.d_bias
         ):
             n_out, n_in = gw.shape
             pi = kfi_pi(hb, h, policy)
@@ -560,7 +563,7 @@ class TestKfi:
         d = kfi_direction(hbs, grads, alpha)
         g_fac = hb + sqrt_a * np.eye(3)
         h_fac = gram(h) + sqrt_a * np.eye(6)
-        expect = -np.linalg.solve(g_fac, grads.grad_weight[0]) @ np.linalg.inv(h_fac)
+        expect = -np.linalg.solve(g_fac, weight_gradients(grads)[0]) @ np.linalg.inv(h_fac)
         rel = np.linalg.norm(d.d_weight[0] - expect) / np.linalg.norm(expect)
         assert rel <= 1e-12
 
@@ -568,7 +571,7 @@ class TestKfi:
         curv, grads = gram_guarded_problem()
         for policy in PiPolicy:
             d = kfi_direction(curv, grads, 0.02, policy)
-            assert np.all(np.isfinite(d.flat()))
+            assert np.all(np.isfinite(flat_direction(d)))
 
     def test_factors_each_layer_once(self, monkeypatch):
         curv, grads = model_problem(seed=3)
@@ -604,7 +607,7 @@ class TestKfi:
         for seed in range(5):
             curv, grads = model_problem(seed=seed)
             d = kfi_direction(curv, grads, alpha=0.02)
-            assert float(d.flat() @ grads.flat()) < 0
+            assert float(flat_direction(d) @ flat_gradient(grads)) < 0
 
     def test_rejects_bad_alpha(self):
         rng = np.random.default_rng(8)
@@ -716,7 +719,7 @@ def test_dense_oracle_around_the_batch_width(setting, n_in, rows):
     hbs, grads = make_problem(rng, [(hb, h)])
     d = solver_for(setting, 0.02)(hbs, grads)
     weight, bias = dense_systems(hb, h, 0.02, setting)
-    expect_w = np.linalg.solve(weight, -grads.grad_weight[0].reshape(-1, order="F"))
+    expect_w = np.linalg.solve(weight, -weight_gradients(grads)[0].reshape(-1, order="F"))
     assert np.max(np.abs(d.d_weight[0].reshape(-1, order="F") - expect_w)) <= 1e-8
     assert np.max(np.abs(d.d_bias[0] - np.linalg.solve(bias, -grads.grad_bias[0]))) <= 1e-8
 
@@ -751,7 +754,7 @@ def test_every_direction_descends_or_names_its_layer(stack):
             continue
         assert all(m > -tol for m in lowest), setting
         for hb, h, gw, gb, dw, db in zip(
-            hbs, grads.inputs, grads.grad_weight, grads.grad_bias, d.d_weight, d.d_bias
+            hbs, grads.inputs, weight_gradients(grads), grads.grad_bias, d.d_weight, d.d_bias
         ):
             assert np.vdot(dw, gw) <= 0 and db @ gb <= 0, setting
             if gw.size <= 64:

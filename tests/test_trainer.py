@@ -32,7 +32,14 @@ from blocknewton.trainer import (
     zero_velocity,
 )
 
-from helpers import count_calls
+from helpers import (
+    count_calls,
+    flat_direction,
+    flat_gradient,
+    flat_parameters,
+    set_flat_parameters,
+    weight_gradients,
+)
 
 
 def small_problem(seed=0, classes=3, per_class=20):
@@ -87,10 +94,10 @@ def test_shuffle_matches_reference_loop(n, seed):
 class TestSgd:
     def test_zero_learning_rate_leaves_model_unchanged(self):
         model, x_train, y_train, x_test, y_test = small_problem()
-        before = model.flat_parameters().copy()
+        before = flat_parameters(model).copy()
         cfg = TrainConfig(learning_rate=0.0, epochs=2, batch_size=8, seed=0)
         train(model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test)
-        assert np.array_equal(model.flat_parameters(), before)
+        assert np.array_equal(flat_parameters(model), before)
 
     def test_zero_momentum_is_vanilla_gradient_descent(self):
         model, x_train, y_train, _, _ = small_problem(seed=3)
@@ -104,13 +111,13 @@ class TestSgd:
             trace = forward(reference, x_train[batch])
             _, go, _ = criterion_batch(criterion, trace.h[-1], y_train[batch])
             grads = backprop(reference, trace, go)
-            for t in range(reference.num_layers):
-                reference.weights[t] = reference.weights[t] - lr * grads.grad_weight[t]
+            for t, gw in enumerate(weight_gradients(grads)):
+                reference.weights[t] = reference.weights[t] - lr * gw
                 reference.biases[t] = reference.biases[t] - lr * grads.grad_bias[t]
 
         cfg = TrainConfig(learning_rate=lr, momentum=0.0, epochs=1, batch_size=16, seed=3)
         train(model, criterion, x_train, y_train, cfg)
-        assert np.array_equal(model.flat_parameters(), reference.flat_parameters())
+        assert np.array_equal(flat_parameters(model), flat_parameters(reference))
 
     def test_seed_determinism_bit_identical(self):
         reports = []
@@ -129,7 +136,7 @@ class TestSgd:
             )
             reports.append(r)
         assert np.array_equal(
-            reports[0].model.flat_parameters(), reports[1].model.flat_parameters()
+            flat_parameters(reports[0].model), flat_parameters(reports[1].model)
         )
         for e0, e1 in zip(reports[0].epochs, reports[1].epochs):
             assert (e0.loss, e0.test_accuracy, e0.wall_seconds) == (
@@ -147,13 +154,13 @@ class TestSgd:
 
     def test_step_after_set_flat_parameters_leaves_theta_alone(self):
         model, x_train, y_train, _, _ = small_problem(seed=6)
-        theta = FcnnModel.xavier([4, 8, 3], seed=7).flat_parameters()
+        theta = flat_parameters(FcnnModel.xavier([4, 8, 3], seed=7))
         theta_before = theta.copy()
-        model.set_flat_parameters(theta)
+        set_flat_parameters(model, theta)
         bp = batch_pass(model, CrossEntropySoftmax(), x_train[:8], y_train[:8])
         optimizer_step(model, bp, TrainConfig(), zero_velocity(model))
         assert np.array_equal(theta, theta_before)
-        assert not np.array_equal(model.flat_parameters(), theta_before)
+        assert not np.array_equal(flat_parameters(model), theta_before)
 
     def test_rejects_negative_learning_rate(self):
         with pytest.raises(ConfigError):
@@ -192,8 +199,8 @@ class TestSecondOrder:
         curv = ea_curvature(model, bp, CurvatureKind.PCH)
         cfg = SolverConfig(alpha=0.999)
         d = ea_cg_direction(curv, grads, cfg)
-        g = grads.flat()
-        rel = np.linalg.norm(d.flat() + g) / np.linalg.norm(g)
+        g = flat_gradient(grads)
+        rel = np.linalg.norm(flat_direction(d) + g) / np.linalg.norm(g)
         assert rel <= 1e-2
 
 
@@ -260,8 +267,8 @@ class TestEvaluationOverlap:
             (r.epoch, r.loss, r.test_accuracy) for r in inline.epochs
         ]
         assert np.array_equal(
-            threaded.model.flat_parameters().view(np.uint64),
-            inline.model.flat_parameters().view(np.uint64),
+            flat_parameters(threaded.model).view(np.uint64),
+            flat_parameters(inline.model).view(np.uint64),
         )
         _, x_train, y_train, x_test, y_test = wide_problem()
         last = threaded.epochs[-1]
@@ -313,7 +320,7 @@ class TestEvaluationOverlap:
         optimizer = "sgd" if name == "sgd" else "ea_cg, curvature pch"
         assert str(err.value) == f"loss became non-finite at epoch 0 (optimizer {optimizer})"
         if name == "sgd":
-            assert not np.all(np.isfinite(model.flat_parameters()))
+            assert not np.all(np.isfinite(flat_parameters(model)))
         elif path == "threaded":
             # the diverged model's next step failed, and the loss error won
             assert isinstance(err.value.__context__, NumericalBreakdownError)

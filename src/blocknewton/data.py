@@ -39,8 +39,10 @@ class Dataset:
     n_train: int
 
     def __post_init__(self):
-        if self.features.shape[0] != self.labels.shape[0]:
+        rows = self.features.shape[0]
+        if rows != self.labels.shape[0]:
             raise ConfigError("feature/label counts differ")
+        check_range("n_train", self.n_train, 0 <= self.n_train <= rows, f"a value in [0, {rows}]")
         # a NaN propagates through both reductions and an infinity is one of
         # them, so this reads like np.isfinite(features).all() without its
         # full-size boolean temporaries

@@ -4,7 +4,6 @@ bound check."""
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import itertools
@@ -71,7 +70,7 @@ GRID_PATHS = {  # grid key -> the spec section its values are written to
 @dataclass
 class ExperimentSpec:
     """One experiment: architecture, criterion, data source, optimizer, and
-    the (grid values, spec) of each grid point in enumeration order."""
+    the (grid values, train config) of each grid point in enumeration order."""
 
     architecture: list[int] = field(default_factory=lambda: list(DEFAULT_ARCH))
     activation: Activation = Activation.SIGMOID
@@ -79,7 +78,7 @@ class ExperimentSpec:
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
     dataset: dict = field(default_factory=lambda: dict(DEFAULT_DATASET))
     compare_steps: int = 10
-    grid: list[tuple[dict, ExperimentSpec]] = field(default_factory=list)
+    grid: list[tuple[dict, TrainConfig]] = field(default_factory=list)
 
     def __post_init__(self):
         arch = self.architecture
@@ -127,6 +126,13 @@ class ExperimentSpec:
 
     def build_model(self, seed: int) -> FcnnModel:
         return FcnnModel.xavier(self.architecture, self.activation, seed=seed)
+
+    def setup(self, seed: int | None = None):
+        """(run seed, model, dataset split) of a run: the seed is train.seed
+        unless given, and the dataset is loaded before the model is built."""
+        seed = self.train_cfg.seed if seed is None else seed
+        split = self.load_dataset(seed).split()
+        return seed, self.build_model(seed), split
 
 
 def _typed(doc: dict, path: str, default, types: tuple):
@@ -243,8 +249,8 @@ def spec_from_json(doc: dict) -> ExperimentSpec:
     return spec
 
 
-def _grid_points(doc: dict) -> list[tuple[dict, ExperimentSpec]]:
-    """The (grid values, spec) of each point of doc's grid, over the Cartesian
+def _grid_points(doc: dict) -> list[tuple[dict, TrainConfig]]:
+    """The (grid values, train config) of each point of doc's grid, over the Cartesian
     product in sorted-key order.  A point is doc with one value per grid key
     written at GRID_PATHS; each value is first parsed alone, so a bad one is
     reported under its grid key."""
@@ -263,23 +269,30 @@ def _grid_points(doc: dict) -> list[tuple[dict, ExperimentSpec]]:
                 raise ConfigError(f"grid.{key}: value {value!r} rejected ({exc})") from None
     keys = sorted(grid)
     points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
-    return [(params, spec_from_json(_with_grid_values(base, params))) for params in points]
+    return [(p, spec_from_json(_with_grid_values(base, p)).train_cfg) for p in points]
 
 
 def _with_grid_values(doc: dict, params: dict) -> dict:
-    """A copy of doc with each grid value written at its spec path."""
-    doc = copy.deepcopy(doc)
+    """A copy of doc with each grid value written at its spec path.  Only
+    the sections on those paths are copied, one level each, so a deeply
+    nested value elsewhere in doc is shared, not recursed into."""
+    doc = dict(doc)
     for key, value in params.items():
         section = doc
         for name in GRID_PATHS[key]:
-            section = section.setdefault(name, {})
+            section[name] = dict(section.get(name, {}))
+            section = section[name]
         section[key] = value
     return doc
 
 
 def load_spec(path: str | Path) -> ExperimentSpec:
     with open(path) as f:
-        return spec_from_json(json.load(f))
+        try:
+            doc = json.load(f)
+        except RecursionError:
+            raise ConfigError(f"{path}: JSON nested too deeply to parse") from None
+    return spec_from_json(doc)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -326,20 +339,9 @@ def run_training(
     spec: ExperimentSpec, seed: int | None = None, record_time: bool = True
 ) -> TrainReport:
     """Build model + dataset from the experiment spec and train."""
-    cfg = spec.train_cfg if seed is None else replace(spec.train_cfg, seed=seed)
-    ds = spec.load_dataset(cfg.seed)
-    model = spec.build_model(cfg.seed)
-    x_train, y_train, x_test, y_test = ds.split()
-    return train(
-        model,
-        spec.criterion,
-        x_train,
-        y_train,
-        cfg,
-        x_test,
-        y_test,
-        record_time=record_time,
-    )
+    seed, model, (x_train, y_train, x_test, y_test) = spec.setup(seed)
+    cfg = replace(spec.train_cfg, seed=seed)
+    return train(model, spec.criterion, x_train, y_train, cfg, x_test, y_test, record_time)
 
 
 def run_grid(spec: ExperimentSpec, seed: int | None = None) -> list[tuple[dict, TrainReport]]:
@@ -348,13 +350,12 @@ def run_grid(spec: ExperimentSpec, seed: int | None = None) -> list[tuple[dict, 
     Returns (grid values, report) per point in enumeration order."""
     if not spec.grid:
         raise ConfigError("grid: the spec has no grid points")
-    seed = spec.train_cfg.seed if seed is None else seed
-    x_train, y_train, x_test, y_test = spec.load_dataset(seed).split()
+    seed, model, (x_train, y_train, x_test, y_test) = spec.setup(seed)
     runs = []
-    for params, point in spec.grid:
-        cfg = replace(point.train_cfg, seed=seed)
-        model = spec.build_model(seed)
-        runs.append((params, train(model, spec.criterion, x_train, y_train, cfg, x_test, y_test)))
+    for params, point_cfg in spec.grid:
+        cfg = replace(point_cfg, seed=seed)
+        report = train(model.copy(), spec.criterion, x_train, y_train, cfg, x_test, y_test)
+        runs.append((params, report))
     return runs
 
 
@@ -399,12 +400,12 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
     Gauss-Newton is skipped (column None) for the non-convex criterion,
     where its top block is indefinite.
     """
-    check_range("compare_steps", spec.compare_steps, spec.compare_steps >= 1, ">= 1")
+    steps = spec.compare_steps
+    check_range(
+        "compare_steps", steps, 1 <= steps <= sys.maxsize, f"an integer in [1, {sys.maxsize}]"
+    )
     cfg = spec.train_cfg
-    run_seed = cfg.seed if seed is None else seed
-    ds = spec.load_dataset(run_seed)
-    model = spec.build_model(run_seed)
-    x_train, y_train, _, _ = ds.split()
+    run_seed, model, (x_train, y_train, _, _) = spec.setup(seed)
     criterion = spec.criterion
     convex = isinstance(criterion, CrossEntropySoftmax)
 
@@ -440,11 +441,11 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
         optimizer_step(model, bp, cfg, velocity, step_hbs)
 
     # each pass, with its blocks, is freed before the next one is built
-    for batch in itertools.islice(schedule, spec.compare_steps):
+    for batch in itertools.islice(schedule, steps):
         score_and_step(batch_pass(model, criterion, x_train[batch], y_train[batch]))
 
     columns: dict[str, list[float] | None] = {
-        name: (sums[name] / spec.compare_steps).tolist() for name in variants
+        name: (sums[name] / steps).tolist() for name in variants
     }
     if not convex:
         columns["gauss_newton"] = None
@@ -465,10 +466,7 @@ class BoundCheckResult:
 def run_bound_check(spec: ExperimentSpec, seed: int | None = None, batch: int = 8) -> list[BoundCheckResult]:
     """Evaluate the expectation-approximation error bound at every hidden layer."""
     check_range("architecture", spec.architecture, len(spec.architecture) > 2, "at least one hidden layer")
-    run_seed = spec.train_cfg.seed if seed is None else seed
-    ds = spec.load_dataset(run_seed)
-    model = spec.build_model(run_seed)
-    x_train, y_train, _, _ = ds.split()
+    _, model, (x_train, y_train, _, _) = spec.setup(seed)
     if not 2 <= batch <= x_train.shape[0]:
         raise ConfigError(
             f"--batch: expected 2 <= batch <= {x_train.shape[0]} training instances, got {batch}"

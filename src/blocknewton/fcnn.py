@@ -192,8 +192,8 @@ class CrossEntropySoftmax:
         logz = np.log(np.sum(np.exp(logits), axis=1))
         return logz - np.sum(logits * y, axis=1)
 
-    def batch_eval(self, hk: np.ndarray, y: np.ndarray):
-        return self.losses(hk, y), softmax(hk) - y
+    def gradients(self, hk: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return softmax(hk) - y
 
     def hessians(self, hk: np.ndarray, y: np.ndarray) -> np.ndarray:
         yhat = softmax(hk)
@@ -226,10 +226,10 @@ class SigmoidGate:
     def losses(self, hk: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self._gate(hk, y)[2]
 
-    def batch_eval(self, hk: np.ndarray, y: np.ndarray):
+    def gradients(self, hk: np.ndarray, y: np.ndarray) -> np.ndarray:
         # s = yhat_c; grad_h s = s * (e_c - yhat)
-        yhat, s, loss, dl = self._gate(hk, y)
-        return loss, dl[:, None] * (s[:, None] * (y - yhat))
+        yhat, s, _, dl = self._gate(hk, y)
+        return dl[:, None] * (s[:, None] * (y - yhat))
 
     def hessians(self, hk: np.ndarray, y: np.ndarray) -> np.ndarray:
         yhat, s, loss, dl = self._gate(hk, y)
@@ -264,16 +264,15 @@ def _criterion_rows(hk: np.ndarray, y: np.ndarray):
 
 
 def criterion_losses(criterion: Criterion, hk: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The per-row losses of criterion_batch, computed without the rest."""
+    """The per-row losses of a batch, which only evaluation reads."""
     return criterion.losses(*_criterion_rows(hk, y))
 
 
 def criterion_batch(criterion: Criterion, hk: np.ndarray, y: np.ndarray):
-    """The per-row losses and output gradients of a batch, and a function
-    of no arguments that builds the per-row output Hessians."""
+    """The per-row output gradients of a training batch, no losses, and a
+    function of no arguments that builds the per-row output Hessians."""
     hk, y = _criterion_rows(hk, y)
-    losses, grads = criterion.batch_eval(hk, y)
-    return losses, grads, partial(criterion.hessians, hk, y)
+    return criterion.gradients(hk, y), partial(criterion.hessians, hk, y)
 
 
 # --- gradients ------------------------------------------------------------
@@ -354,9 +353,9 @@ def backprop(
 @dataclass
 class BatchPass:
     """Everything one training batch yields for the optimizer step and the
-    curvature blocks: the forward trace and the gradients with their
-    per-instance bias gradients (grads.bias_per_instance[-1] is the
-    criterion gradient at the output).
+    curvature blocks, and no losses, which no step reads: the forward trace
+    and the gradients with their per-instance bias gradients
+    (grads.bias_per_instance[-1] is the criterion gradient at the output).
     hess_out, the per-instance output Hessians, is built by build_hess_out
     on first read and kept, since the exact bias Hessian and the PCH and
     Gauss-Newton curvature of one pass all start from it; SGD and Fisher
@@ -376,5 +375,5 @@ def batch_pass(
 ) -> BatchPass:
     """Forward, criterion and backprop on one batch, each run once."""
     trace = forward(model, inputs)
-    _, grads_out, hess_out = criterion_batch(criterion, trace.h[-1], y)
+    grads_out, hess_out = criterion_batch(criterion, trace.h[-1], y)
     return BatchPass(trace, backprop(model, trace, grads_out), hess_out)

@@ -299,12 +299,9 @@ def sherman_morrison_apply(
 
 
 def kfi_direction(
-    hbs: list[np.ndarray],
-    grads: LayerGradients,
-    alpha: float,
-    pi_policy: PiPolicy = PiPolicy.UNIT,
+    hbs: list[np.ndarray], grads: LayerGradients, cfg: SolverConfig
 ) -> NewtonDirection:
-    """Kronecker-factored inverse directions.
+    """Kronecker-factored inverse directions for cfg's alpha and pi_policy.
 
     Per layer, d_W = -G^{-1} E[grad_W] H^{-1} with damped factors
     H = F^T F / r + c I, c = pi sqrt(alpha), and G = Hb + (sqrt(alpha)/pi) I;
@@ -320,12 +317,11 @@ def kfi_direction(
     forms no n x n matrix.  A G or bias block with an eigenvalue <= 0
     raises NumericalBreakdownError naming its layer.
     """
-    check_range("alpha", alpha, 0.0 < alpha < 1.0, "a value in (0, 1)")
-    sqrt_a = np.sqrt(alpha)
+    sqrt_a = np.sqrt(cfg.alpha)
 
     def damping(hb, h, lam):
         pi = 1.0
-        if pi_policy is PiPolicy.TRACE_NORM:
+        if cfg.pi_policy is PiPolicy.TRACE_NORM:
             tr_h = np.vdot(h, h) / h.shape[0] / h.shape[1]
             tr_g = np.trace(hb) / lam.size
             pi = np.sqrt(tr_h / tr_g) if tr_h > 0 and tr_g > 0 else 1.0

@@ -194,7 +194,8 @@ def optimizer_step(
     reads velocity, which second-order optimizers take as None.
 
     Second-order optimizers build the batch's curvature, unless the caller
-    passes the bias blocks of cfg's curvature kind for bp as hbs, and step
+    passes the bias blocks of cfg's curvature kind for bp as hbs, pass
+    them with spec.solver_cfg to spec.solver's solver, and step
     theta += lr * d, scaling each weight direction d by lr in place
     (directions come negated from the solvers).  SGD updates the momentum
     buffers v <- momentum v - lr g and steps theta += v, one layer at a
@@ -221,12 +222,8 @@ def optimizer_step(
         return
     if hbs is None:
         hbs = ea_curvature(model, bp, spec.kind, spec.gamma)
-    if spec.solver is SolverChoice.EA_CG:
-        direction = ea_cg_direction(hbs, bp.grads, spec.solver_cfg)
-    else:
-        direction = kfi_direction(
-            hbs, bp.grads, spec.solver_cfg.alpha, spec.solver_cfg.pi_policy
-        )
+    solve = ea_cg_direction if spec.solver is SolverChoice.EA_CG else kfi_direction
+    direction = solve(hbs, bp.grads, spec.solver_cfg)
     for t in range(model.num_layers):
         direction.d_weight[t] *= lr
         model.weights[t] += direction.d_weight[t]

@@ -13,6 +13,7 @@ from blocknewton.fcnn import (
     FcnnModel,
     SigmoidGate,
     criterion_batch,
+    criterion_losses,
     forward,
     weight_gradient,
 )
@@ -56,8 +57,21 @@ def criterion_eval(criterion, hk, y):
     y = np.asarray(y, dtype=float)
     if hk.shape != y.shape or hk.ndim != 1:
         raise DimensionError("criterion_eval expects matching 1-d output/label")
-    losses, grads, hesses = criterion_batch(criterion, hk[None, :], y[None, :])
-    return float(losses[0]), grads[0], hesses()[0]
+    hk, y = hk[None, :], y[None, :]
+    grads, hesses = criterion_batch(criterion, hk, y)
+    return float(criterion_losses(criterion, hk, y)[0]), grads[0], hesses()[0]
+
+
+def reference_losses(criterion, hk, y):
+    """Per-row losses by the defining expressions: the log-sum-exp of the
+    shifted logits minus the true-class logit for cross-entropy, and
+    sigmoid(-delta (softmax(hk) . y - epsilon)) for the sigmoid gate."""
+    if isinstance(criterion, CrossEntropySoftmax):
+        logits = hk - np.max(hk, axis=1, keepdims=True)
+        logz = np.log(np.sum(np.exp(logits), axis=1))
+        return logz - np.sum(logits * y, axis=1)
+    s = np.sum(fcnn.softmax(hk) * y, axis=1)
+    return fcnn._sigmoid(-criterion.delta * (s - criterion.epsilon))
 
 
 def weight_gradients(grads):
@@ -103,8 +117,7 @@ def set_flat_parameters(model, theta):
 
 def batch_loss(model, criterion, x, y):
     trace = forward(model, x)
-    losses, _, _ = criterion_batch(criterion, trace.h[-1], y)
-    return float(losses.mean())
+    return float(criterion_losses(criterion, trace.h[-1], y).mean())
 
 
 def fd_gradient(f, theta, step=1e-5):

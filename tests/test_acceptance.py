@@ -67,7 +67,7 @@ def test_criterion_1_gradient_oracle():
         model = random_model(rng, max_width=8, max_layers=4)
         x, y = random_batch(rng, model, batch=3)
         trace = forward(model, x)
-        _, go, _ = criterion_batch(criterion, trace.h[-1], y)
+        go, _ = criterion_batch(criterion, trace.h[-1], y)
         grads = backprop(model, trace, go)
         fd = fd_loss_gradient(model, criterion, x, y)
         analytic = flat_gradient(grads)
@@ -228,7 +228,7 @@ def test_criterion_7_kfi_correctness():
     sqrt_a = np.sqrt(alpha)
     shapes = [(4, 3), (3, 4)]
     curv, grads = make_problem(rng, [make_layer(rng, *s) for s in shapes])
-    d = kfi_direction(curv, grads, alpha)
+    d = kfi_direction(curv, grads, SolverConfig(alpha=alpha))
     for hb, h, gw, gb, dw, db in zip(
         curv, grads.inputs, weight_gradients(grads), grads.grad_bias, d.d_weight, d.d_bias
     ):

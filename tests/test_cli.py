@@ -201,6 +201,16 @@ class TestExitCodes:
         assert cli(["train", "--config", str(path)]) == EXIT_CONFIG
         capsys.readouterr()
 
+    @pytest.mark.parametrize("head,tail", [("[", "]"), ('{"a": ', "}")], ids=["array", "object"])
+    def test_config_nested_too_deeply_to_parse_exits_2(self, tmp_path, capsys, head, tail):
+        # json.load gives up with a RecursionError long before 100000 levels
+        path = tmp_path / "deep.json"
+        path.write_text(head * 100_000 + "0" + tail * 100_000)
+        out = tmp_path / "out"
+        assert cli(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert f"{path}: JSON nested too deeply" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_bytes(b'{"activation": "sigm\xff"}')
@@ -474,6 +484,15 @@ class TestGrid:
         assert f"{key}:" in capsys.readouterr().err
         assert not (tmp_path / "grid.json").exists()
 
+    def test_deeply_nested_value_beside_a_grid_exits_2(self, tmp_path, capsys):
+        # 600 levels parse, and writing the grid values copies no level of
+        # the dataset, which is read only when the runs start
+        path = tmp_path / "cfg.json"
+        doc = json.dumps(dict(SMALL, grid={"learning_rate": [0.1]}, dataset=None))
+        path.write_text(doc.replace("null", '{"a": ' * 600 + "0" + "}" * 600))
+        assert cli(["grid", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "dataset.a: unknown key" in capsys.readouterr().err
+
     def test_bad_grid_rejected_by_train_too(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(SMALL, grid={"learning_rate": ["x"]}))
         assert cli(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -490,6 +509,14 @@ class TestCompareAndBound:
         text = (tmp_path / "curvature_errors.csv").read_text()
         assert text.startswith("layer,fisher,gauss_newton,pch1,pch2")
         assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("steps", [0, 10**20], ids=["0", "1e20"])
+    def test_compare_steps_out_of_range_exits_2(self, tmp_path, capsys, steps):
+        cfg = write_config(tmp_path, dict(SMALL, compare_steps=steps))
+        out = tmp_path / "out"
+        assert cli(["compare-curvature", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "compare_steps: expected an integer in [1, " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bound_check_prints_pass(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL)
@@ -571,9 +598,10 @@ class TestGenData:
         assert list(out.iterdir()) == []
 
 
-# values around the schema: numbers that are valid somewhere, wrong types and bad ranges
+# values around the schema: numbers that are valid somewhere, wrong types and
+# bad ranges, among them an integer beyond sys.maxsize
 FUZZ_VALUES = st.sampled_from([1, 2, 8, 0.05, 0.5]) | st.sampled_from(
-    ["x", "", "3", 2.5, -1, 0, None, True, [], {}, "kfi", "ea_cg"]
+    ["x", "", "3", 2.5, -1, 0, 2**64, None, True, [], {}, "kfi", "ea_cg"]
 )
 FUZZ_PATHS = st.sampled_from(
     [
@@ -591,6 +619,7 @@ FUZZ_PATHS = st.sampled_from(
         ("dataset", "dim"),
         ("dataset", "images"),
         ("dataset", "train_fraction"),
+        ("compare_steps",),
         ("grid", "learning_rate"),
         ("grid", "batch_size"),
         ("grid", "alpha"),
@@ -605,7 +634,10 @@ FUZZ_EDITS = st.lists(
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(command=st.sampled_from(["train", "grid"]), edits=FUZZ_EDITS)
+@given(
+    command=st.sampled_from(["train", "grid", "compare-curvature", "bound-check"]),
+    edits=FUZZ_EDITS,
+)
 def test_fuzzed_spec_exits_0_2_or_3(command, edits):
     doc = json.loads(json.dumps(SMALL))
     doc["train"]["epochs"] = 1

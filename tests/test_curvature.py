@@ -31,7 +31,7 @@ def fd_bias_hessian(model, criterion, x, y, layer_t, step=1e-6):
 
     def grad_b(m):
         trace = forward(m, x)
-        _, grads_out, _ = criterion_batch(criterion, trace.h[-1], y)
+        grads_out, _ = criterion_batch(criterion, trace.h[-1], y)
         return backprop(m, trace, grads_out).grad_bias[layer_t - 1]
 
     for j in range(n_t):
@@ -52,7 +52,7 @@ class TestTrueBiasHessian:
         y = np.eye(3)[rng.integers(0, 3, size=6)]
         trace = forward(model, x)
         criterion = CrossEntropySoftmax()
-        _, _, hesses = criterion_batch(criterion, trace.h[-1], y)
+        _, hesses = criterion_batch(criterion, trace.h[-1], y)
         blocks = true_bias_hessian(model, batch_pass(model, criterion, x, y))
         assert len(blocks) == 1
         assert np.allclose(blocks[0], hesses().mean(axis=0), atol=1e-14)
@@ -138,7 +138,7 @@ class TestEaCurvature:
         x, y = random_batch(rng, model)
         criterion = CrossEntropySoftmax()
         trace = forward(model, x)
-        _, _, hesses = criterion_batch(criterion, trace.h[-1], y)
+        _, hesses = criterion_batch(criterion, trace.h[-1], y)
         top = hesses().mean(axis=0)
         pch = ea_curvature(model, batch_pass(model, criterion, x, y), CurvatureKind.PCH, gamma=-1.0)
         assert np.allclose(pch[-1], 0.5 * (top + top.T), atol=1e-10)

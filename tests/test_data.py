@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from blocknewton.data import (
+    Dataset,
     ParseError,
     load_csv,
     load_idx,
@@ -12,6 +13,7 @@ from blocknewton.data import (
     write_idx_images,
     write_idx_labels,
 )
+from blocknewton.errors import ConfigError
 
 
 class TestIdx:
@@ -153,6 +155,14 @@ class TestSplit:
         assert x_train.shape == (10, 3) and y_train.shape == (10, 2)
         assert x_test.shape == (0, 3) and y_test.shape == (0, 2)
         assert ds.n_train == ds.labels.shape[0]
+
+    @pytest.mark.parametrize("fraction,n_train", [(-0.5, -5), (3, 30)])
+    def test_split_outside_the_rows_is_rejected(self, fraction, n_train):
+        with pytest.raises(ConfigError, match=rf"n_train: expected a value in \[0, 10\], got {n_train}"):
+            synth_blobs(2, 3, 5, 0.1, 0, train_fraction=fraction)
+        ds = synth_blobs(2, 3, 5, 0.1, 0)
+        with pytest.raises(ConfigError, match="n_train"):
+            Dataset(ds.features, ds.labels, ds.num_classes, n_train)
 
     def test_idx_load_and_split_hold_the_features_once(self, tmp_path):
         # the file's bytes and one float64 matrix; a copied split held two

@@ -20,6 +20,7 @@ from helpers import (
     activation_values,
     assert_close_rel,
     both_criteria,
+    count_calls,
     criterion_eval,
     fd_gradient,
     fd_loss_gradient,
@@ -27,6 +28,7 @@ from helpers import (
     flat_parameters,
     random_batch,
     random_model,
+    reference_losses,
     set_flat_parameters,
     weight_gradients,
 )
@@ -210,8 +212,7 @@ class TestCriteria:
         rng = np.random.default_rng(12)
         hk = rng.standard_normal((40, 6)) * 4
         y = np.eye(6)[rng.integers(0, 6, 40)]
-        losses, _, _ = criterion_batch(criterion, hk, y)
-        assert np.array_equal(criterion_losses(criterion, hk, y), losses)
+        assert np.array_equal(criterion_losses(criterion, hk, y), reference_losses(criterion, hk, y))
         with pytest.raises(ConfigError):
             criterion_losses(criterion, hk, 0.5 * y)
         with pytest.raises(DimensionError):
@@ -233,7 +234,16 @@ class TestCriteria:
         assert built == []
         hess_out = bp.hess_out
         assert bp.hess_out is hess_out and len(built) == 1
-        assert np.array_equal(hess_out, criterion_batch(CrossEntropySoftmax(), bp.trace.h[-1], y)[2]())
+        assert np.array_equal(hess_out, criterion_batch(CrossEntropySoftmax(), bp.trace.h[-1], y)[1]())
+
+    def test_training_pass_computes_no_loss(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        model = random_model(rng)
+        x, y = random_batch(rng, model)
+        losses = count_calls(monkeypatch, CrossEntropySoftmax, "losses")
+        bp = batch_pass(model, CrossEntropySoftmax(), x, y)
+        bp.hess_out
+        assert losses == []
 
     def test_gate_validation(self):
         with pytest.raises(ConfigError):
@@ -292,7 +302,7 @@ class TestBackprop:
             model = random_model(rng)
             x, y = random_batch(rng, model)
             trace = forward(model, x)
-            _, grads_out, _ = criterion_batch(criterion, trace.h[-1], y)
+            grads_out, _ = criterion_batch(criterion, trace.h[-1], y)
             grads = backprop(model, trace, grads_out)
             fd = fd_loss_gradient(model, criterion, x, y)
             assert_close_rel(flat_gradient(grads), fd, rtol=1e-6, atol=1e-9)
@@ -303,7 +313,7 @@ class TestBackprop:
         x, y = random_batch(rng, model)
         criterion = CrossEntropySoftmax()
         trace = forward(model, x)
-        _, grads_out, _ = criterion_batch(criterion, trace.h[-1], y)
+        grads_out, _ = criterion_batch(criterion, trace.h[-1], y)
         grads = backprop(model, trace, grads_out)
         fd = fd_loss_gradient(model, criterion, x, y)
         assert_close_rel(flat_gradient(grads), fd, rtol=1e-5, atol=1e-8)

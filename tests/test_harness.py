@@ -88,7 +88,7 @@ class TestSpecJson:
             {"alpha": 0.01, "learning_rate": 0.3},
             {"alpha": 0.05, "learning_rate": 0.3},
         ]
-        cfgs = [point.train_cfg for _, point in spec.grid]
+        cfgs = [cfg for _, cfg in spec.grid]
         assert [cfg.learning_rate for cfg in cfgs] == [0.3, 0.3]
         solver_cfgs = [cfg.second_order.solver_cfg for cfg in cfgs]
         assert [s.alpha for s in solver_cfgs] == [0.01, 0.05]

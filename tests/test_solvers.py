@@ -270,7 +270,7 @@ class TestEaCg:
         with pytest.raises(DimensionError):
             ea_cg_direction(hbs[:1], grads, SolverConfig())
         with pytest.raises(DimensionError):
-            kfi_direction(hbs[:1], grads, 0.02)
+            kfi_direction(hbs[:1], grads, SolverConfig())
 
 
 PAPER_SHAPES = [(256, 784), (128, 256), (64, 128), (10, 64)]
@@ -292,12 +292,12 @@ def paper_width_problem(seed=16, shapes=PAPER_SHAPES):
 # (hbs, grads) -> NewtonDirection under each solver configuration, the
 # EA-CG ones named by their hvp_mode
 EA_CG = partial(ea_cg_direction, cfg=SolverConfig())
-KFI = partial(kfi_direction, alpha=0.02)
+KFI = partial(kfi_direction, cfg=SolverConfig())
 EVERY_SOLVE = [
     pytest.param(partial(ea_cg_direction, cfg=SolverConfig(hvp_mode=mode)), id=str(mode))
     for mode in HvpMode
 ] + [
-    pytest.param(partial(kfi_direction, alpha=0.02, pi_policy=policy), id=f"kfi-{policy.value}")
+    pytest.param(partial(kfi_direction, cfg=SolverConfig(pi_policy=policy)), id=f"kfi-{policy.value}")
     for policy in PiPolicy
 ]
 
@@ -538,7 +538,7 @@ class TestKfi:
         # (3, 12) is wider than the 8-row batch, so its E[h h^T] is rank-deficient
         shapes = [(4, 3), (3, 4), (3, 12)]
         hbs, grads = make_problem(rng, [make_layer(rng, *s) for s in shapes])
-        d = kfi_direction(hbs, grads, alpha, pi_policy=policy)
+        d = kfi_direction(hbs, grads, SolverConfig(alpha=alpha, pi_policy=policy))
         for hb, h, gw, gb, dw, db in zip(
             hbs, grads.inputs, weight_gradients(grads), grads.grad_bias, d.d_weight, d.d_bias
         ):
@@ -560,7 +560,7 @@ class TestKfi:
         hb, _ = make_layer(rng, 3, 6)
         h = rng.standard_normal((16, 6)) * 1e5
         hbs, grads = make_problem(rng, [(hb, h)])
-        d = kfi_direction(hbs, grads, alpha)
+        d = kfi_direction(hbs, grads, SolverConfig(alpha=alpha))
         g_fac = hb + sqrt_a * np.eye(3)
         h_fac = gram(h) + sqrt_a * np.eye(6)
         expect = -np.linalg.solve(g_fac, weight_gradients(grads)[0]) @ np.linalg.inv(h_fac)
@@ -570,14 +570,14 @@ class TestKfi:
     def test_kfi_never_forms_gram_matrix(self):
         curv, grads = gram_guarded_problem()
         for policy in PiPolicy:
-            d = kfi_direction(curv, grads, 0.02, policy)
+            d = kfi_direction(curv, grads, SolverConfig(pi_policy=policy))
             assert np.all(np.isfinite(flat_direction(d)))
 
     def test_factors_each_layer_once(self, monkeypatch):
         curv, grads = model_problem(seed=3)
         sym_eig = count_calls(monkeypatch, solvers, "sym_eig")
         svd = count_calls(monkeypatch, np.linalg, "svd")
-        kfi_direction(curv, grads, 0.02, PiPolicy.TRACE_NORM)
+        kfi_direction(curv, grads, SolverConfig(pi_policy=PiPolicy.TRACE_NORM))
         # one sym_eig of each hb and one of each input factor's Gram matrix
         calls = {"sym_eig": len(sym_eig), "svd": len(svd)}
         assert calls == {"sym_eig": 2 * len(curv), "svd": 0}
@@ -601,19 +601,19 @@ class TestKfi:
         else:
             poison(hbs, grads, fault)
         with pytest.raises(NumericalBreakdownError, match=breakdown_message(fault)):
-            kfi_direction(hbs, grads, alpha, policy)
+            kfi_direction(hbs, grads, SolverConfig(alpha=alpha, pi_policy=policy))
 
     def test_descent_on_model_problems(self):
         for seed in range(5):
             curv, grads = model_problem(seed=seed)
-            d = kfi_direction(curv, grads, alpha=0.02)
+            d = kfi_direction(curv, grads, SolverConfig())
             assert float(flat_direction(d) @ flat_gradient(grads)) < 0
 
     def test_rejects_bad_alpha(self):
         rng = np.random.default_rng(8)
         hbs, grads = make_problem(rng, [make_layer(rng, 3, 4)])
         with pytest.raises(ConfigError):
-            kfi_direction(hbs, grads, alpha=1.5)
+            kfi_direction(hbs, grads, SolverConfig(alpha=1.5))
 
 
 def random_layer(rng, n_out, n_in, batch, hb_kind, h_kind):
@@ -702,7 +702,7 @@ def solver_for(setting, alpha):
     PiPolicy."""
     if isinstance(setting, HvpMode):
         return partial(ea_cg_direction, cfg=SolverConfig(alpha=alpha, hvp_mode=setting))
-    return partial(kfi_direction, alpha=alpha, pi_policy=setting)
+    return partial(kfi_direction, cfg=SolverConfig(alpha=alpha, pi_policy=setting))
 
 
 @pytest.mark.parametrize("setting", [*HvpMode, *PiPolicy], ids=lambda s: s.value)

@@ -14,6 +14,7 @@ from blocknewton.fcnn import (
     backprop,
     batch_pass,
     criterion_batch,
+    criterion_losses,
     forward,
     softmax,
 )
@@ -109,7 +110,7 @@ class TestSgd:
         for lo in range(0, x_train.shape[0], 16):
             batch = order[lo : lo + 16]
             trace = forward(reference, x_train[batch])
-            _, go, _ = criterion_batch(criterion, trace.h[-1], y_train[batch])
+            go, _ = criterion_batch(criterion, trace.h[-1], y_train[batch])
             grads = backprop(reference, trace, go)
             for t, gw in enumerate(weight_gradients(grads)):
                 reference.weights[t] = reference.weights[t] - lr * gw
@@ -368,7 +369,7 @@ class TestRowBlocks:
         model, x_train, y_train, _, _ = wide_problem(train_fraction=1.0)
         x, y = x_train[:rows], y_train[:rows]
         whole = forward(model, x).h[-1]
-        expected_losses = criterion_batch(CrossEntropySoftmax(), whole, y)[0]
+        expected_losses = criterion_losses(CrossEntropySoftmax(), whole, y)
         expected_pred = np.argmax(softmax(whole), axis=1)
         y_index = np.argmax(y, axis=1)
         forwards = count_calls(monkeypatch, trainer, "forward")

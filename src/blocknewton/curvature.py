@@ -52,12 +52,12 @@ def exact_bias_hessian_instances(model: FcnnModel, bp: BatchPass) -> list[np.nda
     hessians[t-1] has shape (batch, n_t, n_t).  The recursion starts from
     the criterion Hessian at the output and sandwiches through each hidden
     layer, adding the diagonal second-derivative term h''^{t-1} o
-    (W^t)^T g^t, whose product backprop kept in bp.grads.grad_h.
+    (W^t)^T g^t, whose product backprop kept in bp.grad_h.
     """
     trace = bp.trace
     _check_trace(model, trace)
     k = model.num_layers
-    grad_h = bp.grads.grad_h
+    grad_h = bp.grad_h
 
     hbs: list[np.ndarray] = [None] * k
     hbs[k - 1] = bp.hess_out
@@ -92,7 +92,7 @@ def ea_curvature(
     the symmetrised mean output Hessian bp.hess_out and take layer t-1's
     block as (W^tT Hb^t W^t) o E[h'^{t-1} h'^{(t-1)T}].  PCH alone adds the
     recursion's diagonal term E[h''^{t-1} o (W^tT g^t)], from the sigma''
-    of bp.trace and backprop's products bp.grads.grad_h, and clips it and
+    of bp.trace and backprop's products bp.grad_h, and clips it and
     the top block through the negative-eigenvalue replacement with the
     given gamma (-1 flips signs, 0 zeroes); the sandwich term is PSD by
     induction and left alone.
@@ -120,7 +120,7 @@ def ea_curvature(
         hb = (w.T @ hb @ w) * ((hp.T @ hp) / n)
         if kind is CurvatureKind.PCH:
             # the term is diagonal, so clipping reduces to |x| or max(x, 0)
-            diag_vec = (trace.hdprime[t - 1] * bp.grads.grad_h[t - 1]).mean(axis=0)
+            diag_vec = (trace.hdprime[t - 1] * bp.grad_h[t - 1]).mean(axis=0)
             clipped = np.abs(diag_vec) if gamma == -1.0 else np.maximum(diag_vec, 0.0)
             hb = hb + np.diag(clipped)
         hb = 0.5 * (hb + hb.T)

@@ -38,6 +38,7 @@ from .fcnn import (
 from .linalg import abs_eig
 from .solvers import HvpMode, PiPolicy, SolverConfig
 from .trainer import (
+    MAX_SEED,
     SecondOrderSpec,
     SolverChoice,
     TrainConfig,
@@ -95,7 +96,9 @@ class ExperimentSpec:
 
     def load_dataset(self, seed: int) -> Dataset:
         """Load the dataset with run seed `seed` and check that the architecture fits it."""
-        check_range("seed", seed, seed >= 0, "a non-negative integer (train.seed or --seed)")
+        check_range(
+            "seed", seed, 0 <= seed <= MAX_SEED, "an integer in [0, 2**64 - 1] (train.seed or --seed)"
+        )
         spec = dict(self.dataset)
         kind = _choice(spec, "dataset.kind", list(DATASET_KEYS), "blobs")
         spec.pop("kind", None)
@@ -199,10 +202,12 @@ def spec_from_json(doc: dict) -> ExperimentSpec:
         )
 
     tdoc = _typed(doc, "train", {}, (dict,))
-    _only(tdoc, "train", TRAIN_KEYS)
     second = None
     odoc = _typed(doc, "optimizer", {"kind": "sgd"}, (dict,))
     solver = _choice(odoc, "optimizer.kind", ["sgd", "ea_cg", "kfi"], "sgd")
+    # momentum is read only by SGD's buffers; a Newton step keeps none
+    train_keys = TRAIN_KEYS if solver == "sgd" else [k for k in TRAIN_KEYS if k != "momentum"]
+    _only(tdoc, "train", train_keys, f"optimizer kind {solver!r}")
     if solver == "sgd":
         _only(odoc, "optimizer", ["kind"], "optimizer kind 'sgd'")
     else:
@@ -396,7 +401,8 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
     parameter vector (theta^0 .. theta^{s-1}) one batch_pass feeds the exact block-diagonal bias
     Hessian, the errors of Fisher / Gauss-Newton / PCH-1 / PCH-2 against
     it, and the step, which reuses the column of the optimizer's
-    curvature kind (and gamma, under PCH); errors are averaged per layer.
+    curvature kind (and gamma, under PCH), with the pass freed before the
+    step as in train; errors are averaged per layer.
     Gauss-Newton is skipped (column None) for the non-convex criterion,
     where its top block is indefinite.
     """
@@ -426,7 +432,8 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
     second = cfg.second_order
     velocity = zero_velocity(model) if second is None else None
 
-    def score_and_step(bp: BatchPass) -> None:
+    def score(bp: BatchPass):
+        """Add bp's errors to sums; return its gradients and the step's blocks."""
         # layerwise_error's targets, each block's eigendecomposition taken once
         exact = [abs_eig(e) for e in true_bias_hessian(model, bp)]
         step_hbs = None
@@ -438,11 +445,17 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
                 kind is not CurvatureKind.PCH or gamma == second.gamma
             ):
                 step_hbs = hbs
-        optimizer_step(model, bp, cfg, velocity, step_hbs)
+        if second is not None and step_hbs is None:  # Gauss-Newton, non-convex
+            step_hbs = ea_curvature(model, bp, second.kind, second.gamma)
+        return bp.grads, step_hbs
 
-    # each pass, with its blocks, is freed before the next one is built
+    # each pass, with its exact blocks and the curvature the step does not
+    # read, is freed before the step; the step's gradients and blocks
+    # before the next pass is built
     for batch in itertools.islice(schedule, steps):
-        score_and_step(batch_pass(model, criterion, x_train[batch], y_train[batch]))
+        grads, hbs = score(batch_pass(model, criterion, x_train[batch], y_train[batch]))
+        optimizer_step(model, grads, cfg, velocity, hbs)
+        del grads, hbs
 
     columns: dict[str, list[float] | None] = {
         name: (sums[name] / steps).tolist() for name in variants

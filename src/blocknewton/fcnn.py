@@ -289,26 +289,23 @@ def weight_gradient(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LayerGradients:
-    """Batch-mean gradients per layer, the weight gradients kept factored.
+    """Batch-mean gradients per layer, the weight gradients kept factored:
+    what an optimizer step reads, and nothing that only the curvature reads.
 
     bias_per_instance[t-1] is the (batch, n_t) matrix G^t of per-instance
     bias gradients, the factor the curvature module (Fisher blocks) and the
-    solvers consume, and inputs[t-1] the layer's input batch h^{t-1}, a
-    view of the forward trace: the other factor of the weight gradient and
+    solvers consume, and inputs[t-1] the layer's input batch h^{t-1}, an
+    array of the forward trace: the other factor of the weight gradient and
     the batch whose Gram matrix E[h h^T] is the Kronecker factor of the
     layer's weight block in the solvers.
     grad_bias[t-1] is the mean of G^t over instances.  The mean gradient
     w.r.t. W^t is weight_gradient(G^t, h^{t-1}), which SGD forms one layer
-    at a time; the Newton solvers keep it factored.  grad_h[t] =
-    (W^{t+1})^T g^{t+1}, per instance, is the gradient w.r.t. h^t for
-    0 < t < k (None at 0), which the curvature recursion's diagonal term
-    reuses.
+    at a time; the Newton solvers keep it factored.
     """
 
     grad_bias: list[np.ndarray]
     bias_per_instance: list[np.ndarray] = field(repr=False)
     inputs: list[np.ndarray] = field(repr=False)
-    grad_h: list[np.ndarray | None] = field(repr=False, default_factory=list)
 
 
 def backprop_bias_gradients(
@@ -316,7 +313,7 @@ def backprop_bias_gradients(
 ) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
     """Per-instance bias gradients for every layer, output layer first equals
     grad_out; lower layers follow g^{t-1} = h'^{t-1} o (W^t)^T g^t.  Returns
-    them with the products (W^t)^T g^t, indexed like LayerGradients.grad_h."""
+    them with the products (W^t)^T g^t, indexed like BatchPass.grad_h."""
     k = model.num_layers
     grad_out = np.atleast_2d(np.asarray(grad_out, dtype=float))
     if grad_out.shape != trace.h[k].shape:
@@ -333,36 +330,51 @@ def backprop_bias_gradients(
 
 
 def backprop(
-    model: FcnnModel, trace: ForwardTrace, grad_out: np.ndarray
+    model: FcnnModel,
+    trace: ForwardTrace,
+    grad_out: np.ndarray,
+    grad_h: list[np.ndarray | None] | None = None,
 ) -> LayerGradients:
     """Batch-averaged gradients for all weights and biases.
 
     The weight gradient is the exact outer-product form
     grad_W^t = grad_b^t h^{(t-1)T}, averaged over the batch; it is kept
-    as its two factors, which weight_gradient multiplies out.
+    as its two factors, which weight_gradient multiplies out.  A grad_h
+    list receives the products (W^t)^T g^t computed on the way down, which
+    only the curvature recursions read (see BatchPass.grad_h); the
+    gradients keep no reference to them.
     """
-    gb_inst, grad_h = backprop_bias_gradients(model, trace, grad_out)
+    gb_inst, products = backprop_bias_gradients(model, trace, grad_out)
+    if grad_h is not None:
+        grad_h[:] = products
     return LayerGradients(
         grad_bias=[g.mean(axis=0) for g in gb_inst],
         bias_per_instance=gb_inst,
         inputs=trace.h[: model.num_layers],
-        grad_h=grad_h,
     )
 
 
 @dataclass
 class BatchPass:
-    """Everything one training batch yields for the optimizer step and the
-    curvature blocks, and no losses, which no step reads: the forward trace
-    and the gradients with their per-instance bias gradients
-    (grads.bias_per_instance[-1] is the criterion gradient at the output).
-    hess_out, the per-instance output Hessians, is built by build_hess_out
-    on first read and kept, since the exact bias Hessian and the PCH and
-    Gauss-Newton curvature of one pass all start from it; SGD and Fisher
-    never read it."""
+    """Everything one training batch yields for the curvature blocks and the
+    optimizer step, and no losses, which no step reads.
+
+    grads is what the step reads (grads.bias_per_instance[-1] is the
+    criterion gradient at the output).  The rest only the curvature reads:
+    the forward trace, with the sigma' and sigma'' it derives from h (the
+    layer inputs grads.inputs are its arrays, and outlive it); grad_h,
+    backprop's per-instance products (W^{t+1})^T g^{t+1}, the gradient
+    w.r.t. h^t for 0 < t < k (None at 0), which the recursions' diagonal
+    term reuses; and hess_out, the per-instance output Hessians, built by
+    build_hess_out on first read and kept, since the exact bias Hessian and
+    the PCH and Gauss-Newton curvature of one pass all start from it (SGD
+    and Fisher never read it).  A trainer builds the blocks from the pass
+    and keeps grads alone for the step, so the pass and everything above
+    are freed before the Newton solve."""
 
     trace: ForwardTrace
     grads: LayerGradients
+    grad_h: list[np.ndarray | None] = field(repr=False)
     build_hess_out: Callable[[], np.ndarray] = field(repr=False)
 
     @cached_property
@@ -376,4 +388,6 @@ def batch_pass(
     """Forward, criterion and backprop on one batch, each run once."""
     trace = forward(model, inputs)
     grads_out, hess_out = criterion_batch(criterion, trace.h[-1], y)
-    return BatchPass(trace, backprop(model, trace, grads_out), hess_out)
+    grad_h: list[np.ndarray | None] = []
+    grads = backprop(model, trace, grads_out, grad_h)
+    return BatchPass(trace, grads, grad_h, hess_out)

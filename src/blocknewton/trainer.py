@@ -21,6 +21,7 @@ evaluations score inline and start no thread.
 from __future__ import annotations
 
 import enum
+import sys
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -31,9 +32,9 @@ from . import solvers
 from .curvature import CurvatureKind, ea_curvature
 from .errors import ConfigError, TrainingDivergedError, check_range
 from .fcnn import (
-    BatchPass,
     Criterion,
     FcnnModel,
+    LayerGradients,
     batch_pass,
     criterion_losses,
     forward,
@@ -58,6 +59,11 @@ EVAL_ROWS = 128
 # 64-1024-10 on 400 rows (30M) -16 %, 784-256-128-64-10 on 1280 rows
 # (310M) -17 %.
 EVAL_OVERLAP_MIN_MACS = 2**24
+
+
+# Largest run seed: the shuffle keys on the seed's low 64 bits, so seeds s
+# and s + 2**64 would share a batch order but not a model.
+MAX_SEED = 2**64 - 1
 
 
 def splitmix64(x: int) -> int:
@@ -124,7 +130,10 @@ class TrainConfig:
     def __post_init__(self):
         check_range("learning_rate", self.learning_rate, self.learning_rate >= 0, ">= 0")
         check_range("batch_size", self.batch_size, self.batch_size >= 1, ">= 1")
-        check_range("epochs", self.epochs, self.epochs >= 1, ">= 1")
+        check_range(
+            "epochs", self.epochs, 1 <= self.epochs <= sys.maxsize, f"an integer in [1, {sys.maxsize}]"
+        )
+        check_range("seed", self.seed, 0 <= self.seed <= MAX_SEED, "an integer in [0, 2**64 - 1]")
         check_range("momentum", self.momentum, 0.0 <= self.momentum < 1.0, "a value in [0, 1)")
 
 
@@ -184,31 +193,33 @@ def zero_velocity(model: FcnnModel) -> Velocity:
 
 def optimizer_step(
     model: FcnnModel,
-    bp: BatchPass,
+    grads: LayerGradients,
     cfg: TrainConfig,
     velocity: Velocity | None,
-    hbs: list[np.ndarray] | None = None,
+    hbs: list[np.ndarray] | None,
 ) -> None:
-    """One optimizer step on the batch of bp, written into the model's own
-    weight and bias arrays and, for SGD, into velocity's arrays; only SGD
-    reads velocity, which second-order optimizers take as None.
+    """One optimizer step on a batch's gradients, written into the model's
+    own weight and bias arrays and, for SGD, into velocity's arrays.  Only
+    SGD reads velocity and only second-order optimizers read hbs, the bias
+    blocks of cfg's curvature kind for the same batch; each takes None for
+    the other.  The step reads nothing else of the batch, so its caller can
+    free the pass (BatchPass), with what only the curvature reads, before
+    the Newton solve.
 
-    Second-order optimizers build the batch's curvature, unless the caller
-    passes the bias blocks of cfg's curvature kind for bp as hbs, pass
-    them with spec.solver_cfg to spec.solver's solver, and step
-    theta += lr * d, scaling each weight direction d by lr in place
-    (directions come negated from the solvers).  SGD updates the momentum
-    buffers v <- momentum v - lr g and steps theta += v, one layer at a
-    time: it forms the layer's weight gradient g by weight_gradient, scales
-    it by lr in place and drops it before the next layer, so the step
-    holds at most one n_out x n_in array beyond the model and the
-    buffers.  Arrays that alias the model's parameters see the step.
+    Second-order optimizers pass hbs and grads with spec.solver_cfg to
+    spec.solver's solver, and step theta += lr * d, scaling each weight
+    direction d by lr in place (directions come negated from the solvers).
+    SGD updates the momentum buffers v <- momentum v - lr g and steps
+    theta += v, one layer at a time: it forms the layer's weight gradient g
+    by weight_gradient, scales it by lr in place and drops it before the
+    next layer, so the step holds at most one n_out x n_in array beyond
+    the model and the buffers.  Arrays that alias the model's parameters
+    see the step.
     """
     lr = cfg.learning_rate
     spec = cfg.second_order
     if spec is None:
         velocity_w, velocity_b = velocity
-        grads = bp.grads
         for t in range(model.num_layers):
             step = weight_gradient(grads.bias_per_instance[t], grads.inputs[t])
             step *= lr
@@ -220,10 +231,8 @@ def optimizer_step(
             model.weights[t] += velocity_w[t]
             model.biases[t] += velocity_b[t]
         return
-    if hbs is None:
-        hbs = ea_curvature(model, bp, spec.kind, spec.gamma)
     solve = ea_cg_direction if spec.solver is SolverChoice.EA_CG else kfi_direction
-    direction = solve(hbs, bp.grads, spec.solver_cfg)
+    direction = solve(hbs, grads, spec.solver_cfg)
     for t in range(model.num_layers):
         direction.d_weight[t] *= lr
         model.weights[t] += direction.d_weight[t]
@@ -245,8 +254,12 @@ def train(
     y arrays are one-hot.  Every mini-batch runs one batch_pass and one
     optimizer_step, which updates the model's own weight and bias arrays
     and, for SGD, the momentum buffers in place; report.model is model.
-    The pass goes straight into the step, so it is freed before the next
-    batch's pass is built and before an epoch is scored.
+    A second-order step's curvature blocks are built from the pass
+    (ea_curvature), and the pass is dropped before the step, which reads
+    only the gradients and the blocks: sigma', sigma'', backprop's products
+    and the output Hessians are freed before the Newton solve, and the
+    gradients and blocks before the next batch's pass is built and before
+    an epoch is scored.
 
     Each epoch is scored by mean_loss on the training set and accuracy on
     the test set.  Large evaluations of epoch e run on a helper thread
@@ -286,13 +299,12 @@ def train(
         start = time.perf_counter()
         try:
             for batch in epoch_batches(n, cfg.batch_size, cfg.seed, epoch):
-                # no name holds the pass, so it is freed before the next is built
-                optimizer_step(
-                    model,
-                    batch_pass(model, criterion, x_train[batch], y_train[batch]),
-                    cfg,
-                    velocity,
-                )
+                bp = batch_pass(model, criterion, x_train[batch], y_train[batch])
+                hbs = None if spec is None else ea_curvature(model, bp, spec.kind, spec.gamma)
+                grads = bp.grads
+                del bp  # what only the curvature reads dies here, before the solve
+                optimizer_step(model, grads, cfg, velocity, hbs)
+                del grads, hbs  # nor do they live on into the next pass
         finally:
             # the previous epoch's record, or its error, which replaces any
             # error these steps raised from its diverged parameters

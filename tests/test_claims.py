@@ -91,7 +91,8 @@ def pch1_relative_errors(seed, steps=4):
     batches = [order[i * cfg.batch_size : (i + 1) * cfg.batch_size] for i in range(steps + 1)]
     velocity = zero_velocity(model)
     for rows in batches[:steps]:
-        optimizer_step(model, batch_pass(model, spec.criterion, x[rows], y[rows]), cfg, velocity)
+        bp = batch_pass(model, spec.criterion, x[rows], y[rows])
+        optimizer_step(model, bp.grads, cfg, velocity, ea_curvature(model, bp, CurvatureKind.PCH, -1.0))
     bp = batch_pass(model, spec.criterion, x[batches[steps]], y[batches[steps]])
     exact = [abs_eig(block) for block in true_bias_hessian(model, bp)]
     approx = ea_curvature(model, bp, CurvatureKind.PCH, -1.0)

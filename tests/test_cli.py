@@ -90,6 +90,13 @@ REJECTED_AT_LOAD = [
                  dict(SMALL, dataset=dict(SMALL["dataset"], train_fraction=0.01)),
                  id="empty-training-split"),
     pytest.param("seed", dict(SMALL, train=dict(SMALL["train"], seed=-1)), id="negative-seed"),
+    # only SGD keeps momentum buffers
+    pytest.param("train.momentum",
+                 dict(SMALL, train=dict(SMALL["train"], momentum=0.3), optimizer={"kind": "ea_cg"}),
+                 id="momentum-under-ea-cg"),
+    pytest.param("train.momentum",
+                 dict(SMALL, train=dict(SMALL["train"], momentum=0.9), optimizer={"kind": "kfi"}),
+                 id="momentum-under-kfi"),
 ]
 
 
@@ -99,6 +106,15 @@ GN_EA_CG = {"kind": "ea_cg", "curvature": "gauss_newton"}
 # (dotted key, spec document) with a value of the right type out of its range
 OUT_OF_RANGE = [
     ("train.epochs", dict(SMALL, train=dict(SMALL["train"], epochs=0))),
+    pytest.param("train.epochs", dict(SMALL, train=dict(SMALL["train"], epochs=sys.maxsize + 1)),
+                 id="train.epochs=maxsize+1"),
+    pytest.param("train.epochs", dict(SMALL, train=dict(SMALL["train"], epochs=10**400)),
+                 id="train.epochs=1e400"),
+    # the shuffle keys on 64 bits of the seed
+    pytest.param("train.seed", dict(SMALL, train=dict(SMALL["train"], seed=2**64)),
+                 id="train.seed=2**64"),
+    pytest.param("train.seed", dict(SMALL, train=dict(SMALL["train"], seed=10**40)),
+                 id="train.seed=1e40"),
     ("train.batch_size", dict(SMALL, train=dict(SMALL["train"], batch_size=0))),
     ("train.learning_rate", dict(SMALL, train=dict(SMALL["train"], learning_rate=-0.1))),
     ("train.momentum", dict(SMALL, train=dict(SMALL["train"], momentum=1.0))),
@@ -395,6 +411,18 @@ class TestExitCodes:
         assert cli(["train", "--config", cfg, "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
         assert "seed:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_seed_flag_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert cli(["train", "--config", cfg, "--out", str(out), "--seed", str(2**64)]) == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_trains(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(SMALL, train=dict(SMALL["train"], seed=2**64 - 1)))
+        assert cli(["train", "--config", cfg, "--out", str(tmp_path), "--no-timing"]) == EXIT_OK
+        capsys.readouterr()
 
     def test_directory_as_dataset_file(self, tmp_path, capsys):
         doc = dict(SMALL, dataset={"kind": "idx", "images": str(tmp_path), "labels": str(tmp_path)})

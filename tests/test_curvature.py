@@ -91,7 +91,7 @@ class TestTrueBiasHessian:
 
 @pytest.mark.parametrize("criterion", both_criteria(), ids=["xent", "gate"])
 def test_diagonal_terms_bitwise_equal_recomputed_products(criterion):
-    # backprop's products g^{t+1} W^{t+1} (grads.grad_h) feed the PCH
+    # backprop's products g^{t+1} W^{t+1} (bp.grad_h) feed the PCH
     # recursion and the exact recursion; both equal, bit for bit, the
     # expressions that recomputed the product
     rng = np.random.default_rng(21)
@@ -165,7 +165,7 @@ class TestEaCurvature:
         gn = ea_curvature(model, bp, CurvatureKind.GAUSS_NEWTON)
         # add back the (unclipped) diagonal term to the GN blocks
         for t in range(model.num_layers - 1, 0, -1):
-            diag_term = (bp.trace.hdprime[t] * bp.grads.grad_h[t]).mean(axis=0)
+            diag_term = (bp.trace.hdprime[t] * bp.grad_h[t]).mean(axis=0)
             approx = gn[t - 1] + np.diag(diag_term)
             # GN drops the diag term entirely; exact = sandwich + diag only
             # when the propagated top block is identical, which holds for the

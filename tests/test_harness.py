@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from blocknewton import curvature, experiments, fcnn, trainer
-from blocknewton.curvature import CurvatureKind
+from blocknewton.curvature import CurvatureKind, ea_curvature
 from blocknewton.errors import ConfigError
 from blocknewton.experiments import (
     ExperimentSpec,
@@ -295,7 +295,8 @@ def test_weight_gradients_multiplied_out_only_for_sgd(monkeypatch, second_order)
     velocity = zero_velocity(model) if second_order is None else None
     for step in range(1, 3):
         bp = batch_pass(model, CrossEntropySoftmax(), x, y)
-        optimizer_step(model, bp, cfg, velocity)
+        hbs = None if second_order is None else ea_curvature(model, bp, second_order.kind, second_order.gamma)
+        optimizer_step(model, bp.grads, cfg, velocity, hbs)
         assert len(built) == step * (model.num_layers if second_order is None else 2)
 
 
@@ -315,7 +316,7 @@ def test_sgd_step_holds_one_weight_gradient_at_a_time():
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        optimizer_step(model, bp, cfg, velocity)
+        optimizer_step(model, bp.grads, cfg, velocity, None)
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
@@ -370,6 +371,51 @@ def test_compare_curvatures_releases_each_pass(released_passes, second_order):
     compare_curvatures(spec_with(second_order, compare_steps=4))
     check()
     assert len(passes) == 4
+
+
+@pytest.mark.parametrize(
+    "driver,reader",
+    [("train", (trainer, "ea_curvature")), ("compare", (experiments, "true_bias_hessian"))],
+)
+@pytest.mark.parametrize(
+    "second_order",
+    [PCH1, SecondOrderSpec(kind=CurvatureKind.PCH, solver=SolverChoice.KFI)],
+    ids=["ea_cg-pch1", "kfi-pch1"],
+)
+def test_pass_is_freed_before_the_newton_solve(monkeypatch, driver, reader, second_order):
+    # sigma', sigma'', backprop's products W^T g and the output Hessians of a
+    # step's pass feed its curvature alone: the solver, which reads the
+    # gradients and the blocks, starts after all of them are gone
+    module, name = reader
+    original = getattr(module, name)
+    refs, live_at_solve = [], []
+
+    def read_and_watch(model, bp, *args):
+        blocks = original(model, bp, *args)
+        trace = bp.trace
+        arrays = [*trace.hprime[1:-1], *trace.hdprime[1:-1], *bp.grad_h[1:], bp.hess_out]
+        refs[:] = [weakref.ref(bp), weakref.ref(trace)] + [weakref.ref(a) for a in arrays]
+        return blocks
+
+    def watched(solve):
+        def solve_after_release(hbs, grads, cfg):
+            live_at_solve.append(sum(ref() is not None for ref in refs))
+            return solve(hbs, grads, cfg)
+
+        return solve_after_release
+
+    monkeypatch.setattr(module, name, read_and_watch)
+    for solve in ("ea_cg_direction", "kfi_direction"):
+        monkeypatch.setattr(trainer, solve, watched(getattr(trainer, solve)))
+    spec = spec_with(second_order, compare_steps=3)
+    if driver == "train":
+        x_train, y_train, _, _ = spec.load_dataset(0).split()
+        train(spec.build_model(0), spec.criterion, x_train, y_train, spec.train_cfg)
+        steps = math.ceil(x_train.shape[0] / spec.train_cfg.batch_size)
+    else:
+        compare_curvatures(spec)
+        steps = spec.compare_steps
+    assert live_at_solve == [0] * steps
 
 
 @pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd-momentum", "ea_cg-pch1"])

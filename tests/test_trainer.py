@@ -159,7 +159,7 @@ class TestSgd:
         theta_before = theta.copy()
         set_flat_parameters(model, theta)
         bp = batch_pass(model, CrossEntropySoftmax(), x_train[:8], y_train[:8])
-        optimizer_step(model, bp, TrainConfig(), zero_velocity(model))
+        optimizer_step(model, bp.grads, TrainConfig(), zero_velocity(model), None)
         assert np.array_equal(theta, theta_before)
         assert not np.array_equal(flat_parameters(model), theta_before)
 

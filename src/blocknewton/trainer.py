@@ -202,9 +202,8 @@ def optimizer_step(
     own weight and bias arrays and, for SGD, into velocity's arrays.  Only
     SGD reads velocity and only second-order optimizers read hbs, the bias
     blocks of cfg's curvature kind for the same batch; each takes None for
-    the other.  The step reads nothing else of the batch, so its caller can
-    free the pass (BatchPass), with what only the curvature reads, before
-    the Newton solve.
+    the other.  The step reads nothing else of the batch, so the caller
+    frees the pass before the Newton solve.
 
     Second-order optimizers pass hbs and grads with spec.solver_cfg to
     spec.solver's solver, and step theta += lr * d, scaling each weight
@@ -255,11 +254,10 @@ def train(
     optimizer_step, which updates the model's own weight and bias arrays
     and, for SGD, the momentum buffers in place; report.model is model.
     A second-order step's curvature blocks are built from the pass
-    (ea_curvature), and the pass is dropped before the step, which reads
-    only the gradients and the blocks: sigma', sigma'', backprop's products
-    and the output Hessians are freed before the Newton solve, and the
-    gradients and blocks before the next batch's pass is built and before
-    an epoch is scored.
+    (ea_curvature) and the pass is dropped before the step, so what only
+    the curvature reads is freed before the Newton solve, and the step's
+    gradients and blocks before the next pass is built and before an epoch
+    is scored.
 
     Each epoch is scored by mean_loss on the training set and accuracy on
     the test set.  Large evaluations of epoch e run on a helper thread
@@ -302,9 +300,9 @@ def train(
                 bp = batch_pass(model, criterion, x_train[batch], y_train[batch])
                 hbs = None if spec is None else ea_curvature(model, bp, spec.kind, spec.gamma)
                 grads = bp.grads
-                del bp  # what only the curvature reads dies here, before the solve
+                del bp  # frees sigma', sigma'', grad_h and hess_out before the solve
                 optimizer_step(model, grads, cfg, velocity, hbs)
-                del grads, hbs  # nor do they live on into the next pass
+                del grads, hbs  # and these before the next pass is built
         finally:
             # the previous epoch's record, or its error, which replaces any
             # error these steps raised from its diverged parameters

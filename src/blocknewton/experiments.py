@@ -39,14 +39,13 @@ from .linalg import abs_eig
 from .solvers import HvpMode, PiPolicy, SolverConfig
 from .trainer import (
     MAX_SEED,
+    Optimizer,
     SecondOrderSpec,
     SolverChoice,
     TrainConfig,
     TrainReport,
     epoch_batches,
-    optimizer_step,
     train,
-    zero_velocity,
 )
 
 DEFAULT_ARCH = [64, 32, 16, 16, 8, 8, 8, 10]  # desk-scale 8-layer default
@@ -401,8 +400,8 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
     parameter vector (theta^0 .. theta^{s-1}) one batch_pass feeds the exact block-diagonal bias
     Hessian, the errors of Fisher / Gauss-Newton / PCH-1 / PCH-2 against
     it, and the step, which reuses the column of the optimizer's
-    curvature kind (and gamma, under PCH), with the pass freed before the
-    step as in train; errors are averaged per layer.
+    curvature kind (and gamma, under PCH); one Optimizer.run takes the
+    steps as train does, and errors are averaged per layer.
     Gauss-Newton is skipped (column None) for the non-convex criterion,
     where its top block is indefinite.
     """
@@ -412,8 +411,7 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
     )
     cfg = spec.train_cfg
     run_seed, model, (x_train, y_train, _, _) = spec.setup(seed)
-    criterion = spec.criterion
-    convex = isinstance(criterion, CrossEntropySoftmax)
+    convex = isinstance(spec.criterion, CrossEntropySoftmax)
 
     variants = {
         "fisher": (CurvatureKind.FISHER, -1.0),
@@ -429,11 +427,11 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
         epoch_batches(x_train.shape[0], cfg.batch_size, run_seed, epoch)
         for epoch in itertools.count()
     )
+    batches = itertools.islice(schedule, steps)
     second = cfg.second_order
-    velocity = zero_velocity(model) if second is None else None
 
-    def score(bp: BatchPass):
-        """Add bp's errors to sums; return its gradients and the step's blocks."""
+    def score(bp: BatchPass) -> list[np.ndarray] | None:
+        """Add bp's errors to sums; return the step's blocks."""
         # layerwise_error's targets, each block's eigendecomposition taken once
         exact = [abs_eig(e) for e in true_bias_hessian(model, bp)]
         step_hbs = None
@@ -447,15 +445,9 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
                 step_hbs = hbs
         if second is not None and step_hbs is None:  # Gauss-Newton, non-convex
             step_hbs = ea_curvature(model, bp, second.kind, second.gamma)
-        return bp.grads, step_hbs
+        return step_hbs
 
-    # each pass, with its exact blocks and the curvature the step does not
-    # read, is freed before the step; the step's gradients and blocks
-    # before the next pass is built
-    for batch in itertools.islice(schedule, steps):
-        grads, hbs = score(batch_pass(model, criterion, x_train[batch], y_train[batch]))
-        optimizer_step(model, grads, cfg, velocity, hbs)
-        del grads, hbs
+    Optimizer(model, cfg).run(spec.criterion, x_train, y_train, batches, score)
 
     columns: dict[str, list[float] | None] = {
         name: (sums[name] / steps).tolist() for name in variants

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +32,7 @@ from . import solvers
 from .curvature import CurvatureKind, ea_curvature
 from .errors import ConfigError, TrainingDivergedError, check_range
 from .fcnn import (
+    BatchPass,
     Criterion,
     FcnnModel,
     LayerGradients,
@@ -183,59 +184,77 @@ def accuracy(model: FcnnModel, x: np.ndarray, y_index: np.ndarray) -> float:
     return float(np.mean(np.concatenate(pred) == y_index))
 
 
-Velocity = tuple[list[np.ndarray], list[np.ndarray]]
+class Optimizer:
+    """One run's optimizer: cfg's update rule, applied to the model's own
+    weight and bias arrays, and the state it carries between steps: SGD's
+    momentum buffers, zero at first, and none (empty lists) for Newton."""
 
+    def __init__(self, model: FcnnModel, cfg: TrainConfig):
+        self.model, self.cfg = model, cfg
+        sgd = cfg.second_order is None
+        self.velocity_w = [np.zeros_like(w) for w in model.weights] if sgd else []
+        self.velocity_b = [np.zeros_like(b) for b in model.biases] if sgd else []
 
-def zero_velocity(model: FcnnModel) -> Velocity:
-    """SGD momentum buffers (weights, biases) at rest."""
-    return [np.zeros_like(w) for w in model.weights], [np.zeros_like(b) for b in model.biases]
-
-
-def optimizer_step(
-    model: FcnnModel,
-    grads: LayerGradients,
-    cfg: TrainConfig,
-    velocity: Velocity | None,
-    hbs: list[np.ndarray] | None,
-) -> None:
-    """One optimizer step on a batch's gradients, written into the model's
-    own weight and bias arrays and, for SGD, into velocity's arrays.  Only
-    SGD reads velocity and only second-order optimizers read hbs, the bias
-    blocks of cfg's curvature kind for the same batch; each takes None for
-    the other.  The step reads nothing else of the batch, so the caller
-    frees the pass before the Newton solve.
-
-    Second-order optimizers pass hbs and grads with spec.solver_cfg to
-    spec.solver's solver, and step theta += lr * d, scaling each weight
-    direction d by lr in place (directions come negated from the solvers).
-    SGD updates the momentum buffers v <- momentum v - lr g and steps
-    theta += v, one layer at a time: it forms the layer's weight gradient g
-    by weight_gradient, scales it by lr in place and drops it before the
-    next layer, so the step holds at most one n_out x n_in array beyond
-    the model and the buffers.  Arrays that alias the model's parameters
-    see the step.
-    """
-    lr = cfg.learning_rate
-    spec = cfg.second_order
-    if spec is None:
-        velocity_w, velocity_b = velocity
+    def step(self, grads: LayerGradients, hbs: list[np.ndarray] | None) -> None:
+        """One step on a batch's gradients grads and, for a second-order
+        optimizer, its bias blocks hbs of cfg's kind (SGD takes None).  The
+        second-order step passes both with spec.solver_cfg to spec.solver's
+        solver and steps theta += lr * d, scaling each weight direction d by
+        lr in place (the solvers return it negated).  SGD updates the
+        momentum buffers v <- momentum v - lr g and steps theta += v one
+        layer at a time: it forms the layer's weight gradient g by
+        weight_gradient, scales it by lr in place and drops it before the
+        next layer, so it holds at most one n_out x n_in array beyond the
+        model and the buffers."""
+        model, cfg = self.model, self.cfg
+        lr = cfg.learning_rate
+        spec = cfg.second_order
+        if spec is None:
+            for t in range(model.num_layers):
+                step = weight_gradient(grads.bias_per_instance[t], grads.inputs[t])
+                step *= lr
+                self.velocity_w[t] *= cfg.momentum
+                self.velocity_w[t] -= step
+                del step
+                self.velocity_b[t] *= cfg.momentum
+                self.velocity_b[t] -= lr * grads.grad_bias[t]
+                model.weights[t] += self.velocity_w[t]
+                model.biases[t] += self.velocity_b[t]
+            return
+        solve = ea_cg_direction if spec.solver is SolverChoice.EA_CG else kfi_direction
+        direction = solve(hbs, grads, spec.solver_cfg)
         for t in range(model.num_layers):
-            step = weight_gradient(grads.bias_per_instance[t], grads.inputs[t])
-            step *= lr
-            velocity_w[t] *= cfg.momentum
-            velocity_w[t] -= step
-            del step
-            velocity_b[t] *= cfg.momentum
-            velocity_b[t] -= lr * grads.grad_bias[t]
-            model.weights[t] += velocity_w[t]
-            model.biases[t] += velocity_b[t]
-        return
-    solve = ea_cg_direction if spec.solver is SolverChoice.EA_CG else kfi_direction
-    direction = solve(hbs, grads, spec.solver_cfg)
-    for t in range(model.num_layers):
-        direction.d_weight[t] *= lr
-        model.weights[t] += direction.d_weight[t]
-        model.biases[t] += lr * direction.d_bias[t]
+            direction.d_weight[t] *= lr
+            model.weights[t] += direction.d_weight[t]
+            model.biases[t] += lr * direction.d_bias[t]
+
+    def run(
+        self,
+        criterion: Criterion,
+        x: np.ndarray,
+        y: np.ndarray,
+        batches: Iterable[np.ndarray],
+        blocks: Callable[[BatchPass], list[np.ndarray] | None] | None = None,
+    ) -> None:
+        """One batch_pass and one step per batch of row indices into x and
+        y (one-hot), in order.  blocks(pass), called on every pass, returns
+        the step's bias blocks: by default ea_curvature of cfg's kind and
+        gamma, or None under SGD.  Each pass is dropped before its step, so
+        what only the curvature reads is freed before the Newton solve, and
+        each step's gradients and blocks before the next pass is built."""
+        if blocks is None:
+            blocks = self._blocks
+        for batch in batches:
+            bp = batch_pass(self.model, criterion, x[batch], y[batch])
+            hbs = blocks(bp)
+            grads = bp.grads
+            del bp
+            self.step(grads, hbs)
+            del grads, hbs
+
+    def _blocks(self, bp: BatchPass) -> list[np.ndarray] | None:
+        spec = self.cfg.second_order
+        return None if spec is None else ea_curvature(self.model, bp, spec.kind, spec.gamma)
 
 
 def train(
@@ -250,14 +269,8 @@ def train(
 ) -> TrainReport:
     """Train in place and return per-epoch metrics.
 
-    y arrays are one-hot.  Every mini-batch runs one batch_pass and one
-    optimizer_step, which updates the model's own weight and bias arrays
-    and, for SGD, the momentum buffers in place; report.model is model.
-    A second-order step's curvature blocks are built from the pass
-    (ea_curvature) and the pass is dropped before the step, so what only
-    the curvature reads is freed before the Newton solve, and the step's
-    gradients and blocks before the next pass is built and before an epoch
-    is scored.
+    y arrays are one-hot.  One Optimizer steps the model in place, one
+    Optimizer.run per epoch over epoch_batches; report.model is model.
 
     Each epoch is scored by mean_loss on the training set and accuracy on
     the test set.  Large evaluations of epoch e run on a helper thread
@@ -287,7 +300,7 @@ def train(
         wall = time.perf_counter() - start if record_time else 0.0
         return EpochRecord(epoch, loss, accuracy(params, x_test, y_test_idx), wall)
 
-    velocity = zero_velocity(model) if spec is None else None
+    opt = Optimizer(model, cfg)
     records: list[EpochRecord] = []
     eval_macs = (n + x_test.shape[0]) * sum(w.size for w in model.weights)
     # the CPU count is looked up in solvers, whose gate reads the same one
@@ -296,13 +309,7 @@ def train(
     for epoch in range(cfg.epochs):
         start = time.perf_counter()
         try:
-            for batch in epoch_batches(n, cfg.batch_size, cfg.seed, epoch):
-                bp = batch_pass(model, criterion, x_train[batch], y_train[batch])
-                hbs = None if spec is None else ea_curvature(model, bp, spec.kind, spec.gamma)
-                grads = bp.grads
-                del bp  # frees sigma', sigma'', grad_h and hess_out before the solve
-                optimizer_step(model, grads, cfg, velocity, hbs)
-                del grads, hbs  # and these before the next pass is built
+            opt.run(criterion, x_train, y_train, epoch_batches(n, cfg.batch_size, cfg.seed, epoch))
         finally:
             # the previous epoch's record, or its error, which replaces any
             # error these steps raised from its diverged parameters

@@ -12,7 +12,7 @@ from blocknewton.curvature import CurvatureKind, ea_curvature, true_bias_hessian
 from blocknewton.experiments import compare_curvatures, load_spec, spec_from_json
 from blocknewton.fcnn import batch_pass
 from blocknewton.linalg import abs_eig
-from blocknewton.trainer import mean_loss, optimizer_step, shuffled_indices, train, zero_velocity
+from blocknewton.trainer import Optimizer, mean_loss, shuffled_indices, train
 
 # the deep 8-layer net that the README documents as its hard case, under the
 # non-convex sigmoid-gate criterion
@@ -89,10 +89,10 @@ def pch1_relative_errors(seed, steps=4):
     model, cfg = spec.build_model(seed), spec.train_cfg
     order = shuffled_indices(x.shape[0], seed, 0)
     batches = [order[i * cfg.batch_size : (i + 1) * cfg.batch_size] for i in range(steps + 1)]
-    velocity = zero_velocity(model)
+    optimizer = Optimizer(model, cfg)
     for rows in batches[:steps]:
         bp = batch_pass(model, spec.criterion, x[rows], y[rows])
-        optimizer_step(model, bp.grads, cfg, velocity, ea_curvature(model, bp, CurvatureKind.PCH, -1.0))
+        optimizer.step(bp.grads, ea_curvature(model, bp, CurvatureKind.PCH, -1.0))
     bp = batch_pass(model, spec.criterion, x[batches[steps]], y[batches[steps]])
     exact = [abs_eig(block) for block in true_bias_hessian(model, bp)]
     approx = ea_curvature(model, bp, CurvatureKind.PCH, -1.0)

@@ -23,14 +23,13 @@ from blocknewton.experiments import (
 )
 from blocknewton.fcnn import Activation, CrossEntropySoftmax, FcnnModel, SigmoidGate, batch_pass
 from blocknewton.trainer import (
+    Optimizer,
     SecondOrderSpec,
     SolverChoice,
     TrainConfig,
     accuracy,
     mean_loss,
-    optimizer_step,
     train,
-    zero_velocity,
 )
 from helpers import count_calls, flat_parameters
 
@@ -292,11 +291,11 @@ def test_weight_gradients_multiplied_out_only_for_sgd(monkeypatch, second_order)
     y = np.eye(10)[rng.integers(0, 10, 128)]
     cfg = TrainConfig(learning_rate=0.1, momentum=0.9, batch_size=128, second_order=second_order)
     built = count_calls(monkeypatch, fcnn, "weight_gradient")
-    velocity = zero_velocity(model) if second_order is None else None
+    optimizer = Optimizer(model, cfg)
     for step in range(1, 3):
         bp = batch_pass(model, CrossEntropySoftmax(), x, y)
         hbs = None if second_order is None else ea_curvature(model, bp, second_order.kind, second_order.gamma)
-        optimizer_step(model, bp.grads, cfg, velocity, hbs)
+        optimizer.step(bp.grads, hbs)
         assert len(built) == step * (model.num_layers if second_order is None else 2)
 
 
@@ -311,12 +310,12 @@ def test_sgd_step_holds_one_weight_gradient_at_a_time():
     y = np.eye(10)[rng.integers(0, 10, 128)]
     cfg = TrainConfig(learning_rate=0.1, momentum=0.9, batch_size=128)
     bp = batch_pass(model, CrossEntropySoftmax(), x, y)
-    velocity = zero_velocity(model)
+    optimizer = Optimizer(model, cfg)
     widest = max(w.nbytes for w in model.weights)
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        optimizer_step(model, bp.grads, cfg, velocity, None)
+        optimizer.step(bp.grads, None)
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
@@ -416,6 +415,51 @@ def test_pass_is_freed_before_the_newton_solve(monkeypatch, driver, reader, seco
         compare_curvatures(spec)
         steps = spec.compare_steps
     assert live_at_solve == [0] * steps
+
+
+@pytest.mark.parametrize("driver", ["train", "compare"])
+@pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd-momentum", "ea_cg-pch1"])
+def test_one_optimizer_per_run_steps_on_every_batch(monkeypatch, driver, second_order):
+    # a run builds one Optimizer, whose state lives from its first step to
+    # its last, and each batch's pass feeds one step of that optimizer
+    built, steps = [], []
+
+    class Recorded(Optimizer):
+        def __init__(self, model, cfg):
+            super().__init__(model, cfg)
+            built.append(self)
+
+        def step(self, grads, hbs):
+            steps.append((self, grads))
+            super().step(grads, hbs)
+
+    for module in (trainer, experiments):
+        monkeypatch.setattr(module, "Optimizer", Recorded)
+    passes = count_calls(monkeypatch, fcnn, "batch_pass")
+    spec = spec_with(second_order, compare_steps=7)
+    spec.train_cfg = replace(spec.train_cfg, epochs=2)
+    if driver == "train":
+        x_train, y_train, _, _ = spec.load_dataset(0).split()
+        train(spec.build_model(0), spec.criterion, x_train, y_train, spec.train_cfg)
+        batches = 2 * math.ceil(x_train.shape[0] / spec.train_cfg.batch_size)
+    else:
+        compare_curvatures(spec)
+        batches = spec.compare_steps
+    assert len(built) == 1 and all(opt is built[0] for opt, _ in steps)
+    assert [id(grads) for _, grads in steps] == [id(bp.grads) for _, _, bp in passes]
+    assert len(steps) == batches
+
+
+def test_newton_optimizer_holds_no_momentum_buffers():
+    model = FcnnModel.xavier([4, 6, 3], Activation.SIGMOID, seed=0)
+    sgd = Optimizer(model, TrainConfig())
+    assert [v.shape for v in sgd.velocity_w + sgd.velocity_b] == [
+        a.shape for a in model.weights + model.biases
+    ]
+    assert not any(v.any() for v in sgd.velocity_w + sgd.velocity_b)
+    for solver in SolverChoice:
+        newton = Optimizer(model, TrainConfig(second_order=SecondOrderSpec(solver=solver)))
+        assert (newton.velocity_w, newton.velocity_b) == ([], [])
 
 
 @pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd-momentum", "ea_cg-pch1"])

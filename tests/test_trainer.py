@@ -21,16 +21,15 @@ from blocknewton.fcnn import (
 from blocknewton.solvers import SolverConfig
 from blocknewton.trainer import (
     EVAL_ROWS,
+    Optimizer,
     SecondOrderSpec,
     SolverChoice,
     TrainConfig,
     accuracy,
     mean_loss,
-    optimizer_step,
     shuffled_indices,
     splitmix64,
     train,
-    zero_velocity,
 )
 
 from helpers import (
@@ -159,7 +158,7 @@ class TestSgd:
         theta_before = theta.copy()
         set_flat_parameters(model, theta)
         bp = batch_pass(model, CrossEntropySoftmax(), x_train[:8], y_train[:8])
-        optimizer_step(model, bp.grads, TrainConfig(), zero_velocity(model), None)
+        Optimizer(model, TrainConfig()).step(bp.grads, None)
         assert np.array_equal(theta, theta_before)
         assert not np.array_equal(flat_parameters(model), theta_before)
 

@@ -18,13 +18,19 @@ The digests hold for one build: the numpy version, the OpenBLAS core and
 the BLAS thread count stored beside them (tests/conftest.py pins one
 thread).  Another build may round differently in the last digits, so on
 any other build, or where the OpenBLAS core cannot be read, every row is
-skipped with the two builds in the reason instead of failing.
+skipped with the two builds in the reason instead of failing.  The core
+alone moves them: on the SkylakeX host the table was made on, one process
+with OPENBLAS_CORETYPE=Haswell or Sandybridge (numpy 2.4.6, one BLAS
+thread) wrote different bytes for 11 of the 12 rows; only
+train/paper-sgd-1-epoch kept its digests.
 
 A change that moves a row on purpose regenerates the table with
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_golden.py
 
-and names the rows that moved, and why, beside the change.
+which prints the name of each row whose exit code or digests differ from
+the stored table before it writes; the change names those rows, and why
+they moved.
 """
 
 import copy
@@ -155,10 +161,16 @@ def test_output_matches_golden_digest(golden, row, tmp_path, capsys):
 
 
 def regenerate() -> None:
+    """Rewrite tests/golden.json on this build, after printing the name of
+    each row whose exit code or digests differ from the stored table."""
+    stored = json.loads(GOLDEN.read_text())["rows"]
     rows = {}
     with tempfile.TemporaryDirectory() as tmp:
         for row, (command, doc) in sorted(ROWS.items()):
             rows[row] = run_row(command, copy.deepcopy(doc), Path(tmp) / row.replace("/", "-"))
+    for row in sorted(rows.keys() | stored.keys()):
+        if rows.get(row) != stored.get(row):
+            print(f"moved: {row}")
     table = {"build": build(), "rows": rows}
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
 

@@ -10,7 +10,8 @@ claims byte-identical outputs is checked here.
 The configs are the README example under `train`, `grid`,
 `compare-curvature` and `bound-check`; its KFI Fisher `trace_norm`,
 Gauss-Newton, PCH-2, `ea_one_rank` and `sigmoid_gate` PCH-2 variants under
-`train`; the benchmark's `desk-compare` spec under `compare-curvature`;
+`train`; its `sigmoid_gate` PCH-2 and Gauss-Newton variants under
+`compare-curvature`; the benchmark's `desk-compare` spec under `compare-curvature`;
 and its `paper-eacg-pch` spec at 2 epochs (the solvers' helper thread and
 the evaluation helper both run) and `paper-sgd` at 1 epoch under `train`.
 
@@ -28,9 +29,10 @@ A change that moves a row on purpose regenerates the table with
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_golden.py
 
-which prints the name of each row whose exit code or digests differ from
-the stored table before it writes; the change names those rows, and why
-they moved.
+which, before it writes, prints `added:` or `removed:` with the name of
+each row on one side only, and `moved:` with the name of each row whose
+exit code or digests differ from the stored table; the change names those
+rows, and why they moved.
 """
 
 import copy
@@ -95,6 +97,17 @@ ROWS = {
     "train/readme-sigmoid-gate-pch2": (
         "train",
         dict(_optimizer(gamma=0.0), criterion={"kind": "sigmoid_gate"}),
+    ),
+    "compare-curvature/readme-sigmoid-gate-pch2": (
+        "compare-curvature",
+        dict(_optimizer(gamma=0.0), criterion={"kind": "sigmoid_gate"}),
+    ),
+    # Gauss-Newton has no column under the non-convex criterion, so the step's
+    # blocks are built apart from the table's; the damped top block is not
+    # positive definite and the command exits 3
+    "compare-curvature/readme-sigmoid-gate-gauss-newton": (
+        "compare-curvature",
+        dict(_optimizer(curvature="gauss_newton"), criterion={"kind": "sigmoid_gate"}),
     ),
     "compare-curvature/desk-compare": ("compare-curvature", WORKLOADS["desk-compare"].spec_for(0)),
     "train/paper-eacg-pch-2-epochs": ("train", _workload("paper-eacg-pch", 2)),
@@ -162,14 +175,19 @@ def test_output_matches_golden_digest(golden, row, tmp_path, capsys):
 
 def regenerate() -> None:
     """Rewrite tests/golden.json on this build, after printing the name of
-    each row whose exit code or digests differ from the stored table."""
+    each row added to or removed from ROWS, and of each row whose exit code
+    or digests differ from the stored table."""
     stored = json.loads(GOLDEN.read_text())["rows"]
     rows = {}
     with tempfile.TemporaryDirectory() as tmp:
         for row, (command, doc) in sorted(ROWS.items()):
             rows[row] = run_row(command, copy.deepcopy(doc), Path(tmp) / row.replace("/", "-"))
     for row in sorted(rows.keys() | stored.keys()):
-        if rows.get(row) != stored.get(row):
+        if row not in stored:
+            print(f"added: {row}")
+        elif row not in rows:
+            print(f"removed: {row}")
+        elif rows[row] != stored[row]:
             print(f"moved: {row}")
     table = {"build": build(), "rows": rows}
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

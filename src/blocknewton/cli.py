@@ -153,9 +153,10 @@ def cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    # every path opened comes from the command line or the spec, so an
-    # unreadable or unwritable one is a usage error
-    except (ConfigError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # every path opened and every size comes from the command line or the
+    # spec, so an unreadable or unwritable path is a usage error, and so is
+    # a size numpy can shape but cannot allocate
+    except (ConfigError, OSError, json.JSONDecodeError, UnicodeDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalBreakdownError as exc:

@@ -22,6 +22,8 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 # numpy shapes no array of more than sys.maxsize bytes: this many float64s
 MAX_FLOATS = sys.maxsize // 8
+# the share of a dataset's leading rows that train when its spec sets none
+TRAIN_FRACTION = 0.8
 
 
 class ParseError(ConfigError):
@@ -68,7 +70,7 @@ class Dataset:
         return self.features[:cut], onehot[:cut], self.features[cut:], onehot[cut:]
 
 
-def _default_split(n: int, train_fraction: float = 0.8) -> int:
+def _default_split(n: int, train_fraction: float) -> int:
     """The number of leading rows that train."""
     return int(round(n * train_fraction))
 
@@ -103,7 +105,7 @@ def _read_idx_array(path: str | Path, expected_magic: int) -> np.ndarray:
 def load_idx(
     images_path: str | Path,
     labels_path: str | Path,
-    train_fraction: float = 0.8,
+    train_fraction: float = TRAIN_FRACTION,
 ) -> Dataset:
     """Load an IDX image/label file pair; pixels are scaled by 1/255."""
     images = _read_idx_array(images_path, IDX_IMAGE_MAGIC)
@@ -145,7 +147,7 @@ def load_csv(
     path: str | Path,
     label_column: int,
     has_header: bool = False,
-    train_fraction: float = 0.8,
+    train_fraction: float = TRAIN_FRACTION,
 ) -> Dataset:
     """Numeric CSV with one integer label column; other columns are features.
 
@@ -158,28 +160,32 @@ def load_csv(
     labels = []
     width = None
     with open(path, newline="") as f:
-        for line_no, row in enumerate(csv.reader(f), start=1):
-            if (has_header and line_no == 1) or not row:
-                continue
-            if width is None:
-                if not 0 <= label_column < len(row):
-                    raise ParseError(f"{path}:{line_no}: label column {label_column} out of range")
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(
-                    f"{path}:{line_no}: {len(row)} cells, but the first row has {width}"
-                )
-            cell = row.pop(label_column)
-            try:
-                label = float(cell)
-                rows.append(np.fromiter(map(float, row), float, len(row)))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{line_no}: non-numeric cell ({exc})") from exc
-            if not (0 <= label < 2**31 and label.is_integer()):
-                raise ParseError(
-                    f"{path}:{line_no}: label {cell!r} is not an integer in [0, 2**31)"
-                )
-            labels.append(int(label))
+        reader = csv.reader(f)
+        try:
+            for line_no, row in enumerate(reader, start=1):
+                if (has_header and line_no == 1) or not row:
+                    continue
+                if width is None:
+                    if not 0 <= label_column < len(row):
+                        raise ParseError(f"{path}:{line_no}: label column {label_column} out of range")
+                    width = len(row)
+                elif len(row) != width:
+                    raise ParseError(
+                        f"{path}:{line_no}: {len(row)} cells, but the first row has {width}"
+                    )
+                cell = row.pop(label_column)
+                try:
+                    label = float(cell)
+                    rows.append(np.fromiter(map(float, row), float, len(row)))
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{line_no}: non-numeric cell ({exc})") from exc
+                if not (0 <= label < 2**31 and label.is_integer()):
+                    raise ParseError(
+                        f"{path}:{line_no}: label {cell!r} is not an integer in [0, 2**31)"
+                    )
+                labels.append(int(label))
+        except csv.Error as exc:  # a malformed row, or a cell over csv.field_size_limit()
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
     features = np.stack(rows)
@@ -194,7 +200,7 @@ def synth_blobs(
     per_class: int,
     spread: float,
     seed: int,
-    train_fraction: float = 0.8,
+    train_fraction: float = TRAIN_FRACTION,
 ) -> Dataset:
     """Gaussian clusters at seeded random centers in [0, 1]^dim.
 

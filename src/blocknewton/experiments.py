@@ -24,7 +24,7 @@ from .curvature import (
     frobenius_errors,
     true_bias_hessian,
 )
-from .data import MAX_FLOATS, Dataset, load_csv, load_idx, synth_blobs
+from .data import MAX_FLOATS, TRAIN_FRACTION, Dataset, load_csv, load_idx, synth_blobs
 from .errors import ConfigError, check_range
 from .fcnn import (
     Activation,
@@ -50,17 +50,24 @@ from .trainer import (
 
 DEFAULT_ARCH = [64, 32, 16, 16, 8, 8, 8, 10]  # desk-scale 8-layer default
 DEFAULT_DATASET = {"kind": "blobs", "classes": 10, "dim": 64, "per_class": 40, "spread": 0.08}
-_INT, _NUMBER = (int,), (int, float)
-DATASET_KEYS = {  # kind -> (required keys, optional keys), each mapped to its value types
+# Each section's keys mapped to their value types (read with _typed), their
+# Enum (read with _choice) or None (read by the caller, or only accepted).
+_INT, _NUMBER, _DICT = (int,), (int, float), (dict,)
+DATASET_KEYS = {  # kind -> (required keys, optional keys)
     "blobs": ({"classes": _INT, "dim": _INT, "per_class": _INT, "spread": _NUMBER},
               {"seed": _INT, "train_fraction": _NUMBER}),
     "idx": ({"images": (str,), "labels": (str,)}, {"train_fraction": _NUMBER}),
     "csv": ({"path": (str,), "label_column": _INT}, {"has_header": (bool,), "train_fraction": _NUMBER}),
 }
-SPEC_KEYS = ["architecture", "activation", "criterion", "train", "optimizer", "dataset",
-             "compare_steps", "grid"]
-TRAIN_KEYS = ["learning_rate", "momentum", "batch_size", "epochs", "seed"]
-SOLVER_CFG_KEYS = {"ea_cg": ["alpha", "hvp_mode"], "kfi": ["alpha", "pi_policy"]}
+SPEC_KEYS = {"architecture": None, "activation": Activation, "criterion": _DICT, "train": _DICT,
+             "optimizer": _DICT, "dataset": _DICT, "compare_steps": _INT, "grid": _DICT}
+GATE_KEYS = {"kind": None, "delta": _NUMBER, "epsilon": _NUMBER}
+TRAIN_KEYS = {"learning_rate": _NUMBER, "momentum": _NUMBER, "batch_size": _INT, "epochs": _INT, "seed": _INT}
+OPTIMIZER_KEYS = {"kind": None, "curvature": CurvatureKind, "gamma": _NUMBER, "solver_cfg": _DICT}
+SOLVER_CFG_KEYS = {  # optimizer kind -> its solver_cfg keys
+    "ea_cg": {"alpha": _NUMBER, "hvp_mode": HvpMode, "max_cg": _INT, "eps_cg": _NUMBER},
+    "kfi": {"alpha": _NUMBER, "pi_policy": PiPolicy},
+}
 GRID_PATHS = {  # grid key -> the spec section its values are written to
     **dict.fromkeys(["learning_rate", "batch_size"], ("train",)),
     "alpha": ("optimizer", "solver_cfg"),
@@ -105,8 +112,8 @@ class ExperimentSpec:
         types = required | optional
         _only(spec, "dataset", sorted(types), f"dataset kind {kind!r}")
         for key in sorted(spec.keys() | required.keys()):  # a missing key reads as None
-            _typed(spec, f"dataset.{key}", None, types[key])
-        fraction = spec.get("train_fraction", 0.8)
+            _typed(spec, f"dataset.{key}", types[key])
+        fraction = spec.get("train_fraction", TRAIN_FRACTION)
         check_range("dataset.train_fraction", fraction, 0 < fraction <= 1, "a number in (0, 1]")
         if kind == "blobs":
             spec.setdefault("seed", seed)
@@ -137,11 +144,12 @@ class ExperimentSpec:
         return seed, self.build_model(seed), split
 
 
-def _typed(doc: dict, path: str, default, types: tuple):
-    """doc's value for the last key of the dotted path, or default; a bool
-    passes only where types names bool, and a number where they name float
-    only if a float holds it: not NaN, not infinite, no int beyond float range."""
-    value = doc.get(path.rsplit(".", 1)[-1], default)
+def _typed(doc: dict, path: str, types: tuple):
+    """doc's value for the last key of the dotted path, None if doc has
+    none; a bool passes only where types names bool, and a number where
+    they name float only if a float holds it: not NaN, not infinite, no int
+    beyond float range."""
+    value = doc.get(path.rsplit(".", 1)[-1])
     if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
         names = " or ".join(t.__name__ for t in types)
         raise ConfigError(f"{path}: expected {names}, got {value!r}")
@@ -168,6 +176,20 @@ def _only(doc: dict, path: str, allowed: list[str], where: str = "") -> None:
         raise ConfigError(f"{key}: unknown key{where}; expected one of {allowed}")
 
 
+def _read(doc: dict, path: str, table: dict, where: str = "") -> dict:
+    """The values doc sets in the section at the dotted path, each read as
+    its entry of table says; a key doc omits is left out, so it keeps the
+    default of the dataclass the values build, and a key not in table is
+    rejected.  An entry None accepts its key and leaves it to the caller."""
+    _only(doc, path, list(table), where)
+    prefix = f"{path}." if path else ""
+    return {
+        key: (_choice if isinstance(kinds, type) else _typed)(doc, prefix + key, kinds)
+        for key, kinds in table.items()
+        if kinds is not None and key in doc
+    }
+
+
 def _in_section(path: str, build, **kwargs):
     """build(**kwargs), a range error naming its field re-raised under path."""
     try:
@@ -180,85 +202,58 @@ def spec_from_json(doc: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from its JSON-document form.
 
     Every key is checked against what its section reads: an unknown key or
-    a malformed value raises ConfigError naming its dotted key."""
+    a malformed value raises ConfigError naming its dotted key.  A key the
+    document omits takes the default of the dataclass it fills:
+    ExperimentSpec, SigmoidGate, TrainConfig, SecondOrderSpec or SolverConfig."""
     if not isinstance(doc, dict):
         raise ConfigError(f"spec: expected a JSON object, got {type(doc).__name__}")
-    _only(doc, "", SPEC_KEYS)
-    kwargs = {}
+    kwargs = _read(doc, "", SPEC_KEYS)
     if "architecture" in doc:
         kwargs["architecture"] = doc["architecture"]
-    kwargs["activation"] = _choice(doc, "activation", Activation, "sigmoid")
-    crit = _typed(doc, "criterion", {"kind": "cross_entropy"}, (dict,))
-    if _choice(crit, "criterion.kind", ["cross_entropy", "sigmoid_gate"]) == "cross_entropy":
-        _only(crit, "criterion", ["kind"], "criterion kind 'cross_entropy'")
-        kwargs["criterion"] = CrossEntropySoftmax()
-    else:
-        _only(crit, "criterion", ["kind", "delta", "epsilon"])
-        kwargs["criterion"] = _in_section(
-            "criterion", SigmoidGate,
-            delta=_typed(crit, "criterion.delta", 5.0, (int, float)),
-            epsilon=_typed(crit, "criterion.epsilon", 0.2, (int, float)),
-        )
+    crit = kwargs.get("criterion")
+    if crit is not None:
+        if _choice(crit, "criterion.kind", ["cross_entropy", "sigmoid_gate"]) == "cross_entropy":
+            _only(crit, "criterion", ["kind"], "criterion kind 'cross_entropy'")
+            kwargs["criterion"] = CrossEntropySoftmax()
+        else:
+            kwargs["criterion"] = _in_section("criterion", SigmoidGate, **_read(crit, "criterion", GATE_KEYS))
 
-    tdoc = _typed(doc, "train", {}, (dict,))
-    second = None
-    odoc = _typed(doc, "optimizer", {"kind": "sgd"}, (dict,))
+    odoc = kwargs.pop("optimizer", {})
     solver = _choice(odoc, "optimizer.kind", ["sgd", "ea_cg", "kfi"], "sgd")
-    # momentum is read only by SGD's buffers; a Newton step keeps none
-    train_keys = TRAIN_KEYS if solver == "sgd" else [k for k in TRAIN_KEYS if k != "momentum"]
-    _only(tdoc, "train", train_keys, f"optimizer kind {solver!r}")
+    where, second = f"optimizer kind {solver!r}", None
     if solver == "sgd":
-        _only(odoc, "optimizer", ["kind"], "optimizer kind 'sgd'")
+        _only(odoc, "optimizer", ["kind"], where)
     else:
-        _only(odoc, "optimizer", ["kind", "curvature", "gamma", "solver_cfg"])
-        scfg = _typed(odoc, "optimizer.solver_cfg", {}, (dict,))
-        accepted = SOLVER_CFG_KEYS[solver]
-        if solver == "ea_cg":
-            # EA-CG solves each layer directly and reads no CG setting, but the
-            # benchmark's EA_CG_PCH1 spec (perfbench/workloads.py) still sets
-            # max_cg and eps_cg, so both stay accepted, are range-checked as
-            # before and then dropped, until that spec no longer sets them.
-            accepted = accepted + ["max_cg", "eps_cg"]
-            max_cg = _typed(scfg, "optimizer.solver_cfg.max_cg", 20, (int,))
-            check_range("optimizer.solver_cfg.max_cg", max_cg, max_cg >= 1, ">= 1")
-            eps_cg = _typed(scfg, "optimizer.solver_cfg.eps_cg", 1e-5, (int, float))
-            check_range("optimizer.solver_cfg.eps_cg", eps_cg, eps_cg > 0, "> 0")
-        _only(scfg, "optimizer.solver_cfg", accepted, f"optimizer kind {solver!r}")
+        opt = _read(odoc, "optimizer", OPTIMIZER_KEYS)
+        scfg = _read(opt.pop("solver_cfg", {}), "optimizer.solver_cfg", SOLVER_CFG_KEYS[solver], where)
+        # EA-CG solves each layer directly and reads no CG setting, but the
+        # benchmark's EA_CG_PCH1 spec (perfbench/workloads.py) still sets
+        # max_cg and eps_cg, so both stay accepted, are range-checked when
+        # set and then dropped, until that spec no longer sets them.
+        max_cg, eps_cg = scfg.pop("max_cg", 1), scfg.pop("eps_cg", 1)
+        check_range("optimizer.solver_cfg.max_cg", max_cg, max_cg >= 1, ">= 1")
+        check_range("optimizer.solver_cfg.eps_cg", eps_cg, eps_cg > 0, "> 0")
+        if "curvature" in opt:  # SecondOrderSpec names the curvature kind
+            opt["kind"] = opt.pop("curvature")
         second = _in_section(
-            "optimizer", SecondOrderSpec,
-            kind=_choice(odoc, "optimizer.curvature", CurvatureKind, "pch"),
-            gamma=float(_typed(odoc, "optimizer.gamma", -1.0, (int, float))),
-            solver=SolverChoice(solver),
-            solver_cfg=_in_section(
-                "optimizer.solver_cfg", SolverConfig,
-                alpha=_typed(scfg, "optimizer.solver_cfg.alpha", 0.02, (int, float)),
-                hvp_mode=_choice(scfg, "optimizer.solver_cfg.hvp_mode", HvpMode, "exact_kron"),
-                pi_policy=_choice(scfg, "optimizer.solver_cfg.pi_policy", PiPolicy, "unit"),
-            ),
+            "optimizer", SecondOrderSpec, **opt, solver=SolverChoice(solver),
+            solver_cfg=_in_section("optimizer.solver_cfg", SolverConfig, **scfg),
         )
-    kwargs["train_cfg"] = _in_section(
-        "train", TrainConfig,
-        learning_rate=_typed(tdoc, "train.learning_rate", 0.1, (int, float)),
-        momentum=_typed(tdoc, "train.momentum", 0.9, (int, float)),
-        batch_size=_typed(tdoc, "train.batch_size", 32, (int,)),
-        epochs=_typed(tdoc, "train.epochs", 10, (int,)),
-        seed=_typed(tdoc, "train.seed", 0, (int,)),
-        second_order=second,
-    )
-    for key, types in (("dataset", (dict,)), ("compare_steps", (int,))):
-        if key in doc:
-            kwargs[key] = _typed(doc, key, None, types)
+    # momentum is read only by SGD's buffers; a Newton step keeps none
+    train_keys = {k: v for k, v in TRAIN_KEYS.items() if solver == "sgd" or k != "momentum"}
+    tcfg = _read(kwargs.pop("train", {}), "train", train_keys, where)
+    kwargs["train_cfg"] = _in_section("train", TrainConfig, **tcfg, second_order=second)
+    grid = kwargs.pop("grid", {})
     spec = ExperimentSpec(**kwargs)
-    spec.grid = _grid_points(doc)
+    spec.grid = _grid_points(doc, grid)
     return spec
 
 
-def _grid_points(doc: dict) -> list[tuple[dict, TrainConfig]]:
+def _grid_points(doc: dict, grid: dict) -> list[tuple[dict, TrainConfig]]:
     """The (grid values, train config) of each point of doc's grid, over the Cartesian
     product in sorted-key order.  A point is doc with one value per grid key
     written at GRID_PATHS; each value is first parsed alone, so a bad one is
     reported under its grid key."""
-    grid = _typed(doc, "grid", {}, (dict,))
     if not grid:
         return []
     _only(grid, "grid", list(GRID_PATHS))
@@ -363,7 +358,12 @@ def run_grid(spec: ExperimentSpec, seed: int | None = None) -> list[tuple[dict, 
     return runs
 
 
-APPROXIMATION_COLUMNS = ["fisher", "gauss_newton", "pch1", "pch2"]
+APPROXIMATIONS = {  # error-table column -> (curvature kind, gamma), in CSV order
+    "fisher": (CurvatureKind.FISHER, -1.0),
+    "gauss_newton": (CurvatureKind.GAUSS_NEWTON, -1.0),
+    "pch1": (CurvatureKind.PCH, -1.0),
+    "pch2": (CurvatureKind.PCH, 0.0),
+}
 
 
 @dataclass
@@ -380,11 +380,11 @@ class CurvatureErrorTable:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["layer"] + APPROXIMATION_COLUMNS)
+        writer.writerow(["layer", *APPROXIMATIONS])
         for row in range(self.num_layers + 1):
             name = f"layer-{row + 1}" if row < self.num_layers else "total"
             cells = [name]
-            for col in APPROXIMATION_COLUMNS:
+            for col in APPROXIMATIONS:
                 vals = self.columns[col]
                 cells.append("" if vals is None else repr(vals[row]))
             writer.writerow(cells)
@@ -412,14 +412,8 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
     cfg = spec.train_cfg
     run_seed, model, (x_train, y_train, _, _) = spec.setup(seed)
     convex = isinstance(spec.criterion, CrossEntropySoftmax)
-
-    variants = {
-        "fisher": (CurvatureKind.FISHER, -1.0),
-        "pch1": (CurvatureKind.PCH, -1.0),
-        "pch2": (CurvatureKind.PCH, 0.0),
-    }
-    if convex:
-        variants["gauss_newton"] = (CurvatureKind.GAUSS_NEWTON, -1.0)
+    variants = {name: approx for name, approx in APPROXIMATIONS.items()
+                if convex or approx[0] is not CurvatureKind.GAUSS_NEWTON}
 
     k = model.num_layers
     sums = {name: np.zeros(k + 1) for name in variants}
@@ -449,11 +443,7 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
 
     Optimizer(model, cfg).run(spec.criterion, x_train, y_train, batches, score)
 
-    columns: dict[str, list[float] | None] = {
-        name: (sums[name] / steps).tolist() for name in variants
-    }
-    if not convex:
-        columns["gauss_newton"] = None
+    columns = {name: (sums[name] / steps).tolist() if name in sums else None for name in APPROXIMATIONS}
     return CurvatureErrorTable(num_layers=k, columns=columns)
 
 
@@ -468,7 +458,7 @@ class BoundCheckResult:
         return self.lhs <= self.rhs + 1e-15
 
 
-def run_bound_check(spec: ExperimentSpec, seed: int | None = None, batch: int = 8) -> list[BoundCheckResult]:
+def run_bound_check(spec: ExperimentSpec, seed: int | None, batch: int) -> list[BoundCheckResult]:
     """Evaluate the expectation-approximation error bound at every hidden layer."""
     check_range("architecture", spec.architecture, len(spec.architecture) > 2, "at least one hidden layer")
     _, model, (x_train, y_train, _, _) = spec.setup(seed)

@@ -287,7 +287,7 @@ def train(
     if x_test is None:
         x_test = x_train[:0]
         y_test = y_train[:0]
-    y_test_idx = np.argmax(y_test, axis=1) if y_test.shape[0] else np.empty(0, int)
+    y_test_idx = np.argmax(y_test, axis=1)
     spec = cfg.second_order
     optimizer = "sgd" if spec is None else f"{spec.solver.value}, curvature {spec.kind.value}"
 

@@ -376,8 +376,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "row, named",
         [("nan,0.2", "label 'nan'"), ("inf,0.2", "label 'inf'"), ("2.7,0.2", "label '2.7'"),
-         ("1,0.2,0.3", "3 cells, but the first row has 2")],
-        ids=["nan", "inf", "fraction", "ragged"],
+         ("1,0.2,0.3", "3 cells, but the first row has 2"),
+         ("0," + "1" * 131073, "field larger than field limit (131072)")],
+        ids=["nan", "inf", "fraction", "ragged", "long-cell"],
     )
     def test_bad_csv_row_exits_2_naming_its_line(self, tmp_path, capsys, row, named):
         data = tmp_path / "data.csv"
@@ -570,6 +571,16 @@ class TestCompareAndBound:
         out = tmp_path / "out"
         assert cli([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert "architecture:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare-curvature", "bound-check"])
+    def test_architecture_numpy_cannot_allocate_exits_2(self, tmp_path, capsys, command):
+        # 4 * 10**16 weights pass the shape check; their 284 PiB exceed any
+        # address space, so the allocation fails at once without touching memory
+        cfg = write_config(tmp_path, dict(SMALL, architecture=[4, 10**16, 3]))
+        out = tmp_path / "out"
+        assert cli([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "error: Unable to allocate 284. PiB" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bound_check_needs_a_hidden_layer(self, tmp_path, capsys):

@@ -54,6 +54,18 @@ class TestSpecJson:
         assert isinstance(spec.criterion, CrossEntropySoftmax)
         assert spec.train_cfg.second_order is None
 
+    def test_omitted_keys_take_the_dataclass_defaults(self):
+        spec, default = spec_from_json({}), ExperimentSpec()
+        assert spec.train_cfg == TrainConfig()
+        for name in ("activation", "criterion", "dataset", "compare_steps"):
+            assert getattr(spec, name) == getattr(default, name)
+        assert spec_from_json({"criterion": {"kind": "sigmoid_gate"}}).criterion == SigmoidGate()
+
+    @pytest.mark.parametrize("kind", ["ea_cg", "kfi"])
+    def test_omitted_optimizer_keys_take_the_dataclass_defaults(self, kind):
+        second = spec_from_json({"optimizer": {"kind": kind}}).train_cfg.second_order
+        assert second == SecondOrderSpec(solver=SolverChoice(kind))
+
     def test_full_document(self):
         doc = {
             "architecture": [4, 8, 3],

@@ -51,7 +51,7 @@ from .trainer import (
 DEFAULT_ARCH = [64, 32, 16, 16, 8, 8, 8, 10]  # desk-scale 8-layer default
 DEFAULT_DATASET = {"kind": "blobs", "classes": 10, "dim": 64, "per_class": 40, "spread": 0.08}
 # Each section's keys mapped to their value types (read with _typed), their
-# Enum (read with _choice) or None (read by the caller, or only accepted).
+# Enum (read with _choice) or None (read by the caller).
 _INT, _NUMBER, _DICT = (int,), (int, float), (dict,)
 DATASET_KEYS = {  # kind -> (required keys, optional keys)
     "blobs": ({"classes": _INT, "dim": _INT, "per_class": _INT, "spread": _NUMBER},

@@ -580,7 +580,7 @@ class TestCompareAndBound:
         cfg = write_config(tmp_path, dict(SMALL, architecture=[4, 10**16, 3]))
         out = tmp_path / "out"
         assert cli([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-        assert "error: Unable to allocate 284. PiB" in capsys.readouterr().err
+        assert "error: Unable to allocate" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bound_check_needs_a_hidden_layer(self, tmp_path, capsys):

@@ -441,7 +441,8 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
             step_hbs = ea_curvature(model, bp, second.kind, second.gamma)
         return step_hbs
 
-    Optimizer(model, cfg).run(spec.criterion, x_train, y_train, batches, score)
+    with Optimizer(model, cfg) as opt:
+        opt.run(spec.criterion, x_train, y_train, batches, score)
 
     columns = {name: (sums[name] / steps).tolist() if name in sums else None for name in APPROXIMATIONS}
     return CurvatureErrorTable(num_layers=k, columns=columns)

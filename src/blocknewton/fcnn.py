@@ -36,11 +36,13 @@ class Activation(enum.Enum):
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function without overflow or branches: with e = exp(-|z|),
     1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere.  -|z| is taken as
-    min(z, -z), which keeps the sign bit of a NaN input."""
+    min(z, -z), which keeps the sign bit of a NaN input.  The numerator is
+    max(e, z >= 0): 1 where z >= 0, since e <= 1 there, and e elsewhere,
+    since e >= 0; a NaN e is kept, as maximum propagates NaNs."""
     e = np.negative(z)
     np.minimum(z, e, out=e)
     np.exp(e, out=e)
-    out = np.where(z >= 0, 1.0, e)
+    out = np.maximum(e, z >= 0)
     e += 1.0
     out /= e
     return out

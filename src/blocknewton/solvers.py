@@ -22,21 +22,28 @@ Directions are returned already negated, i.e. they are descent directions
 to be added with a positive step size, as C-ordered arrays.
 
 The curvature is block-diagonal, so each layer's direction is one
-independent job, _solve_layer, and on wide nets _solve_layers runs the jobs
-on two threads.  numpy releases the interpreter lock inside LAPACK and BLAS,
-so the threads overlap, and a job makes the same calls on the same arrays
-on either thread, so the directions are bit-identical to solving inline.
-BLAS threads (OPENBLAS_NUM_THREADS) come on top of the one helper thread.
-_start, the package's one way to start a thread (the trainer's too), runs
-fn under the caller's numpy error state, so a job fails there as inline.
+independent job, _solve_layer, and on wide nets the jobs share the calling
+thread with a Lane: one helper thread that runs the jobs submitted to it in
+order, each under the numpy error state of the thread that submitted it,
+and hands back a Future.  A run's Optimizer owns one Lane and submits each
+Newton step's input-Gram factorizations to it while the step's batch pass
+runs; a standalone solver call opens a Lane for that call alone.  numpy
+releases the interpreter lock inside LAPACK and BLAS, so the threads
+overlap, and a job makes the same calls on the same arrays on either
+thread, so the directions are bit-identical to solving inline.  At paper
+width (784-256-128-64-10, batch 128, one BLAS thread, 2-vCPU host) a
+direction takes 12-13 ms on a lane against 20-21 ms inline.  BLAS threads
+(OPENBLAS_NUM_THREADS) come on top of the one helper thread.  The Lane is
+the package's one thread primitive; the trainer scores on it too.
 """
 
 from __future__ import annotations
 
 import enum
 import os
-import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -44,10 +51,15 @@ from .errors import DimensionError, NumericalBreakdownError, check_range
 from .fcnn import LayerGradients, weight_gradient
 from .linalg import EigenDecomposition, sym_eig
 
-# Narrowest widest-Hb for which the solvers factor on a helper thread:
-# starting and joining a thread costs 0.07-0.2 ms, one eigh 1.5-2.7 ms at
-# n = 128 and 0.35-0.5 ms at n = 64 (numpy, one BLAS thread, 2-vCPU Xeon).
-# Nets as narrow as the README's (blocks <= 32 wide) factor inline.
+# Narrowest widest-Hb for which a run, or a standalone solve, opens a Lane:
+# handing a job to the lane and taking its result costs 0.02-0.07 ms, one
+# eigh 1.5 ms at n = 128, 0.38 ms at n = 64 and 0.09 ms at n = 32 (numpy
+# 2.4.6, one BLAS thread, 2-vCPU Xeon).  At paper width the lane factors
+# the four input Grams while the batch pass (2.3-2.8 ms) and the curvature
+# (1.8-2.0 ms) run on the calling thread, then solves layers 2-4 while the
+# calling thread factors and solves layer 1; the direction takes 12-13 ms
+# so against 20-21 ms inline.  Nets as narrow as the README's (blocks <= 32
+# wide) factor inline.
 _OVERLAP_MIN_WIDTH = 128
 
 
@@ -79,17 +91,20 @@ class NewtonDirection:
     d_bias: list[np.ndarray]
 
 
-def _gram_eig(h: np.ndarray, eh: np.ndarray | None = None) -> EigenDecomposition:
-    """sym_eig of the Gram matrix of the input factor F -- the r x n_in
-    batch h, or under ea_one_rank the row eh = E[h] (m = 1) -- on its
-    smaller side: F^T F / m when n_in <= m, otherwise F F^T / m.  numpy
-    forms both products exactly symmetric, so the triangle eigh reads is
-    the whole."""
+def _gram_eig(
+    h: np.ndarray, one_rank: bool = False
+) -> tuple[np.ndarray | None, EigenDecomposition]:
+    """The input factor's row eh = E[h] = h.mean(axis=0) under one_rank
+    (None otherwise) and sym_eig of the Gram matrix of the input factor F --
+    the r x n_in batch h, or the row eh (m = 1) -- on its smaller side:
+    F^T F / m when n_in <= m, otherwise F F^T / m.  numpy forms both
+    products exactly symmetric, so the triangle eigh reads is the whole."""
+    eh = h.mean(axis=0) if one_rank else None
     f = h if eh is None else eh[None, :]
     if not np.all(np.isfinite(f)):
         raise NumericalBreakdownError("input factor is not finite")
     m, n_in = f.shape
-    return sym_eig(f.T @ f / m if n_in <= m else f @ f.T / m)
+    return eh, sym_eig(f.T @ f / m if n_in <= m else f @ f.T / m)
 
 
 def _kron_inverse(
@@ -160,40 +175,63 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _attempt(fn, *args):
-    """fn(*args), or the exception it raised, for the calling thread to raise."""
-    try:
+class Lane(ThreadPoolExecutor):
+    """A helper lane: one worker thread, started by the first submit, that
+    runs the submitted jobs one at a time in submission order.  Each job
+    runs under the numpy error handling of the thread that submitted it
+    (np.errstate is per thread), so it fails there as it would inline, and
+    its Future gives its result, or raises its error, in whichever thread
+    asks.  Leaving the with-block joins the thread, dropping queued jobs
+    when an error leaves it."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+
+    def submit(self, fn, /, *args) -> Future:
+        return super().submit(_under_errstate, np.geterr(), fn, *args)
+
+    def __exit__(self, exc_type, exc, tb):
+        self.shutdown(cancel_futures=exc_type is not None)
+        return False
+
+
+def _under_errstate(errstate, fn, *args):
+    with np.errstate(**errstate):
         return fn(*args)
-    except Exception as exc:
-        return exc
 
 
-def _unwrap(result):
-    if isinstance(result, Exception):
-        raise result
-    return result
+def open_lane(wide: bool) -> Lane | None:
+    """A Lane where a helper thread pays -- wide is true and two or more
+    CPUs are usable -- else None."""
+    return Lane() if wide and _usable_cpus() >= 2 else None
 
 
-def _start(fn, *args):
-    """Run fn(*args) on a new thread, under the calling thread's numpy error
-    handling (np.errstate is per thread); the returned join() gives its
-    result, or raises its error, in the calling thread."""
-    result, errstate = [], np.geterr()
+class _Done:
+    """fn(*args), run in this thread, read like a Lane job's Future:
+    result() returns its value or raises its error.  A Future would build
+    a lock per job, which the inline solves of a narrow net pay per layer
+    and step (about 5 % of desk-compare's compare_curvatures)."""
 
-    def run():
-        with np.errstate(**errstate):
-            result.append(_attempt(fn, *args))
+    __slots__ = ("value", "error")
 
-    thread = threading.Thread(target=run)
-    thread.start()
-    return lambda: thread.join() or _unwrap(result[0])
+    def __init__(self, fn, *args):
+        try:
+            self.value, self.error = fn(*args), None
+        except Exception as exc:
+            self.value, self.error = None, exc
+
+    def result(self):
+        if self.error is not None:
+            raise self.error
+        return self.value
 
 
-def _solve_layer(hb, h, g, gb, eh, damping, gram_eig=_gram_eig):
+def _solve_layer(hb, h, g, gb, gram, damping):
     """One layer's job: d_W = _kron_inverse(g, h, ...), already negated, and
     d_b = -Q ((Q^T g_b) / damped), from sym_eig(hb) = Q diag(lam) Q^T, the
     layer's damping(hb, h, lam) -- its damped bias eigenvalues and
-    _kron_inverse's b and d -- and gram_eig(h, eh).  Only the two directions
+    _kron_inverse's b and d -- and gram(), which gives _gram_eig of h (or
+    raises its error), read after the damping.  Only the two directions
     outlive the call; a finite but huge gradient can still overflow in the
     solve, so they are checked too."""
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(gb))):
@@ -201,7 +239,8 @@ def _solve_layer(hb, h, g, gb, eh, damping, gram_eig=_gram_eig):
     lam, q = sym_eig(hb)
     damped_bias, b, d = damping(hb, h, lam)
     _check_positive(damped_bias)
-    d_w = _kron_inverse(g, h, gram_eig(h, eh), q, b, d, eh)
+    eh, factors = gram()
+    d_w = _kron_inverse(g, h, factors, q, b, d, eh)
     d_b = -(q @ ((q.T @ gb) / damped_bias))
     if not (np.all(np.isfinite(d_w)) and np.all(np.isfinite(d_b))):
         raise NumericalBreakdownError("direction is not finite")
@@ -209,7 +248,12 @@ def _solve_layer(hb, h, g, gb, eh, damping, gram_eig=_gram_eig):
 
 
 def _solve_layers(
-    hbs: list[np.ndarray], grads: LayerGradients, damping, one_rank: bool = False
+    hbs: list[np.ndarray],
+    grads: LayerGradients,
+    damping,
+    one_rank: bool = False,
+    lane: Lane | None = None,
+    grams: list[Future] | None = None,
 ) -> NewtonDirection:
     """_solve_layer for every layer, each layer one independent job, on the
     bias blocks hbs and the per-instance bias gradients
@@ -217,50 +261,58 @@ def _solve_layers(
     layer's input batch h = grads.inputs; one_rank takes the input factor to
     be the row E[h] = h.mean(axis=0) instead of h.
 
-    When the widest hb is at least _OVERLAP_MIN_WIDTH wide and two CPUs are
-    usable, a helper thread (_start) first factors the widest layer's Gram
-    matrix and then runs every other layer's job in layer order, while this
-    thread factors the widest hb, waits for that Gram and solves the widest
-    layer.  Results and errors are taken in layer order after the join, so
-    an error always names the lowest failing layer, with its inline message
-    (a FloatingPointError under np.errstate(all="raise") too).
+    lane is the run's Lane, and grams the Futures of _gram_eig(h, one_rank)
+    it was given for each layer's h.  Without a lane the call opens one for
+    itself when the widest hb is at least _OVERLAP_MIN_WIDTH wide (see
+    open_lane), and without grams it submits them, the widest layer's
+    first.  On a lane, every other layer's job is queued behind the Grams,
+    in layer order, while this thread factors the widest hb, waits for that
+    layer's Gram alone and solves the widest layer.  With no lane every job
+    runs inline, factoring its Gram where it reads it.  Results and errors
+    are taken in layer order, so an error always names the lowest failing
+    layer, with its inline message (a FloatingPointError under
+    np.errstate(all="raise") too).
     """
     if len(hbs) != len(grads.grad_bias):
         raise DimensionError("curvature/gradient layer counts differ")
-    jobs = [
-        (hb, h, g, gb, h.mean(axis=0) if one_rank else None)
-        for hb, h, g, gb in zip(hbs, grads.inputs, grads.bias_per_instance, grads.grad_bias)
-    ]
-    widest = max(range(len(jobs)), key=lambda t: hbs[t].shape[0], default=0)
-    if jobs and hbs[widest].shape[0] >= _OVERLAP_MIN_WIDTH and _usable_cpus() >= 2:
-        gram, gram_ready = [], threading.Event()
-
-        def helper():
-            _, h, _, _, eh = jobs[widest]
-            gram.append(_attempt(_gram_eig, h, eh))
-            gram_ready.set()
-            others = jobs[:widest] + jobs[widest + 1 :]
-            return [_attempt(_solve_layer, *job, damping) for job in others]
-
-        def widest_gram(h, eh):
-            gram_ready.wait()
-            return _unwrap(gram.pop())
-
-        join = _start(helper)
-        widest_result = _attempt(_solve_layer, *jobs[widest], damping, widest_gram)
-        results = join()
-        results.insert(widest, widest_result)
+    widest = max(range(len(hbs)), key=lambda t: hbs[t].shape[0], default=0)
+    if lane is None:
+        wide = bool(hbs) and hbs[widest].shape[0] >= _OVERLAP_MIN_WIDTH
+        own = open_lane(wide)
+        if own is not None:
+            with own:
+                return _solve_layers(hbs, grads, damping, one_rank, own)
+    layers = list(zip(hbs, grads.inputs, grads.bias_per_instance, grads.grad_bias))
+    if lane is None:
+        results = [
+            _Done(_solve_layer, hb, h, g, gb, partial(_gram_eig, h, one_rank), damping)
+            for hb, h, g, gb in layers
+        ]
     else:
-        results = [_attempt(_solve_layer, *job, damping) for job in jobs]
+        if grams is None:
+            grams = [None] * len(layers)
+            for t in sorted(range(len(layers)), key=lambda t: t != widest):
+                grams[t] = lane.submit(_gram_eig, grads.inputs[t], one_rank)
+        results = [
+            None if t == widest else lane.submit(_solve_layer, *layer, grams[t].result, damping)
+            for t, layer in enumerate(layers)
+        ]
+        results[widest] = _Done(_solve_layer, *layers[widest], grams[widest].result, damping)
+    directions = []
     for t, result in enumerate(results, start=1):
-        if isinstance(result, (NumericalBreakdownError, FloatingPointError)):
-            raise type(result)(f"layer {t}: {result}") from result
-        _unwrap(result)
-    return NewtonDirection([d_w for d_w, _ in results], [d_b for _, d_b in results])
+        try:
+            directions.append(result.result())
+        except (NumericalBreakdownError, FloatingPointError) as exc:
+            raise type(exc)(f"layer {t}: {exc}") from exc
+    return NewtonDirection([d_w for d_w, _ in directions], [d_b for _, d_b in directions])
 
 
 def ea_cg_direction(
-    hbs: list[np.ndarray], grads: LayerGradients, cfg: SolverConfig
+    hbs: list[np.ndarray],
+    grads: LayerGradients,
+    cfg: SolverConfig,
+    lane: Lane | None = None,
+    grams: list[Future] | None = None,
 ) -> NewtonDirection:
     """Per-layer damped Newton directions, each layer's system solved exactly.
 
@@ -276,7 +328,8 @@ def ea_cg_direction(
     preconditioned by this exact inverse, returns after one iteration.  A damped block with an
     eigenvalue <= 0 raises NumericalBreakdownError naming its layer.
 
-    Wide nets solve their layers on two threads (see _solve_layers).
+    Wide nets solve their layers on two threads, on the run's lane and its
+    Grams when given (see _solve_layers).
     """
     alpha = cfg.alpha
 
@@ -284,7 +337,7 @@ def ea_cg_direction(
         b = (1 - alpha) * lam
         return b + alpha, b, alpha
 
-    return _solve_layers(hbs, grads, damping, cfg.hvp_mode is HvpMode.EA_ONE_RANK)
+    return _solve_layers(hbs, grads, damping, cfg.hvp_mode is HvpMode.EA_ONE_RANK, lane, grams)
 
 
 def sherman_morrison_apply(
@@ -299,7 +352,11 @@ def sherman_morrison_apply(
 
 
 def kfi_direction(
-    hbs: list[np.ndarray], grads: LayerGradients, cfg: SolverConfig
+    hbs: list[np.ndarray],
+    grads: LayerGradients,
+    cfg: SolverConfig,
+    lane: Lane | None = None,
+    grams: list[Future] | None = None,
 ) -> NewtonDirection:
     """Kronecker-factored inverse directions for cfg's alpha and pi_policy.
 
@@ -315,7 +372,8 @@ def kfi_direction(
     divides X's (lam_i, mu_j) eigencomponent by (lam_i + sqrt(alpha)/pi)
     (mu_j + c): _kron_inverse with b = lam + sqrt(alpha)/pi and d = b c, which
     forms no n x n matrix.  A G or bias block with an eigenvalue <= 0
-    raises NumericalBreakdownError naming its layer.
+    raises NumericalBreakdownError naming its layer.  lane and grams are
+    ea_cg_direction's.
     """
     sqrt_a = np.sqrt(cfg.alpha)
 
@@ -332,4 +390,4 @@ def kfi_direction(
             )
         return lam + sqrt_a, damped_g, pi * sqrt_a * damped_g
 
-    return _solve_layers(hbs, grads, damping)
+    return _solve_layers(hbs, grads, damping, False, lane, grams)

@@ -7,15 +7,26 @@ epoch shuffles come from a splitmix64 counter-based generator keyed on
 
 Evaluation: mean_loss and accuracy score their rows in blocks of
 EVAL_ROWS, one forward pass each, which bounds the activations an
-evaluation keeps alive.  When one evaluation costs at least
-EVAL_OVERLAP_MIN_MACS multiply-adds and the process may use two or more
-CPUs, train scores epoch e on a helper thread, from a copy of the
-parameters, while the calling thread runs epoch e+1's steps; the last epoch
-is scored inline.  The helper is solvers._start's, which runs under the
-caller's numpy error state.  numpy releases the interpreter lock inside
-BLAS, so the two overlap, and the helper makes the same calls on the same
-values, so the records are bit-identical to scoring inline.  Cheaper
-evaluations score inline and start no thread.
+evaluation keeps alive.  Each run's Optimizer owns at most one helper lane
+(solvers.Lane, one worker thread), opened when the process may use two or
+more CPUs and either a Newton step's widest bias block is at least
+solvers._OVERLAP_MIN_WIDTH wide or one evaluation costs at least
+EVAL_OVERLAP_MIN_MACS multiply-adds.  On the lane, a Newton step factors
+its input Grams while the calling thread runs the batch pass and the
+curvature, then solves every layer but the widest (see solvers).  When the
+evaluation gate passes, train scores epoch e on the lane, from a copy of
+the parameters, while the calling thread runs epoch e+1's steps, and the
+last epoch is scored by both threads, the lane taking every other row
+block.  Every lane job runs under the caller's numpy error state.  numpy
+releases the interpreter lock inside BLAS and LAPACK, so the two threads
+overlap, and each job makes the same calls on the same values, so the
+records and the parameters are bit-identical to running inline.  Narrow
+nets with cheap evaluations open no lane and start no thread.  On a Newton
+run the evaluation job queues ahead of the next epoch's first Grams, so
+that epoch's steps wait for it: five epochs of the paper-width EA-CG PCH-1
+run (784-256-128-64-10, 1024 rows, batch 128, one BLAS thread, 2-vCPU
+host) take a median 757 ms per train with the lane, each epoch after the
+first about 20 ms longer than the first, against 1128 ms with no lane.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from .fcnn import (
     softmax,
     weight_gradient,
 )
-from .solvers import SolverConfig, _start, ea_cg_direction, kfi_direction
+from .solvers import HvpMode, Lane, SolverConfig, _Done, _gram_eig, ea_cg_direction, kfi_direction
 
 # Rows per forward pass in mean_loss and accuracy.  At paper width a whole
 # 1024-row training set keeps about 8 MB of activations alive, and on the
@@ -51,7 +62,7 @@ from .solvers import SolverConfig, _start, ea_cg_direction, kfi_direction
 EVAL_ROWS = 128
 
 # Multiply-adds in one evaluation (rows scored times weights) from which train
-# scores on a helper thread.  The overlap pays only when evaluation runs
+# scores on the run's lane.  The overlap pays only when evaluation runs
 # mostly inside BLAS, which releases the interpreter lock; below this the
 # helper's interpreter work stalls the steps.  SGD train() time, threaded
 # against inline (one BLAS thread, 2-vCPU host, medians of 8 alternations):
@@ -166,40 +177,84 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(lo, lo + EVAL_ROWS) for lo in range(0, max(n, 1), EVAL_ROWS)]
 
 
-def mean_loss(model: FcnnModel, criterion: Criterion, x: np.ndarray, y: np.ndarray) -> float:
-    losses = [
-        criterion_losses(criterion, forward(model, x[rows]).h[-1], y[rows])
-        for rows in _row_blocks(x.shape[0])
-    ]
-    return float(np.concatenate(losses).mean())
+def _score_rows(score, n: int, lane: Lane | None) -> list:
+    """[score(rows) for rows in _row_blocks(n)]; with a lane, the lane
+    scores every other block (the second, the fourth, ...) while this
+    thread scores the rest.  Results and errors are taken in block order."""
+    blocks = _row_blocks(n)
+    theirs = {i: lane.submit(score, blocks[i]) for i in range(1, len(blocks), 2)} if lane else {}
+    parts = [theirs.get(i) or _Done(score, rows) for i, rows in enumerate(blocks)]
+    return [part.result() for part in parts]
 
 
-def accuracy(model: FcnnModel, x: np.ndarray, y_index: np.ndarray) -> float:
+def mean_loss(
+    model: FcnnModel, criterion: Criterion, x: np.ndarray, y: np.ndarray, lane: Lane | None = None
+) -> float:
+    """The mean criterion loss over the rows of x and y (one-hot), scored
+    in row blocks, shared with lane when one is given (see _score_rows)."""
+
+    def losses(rows: slice) -> np.ndarray:
+        return criterion_losses(criterion, forward(model, x[rows]).h[-1], y[rows])
+
+    return float(np.concatenate(_score_rows(losses, x.shape[0], lane)).mean())
+
+
+def accuracy(
+    model: FcnnModel, x: np.ndarray, y_index: np.ndarray, lane: Lane | None = None
+) -> float:
+    """The share of rows of x whose predicted class is y_index's, scored as
+    in mean_loss."""
     if x.shape[0] == 0:
         return 0.0
-    pred = [
-        np.argmax(softmax(forward(model, x[rows]).h[-1]), axis=1)
-        for rows in _row_blocks(x.shape[0])
-    ]
-    return float(np.mean(np.concatenate(pred) == y_index))
+
+    def predict(rows: slice) -> np.ndarray:
+        return np.argmax(softmax(forward(model, x[rows]).h[-1]), axis=1)
+
+    return float(np.mean(np.concatenate(_score_rows(predict, x.shape[0], lane)) == y_index))
 
 
 class Optimizer:
     """One run's optimizer: cfg's update rule, applied to the model's own
     weight and bias arrays, and the state it carries between steps: SGD's
-    momentum buffers, zero at first, and none (empty lists) for Newton."""
+    momentum buffers, zero at first, and none (empty lists) for Newton.
 
-    def __init__(self, model: FcnnModel, cfg: TrainConfig):
+    It also owns the run's helper lane, lane: a solvers.Lane where one pays
+    (solvers.open_lane) -- a Newton run whose widest bias block is at least
+    solvers._OVERLAP_MIN_WIDTH wide, or a run that scores on it (train's
+    evaluation gate passed) -- and None elsewhere.  A run uses it as a
+    context manager, which joins the lane's thread on leaving."""
+
+    def __init__(self, model: FcnnModel, cfg: TrainConfig, scores: bool = False):
         self.model, self.cfg = model, cfg
-        sgd = cfg.second_order is None
+        spec = cfg.second_order
+        sgd = spec is None
         self.velocity_w = [np.zeros_like(w) for w in model.weights] if sgd else []
         self.velocity_b = [np.zeros_like(b) for b in model.biases] if sgd else []
+        wide = not sgd and max(model.widths[1:]) >= solvers._OVERLAP_MIN_WIDTH
+        self.lane = solvers.open_lane(wide or scores)
+        # the input factor the Newton solve factors: E[h] under EA-CG ea_one_rank
+        self._one_rank = (
+            not sgd
+            and spec.solver is SolverChoice.EA_CG
+            and spec.solver_cfg.hvp_mode is HvpMode.EA_ONE_RANK
+        )
 
-    def step(self, grads: LayerGradients, hbs: list[np.ndarray] | None) -> None:
+    def __enter__(self) -> "Optimizer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.lane is not None:
+            self.lane.__exit__(*exc)
+
+    def step(
+        self, grads: LayerGradients, hbs: list[np.ndarray] | None, grams: list | None = None
+    ) -> None:
         """One step on a batch's gradients grads and, for a second-order
         optimizer, its bias blocks hbs of cfg's kind (SGD takes None).  The
-        second-order step passes both with spec.solver_cfg to spec.solver's
-        solver and steps theta += lr * d, scaling each weight direction d by
+        second-order step passes both with spec.solver_cfg, the lane and
+        grams -- the lane's Futures of the input Grams of grads.inputs, as
+        run submits them, or None -- to spec.solver's solver and steps
+        theta += lr * d, scaling each weight direction d by
         lr in place (the solvers return it negated).  SGD updates the
         momentum buffers v <- momentum v - lr g and steps theta += v one
         layer at a time: it forms the layer's weight gradient g by
@@ -222,7 +277,7 @@ class Optimizer:
                 model.biases[t] += self.velocity_b[t]
             return
         solve = ea_cg_direction if spec.solver is SolverChoice.EA_CG else kfi_direction
-        direction = solve(hbs, grads, spec.solver_cfg)
+        direction = solve(hbs, grads, spec.solver_cfg, self.lane, grams)
         for t in range(model.num_layers):
             direction.d_weight[t] *= lr
             model.weights[t] += direction.d_weight[t]
@@ -241,16 +296,29 @@ class Optimizer:
         the step's bias blocks: by default ea_curvature of cfg's kind and
         gamma, or None under SGD.  Each pass is dropped before its step, so
         what only the curvature reads is freed before the Newton solve, and
-        each step's gradients and blocks before the next pass is built."""
+        each step's gradients and blocks before the next pass is built.  On
+        a lane, a Newton step submits layer 1's input Gram as soon as the
+        batch is gathered and the other layers' when the pass is built;
+        each job reads the layer inputs alone, never the pass."""
         if blocks is None:
             blocks = self._blocks
         for batch in batches:
-            bp = batch_pass(self.model, criterion, x[batch], y[batch])
+            xb = np.asarray(x[batch], dtype=float)  # forward's input as is
+            grams = self._submit_grams([xb])
+            bp = batch_pass(self.model, criterion, xb, y[batch])
+            grams += self._submit_grams(bp.grads.inputs[1:])
             hbs = blocks(bp)
             grads = bp.grads
             del bp
-            self.step(grads, hbs)
-            del grads, hbs
+            self.step(grads, hbs, grams or None)
+            del grads, hbs, grams
+
+    def _submit_grams(self, inputs: list[np.ndarray]) -> list:
+        """The lane's Futures of the Newton solve's _gram_eig of each input
+        batch, or none without a lane or under SGD."""
+        if self.lane is None or self.cfg.second_order is None:
+            return []
+        return [self.lane.submit(_gram_eig, h, self._one_rank) for h in inputs]
 
     def _blocks(self, bp: BatchPass) -> list[np.ndarray] | None:
         spec = self.cfg.second_order
@@ -273,13 +341,15 @@ def train(
     Optimizer.run per epoch over epoch_batches; report.model is model.
 
     Each epoch is scored by mean_loss on the training set and accuracy on
-    the test set.  Large evaluations of epoch e run on a helper thread
-    while epoch e+1's steps run (see the module docstring); the records are
+    the test set.  Large evaluations of epoch e run on the run's lane
+    while epoch e+1's steps run, and the last epoch's is shared between
+    the lane and this thread (see the module docstring); the records are
     the same.  An epoch's wall_seconds runs from its first step until its
     loss is known, so there it overlaps the next epoch's steps.  A
     non-finite loss raises TrainingDivergedError naming its epoch, ahead
     of any error that the next epoch's steps on the diverged parameters
-    raise, and an error raised on the helper is raised here.
+    raise, and an error raised on the lane is raised here.  The lane's
+    thread is joined before train returns or raises.
     """
     n = x_train.shape[0]
     if y_train.shape[0] != n:
@@ -291,32 +361,33 @@ def train(
     spec = cfg.second_order
     optimizer = "sgd" if spec is None else f"{spec.solver.value}, curvature {spec.kind.value}"
 
-    def score(params: FcnnModel, epoch: int, start: float) -> EpochRecord:
-        loss = mean_loss(params, criterion, x_train, y_train)
+    def score(params: FcnnModel, epoch: int, start: float, lane: Lane | None = None) -> EpochRecord:
+        loss = mean_loss(params, criterion, x_train, y_train, lane)
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"loss became non-finite at epoch {epoch} (optimizer {optimizer})"
             )
         wall = time.perf_counter() - start if record_time else 0.0
-        return EpochRecord(epoch, loss, accuracy(params, x_test, y_test_idx), wall)
+        return EpochRecord(epoch, loss, accuracy(params, x_test, y_test_idx, lane), wall)
 
-    opt = Optimizer(model, cfg)
     records: list[EpochRecord] = []
     eval_macs = (n + x_test.shape[0]) * sum(w.size for w in model.weights)
-    # the CPU count is looked up in solvers, whose gate reads the same one
-    overlap = eval_macs >= EVAL_OVERLAP_MIN_MACS and solvers._usable_cpus() >= 2
-    pending = None  # joins the helper scoring the previous epoch
-    for epoch in range(cfg.epochs):
-        start = time.perf_counter()
-        try:
-            opt.run(criterion, x_train, y_train, epoch_batches(n, cfg.batch_size, cfg.seed, epoch))
-        finally:
-            # the previous epoch's record, or its error, which replaces any
-            # error these steps raised from its diverged parameters
-            if pending is not None:
-                records.append(pending())
-        if overlap and epoch + 1 < cfg.epochs:
-            pending = _start(score, model.copy(), epoch, start)
-        else:
-            records.append(score(model, epoch, start))
+    overlap = eval_macs >= EVAL_OVERLAP_MIN_MACS
+    with Optimizer(model, cfg, overlap) as opt:
+        lane = opt.lane if overlap else None
+        pending = None  # the lane's Future of the previous epoch's record
+        for epoch in range(cfg.epochs):
+            start = time.perf_counter()
+            try:
+                batches = epoch_batches(n, cfg.batch_size, cfg.seed, epoch)
+                opt.run(criterion, x_train, y_train, batches)
+            finally:
+                # the previous epoch's record, or its error, which replaces any
+                # error these steps raised from its diverged parameters
+                if pending is not None:
+                    records.append(pending.result())
+            if lane is not None and epoch + 1 < cfg.epochs:
+                pending = lane.submit(score, model.copy(), epoch, start)
+            else:
+                records.append(score(model, epoch, start, lane))
     return TrainReport(epochs=records, model=model)

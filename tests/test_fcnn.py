@@ -83,7 +83,10 @@ class TestForward:
     @pytest.mark.parametrize("case", ["special", "random"])
     def test_sigmoid_bit_identical_to_masked_reference(self, case):
         if case == "special":
-            z = np.array([-np.inf, -745.0, -1.0, -0.0, 0.0, 1.0, 745.0, np.inf, np.nan])
+            z = np.array(
+                [-np.inf, -1e308, -800.0, -745.0, -1.0, -0.0, 0.0, 1.0, 745.0, 800.0, 1e308,
+                 np.inf, np.nan, -np.nan]
+            )
         else:
             z = np.random.default_rng(12).standard_normal((128, 256)) * 10
         with np.errstate(under="ignore"):

@@ -12,8 +12,8 @@ The configs are the README example under `train`, `grid`,
 Gauss-Newton, PCH-2, `ea_one_rank` and `sigmoid_gate` PCH-2 variants under
 `train`; its `sigmoid_gate` PCH-2 and Gauss-Newton variants under
 `compare-curvature`; the benchmark's `desk-compare` spec under `compare-curvature`;
-and its `paper-eacg-pch` spec at 2 epochs (the solvers' helper thread and
-the evaluation helper both run) and `paper-sgd` at 1 epoch under `train`.
+and its `paper-eacg-pch` spec at 2 epochs (its Grams, its solves and its
+evaluation share the run's helper lane) and `paper-sgd` at 1 epoch under `train`.
 
 The digests hold for one build: the numpy version, the OpenBLAS core and
 the BLAS thread count stored beside them (tests/conftest.py pins one

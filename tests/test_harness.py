@@ -409,9 +409,9 @@ def test_pass_is_freed_before_the_newton_solve(monkeypatch, driver, reader, seco
         return blocks
 
     def watched(solve):
-        def solve_after_release(hbs, grads, cfg):
+        def solve_after_release(hbs, grads, cfg, *lane_and_grams):
             live_at_solve.append(sum(ref() is not None for ref in refs))
-            return solve(hbs, grads, cfg)
+            return solve(hbs, grads, cfg, *lane_and_grams)
 
         return solve_after_release
 
@@ -437,13 +437,13 @@ def test_one_optimizer_per_run_steps_on_every_batch(monkeypatch, driver, second_
     built, steps = [], []
 
     class Recorded(Optimizer):
-        def __init__(self, model, cfg):
-            super().__init__(model, cfg)
+        def __init__(self, model, cfg, *scores):
+            super().__init__(model, cfg, *scores)
             built.append(self)
 
-        def step(self, grads, hbs):
+        def step(self, grads, hbs, *grams):
             steps.append((self, grads))
-            super().step(grads, hbs)
+            super().step(grads, hbs, *grams)
 
     for module in (trainer, experiments):
         monkeypatch.setattr(module, "Optimizer", Recorded)

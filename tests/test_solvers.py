@@ -313,10 +313,11 @@ def test_weight_directions_are_c_contiguous(solve):
 
 
 class TestEaCgOverlap:
-    """The two-thread split of the per-layer jobs, which both solvers share:
-    the calling thread factors the widest layer's hb and solves that layer,
-    the helper factors that layer's Gram matrix first and then runs every
-    other layer's job in layer order."""
+    """The two-thread split of the per-layer jobs, which both solvers share,
+    in a standalone call, which opens a lane of its own: the lane factors
+    every layer's Gram matrix, the widest layer's first, and then runs every
+    other layer's job in layer order, while the calling thread factors the
+    widest layer's hb and solves that layer."""
 
     @pytest.fixture
     def threads(self, monkeypatch):
@@ -354,8 +355,21 @@ class TestEaCgOverlap:
             assert np.all(np.isfinite(flat_direction(solve(curv, bp.grads))))
         assert threads == []
 
+    @pytest.mark.parametrize("solve", [EA_CG, KFI], ids=["ea_cg", "kfi"])
+    @pytest.mark.parametrize("faults", [{}, {1: "indefinite"}], ids=["solved", "indefinite-widest"])
+    def test_no_thread_outlives_a_solve(self, threads, solve, faults):
+        curv, grads = self.faulty_problem(PAPER_SHAPES, faults)
+        before = set(threading.enumerate())
+        try:
+            solve(curv, grads)
+        except NumericalBreakdownError as exc:
+            assert faults and str(exc).startswith("layer 1: damped")
+        else:
+            assert not faults
+        assert len(threads) == 1 and set(threading.enumerate()) <= before
+
     # {layer: fault} on the paper net, where layer 1's job (but its Gram
-    # matrix) runs on the calling thread and layers 2-4 on the helper
+    # matrix) runs on the calling thread and layers 2-4 on the lane
     ERROR_CASES = {
         "main-and-helper-side": (
             {1: "hb", 3: "h"},

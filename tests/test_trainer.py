@@ -1,10 +1,11 @@
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blocknewton import solvers, trainer
+from blocknewton import experiments, fcnn, solvers, trainer
 from blocknewton.curvature import CurvatureKind
 from blocknewton.data import synth_blobs
 from blocknewton.errors import ConfigError, NumericalBreakdownError, TrainingDivergedError
@@ -18,7 +19,8 @@ from blocknewton.fcnn import (
     forward,
     softmax,
 )
-from blocknewton.solvers import SolverConfig
+from blocknewton.experiments import ExperimentSpec, compare_curvatures
+from blocknewton.solvers import HvpMode, PiPolicy, SolverConfig
 from blocknewton.trainer import (
     EVAL_ROWS,
     Optimizer,
@@ -235,7 +237,8 @@ def path(request, monkeypatch):
 
 
 class TestEvaluationOverlap:
-    """Scoring epoch e on a helper thread while epoch e+1's steps run."""
+    """Scoring epoch e on the run's lane while epoch e+1's steps run, and
+    the last epoch on the lane and the calling thread together."""
 
     @pytest.mark.parametrize("name", list(OPTIMIZERS))
     def test_threaded_bit_identical_to_inline(self, monkeypatch, name):
@@ -259,10 +262,9 @@ class TestEvaluationOverlap:
             runs[label] = report, len(threads)
             monkeypatch.undo()
         (inline, inline_threads), (threaded, threaded_threads) = runs["inline"], runs["threaded"]
-        assert inline_threads == 0 and threaded_threads >= 1
-        if name == "sgd":
-            # one per epoch but the last, which is scored inline; the solvers start none
-            assert threaded_threads == cfg.epochs - 1
+        # one lane per run: it scores every epoch (the last one shared with
+        # the calling thread) and, under EA-CG, takes each step's Grams and solves
+        assert inline_threads == 0 and threaded_threads == 1
         assert [(r.epoch, r.loss, r.test_accuracy) for r in threaded.epochs] == [
             (r.epoch, r.loss, r.test_accuracy) for r in inline.epochs
         ]
@@ -328,10 +330,14 @@ class TestEvaluationOverlap:
             assert err.value.__context__ is None
 
     def test_helper_keeps_callers_error_handling(self):
-        with np.errstate(over="raise"):
-            join = trainer._start(np.exp, np.array([1000.0]))
-        with pytest.raises(FloatingPointError):
-            join()
+        with solvers.Lane() as lane:
+            with np.errstate(over="raise"):
+                raised = lane.submit(np.exp, np.array([1000.0]))
+            warned = lane.submit(np.exp, np.array([1000.0]))
+            with pytest.raises(FloatingPointError):
+                raised.result()
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                assert warned.result() == np.inf
 
     def test_snapshot_skips_parameter_checks(self):
         # the evaluation's copy of a diverged model keeps its NaN parameters
@@ -360,6 +366,151 @@ class TestEvaluationOverlap:
             train(model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test)
         on_helper = calls[-1] is not threading.main_thread()
         assert on_helper == (path == "threaded" and failing_epoch + 1 < cfg.epochs)
+
+
+def paper_spec(second_order, epochs=2, batch_size=128):
+    """784-256-128-64-10 on 320 blobs rows: 256 training rows (two EVAL_ROWS
+    blocks), 64 test rows, so both the solvers' and the evaluation gate pass."""
+    cfg = TrainConfig(
+        learning_rate=0.1, epochs=epochs, batch_size=batch_size, seed=5, second_order=second_order
+    )
+    data = {"kind": "blobs", "classes": 10, "dim": 784, "per_class": 32, "spread": 0.08}
+    return ExperimentSpec(
+        architecture=[784, 256, 128, 64, 10], train_cfg=cfg, dataset=data, compare_steps=3
+    )
+
+
+def run_train(spec):
+    x_train, y_train, x_test, y_test = spec.load_dataset(0).split()
+    model = spec.build_model(0)
+    report = train(
+        model, spec.criterion, x_train, y_train, spec.train_cfg, x_test, y_test, record_time=False
+    )
+    return [(r.epoch, r.loss, r.test_accuracy) for r in report.epochs], flat_parameters(model).tobytes()
+
+
+def run_compare(spec):
+    # a smaller batch keeps the per-instance exact Hessians at paper width small
+    spec.train_cfg = replace(spec.train_cfg, batch_size=32)
+    return compare_curvatures(spec).to_csv()
+
+
+DRIVERS = {"train": run_train, "compare": run_compare}
+LANE_SOLVES = {
+    "ea_cg-exact_kron": SecondOrderSpec(),
+    "ea_cg-ea_one_rank": SecondOrderSpec(solver_cfg=SolverConfig(hvp_mode=HvpMode.EA_ONE_RANK)),
+    "kfi-trace_norm": SecondOrderSpec(
+        kind=CurvatureKind.FISHER,
+        solver=SolverChoice.KFI,
+        solver_cfg=SolverConfig(pi_policy=PiPolicy.TRACE_NORM),
+    ),
+}
+
+
+def new_threads_left(run):
+    """Run run(); return the threads it started (a list, one per start)
+    and the threads alive after it that were not alive before it."""
+    before = set(threading.enumerate())
+    with pytest.MonkeyPatch.context() as mp:
+        started = count_calls(mp, threading, "Thread")
+        run()
+    return started, set(threading.enumerate()) - before
+
+
+class TestRunLane:
+    """One helper lane per paper-width run: each Newton step's input Grams
+    and its non-widest layers' solves, and the evaluation, run on it."""
+
+    @pytest.mark.parametrize("driver", list(DRIVERS))
+    @pytest.mark.parametrize("name", list(LANE_SOLVES))
+    def test_bit_identical_to_one_cpu(self, monkeypatch, driver, name):
+        outputs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(solvers, "_usable_cpus", lambda: cpus)
+            threads = count_calls(monkeypatch, threading, "Thread")
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+            try:
+                outputs[cpus] = DRIVERS[driver](paper_spec(LANE_SOLVES[name]))
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(threads) == cpus - 1  # no lane on one CPU, one lane per run on two
+            monkeypatch.undo()
+        assert outputs[2] == outputs[1]
+
+    def test_each_step_submits_its_grams_around_its_pass(self, monkeypatch):
+        # layer 1's Gram as soon as the batch is gathered, layers 2-4's after
+        # the pass, then the solves of layers 2-4 behind them; layer 1, the
+        # widest, is solved on the calling thread
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        events, submit, original = [], solvers.Lane.submit, trainer.batch_pass
+
+        def recorded_submit(self, fn, *args):
+            assert not any(isinstance(arg, fcnn.BatchPass) for arg in args)
+            events.append(fn.__name__)
+            return submit(self, fn, *args)
+
+        def recorded_pass(*args):
+            events.append("batch_pass")
+            return original(*args)
+
+        monkeypatch.setattr(solvers.Lane, "submit", recorded_submit)
+        monkeypatch.setattr(trainer, "batch_pass", recorded_pass)
+        spec = paper_spec(SecondOrderSpec(), epochs=1)
+        spec.dataset = dict(spec.dataset, per_class=16)  # 128 training rows: one step
+        run_train(spec)
+        solves = ["_solve_layer"] * 3
+        split = ["losses", "predict"]  # the last epoch's second row blocks, if any
+        step = ["_gram_eig", "batch_pass", "_gram_eig", "_gram_eig", "_gram_eig", *solves]
+        assert events[: len(step)] == step
+        assert all(event in split for event in events[len(step) :])
+
+    @pytest.mark.parametrize("driver", list(DRIVERS))
+    def test_no_thread_outlives_a_run(self, driver):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_usable_cpus", lambda: 2)
+            started, left = new_threads_left(lambda: DRIVERS[driver](paper_spec(SecondOrderSpec())))
+        assert len(started) == 1 and left == set()
+
+    @pytest.mark.parametrize("driver", list(DRIVERS))
+    def test_no_thread_outlives_an_indefinite_block(self, monkeypatch, driver):
+        # the widest layer fails on the calling thread while the lane still
+        # holds the other layers' solves
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        module = trainer if driver == "train" else experiments
+        original = module.ea_curvature
+        monkeypatch.setattr(module, "ea_curvature", lambda *a: [-hb for hb in original(*a)])
+        spec = paper_spec(SecondOrderSpec())
+
+        def run():
+            with pytest.raises(NumericalBreakdownError, match="^layer 1: damped block is not positive"):
+                DRIVERS[driver](spec)
+
+        started, left = new_threads_left(run)
+        assert len(started) == 1 and left == set()
+
+    @pytest.mark.parametrize("name", list(OPTIMIZERS))
+    def test_no_thread_outlives_a_diverged_loss_scored_on_the_lane(self, monkeypatch, name):
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        lr, batch_size = TestEvaluationOverlap.DIVERGING[name]
+        spec = paper_spec(OPTIMIZERS[name], epochs=3, batch_size=batch_size)
+        spec.train_cfg = replace(spec.train_cfg, learning_rate=lr)
+        scored_on, original = [], trainer.mean_loss
+
+        def recorded(*args):
+            scored_on.append(threading.current_thread())
+            return original(*args)
+
+        monkeypatch.setattr(trainer, "mean_loss", recorded)
+
+        def run():
+            with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="at epoch 0 "):
+                run_train(spec)
+
+        started, left = new_threads_left(run)
+        assert len(started) == 1 and left == set()
+        # epoch 0, the one scored, was scored on the lane
+        assert len(scored_on) == 1 and scored_on[0] is not threading.current_thread()
 
 
 class TestRowBlocks:

@@ -183,7 +183,7 @@ def _score_rows(score, n: int, lane: Lane | None) -> list:
     thread scores the rest.  Results and errors are taken in block order."""
     blocks = _row_blocks(n)
     theirs = {i: lane.submit(score, blocks[i]) for i in range(1, len(blocks), 2)} if lane else {}
-    parts = [theirs.get(i) or _Done(score, rows) for i, rows in enumerate(blocks)]
+    parts = [theirs[i] if i in theirs else _Done(score, rows) for i, rows in enumerate(blocks)]
     return [part.result() for part in parts]
 
 

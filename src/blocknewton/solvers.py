@@ -24,26 +24,32 @@ to be added with a positive step size, as C-ordered arrays.
 The curvature is block-diagonal, so each layer's direction is one
 independent job, _solve_layer, and on wide nets the jobs share the calling
 thread with a Lane: one helper thread that runs the jobs submitted to it in
-order, each under the numpy error state of the thread that submitted it,
-and hands back a Future.  A run's Optimizer owns one Lane and submits each
-Newton step's input-Gram factorizations to it while the step's batch pass
-runs; a standalone solver call opens a Lane for that call alone.  numpy
-releases the interpreter lock inside LAPACK and BLAS, so the threads
-overlap, and a job makes the same calls on the same arrays on either
-thread, so the directions are bit-identical to solving inline.  At paper
-width (784-256-128-64-10, batch 128, one BLAS thread, 2-vCPU host) a
-direction takes 12-13 ms on a lane against 20-21 ms inline.  BLAS threads
-(OPENBLAS_NUM_THREADS) come on top of the one helper thread.  The Lane is
-the package's one thread primitive; the trainer scores on it too.
+order, each a Job run under the numpy error state of the thread that
+submitted it.  A thread that asks a Job for its result runs the job itself
+if the lane has not started it, as a work-stealing scheduler's idle worker
+does (Blumofe & Leiserson, J. ACM 1999), so no thread waits on a job queued
+behind another.  A run's Optimizer owns one Lane and submits each Newton
+step's input-Gram factorizations to it while the step's batch pass runs; a
+standalone solver call opens a Lane for that call alone.  numpy releases
+the interpreter lock inside LAPACK and BLAS, so the threads overlap, and a
+job makes the same calls on the same arrays on either thread, so the
+directions are bit-identical to solving inline.  At paper width
+(784-256-128-64-10, batch 128, one BLAS thread, 2-vCPU host) a direction
+takes 12-13 ms on a lane against 20-21 ms inline.  Each thread's BLAS calls
+run on OPENBLAS_NUM_THREADS threads of their own, so a lane opens only
+where the usable CPUs hold both threads' BLAS threads (see open_lane).  The
+Lane is the package's one thread primitive; the trainer scores on it too.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+import threading
+from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -52,7 +58,7 @@ from .fcnn import LayerGradients, weight_gradient
 from .linalg import EigenDecomposition, sym_eig
 
 # Narrowest widest-Hb for which a run, or a standalone solve, opens a Lane:
-# handing a job to the lane and taking its result costs 0.02-0.07 ms, one
+# handing a job to the lane and taking its result costs 0.01-0.07 ms, one
 # eigh 1.5 ms at n = 128, 0.38 ms at n = 64 and 0.09 ms at n = 32 (numpy
 # 2.4.6, one BLAS thread, 2-vCPU Xeon).  At paper width the lane factors
 # the four input Grams while the batch pass (2.3-2.8 ms) and the curvature
@@ -175,55 +181,143 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class Lane(ThreadPoolExecutor):
+@cache
+def _openblas_get_num_threads():
+    """OpenBLAS's get_num_threads from the library numpy's wheel ships, or
+    None where there is no such library or symbol."""
+    libs = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
+    try:
+        names = sorted(name for name in os.listdir(libs) if "openblas" in name)
+    except OSError:
+        return None
+    for name in names:
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn
+    return None
+
+
+def _blas_threads() -> int | None:
+    """The number of threads numpy's OpenBLAS runs each call on, or None
+    where it cannot be read."""
+    fn = _openblas_get_num_threads()
+    return None if fn is None else fn()
+
+
+class Job:
+    """One job, fn(*args), whose result() returns its value or raises its
+    error in the thread that asks.  Job(fn, *args) runs it at once, in this
+    thread, and builds no lock: the inline solves of a narrow net make one
+    per layer and step.  Lane.submit makes one with lane set, queued on the
+    lane under the numpy error state of the submitting thread (np.errstate
+    is per thread); whichever thread runs it runs it under that state, so
+    it fails there as it would inline.  Its result() runs it in the asking
+    thread if the lane has not started it, or waits while the lane runs it."""
+
+    __slots__ = ("_lane", "_call", "_value", "_error")
+
+    def __init__(self, fn, *args, lane: Lane | None = None):
+        self._lane = lane  # None once the job has run
+        self._value = self._error = None
+        if lane is None:
+            self._call = None
+            try:
+                self._value = fn(*args)
+            except Exception as exc:
+                self._error = exc
+        else:
+            self._call = fn, args, np.geterr()  # None once a thread takes it
+
+    def _take(self):
+        """The job's call, for the thread that takes it: the first to ask,
+        under the lane's lock; None for every later one."""
+        call, self._call = self._call, None
+        return call
+
+    def _finish(self, lane: Lane, call) -> None:
+        """Run the call this thread took and tell the threads that wait."""
+        fn, args, errstate = call
+        try:
+            with np.errstate(**errstate):
+                self._value = fn(*args)
+        except BaseException as exc:  # raised by result(); a waiter must not hang
+            self._error = exc
+        with lane._changed:
+            self._lane = None
+            lane._changed.notify_all()
+
+    def result(self):
+        lane = self._lane
+        if lane is not None:
+            with lane._changed:
+                call = self._take()
+                while call is None and self._lane is not None:
+                    lane._changed.wait()
+            if call is not None:
+                self._finish(lane, call)
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+class Lane:
     """A helper lane: one worker thread, started by the first submit, that
-    runs the submitted jobs one at a time in submission order.  Each job
-    runs under the numpy error handling of the thread that submitted it
-    (np.errstate is per thread), so it fails there as it would inline, and
-    its Future gives its result, or raises its error, in whichever thread
-    asks.  Leaving the with-block joins the thread, dropping queued jobs
-    when an error leaves it."""
+    runs the submitted jobs in submission order, each a Job that the
+    thread asking for its result runs itself if the lane has not started
+    it.  Leaving the with-block joins the thread once the queue is empty,
+    and empties the queue first when an error leaves it."""
 
     def __init__(self):
-        super().__init__(max_workers=1)
+        self._changed = threading.Condition(threading.Lock())
+        self._queue: deque[Job] = deque()
+        self._closed = False
+        self._thread = None
 
-    def submit(self, fn, /, *args) -> Future:
-        return super().submit(_under_errstate, np.geterr(), fn, *args)
+    def __enter__(self) -> Lane:
+        return self
 
     def __exit__(self, exc_type, exc, tb):
-        self.shutdown(cancel_futures=exc_type is not None)
+        with self._changed:
+            if exc_type is not None:
+                self._queue.clear()
+            self._closed = True
+            self._changed.notify_all()
+        if self._thread is not None:
+            self._thread.join()
         return False
 
+    def submit(self, fn, /, *args) -> Job:
+        job = Job(fn, *args, lane=self)
+        with self._changed:
+            self._queue.append(job)
+            self._changed.notify_all()
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._work, daemon=True)
+            self._thread.start()
+        return job
 
-def _under_errstate(errstate, fn, *args):
-    with np.errstate(**errstate):
-        return fn(*args)
+    def _work(self) -> None:
+        changed, queue = self._changed, self._queue
+        while True:
+            with changed:
+                while not queue and not self._closed:
+                    changed.wait()
+                if not queue:
+                    return
+                job = queue.popleft()
+                call = job._take()
+            if call is not None:
+                job._finish(self, call)
 
 
 def open_lane(wide: bool) -> Lane | None:
-    """A Lane where a helper thread pays -- wide is true and two or more
-    CPUs are usable -- else None."""
-    return Lane() if wide and _usable_cpus() >= 2 else None
-
-
-class _Done:
-    """fn(*args), run in this thread, read like a Lane job's Future:
-    result() returns its value or raises its error.  A Future would build
-    a lock per job, which the inline solves of a narrow net pay per layer
-    and step (about 5 % of desk-compare's compare_curvatures)."""
-
-    __slots__ = ("value", "error")
-
-    def __init__(self, fn, *args):
-        try:
-            self.value, self.error = fn(*args), None
-        except Exception as exc:
-            self.value, self.error = None, exc
-
-    def result(self):
-        if self.error is not None:
-            raise self.error
-        return self.value
+    """A Lane where a helper thread pays -- wide is true and the usable
+    CPUs hold both threads' BLAS threads, at least 2 x _blas_threads() of
+    them (2 where the BLAS thread count cannot be read) -- else None."""
+    return Lane() if wide and _usable_cpus() >= 2 * (_blas_threads() or 1) else None
 
 
 def _solve_layer(hb, h, g, gb, gram, damping):
@@ -253,7 +347,7 @@ def _solve_layers(
     damping,
     one_rank: bool = False,
     lane: Lane | None = None,
-    grams: list[Future] | None = None,
+    grams: list[Job] | None = None,
 ) -> NewtonDirection:
     """_solve_layer for every layer, each layer one independent job, on the
     bias blocks hbs and the per-instance bias gradients
@@ -261,13 +355,15 @@ def _solve_layers(
     layer's input batch h = grads.inputs; one_rank takes the input factor to
     be the row E[h] = h.mean(axis=0) instead of h.
 
-    lane is the run's Lane, and grams the Futures of _gram_eig(h, one_rank)
-    it was given for each layer's h.  Without a lane the call opens one for
+    lane is the run's Lane, and grams the Jobs of _gram_eig(h, one_rank) it
+    was given for each layer's h.  Without a lane the call opens one for
     itself when the widest hb is at least _OVERLAP_MIN_WIDTH wide (see
     open_lane), and without grams it submits them, the widest layer's
     first.  On a lane, every other layer's job is queued behind the Grams,
-    in layer order, while this thread factors the widest hb, waits for that
-    layer's Gram alone and solves the widest layer.  With no lane every job
+    in layer order, while this thread factors the widest hb, takes that
+    layer's Gram alone and solves the widest layer; a Gram or a layer's job
+    that the lane has not started when it is asked for (it may still be
+    busy with the run's evaluation) runs here.  With no lane every job
     runs inline, factoring its Gram where it reads it.  Results and errors
     are taken in layer order, so an error always names the lowest failing
     layer, with its inline message (a FloatingPointError under
@@ -285,7 +381,7 @@ def _solve_layers(
     layers = list(zip(hbs, grads.inputs, grads.bias_per_instance, grads.grad_bias))
     if lane is None:
         results = [
-            _Done(_solve_layer, hb, h, g, gb, partial(_gram_eig, h, one_rank), damping)
+            Job(_solve_layer, hb, h, g, gb, partial(_gram_eig, h, one_rank), damping)
             for hb, h, g, gb in layers
         ]
     else:
@@ -297,7 +393,7 @@ def _solve_layers(
             None if t == widest else lane.submit(_solve_layer, *layer, grams[t].result, damping)
             for t, layer in enumerate(layers)
         ]
-        results[widest] = _Done(_solve_layer, *layers[widest], grams[widest].result, damping)
+        results[widest] = Job(_solve_layer, *layers[widest], grams[widest].result, damping)
     directions = []
     for t, result in enumerate(results, start=1):
         try:
@@ -312,7 +408,7 @@ def ea_cg_direction(
     grads: LayerGradients,
     cfg: SolverConfig,
     lane: Lane | None = None,
-    grams: list[Future] | None = None,
+    grams: list[Job] | None = None,
 ) -> NewtonDirection:
     """Per-layer damped Newton directions, each layer's system solved exactly.
 
@@ -356,7 +452,7 @@ def kfi_direction(
     grads: LayerGradients,
     cfg: SolverConfig,
     lane: Lane | None = None,
-    grams: list[Future] | None = None,
+    grams: list[Job] | None = None,
 ) -> NewtonDirection:
     """Kronecker-factored inverse directions for cfg's alpha and pi_policy.
 

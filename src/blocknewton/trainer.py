@@ -8,25 +8,29 @@ epoch shuffles come from a splitmix64 counter-based generator keyed on
 Evaluation: mean_loss and accuracy score their rows in blocks of
 EVAL_ROWS, one forward pass each, which bounds the activations an
 evaluation keeps alive.  Each run's Optimizer owns at most one helper lane
-(solvers.Lane, one worker thread), opened when the process may use two or
-more CPUs and either a Newton step's widest bias block is at least
-solvers._OVERLAP_MIN_WIDTH wide or one evaluation costs at least
-EVAL_OVERLAP_MIN_MACS multiply-adds.  On the lane, a Newton step factors
-its input Grams while the calling thread runs the batch pass and the
-curvature, then solves every layer but the widest (see solvers).  When the
-evaluation gate passes, train scores epoch e on the lane, from a copy of
-the parameters, while the calling thread runs epoch e+1's steps, and the
-last epoch is scored by both threads, the lane taking every other row
-block.  Every lane job runs under the caller's numpy error state.  numpy
-releases the interpreter lock inside BLAS and LAPACK, so the two threads
-overlap, and each job makes the same calls on the same values, so the
-records and the parameters are bit-identical to running inline.  Narrow
-nets with cheap evaluations open no lane and start no thread.  On a Newton
-run the evaluation job queues ahead of the next epoch's first Grams, so
-that epoch's steps wait for it: five epochs of the paper-width EA-CG PCH-1
+(solvers.Lane, one worker thread), opened where the usable CPUs hold both
+threads' BLAS threads (solvers.open_lane) and either a Newton step's
+widest bias block is at least solvers._OVERLAP_MIN_WIDTH wide or one
+evaluation costs at least EVAL_OVERLAP_MIN_MACS multiply-adds.  On the
+lane, a Newton step factors its input Grams while the calling thread runs
+the batch pass and the curvature, then solves every layer but the widest
+(see solvers).  When the evaluation gate passes, train scores epoch e on
+the lane, from a copy of the parameters, while the calling thread runs
+epoch e+1's steps, and the last epoch is scored by both threads, the lane
+taking every other row block.  A thread that asks for a job the lane has
+not started runs it itself: a Newton step whose Grams and solves queue
+behind the previous epoch's score runs them on the calling thread, and
+the last epoch's calling thread scores the lane's blocks that the lane
+has not reached.  Every lane job runs under the caller's numpy error
+state.  numpy releases the interpreter lock inside BLAS and LAPACK, so the
+two threads overlap, and each job makes the same calls on the same
+values, whichever thread runs it, so the records and the parameters are
+bit-identical to running inline.  Narrow nets with cheap evaluations open
+no lane and start no thread.  Five epochs of the paper-width EA-CG PCH-1
 run (784-256-128-64-10, 1024 rows, batch 128, one BLAS thread, 2-vCPU
-host) take a median 757 ms per train with the lane, each epoch after the
-first about 20 ms longer than the first, against 1128 ms with no lane.
+host, seeds 3-8) wait on the lane a median 0.2-0.8 ms per epoch's steps;
+had the calling thread only waited for queued jobs, each epoch from epoch
+1 on would wait 19-23 ms for the previous epoch's score.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .fcnn import (
     softmax,
     weight_gradient,
 )
-from .solvers import HvpMode, Lane, SolverConfig, _Done, _gram_eig, ea_cg_direction, kfi_direction
+from .solvers import HvpMode, Job, Lane, SolverConfig, _gram_eig, ea_cg_direction, kfi_direction
 
 # Rows per forward pass in mean_loss and accuracy.  At paper width a whole
 # 1024-row training set keeps about 8 MB of activations alive, and on the
@@ -179,11 +183,13 @@ def _row_blocks(n: int) -> list[slice]:
 
 def _score_rows(score, n: int, lane: Lane | None) -> list:
     """[score(rows) for rows in _row_blocks(n)]; with a lane, the lane
-    scores every other block (the second, the fourth, ...) while this
-    thread scores the rest.  Results and errors are taken in block order."""
+    is given every other block (the second, the fourth, ...) while this
+    thread scores the rest, and this thread scores any of the lane's that
+    the lane has not started when it asks for them.  Results and errors
+    are taken in block order."""
     blocks = _row_blocks(n)
     theirs = {i: lane.submit(score, blocks[i]) for i in range(1, len(blocks), 2)} if lane else {}
-    parts = [theirs[i] if i in theirs else _Done(score, rows) for i, rows in enumerate(blocks)]
+    parts = [theirs[i] if i in theirs else Job(score, rows) for i, rows in enumerate(blocks)]
     return [part.result() for part in parts]
 
 
@@ -252,7 +258,7 @@ class Optimizer:
         """One step on a batch's gradients grads and, for a second-order
         optimizer, its bias blocks hbs of cfg's kind (SGD takes None).  The
         second-order step passes both with spec.solver_cfg, the lane and
-        grams -- the lane's Futures of the input Grams of grads.inputs, as
+        grams -- the lane's Jobs of the input Grams of grads.inputs, as
         run submits them, or None -- to spec.solver's solver and steps
         theta += lr * d, scaling each weight direction d by
         lr in place (the solvers return it negated).  SGD updates the
@@ -314,7 +320,7 @@ class Optimizer:
             del grads, hbs, grams
 
     def _submit_grams(self, inputs: list[np.ndarray]) -> list:
-        """The lane's Futures of the Newton solve's _gram_eig of each input
+        """The lane's Jobs of the Newton solve's _gram_eig of each input
         batch, or none without a lane or under SGD."""
         if self.lane is None or self.cfg.second_order is None:
             return []
@@ -343,9 +349,11 @@ def train(
     Each epoch is scored by mean_loss on the training set and accuracy on
     the test set.  Large evaluations of epoch e run on the run's lane
     while epoch e+1's steps run, and the last epoch's is shared between
-    the lane and this thread (see the module docstring); the records are
-    the same.  An epoch's wall_seconds runs from its first step until its
-    loss is known, so there it overlaps the next epoch's steps.  A
+    the lane and this thread (see the module docstring); a step job or a
+    row block queued on the lane behind a job it is still running runs in
+    this thread instead.  The records are the same either way.  An epoch's
+    wall_seconds runs from its first step until its loss is known, so
+    there it overlaps the next epoch's steps.  A
     non-finite loss raises TrainingDivergedError naming its epoch, ahead
     of any error that the next epoch's steps on the diverged parameters
     raise, and an error raised on the lane is raised here.  The lane's
@@ -375,7 +383,7 @@ def train(
     overlap = eval_macs >= EVAL_OVERLAP_MIN_MACS
     with Optimizer(model, cfg, overlap) as opt:
         lane = opt.lane if overlap else None
-        pending = None  # the lane's Future of the previous epoch's record
+        pending = None  # the lane's Job of the previous epoch's record
         for epoch in range(cfg.epochs):
             start = time.perf_counter()
             try:

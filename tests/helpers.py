@@ -2,6 +2,7 @@
 flattened views the oracles compare against, and random model setup."""
 
 import sys
+import threading
 
 import numpy as np
 
@@ -211,3 +212,12 @@ def count_calls(monkeypatch, module, name):
         if modname.split(".")[0] == "blocknewton" and vars(mod).get(name) is original:
             monkeypatch.setattr(mod, name, recorded)
     return calls
+
+
+def hold_lane(lane):
+    """Hold lane's thread on a job until the returned Event is set; returns
+    once the lane has started that job."""
+    started, release = threading.Event(), threading.Event()
+    lane.submit(lambda: started.set() or release.wait(30))
+    assert started.wait(30)
+    return release

@@ -1,6 +1,8 @@
+import ctypes
 import re
 import sys
 import threading
+import time
 import warnings
 from functools import partial
 
@@ -33,11 +35,13 @@ from helpers import (
     flat_gradient,
     forbid_shape,
     gram,
+    hold_lane,
     random_batch,
     random_model,
     weight_gradients,
     weight_hvp,
 )
+from test_golden import _openblas_call
 
 
 def make_layer(rng, n_out, n_in, psd_shift=1.0):
@@ -314,10 +318,12 @@ def test_weight_directions_are_c_contiguous(solve):
 
 class TestEaCgOverlap:
     """The two-thread split of the per-layer jobs, which both solvers share,
-    in a standalone call, which opens a lane of its own: the lane factors
-    every layer's Gram matrix, the widest layer's first, and then runs every
+    in a standalone call, which opens a lane of its own: the lane is handed
+    every layer's Gram matrix, the widest layer's first, and then every
     other layer's job in layer order, while the calling thread factors the
-    widest layer's hb and solves that layer."""
+    widest layer's hb and solves that layer.  A job the lane has not
+    started when its result is asked for runs on the calling thread, so
+    the cases below name the thread each job is handed to."""
 
     @pytest.fixture
     def threads(self, monkeypatch):
@@ -504,6 +510,68 @@ class TestEaCgOverlap:
             failures.append((type(excinfo.value), str(excinfo.value)))
         assert failures == [(error, message)] * 2
         assert len(threads) == 1
+
+
+class TestLane:
+    """The helper lane: a job that the lane has not started runs in the
+    thread that asks for its result."""
+
+    def test_caller_runs_a_job_queued_behind_a_blocked_one(self):
+        ran_on = []
+
+        def job(value):
+            ran_on.append(threading.current_thread())
+            if isinstance(value, Exception):
+                raise value
+            return value
+
+        with solvers.Lane() as lane:
+            release = hold_lane(lane)
+            value, error = lane.submit(job, 7), lane.submit(job, ValueError("job failed"))
+            assert value.result() == 7
+            with pytest.raises(ValueError, match="job failed"):
+                error.result()
+            assert ran_on == [threading.current_thread()] * 2
+            release.set()
+        # the lane, reaching the two jobs, found them taken
+        assert ran_on == [threading.current_thread()] * 2
+        assert value.result() == 7
+
+    def test_an_error_leaving_the_block_drops_queued_jobs(self):
+        ran, started = [], threading.Event()
+
+        def hold_until_closed():
+            started.set()
+            while not lane._closed:
+                time.sleep(1e-3)
+
+        with pytest.raises(RuntimeError, match="left"):
+            with solvers.Lane() as lane:
+                lane.submit(hold_until_closed)
+                assert started.wait(30)
+                lane.submit(ran.append, "queued")
+                raise RuntimeError("left")
+        assert ran == [] and not lane._thread.is_alive()
+
+    # (cpus, BLAS threads read, lane opened): the lane opens where the usable
+    # CPUs hold both threads' BLAS threads, and on two CPUs where the count
+    # cannot be read
+    GATE = [
+        (2, 2, False), (4, 2, True), (2, 1, True), (1, 1, False), (2, None, True), (1, None, False)
+    ]
+
+    @pytest.mark.parametrize("cpus,blas,opens", GATE)
+    def test_gate_reads_the_blas_thread_count(self, monkeypatch, cpus, blas, opens):
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(solvers, "_blas_threads", lambda: blas)
+        started = count_calls(monkeypatch, threading, "Thread")
+        assert (solvers.open_lane(False), solvers.open_lane(True) is not None) == (None, opens)
+        curv, grads = paper_width_problem()
+        EA_CG(curv, grads)
+        assert len(started) == opens
+
+    def test_blas_thread_count_is_numpys_openblas(self):
+        assert solvers._blas_threads() == _openblas_call("get_num_threads", ctypes.c_int)
 
 
 class TestSolverConfig:

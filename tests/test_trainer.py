@@ -1,6 +1,9 @@
+import os
+import subprocess
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from helpers import (
     flat_direction,
     flat_gradient,
     flat_parameters,
+    hold_lane,
     set_flat_parameters,
     weight_gradients,
 )
@@ -338,6 +342,21 @@ class TestEvaluationOverlap:
                 raised.result()
             with pytest.warns(RuntimeWarning, match="overflow"):
                 assert warned.result() == np.inf
+            # a job the lane has not started runs in the asking thread, still
+            # under the error state it was submitted under
+            release = hold_lane(lane)
+            ran_on = []
+
+            def exp(x):
+                ran_on.append(threading.current_thread())
+                return np.exp(x)
+
+            with np.errstate(over="raise"):
+                raised = lane.submit(exp, np.array([1000.0]))
+            with pytest.raises(FloatingPointError):
+                raised.result()
+            assert ran_on == [threading.current_thread()]
+            release.set()
 
     def test_snapshot_skips_parameter_checks(self):
         # the evaluation's copy of a diverged model keeps its NaN parameters
@@ -352,9 +371,11 @@ class TestEvaluationOverlap:
     def test_scoring_error_is_raised(self, monkeypatch, path, failing_epoch):
         # epoch 2 is the last, which the calling thread scores on either path
         calls, original = [], trainer.mean_loss
+        scoring = scores_started(monkeypatch)
 
         def fail_once(*args):
             calls.append(threading.current_thread())
+            scoring.release()
             if len(calls) == failing_epoch + 1:
                 raise RuntimeError("scoring failed")
             return original(*args)
@@ -366,6 +387,21 @@ class TestEvaluationOverlap:
             train(model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test)
         on_helper = calls[-1] is not threading.main_thread()
         assert on_helper == (path == "threaded" and failing_epoch + 1 < cfg.epochs)
+
+
+def scores_started(monkeypatch):
+    """A semaphore that the test releases as each epoch's scoring starts,
+    and that each epoch after the first takes before it steps.  So a score
+    handed to the lane has started there before the calling thread asks for
+    it, and the calling thread never takes it over."""
+    scoring, original = threading.Semaphore(0), trainer.epoch_batches
+
+    def after_the_last_score(n, batch_size, seed, epoch):
+        assert epoch == 0 or scoring.acquire(timeout=30)
+        return original(n, batch_size, seed, epoch)
+
+    monkeypatch.setattr(trainer, "epoch_batches", after_the_last_score)
+    return scoring
 
 
 def paper_spec(second_order, epochs=2, batch_size=128):
@@ -496,9 +532,11 @@ class TestRunLane:
         spec = paper_spec(OPTIMIZERS[name], epochs=3, batch_size=batch_size)
         spec.train_cfg = replace(spec.train_cfg, learning_rate=lr)
         scored_on, original = [], trainer.mean_loss
+        scoring = scores_started(monkeypatch)
 
         def recorded(*args):
             scored_on.append(threading.current_thread())
+            scoring.release()
             return original(*args)
 
         monkeypatch.setattr(trainer, "mean_loss", recorded)
@@ -511,6 +549,58 @@ class TestRunLane:
         assert len(started) == 1 and left == set()
         # epoch 0, the one scored, was scored on the lane
         assert len(scored_on) == 1 and scored_on[0] is not threading.current_thread()
+
+    def test_step_runs_the_jobs_queued_behind_a_blocked_lane(self, monkeypatch):
+        # every Gram and layer solve of the step queues behind a job that
+        # holds the lane, so the calling thread runs them all, to the same bytes
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        spec = paper_spec(SecondOrderSpec(), epochs=1)
+        x_train, y_train, _, _ = spec.load_dataset(0).split()
+        batch = np.arange(spec.train_cfg.batch_size)
+        params, ran_on = {}, []
+        for blocked in (False, True):
+            ran_on.clear()
+            model = spec.build_model(0)
+            with pytest.MonkeyPatch.context() as mp:
+                for name in ("_gram_eig", "_solve_layer"):
+                    record_thread(mp, name, ran_on)
+                with Optimizer(model, spec.train_cfg) as opt:
+                    release = hold_lane(opt.lane) if blocked else None
+                    opt.run(spec.criterion, x_train, y_train, [batch])
+                    if blocked:
+                        release.set()
+            params[blocked] = flat_parameters(model).tobytes()
+            assert len(ran_on) == 8  # four Grams, four layer solves
+            if blocked:
+                assert ran_on == [threading.current_thread()] * 8
+        assert params[True] == params[False]
+
+
+def record_thread(monkeypatch, name, threads):
+    """Append the running thread to threads on each call of solvers.name,
+    wrapped in solvers and in trainer."""
+    original = getattr(solvers, name)
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        return original(*args)
+
+    for module in (solvers, trainer):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, recorded)
+
+
+def test_importing_the_trainer_leaves_out_concurrent_futures():
+    src = Path(trainer.__file__).resolve().parents[1]
+    code = (
+        "import sys, blocknewton.trainer\n"
+        "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestRowBlocks:

@@ -14,7 +14,7 @@ factor comes from the layer-input batch h that the mean weight gradient
 G^T h / b is factored on (LayerGradients.inputs), so the solvers read h
 there.  They factor E[h h^T] = h^T h / b through the Gram matrix on h's
 smaller side: h^T h / b when the layer is at most as wide as the batch,
-otherwise the b x b matrix h h^T / b (solvers._gram_eig).  For a layer
+otherwise the b x b matrix h h^T / b.  For a layer
 wider than the batch the solvers form neither E[h h^T] nor the
 n_out x n_in weight gradient: the direction is B h for an n_out x b
 matrix B.

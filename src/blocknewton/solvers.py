@@ -22,52 +22,34 @@ Directions are returned already negated, i.e. they are descent directions
 to be added with a positive step size, as C-ordered arrays.
 
 The curvature is block-diagonal, so each layer's direction is one
-independent job, _solve_layer, and on wide nets the jobs share the calling
-thread with a Lane: one helper thread that runs the jobs submitted to it in
-order, each a Job run under the numpy error state of the thread that
-submitted it.  A thread that asks a Job for its result runs the job itself
-if the lane has not started it, as a work-stealing scheduler's idle worker
-does (Blumofe & Leiserson, J. ACM 1999), so no thread waits on a job queued
-behind another.  A run's Optimizer owns one Lane and submits each Newton
-step's input-Gram factorizations to it while the step's batch pass runs; a
-standalone solver call opens a Lane for that call alone.  numpy releases
-the interpreter lock inside LAPACK and BLAS, so the threads overlap, and a
-job makes the same calls on the same arrays on either thread, so the
-directions are bit-identical to solving inline.  At paper width
-(784-256-128-64-10, batch 128, one BLAS thread, 2-vCPU host) a direction
-takes 12-13 ms on a lane against 20-21 ms inline.  Each thread's BLAS calls
-run on OPENBLAS_NUM_THREADS threads of their own, so a lane opens only
-where the usable CPUs hold both threads' BLAS threads (see open_lane).  The
-Lane is the package's one thread primitive; the trainer scores on it too.
+independent job, _solve_layer.  Given a Lane -- one helper thread that runs
+the jobs submitted to it in order, each a Job run under the numpy error
+state of the thread that submitted it -- a solver queues every layer's job
+but the widest on it and solves the widest on the calling thread; given
+none, it runs every job inline.  A thread that asks a Job for its result
+runs the job itself if the lane has not started it, as a work-stealing
+scheduler's idle worker does (Blumofe & Leiserson, J. ACM 1999), so no
+thread waits on a job queued behind another.  numpy releases the
+interpreter lock inside LAPACK and BLAS, so the threads overlap, and a job
+makes the same calls on the same arrays on either thread, so the
+directions are bit-identical to solving inline.  The Lane is the package's
+one thread primitive; trainer.Optimizer decides where one opens and what
+runs on it.
 """
 
 from __future__ import annotations
 
-import ctypes
 import enum
-import os
 import threading
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionError, NumericalBreakdownError, check_range
 from .fcnn import LayerGradients, weight_gradient
 from .linalg import EigenDecomposition, sym_eig
-
-# Narrowest widest-Hb for which a run, or a standalone solve, opens a Lane:
-# handing a job to the lane and taking its result costs 0.01-0.07 ms, one
-# eigh 1.5 ms at n = 128, 0.38 ms at n = 64 and 0.09 ms at n = 32 (numpy
-# 2.4.6, one BLAS thread, 2-vCPU Xeon).  At paper width the lane factors
-# the four input Grams while the batch pass (2.3-2.8 ms) and the curvature
-# (1.8-2.0 ms) run on the calling thread, then solves layers 2-4 while the
-# calling thread factors and solves layer 1; the direction takes 12-13 ms
-# so against 20-21 ms inline.  Nets as narrow as the README's (blocks <= 32
-# wide) factor inline.
-_OVERLAP_MIN_WIDTH = 128
-
 
 class HvpMode(enum.Enum):
     EXACT_KRON = "exact_kron"
@@ -172,39 +154,6 @@ def _check_positive(damped: np.ndarray) -> None:
         raise NumericalBreakdownError(
             f"damped block is not positive definite (min eigenvalue {damped.min():.3e})"
         )
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-@cache
-def _openblas_get_num_threads():
-    """OpenBLAS's get_num_threads from the library numpy's wheel ships, or
-    None where there is no such library or symbol."""
-    libs = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
-    try:
-        names = sorted(name for name in os.listdir(libs) if "openblas" in name)
-    except OSError:
-        return None
-    for name in names:
-        lib = ctypes.CDLL(os.path.join(libs, name))
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.restype = ctypes.c_int
-                return fn
-    return None
-
-
-def _blas_threads() -> int | None:
-    """The number of threads numpy's OpenBLAS runs each call on, or None
-    where it cannot be read."""
-    fn = _openblas_get_num_threads()
-    return None if fn is None else fn()
 
 
 class Job:
@@ -313,13 +262,6 @@ class Lane:
                 job._finish(self, call)
 
 
-def open_lane(wide: bool) -> Lane | None:
-    """A Lane where a helper thread pays -- wide is true and the usable
-    CPUs hold both threads' BLAS threads, at least 2 x _blas_threads() of
-    them (2 where the BLAS thread count cannot be read) -- else None."""
-    return Lane() if wide and _usable_cpus() >= 2 * (_blas_threads() or 1) else None
-
-
 def _solve_layer(hb, h, g, gb, gram, damping):
     """One layer's job: d_W = _kron_inverse(g, h, ...), already negated, and
     d_b = -Q ((Q^T g_b) / damped), from sym_eig(hb) = Q diag(lam) Q^T, the
@@ -345,55 +287,35 @@ def _solve_layers(
     hbs: list[np.ndarray],
     grads: LayerGradients,
     damping,
-    one_rank: bool = False,
+    grams: list,
     lane: Lane | None = None,
-    grams: list[Job] | None = None,
 ) -> NewtonDirection:
     """_solve_layer for every layer, each layer one independent job, on the
     bias blocks hbs and the per-instance bias gradients
     grads.bias_per_instance, whose weight gradient's other factor is the
-    layer's input batch h = grads.inputs; one_rank takes the input factor to
-    be the row E[h] = h.mean(axis=0) instead of h.
+    layer's input batch h = grads.inputs; grams holds one zero-argument
+    callable per layer that gives _gram_eig of its input factor.
 
-    lane is the run's Lane, and grams the Jobs of _gram_eig(h, one_rank) it
-    was given for each layer's h.  Without a lane the call opens one for
-    itself when the widest hb is at least _OVERLAP_MIN_WIDTH wide (see
-    open_lane), and without grams it submits them, the widest layer's
-    first.  On a lane, every other layer's job is queued behind the Grams,
-    in layer order, while this thread factors the widest hb, takes that
-    layer's Gram alone and solves the widest layer; a Gram or a layer's job
-    that the lane has not started when it is asked for (it may still be
-    busy with the run's evaluation) runs here.  With no lane every job
-    runs inline, factoring its Gram where it reads it.  Results and errors
-    are taken in layer order, so an error always names the lowest failing
-    layer, with its inline message (a FloatingPointError under
-    np.errstate(all="raise") too).
+    With no lane every job runs inline.  Given a lane, every layer's job but
+    the widest is queued on it, in layer order, while this thread factors
+    the widest hb and solves that layer; a job that the lane has not started
+    when it is asked for (it may still be busy with other work) runs here.
+    Results and errors are taken in layer order, so an error always names
+    the lowest failing layer, with its inline message (a FloatingPointError
+    under np.errstate(all="raise") too).
     """
-    if len(hbs) != len(grads.grad_bias):
-        raise DimensionError("curvature/gradient layer counts differ")
-    widest = max(range(len(hbs)), key=lambda t: hbs[t].shape[0], default=0)
+    if not len(hbs) == len(grads.grad_bias) == len(grams):
+        raise DimensionError("curvature/gradient/Gram layer counts differ")
+    layers = list(zip(hbs, grads.inputs, grads.bias_per_instance, grads.grad_bias, grams))
     if lane is None:
-        wide = bool(hbs) and hbs[widest].shape[0] >= _OVERLAP_MIN_WIDTH
-        own = open_lane(wide)
-        if own is not None:
-            with own:
-                return _solve_layers(hbs, grads, damping, one_rank, own)
-    layers = list(zip(hbs, grads.inputs, grads.bias_per_instance, grads.grad_bias))
-    if lane is None:
-        results = [
-            Job(_solve_layer, hb, h, g, gb, partial(_gram_eig, h, one_rank), damping)
-            for hb, h, g, gb in layers
-        ]
+        results = [Job(_solve_layer, *layer, damping) for layer in layers]
     else:
-        if grams is None:
-            grams = [None] * len(layers)
-            for t in sorted(range(len(layers)), key=lambda t: t != widest):
-                grams[t] = lane.submit(_gram_eig, grads.inputs[t], one_rank)
+        widest = max(range(len(hbs)), key=lambda t: hbs[t].shape[0])
         results = [
-            None if t == widest else lane.submit(_solve_layer, *layer, grams[t].result, damping)
+            None if t == widest else lane.submit(_solve_layer, *layer, damping)
             for t, layer in enumerate(layers)
         ]
-        results[widest] = Job(_solve_layer, *layers[widest], grams[widest].result, damping)
+        results[widest] = Job(_solve_layer, *layers[widest], damping)
     directions = []
     for t, result in enumerate(results, start=1):
         try:
@@ -408,7 +330,7 @@ def ea_cg_direction(
     grads: LayerGradients,
     cfg: SolverConfig,
     lane: Lane | None = None,
-    grams: list[Job] | None = None,
+    grams: list | None = None,
 ) -> NewtonDirection:
     """Per-layer damped Newton directions, each layer's system solved exactly.
 
@@ -424,8 +346,10 @@ def ea_cg_direction(
     preconditioned by this exact inverse, returns after one iteration.  A damped block with an
     eigenvalue <= 0 raises NumericalBreakdownError naming its layer.
 
-    Wide nets solve their layers on two threads, on the run's lane and its
-    Grams when given (see _solve_layers).
+    Given a lane, the layers are solved on it and on this thread (see
+    _solve_layers).  grams holds one zero-argument callable per layer that
+    gives _gram_eig of its input factor (trainer.Optimizer hands in its
+    lane's Jobs' results); without it each layer's job factors its own.
     """
     alpha = cfg.alpha
 
@@ -433,7 +357,10 @@ def ea_cg_direction(
         b = (1 - alpha) * lam
         return b + alpha, b, alpha
 
-    return _solve_layers(hbs, grads, damping, cfg.hvp_mode is HvpMode.EA_ONE_RANK, lane, grams)
+    if grams is None:
+        one_rank = cfg.hvp_mode is HvpMode.EA_ONE_RANK
+        grams = [partial(_gram_eig, h, one_rank) for h in grads.inputs]
+    return _solve_layers(hbs, grads, damping, grams, lane)
 
 
 def sherman_morrison_apply(
@@ -452,7 +379,7 @@ def kfi_direction(
     grads: LayerGradients,
     cfg: SolverConfig,
     lane: Lane | None = None,
-    grams: list[Job] | None = None,
+    grams: list | None = None,
 ) -> NewtonDirection:
     """Kronecker-factored inverse directions for cfg's alpha and pi_policy.
 
@@ -486,4 +413,6 @@ def kfi_direction(
             )
         return lam + sqrt_a, damped_g, pi * sqrt_a * damped_g
 
-    return _solve_layers(hbs, grads, damping, False, lane, grams)
+    if grams is None:
+        grams = [partial(_gram_eig, h) for h in grads.inputs]
+    return _solve_layers(hbs, grads, damping, grams, lane)

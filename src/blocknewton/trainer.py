@@ -7,43 +7,47 @@ epoch shuffles come from a splitmix64 counter-based generator keyed on
 
 Evaluation: mean_loss and accuracy score their rows in blocks of
 EVAL_ROWS, one forward pass each, which bounds the activations an
-evaluation keeps alive.  Each run's Optimizer owns at most one helper lane
-(solvers.Lane, one worker thread), opened where the usable CPUs hold both
-threads' BLAS threads (solvers.open_lane) and either a Newton step's
-widest bias block is at least solvers._OVERLAP_MIN_WIDTH wide or one
+evaluation keeps alive.
+
+Threads: each run's Optimizer is the only code that opens a helper lane
+(solvers.Lane, one worker thread) and decides what runs on it.  It opens
+one where the usable CPUs hold both threads' BLAS threads and either a
+Newton step's widest bias block is at least _OVERLAP_MIN_WIDTH wide or one
 evaluation costs at least EVAL_OVERLAP_MIN_MACS multiply-adds.  On the
 lane, a Newton step factors its input Grams while the calling thread runs
-the batch pass and the curvature, then solves every layer but the widest
-(see solvers).  When the evaluation gate passes, train scores epoch e on
-the lane, from a copy of the parameters, while the calling thread runs
-epoch e+1's steps, and the last epoch is scored by both threads, the lane
-taking every other row block.  A thread that asks for a job the lane has
-not started runs it itself: a Newton step whose Grams and solves queue
-behind the previous epoch's score runs them on the calling thread, and
-the last epoch's calling thread scores the lane's blocks that the lane
-has not reached.  Every lane job runs under the caller's numpy error
-state.  numpy releases the interpreter lock inside BLAS and LAPACK, so the
-two threads overlap, and each job makes the same calls on the same
-values, whichever thread runs it, so the records and the parameters are
-bit-identical to running inline.  Narrow nets with cheap evaluations open
-no lane and start no thread.  Five epochs of the paper-width EA-CG PCH-1
-run (784-256-128-64-10, 1024 rows, batch 128, one BLAS thread, 2-vCPU
-host, seeds 3-8) wait on the lane a median 0.2-0.8 ms per epoch's steps;
-had the calling thread only waited for queued jobs, each epoch from epoch
-1 on would wait 19-23 ms for the previous epoch's score.
+the batch pass and the curvature; the solver, handed the lane and the
+Grams' results, then queues every layer's solve but the widest's on it
+while the calling thread solves the widest layer.  When the evaluation
+gate passes, train scores epoch e on the lane, from a copy of the
+parameters, while the calling thread runs epoch e+1's steps, and the last
+epoch's row blocks alternate between the two threads.  A thread that asks
+for a job the lane has not started runs it itself, so a step never waits
+on Grams and solves queued behind the previous epoch's score, nor the last
+epoch's calling thread on row blocks the lane has not reached.  Every lane
+job runs under the caller's numpy error state and makes the same calls on
+the same values, whichever thread runs it, so the records and the
+parameters are bit-identical to running inline; numpy releases the
+interpreter lock inside BLAS and LAPACK, so the two threads overlap.
+Narrow nets with cheap evaluations open no lane and start no thread.  Five
+epochs of the paper-width EA-CG PCH-1 run (784-256-128-64-10, 1024 rows,
+batch 128, one BLAS thread, 2-vCPU host, seeds 3-8) wait on the lane a
+median 0.2-0.8 ms per epoch's steps, where waiting for queued jobs would
+cost each epoch from epoch 1 on 19-23 ms for the previous epoch's score.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import os
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
-from . import solvers
 from .curvature import CurvatureKind, ea_curvature
 from .errors import ConfigError, TrainingDivergedError, check_range
 from .fcnn import (
@@ -76,6 +80,50 @@ EVAL_ROWS = 128
 # (310M) -17 %.
 EVAL_OVERLAP_MIN_MACS = 2**24
 
+# Narrowest widest-Hb for which a Newton run opens a lane: handing a job to
+# the lane and taking its result costs 0.01-0.07 ms, one eigh 1.5 ms at
+# n = 128, 0.38 ms at n = 64 and 0.09 ms at n = 32 (numpy 2.4.6, one BLAS
+# thread, 2-vCPU Xeon).  At paper width the lane factors the four input
+# Grams while the batch pass (2.3-2.8 ms) and the curvature (1.8-2.0 ms)
+# run on the calling thread, then solves layers 2-4 while the calling
+# thread factors and solves layer 1; the direction takes 12-13 ms so
+# against 20-21 ms inline.  Nets as narrow as the README's (blocks <= 32
+# wide) factor inline.
+_OVERLAP_MIN_WIDTH = 128
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+@cache
+def _openblas_get_num_threads():
+    """OpenBLAS's get_num_threads from the library numpy's wheel ships, or
+    None where there is no such library or symbol."""
+    libs = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
+    try:
+        names = sorted(name for name in os.listdir(libs) if "openblas" in name)
+    except OSError:
+        return None
+    for name in names:
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn
+    return None
+
+
+def _blas_threads() -> int | None:
+    """The number of threads numpy's OpenBLAS runs each call on, or None
+    where it cannot be read."""
+    fn = _openblas_get_num_threads()
+    return None if fn is None else fn()
+
 
 # Largest run seed: the shuffle keys on the seed's low 64 bits, so seeds s
 # and s + 2**64 would share a batch order but not a model.
@@ -94,15 +142,11 @@ def splitmix64(x: int) -> int:
 def shuffled_indices(n: int, seed: int, epoch: int) -> np.ndarray:
     """Fisher-Yates permutation of range(n), keyed on (seed, epoch): swap i
     takes j = state % (i + 1) for state = splitmix64(previous state).  The
-    splitmix64 step is inlined and the swaps run on a Python list, which is
-    turned into an int64 array once."""
+    swaps run on a Python list, which is turned into an int64 array once."""
     state = splitmix64((seed & 0xFFFFFFFFFFFFFFFF) ^ splitmix64(epoch))
     idx = list(range(n))
     for i in range(n - 1, 0, -1):
-        x = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        state = x ^ (x >> 31)
+        state = splitmix64(state)
         j = state % (i + 1)
         idx[i], idx[j] = idx[j], idx[i]
     return np.array(idx, dtype=np.int64)
@@ -225,10 +269,11 @@ class Optimizer:
     momentum buffers, zero at first, and none (empty lists) for Newton.
 
     It also owns the run's helper lane, lane: a solvers.Lane where one pays
-    (solvers.open_lane) -- a Newton run whose widest bias block is at least
-    solvers._OVERLAP_MIN_WIDTH wide, or a run that scores on it (train's
-    evaluation gate passed) -- and None elsewhere.  A run uses it as a
-    context manager, which joins the lane's thread on leaving."""
+    -- a Newton run whose widest bias block is at least _OVERLAP_MIN_WIDTH
+    wide, or a run that scores on it (train's evaluation gate passed), on
+    at least 2 x _blas_threads() usable CPUs (2 where the BLAS thread count
+    cannot be read) -- and None elsewhere.  A run uses it as a context
+    manager, which joins the lane's thread on leaving."""
 
     def __init__(self, model: FcnnModel, cfg: TrainConfig, scores: bool = False):
         self.model, self.cfg = model, cfg
@@ -236,14 +281,16 @@ class Optimizer:
         sgd = spec is None
         self.velocity_w = [np.zeros_like(w) for w in model.weights] if sgd else []
         self.velocity_b = [np.zeros_like(b) for b in model.biases] if sgd else []
-        wide = not sgd and max(model.widths[1:]) >= solvers._OVERLAP_MIN_WIDTH
-        self.lane = solvers.open_lane(wide or scores)
-        # the input factor the Newton solve factors: E[h] under EA-CG ea_one_rank
-        self._one_rank = (
-            not sgd
-            and spec.solver is SolverChoice.EA_CG
-            and spec.solver_cfg.hvp_mode is HvpMode.EA_ONE_RANK
-        )
+        wide = not sgd and max(model.widths[1:]) >= _OVERLAP_MIN_WIDTH
+        # each thread's BLAS calls run on _blas_threads() threads of their own
+        fits = (wide or scores) and _usable_cpus() >= 2 * (_blas_threads() or 1)
+        self.lane = Lane() if fits else None
+        # the Newton solver, and the input factor it factors: E[h] under EA-CG ea_one_rank
+        self._solve, self._one_rank = None, False
+        if not sgd:
+            ea_cg = spec.solver is SolverChoice.EA_CG
+            self._solve = ea_cg_direction if ea_cg else kfi_direction
+            self._one_rank = ea_cg and spec.solver_cfg.hvp_mode is HvpMode.EA_ONE_RANK
 
     def __enter__(self) -> "Optimizer":
         return self
@@ -258,9 +305,9 @@ class Optimizer:
         """One step on a batch's gradients grads and, for a second-order
         optimizer, its bias blocks hbs of cfg's kind (SGD takes None).  The
         second-order step passes both with spec.solver_cfg, the lane and
-        grams -- the lane's Jobs of the input Grams of grads.inputs, as
-        run submits them, or None -- to spec.solver's solver and steps
-        theta += lr * d, scaling each weight direction d by
+        grams -- the results of the lane's Jobs of the input Grams of
+        grads.inputs, as run submits them, or None -- to spec.solver's
+        solver and steps theta += lr * d, scaling each weight direction d by
         lr in place (the solvers return it negated).  SGD updates the
         momentum buffers v <- momentum v - lr g and steps theta += v one
         layer at a time: it forms the layer's weight gradient g by
@@ -282,8 +329,7 @@ class Optimizer:
                 model.weights[t] += self.velocity_w[t]
                 model.biases[t] += self.velocity_b[t]
             return
-        solve = ea_cg_direction if spec.solver is SolverChoice.EA_CG else kfi_direction
-        direction = solve(hbs, grads, spec.solver_cfg, self.lane, grams)
+        direction = self._solve(hbs, grads, spec.solver_cfg, self.lane, grams)
         for t in range(model.num_layers):
             direction.d_weight[t] *= lr
             model.weights[t] += direction.d_weight[t]
@@ -320,11 +366,11 @@ class Optimizer:
             del grads, hbs, grams
 
     def _submit_grams(self, inputs: list[np.ndarray]) -> list:
-        """The lane's Jobs of the Newton solve's _gram_eig of each input
-        batch, or none without a lane or under SGD."""
-        if self.lane is None or self.cfg.second_order is None:
+        """The results of the lane's Jobs of the Newton solve's _gram_eig of
+        each input batch, or none without a lane or under SGD."""
+        if self.lane is None or self._solve is None:
             return []
-        return [self.lane.submit(_gram_eig, h, self._one_rank) for h in inputs]
+        return [self.lane.submit(_gram_eig, h, self._one_rank).result for h in inputs]
 
     def _blocks(self, bp: BatchPass) -> list[np.ndarray] | None:
         spec = self.cfg.second_order
@@ -362,6 +408,8 @@ def train(
     n = x_train.shape[0]
     if y_train.shape[0] != n:
         raise ConfigError("feature/label counts differ")
+    if n == 0:
+        raise ConfigError("training set has no rows")
     if x_test is None:
         x_test = x_train[:0]
         y_test = y_train[:0]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blocknewton import solvers
+from blocknewton import solvers, trainer
 from blocknewton.curvature import CurvatureKind, ea_curvature
 from blocknewton.errors import ConfigError, DimensionError, NumericalBreakdownError
 from blocknewton.fcnn import (
@@ -29,6 +29,7 @@ from blocknewton.solvers import (
     kfi_direction,
     sherman_morrison_apply,
 )
+from blocknewton.trainer import Optimizer, SecondOrderSpec, TrainConfig
 from helpers import (
     count_calls,
     flat_direction,
@@ -316,40 +317,63 @@ def test_weight_directions_are_c_contiguous(solve):
         assert dw.flags.c_contiguous
 
 
+@pytest.mark.parametrize("solve", [EA_CG, KFI], ids=["ea_cg", "kfi"])
+def test_layer_count_mismatch_is_a_dimension_error(solve):
+    # grams is zipped with the layers: one too few must not drop a layer
+    curv, grads = paper_width_problem()
+    grams = [partial(solvers._gram_eig, h) for h in grads.inputs]
+    for hbs, given in ((curv[:-1], None), (curv, grams[:-1])):
+        with pytest.raises(DimensionError, match="^curvature/gradient/Gram layer counts differ$"):
+            solve(hbs, grads, grams=given)
+
+
+def solve_on_lane(solve, hbs, grads, grams_on_lane=False):
+    """solve(hbs, grads) handed a lane of its own, which is joined before
+    this returns or raises; grams_on_lane first queues every layer's input
+    Gram on the lane, as a run's Optimizer does, and hands solve their
+    results."""
+    with solvers.Lane() as lane:
+        grams = None
+        if grams_on_lane:
+            grams = [lane.submit(solvers._gram_eig, h).result for h in grads.inputs]
+        return solve(hbs, grads, lane=lane, grams=grams)
+
+
 class TestEaCgOverlap:
     """The two-thread split of the per-layer jobs, which both solvers share,
-    in a standalone call, which opens a lane of its own: the lane is handed
-    every layer's Gram matrix, the widest layer's first, and then every
-    other layer's job in layer order, while the calling thread factors the
-    widest layer's hb and solves that layer.  A job the lane has not
-    started when its result is asked for runs on the calling thread, so
-    the cases below name the thread each job is handed to."""
+    given a lane: the lane is handed every other layer's job in layer
+    order, while the calling thread factors the widest layer's hb and
+    solves that layer.  A job the lane has not started when its result is
+    asked for runs on the calling thread, so the cases below name the
+    thread each job is handed to."""
 
     @pytest.fixture
     def threads(self, monkeypatch):
-        # two usable CPUs on any host, and every thread started recorded
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        # every thread started, recorded
         return count_calls(monkeypatch, threading, "Thread")
 
     @pytest.mark.parametrize("solve", EVERY_SOLVE)
-    def test_bit_identical_to_inline(self, monkeypatch, threads, solve):
-        floor = solvers._OVERLAP_MIN_WIDTH
+    def test_bit_identical_to_inline(self, threads, solve):
         for shapes in (PAPER_SHAPES, INNER_WIDEST_SHAPES):
             curv, grads = paper_width_problem(shapes=shapes)
-            monkeypatch.setattr(solvers, "_OVERLAP_MIN_WIDTH", 10**9)
             inline = flat_direction(solve(curv, grads)).view(np.uint64)
             assert threads == []
-            monkeypatch.setattr(solvers, "_OVERLAP_MIN_WIDTH", floor)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
             try:
                 for _ in range(20):
-                    d = solve(curv, grads)
+                    d = solve_on_lane(solve, curv, grads)
                     assert np.array_equal(flat_direction(d).view(np.uint64), inline)
             finally:
                 sys.setswitchinterval(interval)
             assert len(threads) == 20
             threads.clear()
+
+    @pytest.mark.parametrize("solve", [EA_CG, KFI], ids=["ea_cg", "kfi"])
+    def test_paper_width_without_a_lane_starts_no_thread(self, threads, solve):
+        curv, grads = paper_width_problem()
+        assert np.all(np.isfinite(flat_direction(solve(curv, grads))))
+        assert threads == []
 
     def test_readme_net_starts_no_thread(self, threads):
         rng = np.random.default_rng(17)
@@ -367,15 +391,16 @@ class TestEaCgOverlap:
         curv, grads = self.faulty_problem(PAPER_SHAPES, faults)
         before = set(threading.enumerate())
         try:
-            solve(curv, grads)
+            solve_on_lane(solve, curv, grads)
         except NumericalBreakdownError as exc:
             assert faults and str(exc).startswith("layer 1: damped")
         else:
             assert not faults
         assert len(threads) == 1 and set(threading.enumerate()) <= before
 
-    # {layer: fault} on the paper net, where layer 1's job (but its Gram
-    # matrix) runs on the calling thread and layers 2-4 on the lane
+    # {layer: fault} on the paper net, where layer 1's job runs on the calling
+    # thread and layers 2-4's on the lane; each case runs twice, each job
+    # factoring its own Gram matrix, then with every Gram matrix on the lane
     ERROR_CASES = {
         "main-and-helper-side": (
             {1: "hb", 3: "h"},
@@ -456,10 +481,11 @@ class TestEaCgOverlap:
         self, threads, solve, shapes, faults, error, message
     ):
         curv, grads = self.faulty_problem(shapes, faults)
-        with pytest.raises(error) as excinfo:
-            solve(curv, grads)
-        assert str(excinfo.value) == message
-        assert len(threads) == 1
+        for grams_on_lane in (False, True):
+            with pytest.raises(error) as excinfo:
+                solve_on_lane(solve, curv, grads, grams_on_lane)
+            assert str(excinfo.value) == message
+        assert len(threads) == 2
 
     @pytest.mark.parametrize(
         "solve,message",
@@ -471,10 +497,11 @@ class TestEaCgOverlap:
     )
     def test_indefinite_widest_block_named_before_helper_error(self, threads, solve, message):
         curv, grads = self.faulty_problem(PAPER_SHAPES, {1: "indefinite", 3: "h"})
-        with pytest.raises(NumericalBreakdownError) as excinfo:
-            solve(curv, grads)
-        assert str(excinfo.value).startswith(message)
-        assert len(threads) == 1
+        for grams_on_lane in (False, True):
+            with pytest.raises(NumericalBreakdownError) as excinfo:
+                solve_on_lane(solve, curv, grads, grams_on_lane)
+            assert str(excinfo.value).startswith(message)
+        assert len(threads) == 2
 
     # under numpy's default error state the overflow leaves a non-finite
     # direction, which the solver rejects; under errstate(all="raise") the
@@ -491,22 +518,18 @@ class TestEaCgOverlap:
     @pytest.mark.parametrize("solve", [EA_CG, KFI], ids=["ea_cg", "kfi"])
     @pytest.mark.parametrize("state", list(HUGE_GRADIENT))
     @pytest.mark.parametrize("grad,value", [("g_W", 1e308), ("g_b", 1e308)])
-    def test_huge_gradient_fails_alike_on_both_paths(
-        self, monkeypatch, threads, solve, state, grad, value
-    ):
+    def test_huge_gradient_fails_alike_on_both_paths(self, threads, solve, state, grad, value):
         # layer 4's job runs on the helper; its gradient is finite, its solve is not
         errstate, error, message = self.HUGE_GRADIENT[state]
-        floor = solvers._OVERLAP_MIN_WIDTH
         failures = []
-        for width in (10**9, floor):  # inline, then threaded
-            monkeypatch.setattr(solvers, "_OVERLAP_MIN_WIDTH", width)
+        for run in (solve, partial(solve_on_lane, solve)):  # inline, then threaded
             curv, grads = paper_width_problem()
             # g_W's fault is in its factor G, layer 4's per-instance bias gradients
             (grads.bias_per_instance if grad == "g_W" else grads.grad_bias)[3][...] = value
             with np.errstate(**errstate), warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 with pytest.raises(error) as excinfo:
-                    solve(curv, grads)
+                    run(curv, grads)
             failures.append((type(excinfo.value), str(excinfo.value)))
         assert failures == [(error, message)] * 2
         assert len(threads) == 1
@@ -553,25 +576,29 @@ class TestLane:
                 raise RuntimeError("left")
         assert ran == [] and not lane._thread.is_alive()
 
-    # (cpus, BLAS threads read, lane opened): the lane opens where the usable
-    # CPUs hold both threads' BLAS threads, and on two CPUs where the count
-    # cannot be read
+    # (cpus, BLAS threads read, lane opened): a paper-width Newton run's
+    # Optimizer opens a lane where the usable CPUs hold both threads' BLAS
+    # threads, and on two CPUs where the count cannot be read
     GATE = [
         (2, 2, False), (4, 2, True), (2, 1, True), (1, 1, False), (2, None, True), (1, None, False)
     ]
 
     @pytest.mark.parametrize("cpus,blas,opens", GATE)
     def test_gate_reads_the_blas_thread_count(self, monkeypatch, cpus, blas, opens):
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(solvers, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(trainer, "_blas_threads", lambda: blas)
         started = count_calls(monkeypatch, threading, "Thread")
-        assert (solvers.open_lane(False), solvers.open_lane(True) is not None) == (None, opens)
-        curv, grads = paper_width_problem()
-        EA_CG(curv, grads)
+        newton = TrainConfig(batch_size=8, second_order=SecondOrderSpec())
+        assert Optimizer(FcnnModel.xavier([64, 32, 10], seed=0), newton).lane is None
+        rng = np.random.default_rng(0)
+        x, y = rng.uniform(size=(8, 784)), np.eye(10)[rng.integers(10, size=8)]
+        with Optimizer(FcnnModel.xavier([784, 256, 128, 64, 10], seed=0), newton) as opt:
+            assert (opt.lane is not None) == opens
+            opt.run(CrossEntropySoftmax(), x, y, [np.arange(8)])
         assert len(started) == opens
 
     def test_blas_thread_count_is_numpys_openblas(self):
-        assert solvers._blas_threads() == _openblas_call("get_num_threads", ctypes.c_int)
+        assert trainer._blas_threads() == _openblas_call("get_num_threads", ctypes.c_int)
 
 
 class TestSolverConfig:

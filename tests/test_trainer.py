@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -65,6 +66,15 @@ class TestShuffle:
     def test_permutation_properties(self):
         idx = shuffled_indices(100, seed=7, epoch=3)
         assert sorted(idx) == list(range(100))
+
+    def test_pinned_orders(self):
+        # fixed orders, which the golden table pins only on its own build
+        assert shuffled_indices(12, seed=7, epoch=3).tolist() == [
+            1, 8, 4, 11, 0, 5, 3, 6, 7, 2, 10, 9
+        ]
+        assert shuffled_indices(12, seed=2**64 - 1, epoch=0).tolist() == [
+            1, 4, 0, 10, 9, 11, 5, 2, 6, 7, 8, 3
+        ]
 
     def test_deterministic_and_epoch_dependent(self):
         a = shuffled_indices(50, seed=1, epoch=0)
@@ -172,6 +182,15 @@ class TestSgd:
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=-0.1)
 
+    def test_rejects_an_empty_training_set(self):
+        model, x_train, y_train, _, _ = small_problem()
+        before = flat_parameters(model).copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised up front, before any numpy warning
+            with pytest.raises(ConfigError, match="^training set has no rows$"):
+                train(model, CrossEntropySoftmax(), x_train[:0], y_train[:0], TrainConfig())
+        assert np.array_equal(flat_parameters(model), before)
+
 
 class TestSecondOrder:
     @pytest.mark.parametrize(
@@ -211,12 +230,12 @@ class TestSecondOrder:
 
 
 def wide_problem(train_fraction=0.8):
-    """A net whose widest layer is solvers._OVERLAP_MIN_WIDTH wide, on 240
+    """A net whose widest layer is trainer._OVERLAP_MIN_WIDTH wide, on 240
     training rows (one full EVAL_ROWS block and one partial) and 60 test rows."""
     ds = synth_blobs(
         classes=3, dim=8, per_class=100, spread=0.05, seed=3, train_fraction=train_fraction
     )
-    model = FcnnModel.xavier([8, solvers._OVERLAP_MIN_WIDTH, 3], seed=3)
+    model = FcnnModel.xavier([8, trainer._OVERLAP_MIN_WIDTH, 3], seed=3)
     return (model, *ds.split())
 
 
@@ -231,7 +250,7 @@ def force_path(monkeypatch, name):
     """Score inline or on the helper thread, by the CPU count the gate reads,
     with its evaluation-cost threshold lowered to admit wide_problem."""
     monkeypatch.setattr(trainer, "EVAL_OVERLAP_MIN_MACS", 0)
-    monkeypatch.setattr(solvers, "_usable_cpus", lambda: PATHS[name])
+    monkeypatch.setattr(trainer, "_usable_cpus", lambda: PATHS[name])
 
 
 @pytest.fixture(params=list(PATHS))
@@ -283,7 +302,7 @@ class TestEvaluationOverlap:
         assert accuracy(threaded.model, x_test, y_index) == last.test_accuracy
 
     def test_readme_net_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
         threads = count_calls(monkeypatch, threading, "Thread")
         ds = synth_blobs(classes=10, dim=64, per_class=20, spread=0.08, seed=0)
         x_train, y_train, x_test, y_test = ds.split()
@@ -301,7 +320,7 @@ class TestEvaluationOverlap:
         assert cost < trainer.EVAL_OVERLAP_MIN_MACS
         if threshold is not None:
             monkeypatch.setattr(trainer, "EVAL_OVERLAP_MIN_MACS", cost + threshold)
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
         started = count_calls(monkeypatch, threading, "Thread")
         cfg = TrainConfig(epochs=2, batch_size=32)
         train(model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test)
@@ -462,7 +481,7 @@ class TestRunLane:
     def test_bit_identical_to_one_cpu(self, monkeypatch, driver, name):
         outputs = {}
         for cpus in (1, 2):
-            monkeypatch.setattr(solvers, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(trainer, "_usable_cpus", lambda: cpus)
             threads = count_calls(monkeypatch, threading, "Thread")
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
@@ -478,7 +497,7 @@ class TestRunLane:
         # layer 1's Gram as soon as the batch is gathered, layers 2-4's after
         # the pass, then the solves of layers 2-4 behind them; layer 1, the
         # widest, is solved on the calling thread
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
         events, submit, original = [], solvers.Lane.submit, trainer.batch_pass
 
         def recorded_submit(self, fn, *args):
@@ -504,7 +523,7 @@ class TestRunLane:
     @pytest.mark.parametrize("driver", list(DRIVERS))
     def test_no_thread_outlives_a_run(self, driver):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solvers, "_usable_cpus", lambda: 2)
+            mp.setattr(trainer, "_usable_cpus", lambda: 2)
             started, left = new_threads_left(lambda: DRIVERS[driver](paper_spec(SecondOrderSpec())))
         assert len(started) == 1 and left == set()
 
@@ -512,7 +531,7 @@ class TestRunLane:
     def test_no_thread_outlives_an_indefinite_block(self, monkeypatch, driver):
         # the widest layer fails on the calling thread while the lane still
         # holds the other layers' solves
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
         module = trainer if driver == "train" else experiments
         original = module.ea_curvature
         monkeypatch.setattr(module, "ea_curvature", lambda *a: [-hb for hb in original(*a)])
@@ -527,7 +546,7 @@ class TestRunLane:
 
     @pytest.mark.parametrize("name", list(OPTIMIZERS))
     def test_no_thread_outlives_a_diverged_loss_scored_on_the_lane(self, monkeypatch, name):
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
         lr, batch_size = TestEvaluationOverlap.DIVERGING[name]
         spec = paper_spec(OPTIMIZERS[name], epochs=3, batch_size=batch_size)
         spec.train_cfg = replace(spec.train_cfg, learning_rate=lr)
@@ -553,7 +572,7 @@ class TestRunLane:
     def test_step_runs_the_jobs_queued_behind_a_blocked_lane(self, monkeypatch):
         # every Gram and layer solve of the step queues behind a job that
         # holds the lane, so the calling thread runs them all, to the same bytes
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
         spec = paper_spec(SecondOrderSpec(), epochs=1)
         x_train, y_train, _, _ = spec.load_dataset(0).split()
         batch = np.arange(spec.train_cfg.batch_size)

@@ -26,12 +26,13 @@ independent job, _solve_layer.  Given a Lane -- one helper thread that runs
 the jobs submitted to it in order, each a Job run under the numpy error
 state of the thread that submitted it -- a solver queues every layer's job
 but the widest on it and solves the widest on the calling thread; given
-none, it runs every job inline.  A thread that asks a Job for its result
-runs the job itself if the lane has not started it, as a work-stealing
-scheduler's idle worker does (Blumofe & Leiserson, J. ACM 1999), so no
-thread waits on a job queued behind another.  numpy releases the
-interpreter lock inside LAPACK and BLAS, so the threads overlap, and a job
-makes the same calls on the same arrays on either thread, so the
+none, it runs every job inline.  Each queued Job is claimed once, by the
+first thread to reach it: the lane's thread, or a thread that asks for its
+result before the lane gets to it and so runs it itself, as a
+work-stealing scheduler's idle worker does (Blumofe & Leiserson, J. ACM
+1999).  So no thread waits on a job queued behind another.  numpy releases
+the interpreter lock inside LAPACK and BLAS, so the threads overlap, and a
+job makes the same calls on the same arrays on either thread, so the
 directions are bit-identical to solving inline.  The Lane is the package's
 one thread primitive; trainer.Optimizer decides where one opens and what
 runs on it.
@@ -40,8 +41,8 @@ runs on it.
 from __future__ import annotations
 
 import enum
+import queue
 import threading
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
@@ -160,53 +161,42 @@ class Job:
     """One job, fn(*args), whose result() returns its value or raises its
     error in the thread that asks.  Job(fn, *args) runs it at once, in this
     thread, and builds no lock: the inline solves of a narrow net make one
-    per layer and step.  Lane.submit makes one with lane set, queued on the
-    lane under the numpy error state of the submitting thread (np.errstate
-    is per thread); whichever thread runs it runs it under that state, so
-    it fails there as it would inline.  Its result() runs it in the asking
-    thread if the lane has not started it, or waits while the lane runs it."""
+    per layer and step.  Lane.submit makes one with queued set: it runs
+    once, in the first thread to claim it -- the lane's thread on reaching
+    it, or a thread that asks for its result first -- under the numpy error
+    state of the submitting thread (np.errstate is per thread), so it fails
+    there as it would inline."""
 
-    __slots__ = ("_lane", "_call", "_value", "_error")
+    __slots__ = ("_call", "_claim", "_done", "_value", "_error")
 
-    def __init__(self, fn, *args, lane: Lane | None = None):
-        self._lane = lane  # None once the job has run
-        self._value = self._error = None
-        if lane is None:
-            self._call = None
+    def __init__(self, fn, *args, queued: bool = False):
+        self._value = self._error = self._claim = None
+        if queued:
+            self._call = fn, args, np.geterr()
+            self._claim, self._done = threading.Lock(), threading.Event()
+        else:
             try:
                 self._value = fn(*args)
             except Exception as exc:
                 self._error = exc
-        else:
-            self._call = fn, args, np.geterr()  # None once a thread takes it
 
-    def _take(self):
-        """The job's call, for the thread that takes it: the first to ask,
-        under the lane's lock; None for every later one."""
-        call, self._call = self._call, None
-        return call
-
-    def _finish(self, lane: Lane, call) -> None:
-        """Run the call this thread took and tell the threads that wait."""
-        fn, args, errstate = call
+    def _run(self) -> None:
+        """Run the queued call if this thread claims it, and mark it done;
+        the call is dropped, so its arguments are freed once it has run."""
+        if not self._claim.acquire(blocking=False):
+            return
+        (fn, args, errstate), self._call = self._call, None
         try:
             with np.errstate(**errstate):
                 self._value = fn(*args)
         except BaseException as exc:  # raised by result(); a waiter must not hang
             self._error = exc
-        with lane._changed:
-            self._lane = None
-            lane._changed.notify_all()
+        self._done.set()
 
     def result(self):
-        lane = self._lane
-        if lane is not None:
-            with lane._changed:
-                call = self._take()
-                while call is None and self._lane is not None:
-                    lane._changed.wait()
-            if call is not None:
-                self._finish(lane, call)
+        if self._claim is not None:
+            self._run()
+            self._done.wait()
         if self._error is not None:
             raise self._error
         return self._value
@@ -215,51 +205,41 @@ class Job:
 class Lane:
     """A helper lane: one worker thread, started by the first submit, that
     runs the submitted jobs in submission order, each a Job that the
-    thread asking for its result runs itself if the lane has not started
+    thread asking for its result runs itself if the lane has not claimed
     it.  Leaving the with-block joins the thread once the queue is empty,
-    and empties the queue first when an error leaves it."""
+    and empties the queue first when an error leaves it; a job dropped so
+    still runs in the thread that asks for its result."""
 
     def __init__(self):
-        self._changed = threading.Condition(threading.Lock())
-        self._queue: deque[Job] = deque()
-        self._closed = False
+        self._queue: queue.SimpleQueue[Job | None] = queue.SimpleQueue()
         self._thread = None
 
     def __enter__(self) -> Lane:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        with self._changed:
-            if exc_type is not None:
-                self._queue.clear()
-            self._closed = True
-            self._changed.notify_all()
         if self._thread is not None:
+            if exc_type is not None:
+                try:
+                    while True:
+                        self._queue.get_nowait()
+                except queue.Empty:
+                    pass
+            self._queue.put(None)
             self._thread.join()
         return False
 
     def submit(self, fn, /, *args) -> Job:
-        job = Job(fn, *args, lane=self)
-        with self._changed:
-            self._queue.append(job)
-            self._changed.notify_all()
+        job = Job(fn, *args, queued=True)
+        self._queue.put(job)
         if self._thread is None:
             self._thread = threading.Thread(target=self._work, daemon=True)
             self._thread.start()
         return job
 
     def _work(self) -> None:
-        changed, queue = self._changed, self._queue
-        while True:
-            with changed:
-                while not queue and not self._closed:
-                    changed.wait()
-                if not queue:
-                    return
-                job = queue.popleft()
-                call = job._take()
-            if call is not None:
-                job._finish(self, call)
+        while (job := self._queue.get()) is not None:
+            job._run()
 
 
 def _solve_layer(hb, h, g, gb, gram, damping):

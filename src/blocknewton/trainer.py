@@ -11,28 +11,34 @@ evaluation keeps alive.
 
 Threads: each run's Optimizer is the only code that opens a helper lane
 (solvers.Lane, one worker thread) and decides what runs on it.  It opens
-one where the usable CPUs hold both threads' BLAS threads and either a
-Newton step's widest bias block is at least _OVERLAP_MIN_WIDTH wide or one
-evaluation costs at least EVAL_OVERLAP_MIN_MACS multiply-adds.  On the
-lane, a Newton step factors its input Grams while the calling thread runs
-the batch pass and the curvature; the solver, handed the lane and the
-Grams' results, then queues every layer's solve but the widest's on it
-while the calling thread solves the widest layer.  When the evaluation
-gate passes, train scores epoch e on the lane, from a copy of the
-parameters, while the calling thread runs epoch e+1's steps, and the last
-epoch's row blocks alternate between the two threads.  A thread that asks
-for a job the lane has not started runs it itself, so a step never waits
-on Grams and solves queued behind the previous epoch's score, nor the last
-epoch's calling thread on row blocks the lane has not reached.  Every lane
-job runs under the caller's numpy error state and makes the same calls on
-the same values, whichever thread runs it, so the records and the
-parameters are bit-identical to running inline; numpy releases the
-interpreter lock inside BLAS and LAPACK, so the two threads overlap.
-Narrow nets with cheap evaluations open no lane and start no thread.  Five
-epochs of the paper-width EA-CG PCH-1 run (784-256-128-64-10, 1024 rows,
-batch 128, one BLAS thread, 2-vCPU host, seeds 3-8) wait on the lane a
-median 0.2-0.8 ms per epoch's steps, where waiting for queued jobs would
-cost each epoch from epoch 1 on 19-23 ms for the previous epoch's score.
+one where the usable CPUs hold both threads' BLAS threads and either of
+two gates passes, and each gate puts only its own kind of work on the
+lane.  The step gate passes where the widest matrix a Newton step factors
+-- a bias block, n_out wide, or an input Gram on its smaller side,
+min(n_in, batch_size) wide (1 under ea_one_rank) -- is at least
+_OVERLAP_MIN_WIDTH wide.  Then a step factors its input Grams on the lane
+while the calling thread runs the batch pass and the curvature; the
+solver, handed the lane and the Grams' results, then queues every layer's
+solve but the widest's on it while the calling thread solves the widest
+layer.  The evaluation gate passes where one evaluation costs at least
+EVAL_OVERLAP_MIN_MACS multiply-adds.  Then train scores epoch e on the
+lane, from a copy of the parameters, while the calling thread runs epoch
+e+1's steps, and the last epoch's row blocks alternate between the two
+threads.  Each lane job is claimed once, by the first thread to reach it:
+a thread that asks for a job the lane has not reached runs it itself, so
+a step never waits on Grams and solves queued behind the previous epoch's
+score, nor the last epoch's calling thread on row blocks the lane has not
+reached.  Every lane job runs under the caller's numpy error state and
+makes the same calls on the same values, whichever thread runs it, so the
+records and the parameters are bit-identical to running inline; numpy
+releases the interpreter lock inside BLAS and LAPACK, so the two threads
+overlap.  Narrow nets with cheap evaluations open no lane and start no
+thread, and a narrow Newton run with a costly evaluation steps inline.
+Five epochs of the paper-width EA-CG PCH-1 run (784-256-128-64-10, 1024
+rows, batch 128, one BLAS thread, 2-vCPU host, seeds 3-8) wait on the
+lane a median 0.2-0.8 ms per epoch's steps, where waiting for queued jobs
+would cost each epoch from epoch 1 on 19-23 ms for the previous epoch's
+score.
 """
 
 from __future__ import annotations
@@ -80,15 +86,18 @@ EVAL_ROWS = 128
 # (310M) -17 %.
 EVAL_OVERLAP_MIN_MACS = 2**24
 
-# Narrowest widest-Hb for which a Newton run opens a lane: handing a job to
+# Narrowest widest factored matrix -- a bias block, or an input Gram on its
+# smaller side -- for which a Newton run's steps use a lane: handing a job to
 # the lane and taking its result costs 0.01-0.07 ms, one eigh 1.5 ms at
 # n = 128, 0.38 ms at n = 64 and 0.09 ms at n = 32 (numpy 2.4.6, one BLAS
 # thread, 2-vCPU Xeon).  At paper width the lane factors the four input
 # Grams while the batch pass (2.3-2.8 ms) and the curvature (1.8-2.0 ms)
 # run on the calling thread, then solves layers 2-4 while the calling
 # thread factors and solves layer 1; the direction takes 12-13 ms so
-# against 20-21 ms inline.  Nets as narrow as the README's (blocks <= 32
-# wide) factor inline.
+# against 20-21 ms inline.  Nets as narrow as the README's (blocks <= 32,
+# Grams <= 64 wide) step inline, also where their evaluation opens a lane:
+# two EA-CG PCH-1 epochs of that net on 8000 rows at batch 32 take
+# 820-1184 ms so, against 1137-1639 ms with the steps on the lane.
 _OVERLAP_MIN_WIDTH = 128
 
 
@@ -269,11 +278,13 @@ class Optimizer:
     momentum buffers, zero at first, and none (empty lists) for Newton.
 
     It also owns the run's helper lane, lane: a solvers.Lane where one pays
-    -- a Newton run whose widest bias block is at least _OVERLAP_MIN_WIDTH
-    wide, or a run that scores on it (train's evaluation gate passed), on
-    at least 2 x _blas_threads() usable CPUs (2 where the BLAS thread count
-    cannot be read) -- and None elsewhere.  A run uses it as a context
-    manager, which joins the lane's thread on leaving."""
+    -- a Newton run whose steps factor a matrix at least
+    _OVERLAP_MIN_WIDTH wide (see the module docstring), or a run that
+    scores on it (train's evaluation gate passed), on at least
+    2 x _blas_threads() usable CPUs (2 where the BLAS thread count cannot
+    be read) -- and None elsewhere.  The steps use the lane only where
+    their own gate passed.  A run uses it as a context manager, which
+    joins the lane's thread on leaving."""
 
     def __init__(self, model: FcnnModel, cfg: TrainConfig, scores: bool = False):
         self.model, self.cfg = model, cfg
@@ -281,16 +292,20 @@ class Optimizer:
         sgd = spec is None
         self.velocity_w = [np.zeros_like(w) for w in model.weights] if sgd else []
         self.velocity_b = [np.zeros_like(b) for b in model.biases] if sgd else []
-        wide = not sgd and max(model.widths[1:]) >= _OVERLAP_MIN_WIDTH
-        # each thread's BLAS calls run on _blas_threads() threads of their own
-        fits = (wide or scores) and _usable_cpus() >= 2 * (_blas_threads() or 1)
-        self.lane = Lane() if fits else None
         # the Newton solver, and the input factor it factors: E[h] under EA-CG ea_one_rank
-        self._solve, self._one_rank = None, False
+        self._solve, self._one_rank, wide = None, False, False
         if not sgd:
             ea_cg = spec.solver is SolverChoice.EA_CG
             self._solve = ea_cg_direction if ea_cg else kfi_direction
             self._one_rank = ea_cg and spec.solver_cfg.hvp_mode is HvpMode.EA_ONE_RANK
+            # the widest matrix a step factors: a bias block, or an input Gram
+            # on its smaller side (1 x 1 for the row E[h])
+            gram = 1 if self._one_rank else min(max(model.widths[:-1]), cfg.batch_size)
+            wide = max(*model.widths[1:], gram) >= _OVERLAP_MIN_WIDTH
+        # each thread's BLAS calls run on _blas_threads() threads of their own
+        fits = (wide or scores) and _usable_cpus() >= 2 * (_blas_threads() or 1)
+        self.lane = Lane() if fits else None
+        self._step_lane = self.lane if wide else None
 
     def __enter__(self) -> "Optimizer":
         return self
@@ -304,16 +319,16 @@ class Optimizer:
     ) -> None:
         """One step on a batch's gradients grads and, for a second-order
         optimizer, its bias blocks hbs of cfg's kind (SGD takes None).  The
-        second-order step passes both with spec.solver_cfg, the lane and
-        grams -- the results of the lane's Jobs of the input Grams of
-        grads.inputs, as run submits them, or None -- to spec.solver's
-        solver and steps theta += lr * d, scaling each weight direction d by
-        lr in place (the solvers return it negated).  SGD updates the
-        momentum buffers v <- momentum v - lr g and steps theta += v one
-        layer at a time: it forms the layer's weight gradient g by
-        weight_gradient, scales it by lr in place and drops it before the
-        next layer, so it holds at most one n_out x n_in array beyond the
-        model and the buffers."""
+        second-order step passes both with spec.solver_cfg, the lane if the
+        step gate passed, and grams -- the results of the lane's Jobs of
+        the input Grams of grads.inputs, as run submits them, or None -- to
+        spec.solver's solver and steps theta += lr * d, scaling each weight
+        direction d by lr in place (the solvers return it negated).  SGD
+        updates the momentum buffers v <- momentum v - lr g and steps
+        theta += v one layer at a time: it forms the layer's weight gradient
+        g by weight_gradient, scales it by lr in place and drops it before
+        the next layer, so it holds at most one n_out x n_in array beyond
+        the model and the buffers."""
         model, cfg = self.model, self.cfg
         lr = cfg.learning_rate
         spec = cfg.second_order
@@ -329,7 +344,7 @@ class Optimizer:
                 model.weights[t] += self.velocity_w[t]
                 model.biases[t] += self.velocity_b[t]
             return
-        direction = self._solve(hbs, grads, spec.solver_cfg, self.lane, grams)
+        direction = self._solve(hbs, grads, spec.solver_cfg, self._step_lane, grams)
         for t in range(model.num_layers):
             direction.d_weight[t] *= lr
             model.weights[t] += direction.d_weight[t]
@@ -367,10 +382,10 @@ class Optimizer:
 
     def _submit_grams(self, inputs: list[np.ndarray]) -> list:
         """The results of the lane's Jobs of the Newton solve's _gram_eig of
-        each input batch, or none without a lane or under SGD."""
-        if self.lane is None or self._solve is None:
+        each input batch, or none where steps run inline (always under SGD)."""
+        if self._step_lane is None:
             return []
-        return [self.lane.submit(_gram_eig, h, self._one_rank).result for h in inputs]
+        return [self._step_lane.submit(_gram_eig, h, self._one_rank).result for h in inputs]
 
     def _blocks(self, bp: BatchPass) -> list[np.ndarray] | None:
         spec = self.cfg.second_order

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from functools import partial
 
 import numpy as np
@@ -561,20 +562,57 @@ class TestLane:
         assert value.result() == 7
 
     def test_an_error_leaving_the_block_drops_queued_jobs(self):
-        ran, started = [], threading.Event()
+        ran = []
+        with pytest.raises(RuntimeError, match="left"):
+            with solvers.Lane() as lane:
+                release = hold_lane(lane)
+                submit_released_on_drop(lane, release, ran)
+                raise RuntimeError("left")
+        assert ran == [] and not lane._thread.is_alive()
 
-        def hold_until_closed():
-            started.set()
-            while not lane._closed:
-                time.sleep(1e-3)
+    @pytest.fixture
+    def switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+        yield
+        sys.setswitchinterval(interval)
+
+    def test_each_job_runs_once_whichever_thread_claims_it(self, switching):
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            ran = []
+
+            def job(i):
+                ran.append(i)
+                time.sleep(0)  # let the other thread reach the job meanwhile
+                return i
+
+            with solvers.Lane() as lane:
+                # both threads start on the queue at once: the lane in order,
+                # this thread in a random one
+                release = hold_lane(lane)
+                jobs = [lane.submit(job, i) for i in range(500)]
+                order = rng.permutation(len(jobs))
+                release.set()
+                assert [jobs[i].result() for i in order] == order.tolist()
+            assert sorted(ran) == list(range(len(jobs)))
+
+    def test_a_dropped_job_runs_in_the_thread_that_asks(self, switching):
+        ran_on, ran = [], []
+
+        def job():
+            ran_on.append(threading.current_thread())
+            return 7
 
         with pytest.raises(RuntimeError, match="left"):
             with solvers.Lane() as lane:
-                lane.submit(hold_until_closed)
-                assert started.wait(30)
-                lane.submit(ran.append, "queued")
+                release = hold_lane(lane)
+                dropped = lane.submit(job)
+                submit_released_on_drop(lane, release, ran)
                 raise RuntimeError("left")
-        assert ran == [] and not lane._thread.is_alive()
+        assert ran == ran_on == [] and not lane._thread.is_alive()
+        assert dropped.result() == 7 and ran_on == [threading.current_thread()]
+        assert dropped.result() == 7 and len(ran_on) == 1
 
     # (cpus, BLAS threads read, lane opened): a paper-width Newton run's
     # Optimizer opens a lane where the usable CPUs hold both threads' BLAS
@@ -597,8 +635,41 @@ class TestLane:
             opt.run(CrossEntropySoftmax(), x, y, [np.arange(8)])
         assert len(started) == opens
 
+    # (widths, batch size, hvp mode, lane opened): the step gate reads the
+    # widest matrix a step factors, a bias block or an input Gram on its
+    # smaller side, which is 1 x 1 under ea_one_rank
+    STEP_GATE = [
+        ([784, 32, 10], 128, HvpMode.EXACT_KRON, True),
+        ([784, 32, 10], 64, HvpMode.EXACT_KRON, False),
+        ([784, 32, 10], 128, HvpMode.EA_ONE_RANK, False),
+        ([64, 128, 10], 8, HvpMode.EA_ONE_RANK, True),
+    ]
+
+    @pytest.mark.parametrize("widths,batch_size,mode,opens", STEP_GATE)
+    def test_step_gate_reads_the_widest_factored_matrix(
+        self, monkeypatch, widths, batch_size, mode, opens
+    ):
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(trainer, "_blas_threads", lambda: 1)
+        spec = SecondOrderSpec(solver_cfg=SolverConfig(hvp_mode=mode))
+        cfg = TrainConfig(batch_size=batch_size, second_order=spec)
+        assert (Optimizer(FcnnModel.xavier(widths, seed=0), cfg).lane is not None) == opens
+
     def test_blas_thread_count_is_numpys_openblas(self):
         assert trainer._blas_threads() == _openblas_call("get_num_threads", ctypes.c_int)
+
+
+def submit_released_on_drop(lane, release, ran):
+    """Queue ran.append(token) on lane, with release.set as the token's
+    finalizer.  The lane holds the job's only reference, so the token is
+    freed, and release set, once the lane drops the job unrun."""
+
+    class Token:
+        pass
+
+    token = Token()
+    weakref.finalize(token, release.set)
+    lane.submit(ran.append, token)
 
 
 class TestSolverConfig:

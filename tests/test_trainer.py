@@ -311,6 +311,24 @@ class TestEvaluationOverlap:
         train(model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test)
         assert threads == []
 
+    def test_narrow_newton_run_scores_on_the_lane_and_steps_inline(self, monkeypatch):
+        # the README net's evaluation passes the gate on 6000 rows, but no
+        # matrix its steps factor is _OVERLAP_MIN_WIDTH wide
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(trainer, "_blas_threads", lambda: 1)
+        started, ran_on = count_calls(monkeypatch, threading, "Thread"), []
+        for name in ("_gram_eig", "_solve_layer"):
+            record_thread(monkeypatch, name, ran_on)
+        ds = synth_blobs(classes=10, dim=64, per_class=600, spread=0.08, seed=0)
+        x_train, y_train, x_test, y_test = ds.split()
+        model = FcnnModel.xavier([64, 32, 16, 16, 8, 8, 8, 10], seed=0)
+        cost = (x_train.shape[0] + x_test.shape[0]) * sum(w.size for w in model.weights)
+        assert cost >= trainer.EVAL_OVERLAP_MIN_MACS
+        cfg = TrainConfig(epochs=2, batch_size=512, second_order=SecondOrderSpec())
+        train(model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test)
+        assert len(started) == 1
+        assert ran_on and set(ran_on) == {threading.current_thread()}
+
     @pytest.mark.parametrize("threshold, threads", [(None, 0), (0, 1), (1, 0)])
     def test_gate_reads_evaluation_cost(self, monkeypatch, threshold, threads):
         # wide_problem's widest layer is 128, but its evaluation is cheap:

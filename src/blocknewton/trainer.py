@@ -11,29 +11,36 @@ evaluation keeps alive.
 
 Threads: each run's Optimizer is the only code that opens a helper lane
 (solvers.Lane, one worker thread) and decides what runs on it.  It opens
-one where the usable CPUs hold both threads' BLAS threads and either of
-two gates passes, and each gate puts only its own kind of work on the
-lane.  The step gate passes where the widest matrix a Newton step factors
--- a bias block, n_out wide, or an input Gram on its smaller side,
-min(n_in, batch_size) wide (1 under ea_one_rank) -- is at least
-_OVERLAP_MIN_WIDTH wide.  Then a step factors its input Grams on the lane
-while the calling thread runs the batch pass and the curvature; the
-solver, handed the lane and the Grams' results, then queues every layer's
-solve but the widest's on it while the calling thread solves the widest
-layer.  The evaluation gate passes where one evaluation costs at least
+one, on entering its with-block, where the usable CPUs hold both threads'
+BLAS threads and one of three gates passes, and each gate puts only its
+own kind of work on the lane.  The Newton step gate passes where the
+widest matrix a Newton step factors -- a bias block, n_out wide, or an
+input Gram on its smaller side, min(n_in, batch_size) wide (1 under
+ea_one_rank) -- is at least _OVERLAP_MIN_WIDTH wide.  Then a step factors
+its input Grams on the lane while the calling thread runs the batch pass
+and the curvature; the solver, handed the lane and the Grams' results,
+then queues every layer's solve but the widest's on it while the calling
+thread solves the widest layer.  The SGD step gate passes, per step and
+layer, where the layer's weight-gradient product costs at least
+_SGD_SPLIT_MIN_MACS multiply-adds (see _splits).  Then the step hands the
+first half of that layer's rows -- their weight gradient, momentum and
+weights -- to the lane, and the calling thread updates the other rows,
+the other layers and the biases before it takes the lane's result.  The
+evaluation gate passes where one evaluation costs at least
 EVAL_OVERLAP_MIN_MACS multiply-adds.  Then train scores epoch e on the
 lane, from a copy of the parameters, while the calling thread runs epoch
 e+1's steps, and the last epoch's row blocks alternate between the two
 threads.  Each lane job is claimed once, by the first thread to reach it:
 a thread that asks for a job the lane has not reached runs it itself, so
-a step never waits on Grams and solves queued behind the previous epoch's
-score, nor the last epoch's calling thread on row blocks the lane has not
-reached.  Every lane job runs under the caller's numpy error state and
-makes the same calls on the same values, whichever thread runs it, so the
-records and the parameters are bit-identical to running inline; numpy
-releases the interpreter lock inside BLAS and LAPACK, so the two threads
-overlap.  Narrow nets with cheap evaluations open no lane and start no
-thread, and a narrow Newton run with a costly evaluation steps inline.
+a step never waits on work queued behind the previous epoch's score, nor
+the last epoch's calling thread on row blocks the lane has not reached.
+Every lane job runs under the caller's numpy error state and makes the
+same calls on the same values, whichever thread runs it, so the records
+and the parameters are bit-identical to running inline; numpy releases
+the interpreter lock inside BLAS and LAPACK, so the two threads overlap.
+Narrow nets with cheap evaluations open no lane and start no thread, and
+a narrow run with a costly evaluation steps inline.  A step taken
+outside the Optimizer's with-block runs inline.
 Five epochs of the paper-width EA-CG PCH-1 run (784-256-128-64-10, 1024
 rows, batch 128, one BLAS thread, 2-vCPU host, seeds 3-8) wait on the
 lane a median 0.2-0.8 ms per epoch's steps, where waiting for queued jobs
@@ -43,6 +50,7 @@ score.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import enum
 import os
@@ -99,6 +107,26 @@ EVAL_OVERLAP_MIN_MACS = 2**24
 # two EA-CG PCH-1 epochs of that net on 8000 rows at batch 32 take
 # 820-1184 ms so, against 1137-1639 ms with the steps on the lane.
 _OVERLAP_MIN_WIDTH = 128
+
+# Multiply-adds in one layer's weight-gradient product (a step's rows x n_out
+# x n_in) from which an SGD step updates the first half of the layer's rows
+# on the run's lane (see _splits).  The split pays once the lane is idle,
+# but while it scores an epoch each step's half is queued behind the score
+# and run on the calling thread, at the cost of handing it over.  SGD
+# train() time, split against inline (10 epochs of 1024 blob rows at batch
+# 128, one BLAS thread, 2-vCPU host, medians of 16 alternations): 64-512-10
+# (4.2M) -1 %, 784-128-10 (12.8M) -6 %, 784-192-10 (19.3M) +10 %,
+# 784-256-128-64-10 (25.7M) +6 %.
+_SGD_SPLIT_MIN_MACS = 2**24
+
+
+def _splits(rows: int, w: np.ndarray) -> bool:
+    """Whether an SGD step on rows rows hands half of weight matrix w's rows
+    to the lane: its product passes _SGD_SPLIT_MIN_MACS and each half has
+    at least two rows.  Both halves' products then run OpenBLAS's blocked
+    GEMM kernel, which sums each entry over the batch in the same order as
+    the whole product; a one-row product goes to GEMV, which may not."""
+    return rows * w.size >= _SGD_SPLIT_MIN_MACS and w.shape[0] >= 4
 
 
 def _usable_cpus() -> int:
@@ -277,14 +305,16 @@ class Optimizer:
     weight and bias arrays, and the state it carries between steps: SGD's
     momentum buffers, zero at first, and none (empty lists) for Newton.
 
-    It also owns the run's helper lane, lane: a solvers.Lane where one pays
-    -- a Newton run whose steps factor a matrix at least
-    _OVERLAP_MIN_WIDTH wide (see the module docstring), or a run that
-    scores on it (train's evaluation gate passed), on at least
-    2 x _blas_threads() usable CPUs (2 where the BLAS thread count cannot
-    be read) -- and None elsewhere.  The steps use the lane only where
-    their own gate passed.  A run uses it as a context manager, which
-    joins the lane's thread on leaving."""
+    It also owns the run's helper lane, lane: a solvers.Lane between
+    __enter__ and __exit__ where one pays -- a Newton run whose steps
+    factor a matrix at least _OVERLAP_MIN_WIDTH wide, an SGD run whose
+    full-batch weight-gradient product of some layer passes _splits (see
+    the module docstring), or a run that scores on it (train's evaluation
+    gate passed), on at least 2 x _blas_threads() usable CPUs (2 where the
+    BLAS thread count cannot be read) -- and None elsewhere and outside
+    the with-block, where every step runs inline and starts no thread.
+    The steps use the lane only where their own gate passed.  Leaving the
+    with-block joins the lane's thread."""
 
     def __init__(self, model: FcnnModel, cfg: TrainConfig, scores: bool = False):
         self.model, self.cfg = model, cfg
@@ -293,26 +323,33 @@ class Optimizer:
         self.velocity_w = [np.zeros_like(w) for w in model.weights] if sgd else []
         self.velocity_b = [np.zeros_like(b) for b in model.biases] if sgd else []
         # the Newton solver, and the input factor it factors: E[h] under EA-CG ea_one_rank
-        self._solve, self._one_rank, wide = None, False, False
-        if not sgd:
+        self._solve, self._one_rank = None, False
+        if sgd:
+            # a layer whose weight-gradient product at a full batch splits
+            steps = any(_splits(cfg.batch_size, w) for w in model.weights)
+        else:
             ea_cg = spec.solver is SolverChoice.EA_CG
             self._solve = ea_cg_direction if ea_cg else kfi_direction
             self._one_rank = ea_cg and spec.solver_cfg.hvp_mode is HvpMode.EA_ONE_RANK
             # the widest matrix a step factors: a bias block, or an input Gram
             # on its smaller side (1 x 1 for the row E[h])
             gram = 1 if self._one_rank else min(max(model.widths[:-1]), cfg.batch_size)
-            wide = max(*model.widths[1:], gram) >= _OVERLAP_MIN_WIDTH
+            steps = max(*model.widths[1:], gram) >= _OVERLAP_MIN_WIDTH
         # each thread's BLAS calls run on _blas_threads() threads of their own
-        fits = (wide or scores) and _usable_cpus() >= 2 * (_blas_threads() or 1)
-        self.lane = Lane() if fits else None
-        self._step_lane = self.lane if wide else None
+        self._opens = (steps or scores) and _usable_cpus() >= 2 * (_blas_threads() or 1)
+        self._steps_gate = steps
+        self.lane = self._step_lane = None  # opened by __enter__
 
     def __enter__(self) -> "Optimizer":
+        if self._opens:
+            self.lane = Lane()
+            self._step_lane = self.lane if self._steps_gate else None
         return self
 
     def __exit__(self, *exc) -> None:
-        if self.lane is not None:
-            self.lane.__exit__(*exc)
+        lane, self.lane, self._step_lane = self.lane, None, None
+        if lane is not None:
+            lane.__exit__(*exc)
 
     def step(
         self, grads: LayerGradients, hbs: list[np.ndarray] | None, grams: list | None = None
@@ -325,30 +362,68 @@ class Optimizer:
         spec.solver's solver and steps theta += lr * d, scaling each weight
         direction d by lr in place (the solvers return it negated).  SGD
         updates the momentum buffers v <- momentum v - lr g and steps
-        theta += v one layer at a time: it forms the layer's weight gradient
-        g by weight_gradient, scales it by lr in place and drops it before
-        the next layer, so it holds at most one n_out x n_in array beyond
-        the model and the buffers."""
+        theta += v one layer at a time (_sgd_rows): it forms the layer's
+        weight gradient g by weight_gradient, scales it by lr in place and
+        drops it before the next layer, so it holds at most one n_out x
+        n_in array beyond the model and the buffers.  Where the SGD step
+        gate passed, the first half of the rows of each layer that _splits
+        admits at this batch's size is handed to the lane first, and this
+        thread updates the rest; the two halves of such a gradient are at
+        most one array between them.  The step does not return or raise
+        while the lane's share is unfinished; it raises this thread's error
+        if its own share failed, and otherwise the lane's."""
         model, cfg = self.model, self.cfg
         lr = cfg.learning_rate
         spec = cfg.second_order
         if spec is None:
-            for t in range(model.num_layers):
-                step = weight_gradient(grads.bias_per_instance[t], grads.inputs[t])
-                step *= lr
-                self.velocity_w[t] *= cfg.momentum
-                self.velocity_w[t] -= step
-                del step
-                self.velocity_b[t] *= cfg.momentum
-                self.velocity_b[t] -= lr * grads.grad_bias[t]
-                model.weights[t] += self.velocity_w[t]
-                model.biases[t] += self.velocity_b[t]
+            # the first half of the rows of each layer whose product passes the
+            # gate, handed to the lane before this thread starts on the rest
+            lane, rows = self._step_lane, grads.inputs[0].shape[0]
+            halves = {
+                t: w.shape[0] // 2
+                for t, w in enumerate(model.weights)
+                if lane is not None and _splits(rows, w)
+            }
+            lower = None
+            if halves:
+                firsts = [(t, slice(half)) for t, half in halves.items()]
+                lower = lane.submit(self._sgd_rows, grads, firsts)
+            try:
+                for t in range(model.num_layers):
+                    self._sgd_rows(grads, [(t, slice(halves.get(t, 0), None))])
+                    self.velocity_b[t] *= cfg.momentum
+                    self.velocity_b[t] -= lr * grads.grad_bias[t]
+                    model.biases[t] += self.velocity_b[t]
+            except BaseException:
+                if lower is not None:
+                    with contextlib.suppress(BaseException):
+                        lower.result()  # this thread's error wins, once the lane's share is done
+                raise
+            if lower is not None:
+                lower.result()
             return
         direction = self._solve(hbs, grads, spec.solver_cfg, self._step_lane, grams)
         for t in range(model.num_layers):
             direction.d_weight[t] *= lr
             model.weights[t] += direction.d_weight[t]
             model.biases[t] += lr * direction.d_bias[t]
+
+    def _sgd_rows(self, grads: LayerGradients, layers: list[tuple[int, slice]]) -> None:
+        """SGD's weight update on the rows of each (t, rows) in layers, in
+        order: layer t's weight gradient on those rows, g =
+        weight_gradient(G[:, rows], h), scaled by lr in place, then v <-
+        momentum v - lr g and W += v on the same rows.  Where _splits admits
+        the layer, its two halves come out bit-identical to the whole."""
+        cfg = self.cfg
+        for t, rows in layers:
+            step = weight_gradient(grads.bias_per_instance[t][:, rows], grads.inputs[t])
+            step *= cfg.learning_rate
+            velocity = self.velocity_w[t][rows]
+            velocity *= cfg.momentum
+            velocity -= step
+            del step
+            weights = self.model.weights[t][rows]
+            weights += velocity
 
     def run(
         self,
@@ -383,7 +458,7 @@ class Optimizer:
     def _submit_grams(self, inputs: list[np.ndarray]) -> list:
         """The results of the lane's Jobs of the Newton solve's _gram_eig of
         each input batch, or none where steps run inline (always under SGD)."""
-        if self._step_lane is None:
+        if self._step_lane is None or self._solve is None:
             return []
         return [self._step_lane.submit(_gram_eig, h, self._one_rank).result for h in inputs]
 

@@ -303,7 +303,7 @@ def test_weight_gradients_multiplied_out_only_for_sgd(monkeypatch, second_order)
     y = np.eye(10)[rng.integers(0, 10, 128)]
     cfg = TrainConfig(learning_rate=0.1, momentum=0.9, batch_size=128, second_order=second_order)
     built = count_calls(monkeypatch, fcnn, "weight_gradient")
-    optimizer = Optimizer(model, cfg)
+    optimizer = Optimizer(model, cfg)  # outside a with-block: no lane, no split
     for step in range(1, 3):
         bp = batch_pass(model, CrossEntropySoftmax(), x, y)
         hbs = None if second_order is None else ea_curvature(model, bp, second_order.kind, second_order.gamma)
@@ -311,27 +311,33 @@ def test_weight_gradients_multiplied_out_only_for_sgd(monkeypatch, second_order)
         assert len(built) == step * (model.num_layers if second_order is None else 2)
 
 
-def test_sgd_step_holds_one_weight_gradient_at_a_time():
+def test_sgd_step_holds_one_weight_gradient_at_a_time(monkeypatch):
     # one SGD step at paper width allocates little more than the widest
     # layer's weight gradient (784 x 256 doubles, 1.53 MiB) beyond what it
     # keeps; a second array of that size on top, such as a scaled copy of
-    # the gradient, breaks the bound
+    # the gradient, breaks the bound.  On the lane, layer 1's two halves of
+    # 128 rows may be alive at once, on the two threads, which tracemalloc
+    # both traces: together they are one weight gradient
+    monkeypatch.setattr(trainer, "_blas_threads", lambda: 1)
     rng = np.random.default_rng(5)
     model = FcnnModel.xavier([784, 256, 128, 64, 10], Activation.SIGMOID, rng=rng)
     x = rng.uniform(0.0, 1.0, (128, 784))
     y = np.eye(10)[rng.integers(0, 10, 128)]
     cfg = TrainConfig(learning_rate=0.1, momentum=0.9, batch_size=128)
     bp = batch_pass(model, CrossEntropySoftmax(), x, y)
-    optimizer = Optimizer(model, cfg)
     widest = max(w.nbytes for w in model.weights)
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        optimizer.step(bp.grads, None)
-        peak = tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * widest, peak / widest
+    for cpus in (1, 2):  # inline, then on the lane
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: cpus)
+        with Optimizer(model, cfg) as optimizer:
+            assert (optimizer.lane is not None) == (cpus == 2)
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                optimizer.step(bp.grads, None)
+                peak = tracemalloc.get_traced_memory()[1] - entry
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.25 * widest, (cpus, peak / widest)
 
 
 @pytest.fixture

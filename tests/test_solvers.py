@@ -627,7 +627,8 @@ class TestLane:
         monkeypatch.setattr(trainer, "_blas_threads", lambda: blas)
         started = count_calls(monkeypatch, threading, "Thread")
         newton = TrainConfig(batch_size=8, second_order=SecondOrderSpec())
-        assert Optimizer(FcnnModel.xavier([64, 32, 10], seed=0), newton).lane is None
+        with Optimizer(FcnnModel.xavier([64, 32, 10], seed=0), newton) as opt:
+            assert opt.lane is None
         rng = np.random.default_rng(0)
         x, y = rng.uniform(size=(8, 784)), np.eye(10)[rng.integers(10, size=8)]
         with Optimizer(FcnnModel.xavier([784, 256, 128, 64, 10], seed=0), newton) as opt:
@@ -653,7 +654,8 @@ class TestLane:
         monkeypatch.setattr(trainer, "_blas_threads", lambda: 1)
         spec = SecondOrderSpec(solver_cfg=SolverConfig(hvp_mode=mode))
         cfg = TrainConfig(batch_size=batch_size, second_order=spec)
-        assert (Optimizer(FcnnModel.xavier(widths, seed=0), cfg).lane is not None) == opens
+        with Optimizer(FcnnModel.xavier(widths, seed=0), cfg) as opt:
+            assert (opt.lane is not None) == opens
 
     def test_blas_thread_count_is_numpys_openblas(self):
         assert trainer._blas_threads() == _openblas_call("get_num_threads", ctypes.c_int)

@@ -4,6 +4,7 @@ import sys
 import threading
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -462,14 +463,19 @@ def run_train(spec):
     return [(r.epoch, r.loss, r.test_accuracy) for r in report.epochs], flat_parameters(model).tobytes()
 
 
-def run_compare(spec):
+def run_compare(spec, batch_size=32):
     # a smaller batch keeps the per-instance exact Hessians at paper width small
-    spec.train_cfg = replace(spec.train_cfg, batch_size=32)
+    spec.train_cfg = replace(spec.train_cfg, batch_size=batch_size)
     return compare_curvatures(spec).to_csv()
 
 
 DRIVERS = {"train": run_train, "compare": run_compare}
+# SGD's batch, whose layer-1 product (96 x 256 x 784 multiply-adds) passes the
+# SGD split gate; paper_spec's 256 training rows leave a short third batch of
+# 64 rows, whose product does not
+SGD_BATCH = 96
 LANE_SOLVES = {
+    "sgd": None,
     "ea_cg-exact_kron": SecondOrderSpec(),
     "ea_cg-ea_one_rank": SecondOrderSpec(solver_cfg=SolverConfig(hvp_mode=HvpMode.EA_ONE_RANK)),
     "kfi-trace_norm": SecondOrderSpec(
@@ -492,19 +498,25 @@ def new_threads_left(run):
 
 class TestRunLane:
     """One helper lane per paper-width run: each Newton step's input Grams
-    and its non-widest layers' solves, and the evaluation, run on it."""
+    and its non-widest layers' solves, the first half of the widest SGD
+    layer's update, and the evaluation, run on it."""
 
     @pytest.mark.parametrize("driver", list(DRIVERS))
     @pytest.mark.parametrize("name", list(LANE_SOLVES))
     def test_bit_identical_to_one_cpu(self, monkeypatch, driver, name):
         outputs = {}
+        spec, run = partial(paper_spec, LANE_SOLVES[name]), DRIVERS[driver]
+        if name == "sgd":
+            spec = partial(spec, batch_size=SGD_BATCH)
+            if driver == "compare":
+                run = partial(run_compare, batch_size=SGD_BATCH)
         for cpus in (1, 2):
             monkeypatch.setattr(trainer, "_usable_cpus", lambda: cpus)
             threads = count_calls(monkeypatch, threading, "Thread")
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
             try:
-                outputs[cpus] = DRIVERS[driver](paper_spec(LANE_SOLVES[name]))
+                outputs[cpus] = run(spec())
             finally:
                 sys.setswitchinterval(interval)
             assert len(threads) == cpus - 1  # no lane on one CPU, one lane per run on two
@@ -611,6 +623,151 @@ class TestRunLane:
             if blocked:
                 assert ran_on == [threading.current_thread()] * 8
         assert params[True] == params[False]
+
+    def test_sgd_step_runs_its_rows_queued_behind_a_blocked_lane(self, monkeypatch):
+        # the first half of layer 1's rows queues behind a job that holds the
+        # lane, so the calling thread updates every row itself, to the same bytes
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
+        spec = paper_spec(None, epochs=1)
+        x_train, y_train, _, _ = spec.load_dataset(0).split()
+        batch = np.arange(spec.train_cfg.batch_size)
+        params = {}
+        for blocked in (False, True):
+            model = spec.build_model(0)
+            with pytest.MonkeyPatch.context() as mp:
+                products = record_products(mp)
+                with Optimizer(model, spec.train_cfg) as opt:
+                    release = hold_lane(opt.lane) if blocked else None
+                    opt.run(spec.criterion, x_train, y_train, [batch])
+                    if blocked:
+                        release.set()
+            params[blocked] = flat_parameters(model).tobytes()
+            # layer 1's 256 rows in two products of 128, layers 2-4's whole
+            assert sorted(rows for _, rows in products) == [10, 64, 128, 128, 128]
+            if blocked:
+                assert {thread for thread, _ in products} == {threading.current_thread()}
+        assert params[True] == params[False]
+
+    @pytest.mark.parametrize("name", list(OPTIMIZERS))
+    def test_a_step_outside_the_with_block_starts_no_thread(self, monkeypatch, name):
+        # the lane opens on entering the with-block and closes on leaving it,
+        # so a bare Optimizer, or one whose block has ended, steps inline
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(trainer, "_blas_threads", lambda: 1)
+        spec = paper_spec(OPTIMIZERS[name], epochs=1)
+        x_train, y_train, _, _ = spec.load_dataset(0).split()
+        batch = np.arange(spec.train_cfg.batch_size)
+        opt = Optimizer(spec.build_model(0), spec.train_cfg, scores=True)
+
+        def run():
+            opt.run(spec.criterion, x_train, y_train, [batch])
+
+        assert new_threads_left(run) == ([], set())
+        with opt:
+            assert opt.lane is not None
+        assert opt.lane is None
+        assert new_threads_left(run) == ([], set())
+
+
+class TestSgdSplit:
+    """An SGD step hands the first half of the rows of each layer whose
+    weight-gradient product passes trainer._SGD_SPLIT_MIN_MACS to the run's
+    lane, and updates the rest itself."""
+
+    # (widths, blob rows per class, split): 64-512-10's layer 1 (4.2M
+    # multiply-adds at batch 128) and the README net step inline, although
+    # their evaluation puts a lane in the run; the paper net's layer 1
+    # (25.7M) is updated in two halves
+    GATE = [
+        ([64, 512, 10], 64, False),
+        ([64, 32, 16, 16, 8, 8, 8, 10], 600, False),
+        ([784, 256, 128, 64, 10], 32, True),
+    ]
+
+    @pytest.mark.parametrize("widths,per_class,split", GATE, ids=["64-512-10", "readme", "paper"])
+    def test_gate_reads_the_steps_product(self, monkeypatch, widths, per_class, split):
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(trainer, "_blas_threads", lambda: 1)
+        started = count_calls(monkeypatch, threading, "Thread")
+        products = record_products(monkeypatch)
+        ds = synth_blobs(classes=10, dim=widths[0], per_class=per_class, spread=0.08, seed=0)
+        x_train, y_train, x_test, y_test = ds.split()
+        model = FcnnModel.xavier(widths, seed=0)
+        cost = (x_train.shape[0] + x_test.shape[0]) * sum(w.size for w in model.weights)
+        assert cost >= trainer.EVAL_OVERLAP_MIN_MACS
+        cfg = TrainConfig(epochs=2, batch_size=128)
+        train(model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test)
+        assert len(started) == 1
+        rows = [w.shape[0] for w in model.weights]
+        if split:
+            rows[:1] = [rows[0] // 2, rows[0] - rows[0] // 2]
+        steps = cfg.epochs * -(-x_train.shape[0] // cfg.batch_size)
+        assert sorted(n for _, n in products) == sorted(rows * steps)
+        if not split:
+            assert {thread for thread, _ in products} == {threading.current_thread()}
+
+    # (rows, n_out, n_in, split): the product must pass the threshold (2**24
+    # multiply-adds) and each half hold two rows, since OpenBLAS hands a
+    # one-row product to GEMV, which rounds 128 x 3 x 65536 differently
+    SPLITS = [
+        (128, 256, 784, True),
+        (64, 256, 784, False),
+        (128, 4, 32768, True),
+        (128, 3, 65536, False),
+    ]
+
+    @pytest.mark.parametrize("rows,n_out,n_in,split", SPLITS)
+    def test_split_products_are_bit_identical(self, rows, n_out, n_in, split):
+        rng = np.random.default_rng(0)
+        g, h = rng.standard_normal((rows, n_out)), rng.uniform(size=(rows, n_in))
+        assert trainer._splits(rows, np.empty((n_out, n_in))) == split
+        if split:
+            half = n_out // 2
+            halves = [fcnn.weight_gradient(g[:, part], h) for part in (slice(half), slice(half, None))]
+            whole = fcnn.weight_gradient(g, h)
+            assert np.array_equal(np.vstack(halves).view(np.uint64), whole.view(np.uint64))
+
+    # layer 1's 256 rows whose per-instance bias gradients are made huge: the
+    # lane's half, this thread's half, or both
+    HUGE = {"lane-half": slice(128), "own-half": slice(128, None), "both": slice(None)}
+
+    @pytest.mark.parametrize("huge", list(HUGE))
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_overflow_raises_on_both_paths(self, monkeypatch, path, huge):
+        # under over="raise", lr 1e308 overflows the scaling of a weight
+        # gradient entry above 1.8; where this thread's half fails, the step
+        # raises only once the lane's half is done
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: PATHS[path])
+        monkeypatch.setattr(trainer, "_blas_threads", lambda: 1)
+        spec = paper_spec(None, epochs=1)
+        x_train, y_train, _, _ = spec.load_dataset(0).split()
+        model = spec.build_model(0)
+        bp = batch_pass(model, spec.criterion, x_train[:128], y_train[:128])
+        bp.grads.bias_per_instance[0][:, self.HUGE[huge]] = 8.0
+        opt = Optimizer(model, replace(spec.train_cfg, learning_rate=1e308))
+
+        def run():
+            with opt, np.errstate(over="raise"):
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    opt.step(bp.grads, None)
+
+        started, left = new_threads_left(run)
+        assert len(started) == PATHS[path] - 1 and left == set()
+        lane_half_done = opt.velocity_w[0][:128].any()
+        assert lane_half_done == (path == "threaded" and huge == "own-half")
+
+
+def record_products(monkeypatch):
+    """Record (thread, rows) for every weight_gradient call the trainer
+    makes, rows being the number of weight rows the product forms."""
+    products, original = [], trainer.weight_gradient
+
+    def recorded(g, h):
+        products.append((threading.current_thread(), g.shape[1]))
+        return original(g, h)
+
+    monkeypatch.setattr(trainer, "weight_gradient", recorded)
+    return products
 
 
 def record_thread(monkeypatch, name, threads):

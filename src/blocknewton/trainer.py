@@ -12,25 +12,29 @@ evaluation keeps alive.
 Threads: each run's Optimizer is the only code that opens a helper lane
 (solvers.Lane, one worker thread) and decides what runs on it.  It opens
 one, on entering its with-block, where the usable CPUs hold both threads'
-BLAS threads and one of three gates passes, and each gate puts only its
-own kind of work on the lane.  The Newton step gate passes where the
-widest matrix a Newton step factors -- a bias block, n_out wide, or an
-input Gram on its smaller side, min(n_in, batch_size) wide (1 under
-ea_one_rank) -- is at least _OVERLAP_MIN_WIDTH wide.  Then a step factors
-its input Grams on the lane while the calling thread runs the batch pass
-and the curvature; the solver, handed the lane and the Grams' results,
-then queues every layer's solve but the widest's on it while the calling
-thread solves the widest layer.  The SGD step gate passes, per step and
-layer, where the layer's weight-gradient product costs at least
-_SGD_SPLIT_MIN_MACS multiply-adds (see _splits).  Then the step hands the
-first half of that layer's rows -- their weight gradient, momentum and
-weights -- to the lane, and the calling thread updates the other rows,
-the other layers and the biases before it takes the lane's result.  The
-evaluation gate passes where one evaluation costs at least
-EVAL_OVERLAP_MIN_MACS multiply-adds.  Then train scores epoch e on the
-lane, from a copy of the parameters, while the calling thread runs epoch
-e+1's steps, and the last epoch's row blocks alternate between the two
-threads.  Each lane job is claimed once, by the first thread to reach it:
+BLAS threads and the Newton step gate or the evaluation gate passes, and
+each of three gates puts only its own kind of work on the lane.  The
+Newton step gate passes where the widest matrix a Newton step factors --
+a bias block, n_out wide, or an input Gram on its smaller side,
+min(n_in, batch_size) wide (1 under ea_one_rank) -- is at least
+_OVERLAP_MIN_WIDTH wide.  Then a step factors its input Grams on the
+lane while the calling thread runs the batch pass and the curvature; the
+solver, handed the lane and the Grams' results, then queues every
+layer's solve but the widest's on it while the calling thread solves the
+widest layer.  The SGD step gate opens no lane of its own: on the lane
+the evaluation opened, and where numpy's own OpenBLAS runs the products,
+it passes, per step and layer, where the layer's weight-gradient product
+costs at least _SGD_SPLIT_MIN_MACS multiply-adds (see _splits).  Then
+the step hands the first half of that layer's rows -- their weight
+gradient, momentum and weights -- to the lane, and the calling thread
+updates the other rows, the other layers and the biases before it takes
+the lane's result.  A step in train has at most n rows, so wherever its
+product passes, the evaluation, at least n times the weights' size,
+passes its own gate.  The evaluation gate passes where one evaluation
+costs at least EVAL_OVERLAP_MIN_MACS multiply-adds.  Then train scores
+epoch e on the lane, from a copy of the parameters, while the calling
+thread runs epoch e+1's steps, and the last epoch's row blocks alternate
+between the two threads.  Each lane job is claimed once, by the first thread to reach it:
 a thread that asks for a job the lane has not reached runs it itself, so
 a step never waits on work queued behind the previous epoch's score, nor
 the last epoch's calling thread on row blocks the lane has not reached.
@@ -307,14 +311,14 @@ class Optimizer:
 
     It also owns the run's helper lane, lane: a solvers.Lane between
     __enter__ and __exit__ where one pays -- a Newton run whose steps
-    factor a matrix at least _OVERLAP_MIN_WIDTH wide, an SGD run whose
-    full-batch weight-gradient product of some layer passes _splits (see
-    the module docstring), or a run that scores on it (train's evaluation
-    gate passed), on at least 2 x _blas_threads() usable CPUs (2 where the
+    factor a matrix at least _OVERLAP_MIN_WIDTH wide (see the module
+    docstring), or a run that scores on it (train's evaluation gate
+    passed), on at least 2 x _blas_threads() usable CPUs (2 where the
     BLAS thread count cannot be read) -- and None elsewhere and outside
     the with-block, where every step runs inline and starts no thread.
-    The steps use the lane only where their own gate passed.  Leaving the
-    with-block joins the lane's thread."""
+    The steps use the lane only where their own gate passed: SGD steps
+    split on a lane the scoring opened, where numpy's own OpenBLAS was
+    found.  Leaving the with-block joins the lane's thread."""
 
     def __init__(self, model: FcnnModel, cfg: TrainConfig, scores: bool = False):
         self.model, self.cfg = model, cfg
@@ -325,8 +329,10 @@ class Optimizer:
         # the Newton solver, and the input factor it factors: E[h] under EA-CG ea_one_rank
         self._solve, self._one_rank = None, False
         if sgd:
-            # a layer whose weight-gradient product at a full batch splits
-            steps = any(_splits(cfg.batch_size, w) for w in model.weights)
+            # steps split on a lane the scoring opens (per step, see _splits),
+            # only where numpy's own OpenBLAS, whose kernels were checked, runs them
+            self._steps_gate = _blas_threads() is not None
+            opens = scores
         else:
             ea_cg = spec.solver is SolverChoice.EA_CG
             self._solve = ea_cg_direction if ea_cg else kfi_direction
@@ -334,20 +340,19 @@ class Optimizer:
             # the widest matrix a step factors: a bias block, or an input Gram
             # on its smaller side (1 x 1 for the row E[h])
             gram = 1 if self._one_rank else min(max(model.widths[:-1]), cfg.batch_size)
-            steps = max(*model.widths[1:], gram) >= _OVERLAP_MIN_WIDTH
+            self._steps_gate = max(*model.widths[1:], gram) >= _OVERLAP_MIN_WIDTH
+            opens = self._steps_gate or scores
         # each thread's BLAS calls run on _blas_threads() threads of their own
-        self._opens = (steps or scores) and _usable_cpus() >= 2 * (_blas_threads() or 1)
-        self._steps_gate = steps
-        self.lane = self._step_lane = None  # opened by __enter__
+        self._opens = opens and _usable_cpus() >= 2 * (_blas_threads() or 1)
+        self.lane = None  # opened by __enter__
 
     def __enter__(self) -> "Optimizer":
         if self._opens:
             self.lane = Lane()
-            self._step_lane = self.lane if self._steps_gate else None
         return self
 
     def __exit__(self, *exc) -> None:
-        lane, self.lane, self._step_lane = self.lane, None, None
+        lane, self.lane = self.lane, None
         if lane is not None:
             lane.__exit__(*exc)
 
@@ -375,10 +380,11 @@ class Optimizer:
         model, cfg = self.model, self.cfg
         lr = cfg.learning_rate
         spec = cfg.second_order
+        lane = self.lane if self._steps_gate else None
         if spec is None:
             # the first half of the rows of each layer whose product passes the
             # gate, handed to the lane before this thread starts on the rest
-            lane, rows = self._step_lane, grads.inputs[0].shape[0]
+            rows = grads.inputs[0].shape[0]
             halves = {
                 t: w.shape[0] // 2
                 for t, w in enumerate(model.weights)
@@ -402,7 +408,7 @@ class Optimizer:
             if lower is not None:
                 lower.result()
             return
-        direction = self._solve(hbs, grads, spec.solver_cfg, self._step_lane, grams)
+        direction = self._solve(hbs, grads, spec.solver_cfg, lane, grams)
         for t in range(model.num_layers):
             direction.d_weight[t] *= lr
             model.weights[t] += direction.d_weight[t]
@@ -458,9 +464,9 @@ class Optimizer:
     def _submit_grams(self, inputs: list[np.ndarray]) -> list:
         """The results of the lane's Jobs of the Newton solve's _gram_eig of
         each input batch, or none where steps run inline (always under SGD)."""
-        if self._step_lane is None or self._solve is None:
+        if self._solve is None or not self._steps_gate or self.lane is None:
             return []
-        return [self._step_lane.submit(_gram_eig, h, self._one_rank).result for h in inputs]
+        return [self.lane.submit(_gram_eig, h, self._one_rank).result for h in inputs]
 
     def _blocks(self, bp: BatchPass) -> list[np.ndarray] | None:
         spec = self.cfg.second_order

@@ -328,7 +328,7 @@ def test_sgd_step_holds_one_weight_gradient_at_a_time(monkeypatch):
     widest = max(w.nbytes for w in model.weights)
     for cpus in (1, 2):  # inline, then on the lane
         monkeypatch.setattr(trainer, "_usable_cpus", lambda: cpus)
-        with Optimizer(model, cfg) as optimizer:
+        with Optimizer(model, cfg, scores=True) as optimizer:
             assert (optimizer.lane is not None) == (cpus == 2)
             tracemalloc.start()
             try:

@@ -463,9 +463,9 @@ def run_train(spec):
     return [(r.epoch, r.loss, r.test_accuracy) for r in report.epochs], flat_parameters(model).tobytes()
 
 
-def run_compare(spec, batch_size=32):
+def run_compare(spec):
     # a smaller batch keeps the per-instance exact Hessians at paper width small
-    spec.train_cfg = replace(spec.train_cfg, batch_size=batch_size)
+    spec.train_cfg = replace(spec.train_cfg, batch_size=32)
     return compare_curvatures(spec).to_csv()
 
 
@@ -484,6 +484,10 @@ LANE_SOLVES = {
         solver_cfg=SolverConfig(pi_policy=PiPolicy.TRACE_NORM),
     ),
 }
+# compare_curvatures scores nothing on a lane, so an SGD compare run opens none
+LANE_RUNS = [
+    (name, driver) for name in LANE_SOLVES for driver in DRIVERS if (name, driver) != ("sgd", "compare")
+]
 
 
 def new_threads_left(run):
@@ -501,15 +505,12 @@ class TestRunLane:
     and its non-widest layers' solves, the first half of the widest SGD
     layer's update, and the evaluation, run on it."""
 
-    @pytest.mark.parametrize("driver", list(DRIVERS))
-    @pytest.mark.parametrize("name", list(LANE_SOLVES))
-    def test_bit_identical_to_one_cpu(self, monkeypatch, driver, name):
+    @pytest.mark.parametrize("name,driver", LANE_RUNS, ids=[f"{n}-{d}" for n, d in LANE_RUNS])
+    def test_bit_identical_to_one_cpu(self, monkeypatch, name, driver):
         outputs = {}
         spec, run = partial(paper_spec, LANE_SOLVES[name]), DRIVERS[driver]
         if name == "sgd":
             spec = partial(spec, batch_size=SGD_BATCH)
-            if driver == "compare":
-                run = partial(run_compare, batch_size=SGD_BATCH)
         for cpus in (1, 2):
             monkeypatch.setattr(trainer, "_usable_cpus", lambda: cpus)
             threads = count_calls(monkeypatch, threading, "Thread")
@@ -636,7 +637,7 @@ class TestRunLane:
             model = spec.build_model(0)
             with pytest.MonkeyPatch.context() as mp:
                 products = record_products(mp)
-                with Optimizer(model, spec.train_cfg) as opt:
+                with Optimizer(model, spec.train_cfg, scores=True) as opt:
                     release = hold_lane(opt.lane) if blocked else None
                     opt.run(spec.criterion, x_train, y_train, [batch])
                     if blocked:
@@ -670,24 +671,28 @@ class TestRunLane:
 
 
 class TestSgdSplit:
-    """An SGD step hands the first half of the rows of each layer whose
-    weight-gradient product passes trainer._SGD_SPLIT_MIN_MACS to the run's
-    lane, and updates the rest itself."""
+    """On a lane the scoring opened, an SGD step hands the first half of the
+    rows of each layer whose weight-gradient product passes
+    trainer._SGD_SPLIT_MIN_MACS to it, and updates the rest itself."""
 
-    # (widths, blob rows per class, split): 64-512-10's layer 1 (4.2M
-    # multiply-adds at batch 128) and the README net step inline, although
-    # their evaluation puts a lane in the run; the paper net's layer 1
-    # (25.7M) is updated in two halves
+    # (widths, blob rows per class, BLAS threads read, split): 64-512-10's
+    # layer 1 (4.2M multiply-adds at batch 128) and the README net step
+    # inline, although their evaluation puts a lane in the run; the paper
+    # net's layer 1 (25.7M) is updated in two halves, but only where
+    # numpy's own OpenBLAS was found
     GATE = [
-        ([64, 512, 10], 64, False),
-        ([64, 32, 16, 16, 8, 8, 8, 10], 600, False),
-        ([784, 256, 128, 64, 10], 32, True),
+        ([64, 512, 10], 64, 1, False),
+        ([64, 32, 16, 16, 8, 8, 8, 10], 600, 1, False),
+        ([784, 256, 128, 64, 10], 32, 1, True),
+        ([784, 256, 128, 64, 10], 32, None, False),
     ]
 
-    @pytest.mark.parametrize("widths,per_class,split", GATE, ids=["64-512-10", "readme", "paper"])
-    def test_gate_reads_the_steps_product(self, monkeypatch, widths, per_class, split):
+    @pytest.mark.parametrize(
+        "widths,per_class,blas,split", GATE, ids=["64-512-10", "readme", "paper", "paper-other-blas"]
+    )
+    def test_gate_reads_the_steps_product(self, monkeypatch, widths, per_class, blas, split):
         monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(trainer, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(trainer, "_blas_threads", lambda: blas)
         started = count_calls(monkeypatch, threading, "Thread")
         products = record_products(monkeypatch)
         ds = synth_blobs(classes=10, dim=widths[0], per_class=per_class, spread=0.08, seed=0)
@@ -705,6 +710,16 @@ class TestSgdSplit:
         assert sorted(n for _, n in products) == sorted(rows * steps)
         if not split:
             assert {thread for thread, _ in products} == {threading.current_thread()}
+
+    def test_sgd_steps_open_no_lane(self, monkeypatch):
+        # at paper width, an SGD run that scores nothing on a lane, such as
+        # compare_curvatures', steps inline
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(trainer, "_blas_threads", lambda: 1)
+        spec = paper_spec(None)
+        for scores in (False, True):
+            with Optimizer(spec.build_model(0), spec.train_cfg, scores) as opt:
+                assert (opt.lane is not None) == scores
 
     # (rows, n_out, n_in, split): the product must pass the threshold (2**24
     # multiply-adds) and each half hold two rows, since OpenBLAS hands a
@@ -744,7 +759,7 @@ class TestSgdSplit:
         model = spec.build_model(0)
         bp = batch_pass(model, spec.criterion, x_train[:128], y_train[:128])
         bp.grads.bias_per_instance[0][:, self.HUGE[huge]] = 8.0
-        opt = Optimizer(model, replace(spec.train_cfg, learning_rate=1e308))
+        opt = Optimizer(model, replace(spec.train_cfg, learning_rate=1e308), scores=True)
 
         def run():
             with opt, np.errstate(over="raise"):

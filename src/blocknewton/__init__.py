@@ -7,6 +7,7 @@ from .curvature import (
     ErrorReport,
     covariance_bound_check,
     ea_curvature,
+    ea_curvatures,
     layerwise_error,
     true_bias_hessian,
 )
@@ -31,7 +32,7 @@ from .fcnn import (
     criterion_batch,
     forward,
 )
-from .linalg import EigenDecomposition, pos_eig, sym_eig
+from .linalg import EigenDecomposition, pos_eig, sym_eig, sym_eigs
 from .solvers import (
     HvpMode,
     NewtonDirection,
@@ -39,7 +40,6 @@ from .solvers import (
     SolverConfig,
     ea_cg_direction,
     kfi_direction,
-    sherman_morrison_apply,
 )
 from .trainer import (
     SecondOrderSpec,

@@ -6,7 +6,12 @@ Two routes are implemented:
   (the reference "true block-diagonal" curvature), and
 * the expectation-approximated recursion that propagates batch-averaged
   blocks directly, with the positive-curvature (PCH), Gauss-Newton and
-  Fisher variants.
+  Fisher variants.  ea_curvatures builds any set of (kind, gamma)
+  columns in one pass, sharing what the columns have in common (the mean
+  output Hessian, the top block's eigendecomposition, each layer's
+  E[h' h'^T] and PCH diagonal term); each column is bitwise what
+  ea_curvature builds for it alone.  A training step asks for one
+  column, and compare-curvature for its table's columns and the step's.
 
 Weight-block curvature is never materialized: a layer's curvature is its
 bias block alone.  The weight block is E[h h^T] kron Hb, whose other
@@ -29,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalBreakdownError, check_range
 from .fcnn import BatchPass, FcnnModel, ForwardTrace
-from .linalg import abs_eig, pos_eig
+from .linalg import abs_eig, clip_eigenvalues, sym_eig
 
 
 class CurvatureKind(enum.Enum):
@@ -85,7 +90,17 @@ def ea_curvature(
     model: FcnnModel, bp: BatchPass, kind: CurvatureKind, gamma: float = -1.0
 ) -> list[np.ndarray]:
     """Expectation-approximated bias blocks E_i[d2 xi / d b^t d b^t] for
-    every layer t, hbs[t-1] of shape (n_t, n_t).
+    every layer t, hbs[t-1] of shape (n_t, n_t): the one column of
+    ea_curvatures for (kind, gamma)."""
+    return ea_curvatures(model, bp, [(kind, gamma)])[0]
+
+
+def ea_curvatures(
+    model: FcnnModel, bp: BatchPass, columns: list[tuple[CurvatureKind, float]]
+) -> list[list[np.ndarray]]:
+    """ea_curvature's blocks for each (kind, gamma) in columns, in order,
+    from one pass of the recursion; each column is bitwise what it would
+    be alone.
 
     Fisher takes every bias block as the gradient outer-product mean
     G^tT G^t / b and reads nothing else.  Gauss-Newton and PCH start from
@@ -96,36 +111,50 @@ def ea_curvature(
     the top block through the negative-eigenvalue replacement with the
     given gamma (-1 flips signs, 0 zeroes); the sandwich term is PSD by
     induction and left alone.
+
+    The columns share what does not depend on the column: the mean output
+    Hessian, the top block's one eigendecomposition (every PCH gamma clips
+    the same one), and each layer's E[h' h'^T] = h'^T h' / b and diagonal
+    term.  Only the sandwich W^T Hb W is formed once per column and layer.
     """
-    check_range("gamma", gamma, kind is not CurvatureKind.PCH or gamma in (-1.0, 0.0), "-1 or 0")
+    for kind, gamma in columns:
+        check_range("gamma", gamma, kind is not CurvatureKind.PCH or gamma in (-1.0, 0.0), "-1 or 0")
     trace = bp.trace
     _check_trace(model, trace)
     k = model.num_layers
     n = trace.batch_size
-    if kind is CurvatureKind.FISHER:
-        return [(g.T @ g) / n for g in bp.grads.bias_per_instance]
-
-    mean_out = bp.hess_out.mean(axis=0)
-    hb = 0.5 * (mean_out + mean_out.T)
-    if kind is CurvatureKind.PCH:
-        try:
-            hb = pos_eig(hb, gamma)
-        except NumericalBreakdownError as exc:
-            raise NumericalBreakdownError(f"layer {k}: top block: {exc}") from exc
-    hbs: list[np.ndarray] = [None] * k
-    hbs[k - 1] = hb
-    for t in range(k, 1, -1):
-        w = model.weights[t - 1]
-        hp = trace.hprime[t - 1]
-        hb = (w.T @ hb @ w) * ((hp.T @ hp) / n)
-        if kind is CurvatureKind.PCH:
-            # the term is diagonal, so clipping reduces to |x| or max(x, 0)
-            diag_vec = (trace.hdprime[t - 1] * bp.grad_h[t - 1]).mean(axis=0)
-            clipped = np.abs(diag_vec) if gamma == -1.0 else np.maximum(diag_vec, 0.0)
-            hb = hb + np.diag(clipped)
-        hb = 0.5 * (hb + hb.T)
-        hbs[t - 2] = hb
-    return hbs
+    out: dict[tuple[CurvatureKind, float], list[np.ndarray]] = {}
+    if any(kind is CurvatureKind.FISHER for kind, _ in columns):
+        fisher = [(g.T @ g) / n for g in bp.grads.bias_per_instance]
+    recursed = [c for c in dict.fromkeys(columns) if c[0] is not CurvatureKind.FISHER]
+    if recursed:
+        mean_out = bp.hess_out.mean(axis=0)
+        top = 0.5 * (mean_out + mean_out.T)
+        pch = any(kind is CurvatureKind.PCH for kind, _ in recursed)
+        if pch:
+            try:
+                eig = sym_eig(top)
+            except NumericalBreakdownError as exc:
+                raise NumericalBreakdownError(f"layer {k}: top block: {exc}") from exc
+        for kind, gamma in recursed:
+            hbs: list[np.ndarray] = [None] * k
+            hbs[k - 1] = clip_eigenvalues(eig, gamma) if kind is CurvatureKind.PCH else top
+            out[kind, gamma] = hbs
+        for t in range(k, 1, -1):
+            w = model.weights[t - 1]
+            hp = trace.hprime[t - 1]
+            moment = (hp.T @ hp) / n
+            if pch:
+                diag_vec = (trace.hdprime[t - 1] * bp.grad_h[t - 1]).mean(axis=0)
+            for kind, gamma in recursed:
+                hbs = out[kind, gamma]
+                hb = (w.T @ hbs[t - 1] @ w) * moment
+                if kind is CurvatureKind.PCH:
+                    # the term is diagonal, so clipping reduces to |x| or max(x, 0)
+                    clipped = np.abs(diag_vec) if gamma == -1.0 else np.maximum(diag_vec, 0.0)
+                    hb = hb + np.diag(clipped)
+                hbs[t - 2] = 0.5 * (hb + hb.T)
+    return [fisher if kind is CurvatureKind.FISHER else out[kind, gamma] for kind, gamma in columns]
 
 
 @dataclass
@@ -161,7 +190,11 @@ def layerwise_error(
 
 
 def covariance_bound_check(
-    model: FcnnModel, bp: BatchPass, layer_t: int, lipschitz: float
+    model: FcnnModel,
+    bp: BatchPass,
+    layer_t: int,
+    lipschitz: float,
+    instances: list[np.ndarray] | None = None,
 ) -> tuple[float, float]:
     """Evaluate both sides of the expectation-approximation error bound at
     layer t (2 <= t <= k).
@@ -169,11 +202,13 @@ def covariance_bound_check(
     lhs is the squared Frobenius norm of the elementwise covariance between
     W^T Hb_i W and h'^{t-1} h'^{(t-1)T} over the batch; rhs is L^4 times the
     summed elementwise variance of W^T Hb_i W.  The bound asserts lhs <= rhs
-    for any activation with Lipschitz constant L.
+    for any activation with Lipschitz constant L.  instances, when given,
+    is exact_bias_hessian_instances(model, bp), so that a check of every
+    layer runs the recursion once.
     """
     check_range("layer_t", layer_t, 2 <= layer_t <= model.num_layers, f"[2, {model.num_layers}]")
     check_range("batch size", bp.trace.batch_size, bp.trace.batch_size >= 2, ">= 2")
-    hbs = exact_bias_hessian_instances(model, bp)
+    hbs = exact_bias_hessian_instances(model, bp) if instances is None else instances
     w = model.weights[layer_t - 1]
     x = w.T @ hbs[layer_t - 1] @ w
     hp = bp.trace.hprime[layer_t - 1]

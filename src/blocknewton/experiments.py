@@ -9,7 +9,6 @@ import io
 import itertools
 import json
 import os
-import statistics
 import sys
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -20,7 +19,8 @@ import numpy as np
 from .curvature import (
     CurvatureKind,
     covariance_bound_check,
-    ea_curvature,
+    ea_curvatures,
+    exact_bias_hessian_instances,
     frobenius_errors,
     true_bias_hessian,
 )
@@ -35,7 +35,7 @@ from .fcnn import (
     SigmoidGate,
     batch_pass,
 )
-from .linalg import abs_eig
+from .linalg import clip_eigenvalues, sym_eigs
 from .solvers import HvpMode, PiPolicy, SolverConfig
 from .trainer import (
     MAX_SEED,
@@ -225,6 +225,11 @@ def spec_from_json(doc: dict) -> ExperimentSpec:
         _only(odoc, "optimizer", ["kind"], where)
     else:
         opt = _read(odoc, "optimizer", OPTIMIZER_KEYS)
+        # gamma is read only by PCH's eigenvalue clipping
+        curvature = opt.get("curvature", CurvatureKind.PCH)
+        if curvature is not CurvatureKind.PCH:
+            keys = [key for key in OPTIMIZER_KEYS if key != "gamma"]
+            _only(odoc, "optimizer", keys, f"curvature {curvature.value!r}")
         scfg = _read(opt.pop("solver_cfg", {}), "optimizer.solver_cfg", SOLVER_CFG_KEYS[solver], where)
         # EA-CG solves each layer directly and reads no CG setting, but the
         # benchmark's EA_CG_PCH1 spec (perfbench/workloads.py) still sets
@@ -400,8 +405,11 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
     parameter vector (theta^0 .. theta^{s-1}) one batch_pass feeds the exact block-diagonal bias
     Hessian, the errors of Fisher / Gauss-Newton / PCH-1 / PCH-2 against
     it, and the step, which reuses the column of the optimizer's
-    curvature kind (and gamma, under PCH); one Optimizer.run takes the
-    steps as train does, and errors are averaged per layer.
+    curvature kind (and gamma, under PCH).  One ea_curvatures recursion
+    builds every column a step needs, and one sym_eigs call factors the
+    exact blocks for their absolute-eigenvalue targets.  One
+    Optimizer.run takes the steps as train does, and errors are averaged
+    per layer.
     Gauss-Newton is skipped (column None) for the non-convex criterion,
     where its top block is indefinite.
     """
@@ -423,23 +431,24 @@ def compare_curvatures(spec: ExperimentSpec, seed: int | None = None) -> Curvatu
     )
     batches = itertools.islice(schedule, steps)
     second = cfg.second_order
+    # the columns one recursion builds per step: the table's, then the step's
+    # where the table has none of its kind (and gamma, which only PCH reads)
+    columns = list(variants.values())
+    step_column = None
+    if second is not None:
+        step_column = (second.kind, second.gamma if second.kind is CurvatureKind.PCH else -1.0)
+        if step_column not in columns:  # Gauss-Newton, non-convex
+            columns.append(step_column)
 
     def score(bp: BatchPass) -> list[np.ndarray] | None:
         """Add bp's errors to sums; return the step's blocks."""
-        # layerwise_error's targets, each block's eigendecomposition taken once
-        exact = [abs_eig(e) for e in true_bias_hessian(model, bp)]
-        step_hbs = None
-        for name, (kind, gamma) in variants.items():
-            hbs = ea_curvature(model, bp, kind, gamma)
-            report = frobenius_errors(hbs, exact)
+        # the error targets, abs_eig of each exact block, factored together
+        exact = [clip_eigenvalues(eig, -1.0) for eig in sym_eigs(true_bias_hessian(model, bp))]
+        blocks = dict(zip(columns, ea_curvatures(model, bp, columns)))
+        for name, column in variants.items():
+            report = frobenius_errors(blocks[column], exact)
             sums[name] += np.array(report.per_layer + [report.total])
-            if second is not None and kind is second.kind and (
-                kind is not CurvatureKind.PCH or gamma == second.gamma
-            ):
-                step_hbs = hbs
-        if second is not None and step_hbs is None:  # Gauss-Newton, non-convex
-            step_hbs = ea_curvature(model, bp, second.kind, second.gamma)
-        return step_hbs
+        return None if step_column is None else blocks[step_column]
 
     with Optimizer(model, cfg) as opt:
         opt.run(spec.criterion, x_train, y_train, batches, score)
@@ -469,21 +478,9 @@ def run_bound_check(spec: ExperimentSpec, seed: int | None, batch: int) -> list[
         )
     bp = batch_pass(model, spec.criterion, x_train[:batch], y_train[:batch])
     lips = model.activation.lipschitz
+    instances = exact_bias_hessian_instances(model, bp)
     results = []
     for t in range(2, model.num_layers + 1):
-        lhs, rhs = covariance_bound_check(model, bp, t, lips)
+        lhs, rhs = covariance_bound_check(model, bp, t, lips, instances)
         results.append(BoundCheckResult(layer=t, lhs=lhs, rhs=rhs))
     return results
-
-
-def median_total_errors(
-    spec: ExperimentSpec, seeds: list[int]
-) -> dict[str, float]:
-    """Median (over seeds) of the total error per approximation column."""
-    totals: dict[str, list[float]] = {}
-    for seed in seeds:
-        table = compare_curvatures(spec, seed=seed)
-        for name, vals in table.columns.items():
-            if vals is not None:
-                totals.setdefault(name, []).append(vals[-1])
-    return {name: statistics.median(vals) for name, vals in totals.items()}

@@ -22,7 +22,19 @@ Directions are returned already negated, i.e. they are descent directions
 to be added with a positive step size, as C-ordered arrays.
 
 The curvature is block-diagonal, so each layer's direction is one
-independent job, _solve_layer.  Given a Lane -- one helper thread that runs
+independent job, _solve_layer.  A narrow net's step is bound by per-call
+overhead, not arithmetic, so a solve handed no lane (and no Grams) first
+runs every layer at once in _solve_stacked: one finiteness check of all
+its inputs, one linalg.sym_eigs call that factors every bias block and
+every input Gram by one eigh per distinct size, and one finiteness check
+of all its directions, with each layer's arithmetic unchanged, so the
+directions are bitwise the jobs'.  (A list holding a matrix that is not
+exactly symmetric, sym_eigs factors one matrix at a time, through
+check_symmetric's tolerance path.)  On any anomaly -- a non-finite input
+or direction, a matrix sym_eig rejects, a damped eigenvalue <= 0, a
+singular KFI factor, a FloatingPointError or a LinAlgError -- the step
+reruns as the per-layer jobs below, so every error keeps its text and
+layer.  Given a Lane -- one helper thread that runs
 the jobs submitted to it in order, each a Job run under the numpy error
 state of the thread that submitted it -- a solver queues every layer's job
 but the widest on it and solves the widest on the calling thread; given
@@ -50,7 +62,12 @@ import numpy as np
 
 from .errors import DimensionError, NumericalBreakdownError, check_range
 from .fcnn import LayerGradients, weight_gradient
-from .linalg import EigenDecomposition, sym_eig
+from .linalg import EigenDecomposition, sym_eig, sym_eigs
+
+# Entries from which _all_finite checks an array alone rather than copying it
+# into one concatenation with the rest.
+_FINITE_ALONE = 4096
+
 
 class HvpMode(enum.Enum):
     EXACT_KRON = "exact_kron"
@@ -80,20 +97,31 @@ class NewtonDirection:
     d_bias: list[np.ndarray]
 
 
+def _input_factor(h: np.ndarray, one_rank: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """(eh, F): the row eh = E[h] = h.mean(axis=0) and F = eh as a 1 x n_in
+    matrix under one_rank, otherwise (None, h)."""
+    eh = h.mean(axis=0) if one_rank else None
+    return eh, (h if eh is None else eh[None, :])
+
+
+def _gram(f: np.ndarray) -> np.ndarray:
+    """The m x n_in input factor f's Gram matrix on its smaller side: F^T F / m
+    when n_in <= m, otherwise F F^T / m.  numpy forms both products exactly
+    symmetric, so the triangle eigh reads is the whole."""
+    m, n_in = f.shape
+    return f.T @ f / m if n_in <= m else f @ f.T / m
+
+
 def _gram_eig(
     h: np.ndarray, one_rank: bool = False
 ) -> tuple[np.ndarray | None, EigenDecomposition]:
-    """The input factor's row eh = E[h] = h.mean(axis=0) under one_rank
-    (None otherwise) and sym_eig of the Gram matrix of the input factor F --
-    the r x n_in batch h, or the row eh (m = 1) -- on its smaller side:
-    F^T F / m when n_in <= m, otherwise F F^T / m.  numpy forms both
-    products exactly symmetric, so the triangle eigh reads is the whole."""
-    eh = h.mean(axis=0) if one_rank else None
-    f = h if eh is None else eh[None, :]
+    """The input factor's row eh = E[h] under one_rank (None otherwise) and
+    sym_eig of the _gram of the input factor F -- the r x n_in batch h, or
+    the row eh (m = 1)."""
+    eh, f = _input_factor(h, one_rank)
     if not np.all(np.isfinite(f)):
         raise NumericalBreakdownError("input factor is not finite")
-    m, n_in = f.shape
-    return eh, sym_eig(f.T @ f / m if n_in <= m else f @ f.T / m)
+    return eh, sym_eig(_gram(f))
 
 
 def _kron_inverse(
@@ -263,19 +291,63 @@ def _solve_layer(hb, h, g, gb, gram, damping):
     return d_w, d_b
 
 
+def _all_finite(arrays: list[np.ndarray]) -> bool:
+    """Whether every entry of every array is finite: the arrays of fewer than
+    _FINITE_ALONE entries by one check over their concatenation, each
+    larger one alone, which copies nothing."""
+    small = [a.ravel() for a in arrays if a.size < _FINITE_ALONE]
+    return all(np.isfinite(a).all() for a in arrays if a.size >= _FINITE_ALONE) and (
+        not small or bool(np.isfinite(np.concatenate(small)).all())
+    )
+
+
+def _solve_stacked(hbs, grads: LayerGradients, damping, one_rank: bool) -> NewtonDirection | None:
+    """Every layer's _solve_layer directions, inline, with the per-call work
+    batched: one finiteness check of every gradient and input factor, one
+    sym_eigs call over every hb and every input Gram (one eigh per distinct
+    size), and one finiteness check of every direction.  Each layer's
+    arithmetic is _solve_layer's on the same values, so the directions are
+    bitwise its.  None where an input or a direction is not finite; a
+    failing matrix check, damping or solve raises its error, unprefixed."""
+    inputs = grads.inputs
+    factors = [_input_factor(h, one_rank) for h in inputs]
+    if not _all_finite([*grads.bias_per_instance, *grads.grad_bias, *(f for _, f in factors)]):
+        return None
+    k = len(hbs)
+    eigs = sym_eigs([*hbs, *(_gram(f) for _, f in factors)])
+    d_ws, d_bs = [], []
+    for t in range(k):
+        lam, q = eigs[t]
+        damped_bias, b, d = damping(hbs[t], inputs[t], lam)
+        _check_positive(damped_bias)
+        g, eh = grads.bias_per_instance[t], factors[t][0]
+        d_ws.append(_kron_inverse(g, inputs[t], eigs[k + t], q, b, d, eh))
+        d_bs.append(-(q @ ((q.T @ grads.grad_bias[t]) / damped_bias)))
+    if not _all_finite([*d_ws, *d_bs]):
+        return None
+    return NewtonDirection(d_ws, d_bs)
+
+
 def _solve_layers(
     hbs: list[np.ndarray],
     grads: LayerGradients,
     damping,
-    grams: list,
+    grams: list | None,
     lane: Lane | None = None,
+    one_rank: bool = False,
 ) -> NewtonDirection:
     """_solve_layer for every layer, each layer one independent job, on the
     bias blocks hbs and the per-instance bias gradients
     grads.bias_per_instance, whose weight gradient's other factor is the
     layer's input batch h = grads.inputs; grams holds one zero-argument
-    callable per layer that gives _gram_eig of its input factor.
+    callable per layer that gives _gram_eig of its input factor, or is
+    None, when each layer factors its own (the row E[h] under one_rank).
 
+    With no lane and no grams, _solve_stacked solves every layer first.
+    Where it finds a non-finite input or direction, or raises (a matrix
+    sym_eig rejects, a damped eigenvalue <= 0, a singular factor, a
+    FloatingPointError or a LinAlgError), the jobs below rerun the step
+    layer by layer, so every error keeps its text and names its layer.
     With no lane every job runs inline.  Given a lane, every layer's job but
     the widest is queued on it, in layer order, while this thread factors
     the widest hb and solves that layer; a job that the lane has not started
@@ -284,8 +356,17 @@ def _solve_layers(
     the lowest failing layer, with its inline message (a FloatingPointError
     under np.errstate(all="raise") too).
     """
-    if not len(hbs) == len(grads.grad_bias) == len(grams):
+    if not len(hbs) == len(grads.grad_bias) == len(grams if grams is not None else hbs):
         raise DimensionError("curvature/gradient/Gram layer counts differ")
+    if grams is None:
+        if lane is None:
+            try:
+                direction = _solve_stacked(hbs, grads, damping, one_rank)
+            except (ArithmeticError, ValueError):  # LinAlgError is a ValueError
+                direction = None
+            if direction is not None:
+                return direction
+        grams = [partial(_gram_eig, h, one_rank) for h in grads.inputs]
     layers = list(zip(hbs, grads.inputs, grads.bias_per_instance, grads.grad_bias, grams))
     if lane is None:
         results = [Job(_solve_layer, *layer, damping) for layer in layers]
@@ -315,8 +396,9 @@ def ea_cg_direction(
     """Per-layer damped Newton directions, each layer's system solved exactly.
 
     hbs are the layers' bias blocks, and the weight blocks' other factor
-    is read from grads.inputs.  Each layer is factored once, by two sym_eig
-    calls.  eigh(hb) = Q diag(lam) Q^T solves the bias system directly,
+    is read from grads.inputs.  Each layer is factored once: its hb and its
+    input Gram, by sym_eig or, with no lane, by the one sym_eigs call of
+    the step.  eigh(hb) = Q diag(lam) Q^T solves the bias system directly,
     d_b = -Q ((Q^T g_b) / ((1-alpha) lam + alpha)).  Together with the
     eigendecomposition of the Gram matrix of the input factor F
     (cfg.hvp_mode's batch h, or the row E[h]) it gives the exact inverse of
@@ -326,7 +408,8 @@ def ea_cg_direction(
     preconditioned by this exact inverse, returns after one iteration.  A damped block with an
     eigenvalue <= 0 raises NumericalBreakdownError naming its layer.
 
-    Given a lane, the layers are solved on it and on this thread (see
+    Given a lane, the layers are solved on it and on this thread; given
+    neither a lane nor grams, all at once by _solve_stacked (see
     _solve_layers).  grams holds one zero-argument callable per layer that
     gives _gram_eig of its input factor (trainer.Optimizer hands in its
     lane's Jobs' results); without it each layer's job factors its own.
@@ -337,21 +420,8 @@ def ea_cg_direction(
         b = (1 - alpha) * lam
         return b + alpha, b, alpha
 
-    if grams is None:
-        one_rank = cfg.hvp_mode is HvpMode.EA_ONE_RANK
-        grams = [partial(_gram_eig, h, one_rank) for h in grads.inputs]
-    return _solve_layers(hbs, grads, damping, grams, lane)
-
-
-def sherman_morrison_apply(
-    eh: np.ndarray, damp: float, v: np.ndarray
-) -> np.ndarray:
-    """(eh eh^T + damp I)^{-1} v in O(n) via the rank-one update formula."""
-    check_range("damp", damp, damp > 0, "> 0")
-    eh = np.asarray(eh, dtype=float)
-    v = np.asarray(v, dtype=float)
-    coeff = (eh @ v) / (damp * (damp + eh @ eh))
-    return v / damp - coeff * eh
+    one_rank = cfg.hvp_mode is HvpMode.EA_ONE_RANK
+    return _solve_layers(hbs, grads, damping, grams, lane, one_rank)
 
 
 def kfi_direction(
@@ -393,6 +463,4 @@ def kfi_direction(
             )
         return lam + sqrt_a, damped_g, pi * sqrt_a * damped_g
 
-    if grams is None:
-        grams = [partial(_gram_eig, h) for h in grads.inputs]
     return _solve_layers(hbs, grads, damping, grams, lane)

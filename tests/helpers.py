@@ -1,13 +1,16 @@
 """Shared test utilities: finite-difference oracles, the dense and
-flattened views the oracles compare against, and random model setup."""
+flattened views the oracles compare against, random model setup, and the
+test-only helpers of the acceptance criteria."""
 
+import statistics
 import sys
 import threading
 
 import numpy as np
 
 from blocknewton import fcnn
-from blocknewton.errors import DimensionError
+from blocknewton.errors import DimensionError, check_range
+from blocknewton.experiments import ExperimentSpec, compare_curvatures
 from blocknewton.fcnn import (
     Activation,
     CrossEntropySoftmax,
@@ -221,3 +224,23 @@ def hold_lane(lane):
     lane.submit(lambda: started.set() or release.wait(30))
     assert started.wait(30)
     return release
+
+
+def sherman_morrison_apply(eh: np.ndarray, damp: float, v: np.ndarray) -> np.ndarray:
+    """(eh eh^T + damp I)^{-1} v in O(n) via the rank-one update formula."""
+    check_range("damp", damp, damp > 0, "> 0")
+    eh = np.asarray(eh, dtype=float)
+    v = np.asarray(v, dtype=float)
+    coeff = (eh @ v) / (damp * (damp + eh @ eh))
+    return v / damp - coeff * eh
+
+
+def median_total_errors(spec: ExperimentSpec, seeds: list[int]) -> dict[str, float]:
+    """Median (over seeds) of the total error per approximation column."""
+    totals: dict[str, list[float]] = {}
+    for seed in seeds:
+        table = compare_curvatures(spec, seed=seed)
+        for name, vals in table.columns.items():
+            if vals is not None:
+                totals.setdefault(name, []).append(vals[-1])
+    return {name: statistics.median(vals) for name, vals in totals.items()}

@@ -19,7 +19,7 @@ from blocknewton.curvature import (
     true_bias_hessian,
 )
 from blocknewton.data import synth_blobs
-from blocknewton.experiments import ExperimentSpec, median_total_errors
+from blocknewton.experiments import ExperimentSpec
 from blocknewton.fcnn import (
     Activation,
     CrossEntropySoftmax,
@@ -35,7 +35,6 @@ from blocknewton.solvers import (
     SolverConfig,
     ea_cg_direction,
     kfi_direction,
-    sherman_morrison_apply,
 )
 from blocknewton.trainer import SecondOrderSpec, SolverChoice, TrainConfig, train
 from helpers import (
@@ -45,8 +44,10 @@ from helpers import (
     flat_direction,
     flat_gradient,
     gram,
+    median_total_errors,
     random_batch,
     random_model,
+    sherman_morrison_apply,
     weight_gradients,
 )
 from test_curvature import fd_bias_hessian

@@ -46,6 +46,7 @@ def test_sigmoid_gate_pch1_descends_where_gauss_newton_exits_3(tmp_path, capsys)
     assert json.loads(records[-1])["loss"] < initial
 
     gauss_newton = dict(DEEP_SIGMOID_GATE["optimizer"], curvature="gauss_newton")
+    del gauss_newton["gamma"]  # only PCH reads gamma
     gn = tmp_path / "gn.json"
     gn.write_text(json.dumps(dict(DEEP_SIGMOID_GATE, optimizer=gauss_newton)))
     capsys.readouterr()

@@ -97,6 +97,16 @@ REJECTED_AT_LOAD = [
     pytest.param("train.momentum",
                  dict(SMALL, train=dict(SMALL["train"], momentum=0.9), optimizer={"kind": "kfi"}),
                  id="momentum-under-kfi"),
+    # only PCH clips eigenvalues by gamma; a value valid for PCH is no exception
+    pytest.param("optimizer.gamma",
+                 dict(SMALL, optimizer={"kind": "ea_cg", "curvature": "gauss_newton", "gamma": 0.5}),
+                 id="gamma-under-gauss-newton"),
+    pytest.param("optimizer.gamma",
+                 dict(SMALL, optimizer={"kind": "kfi", "curvature": "fisher", "gamma": 7}),
+                 id="gamma-under-fisher"),
+    pytest.param("optimizer.gamma",
+                 dict(SMALL, optimizer={"kind": "ea_cg", "curvature": "gauss_newton", "gamma": -1}),
+                 id="pch-gamma-under-gauss-newton"),
 ]
 
 

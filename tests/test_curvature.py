@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from blocknewton import curvature
 from blocknewton.curvature import (
     CurvatureKind,
     covariance_bound_check,
     ea_curvature,
+    ea_curvatures,
     exact_bias_hessian_instances,
     layerwise_error,
     true_bias_hessian,
@@ -129,6 +131,74 @@ def test_diagonal_terms_bitwise_equal_recomputed_products(criterion):
             expect_hbs[t - 2] = sand
         for got, expect in zip(exact_bias_hessian_instances(model, bp), expect_hbs):
             assert np.array_equal(got, expect)
+
+
+def one_column(model, bp, kind, gamma):
+    """ea_curvature's blocks for (kind, gamma) by the one-column recursion,
+    each column alone: the reference ea_curvatures shares its work against."""
+    trace, n, k = bp.trace, bp.trace.batch_size, model.num_layers
+    if kind is CurvatureKind.FISHER:
+        return [(g.T @ g) / n for g in bp.grads.bias_per_instance]
+    mean_out = bp.hess_out.mean(axis=0)
+    hb = 0.5 * (mean_out + mean_out.T)
+    if kind is CurvatureKind.PCH:
+        hb = pos_eig(hb, gamma)
+    hbs = [hb]
+    for t in range(k, 1, -1):
+        w, hp = model.weights[t - 1], trace.hprime[t - 1]
+        hb = (w.T @ hb @ w) * ((hp.T @ hp) / n)
+        if kind is CurvatureKind.PCH:
+            diag_vec = (trace.hdprime[t - 1] * bp.grad_h[t - 1]).mean(axis=0)
+            clipped = np.abs(diag_vec) if gamma == -1.0 else np.maximum(diag_vec, 0.0)
+            hb = hb + np.diag(clipped)
+        hb = 0.5 * (hb + hb.T)
+        hbs.insert(0, hb)
+    return hbs
+
+
+class TestEaCurvatures:
+    COLUMNS = [
+        (CurvatureKind.PCH, -1.0),
+        (CurvatureKind.FISHER, -1.0),
+        (CurvatureKind.PCH, 0.0),
+        (CurvatureKind.GAUSS_NEWTON, -1.0),
+        (CurvatureKind.PCH, -1.0),  # a repeated column, as a step's may be
+    ]
+
+    @pytest.mark.parametrize("criterion", both_criteria(), ids=["cross_entropy", "sigmoid_gate"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_column_bitwise_its_own_recursion(self, criterion, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, max_width=12, max_layers=5)
+        x, y = random_batch(rng, model, batch=6)
+        bp = batch_pass(model, criterion, x, y)
+        for columns in (self.COLUMNS, self.COLUMNS[::-1], self.COLUMNS[1:2]):
+            got = ea_curvatures(model, bp, columns)
+            assert len(got) == len(columns)
+            for blocks, (kind, gamma) in zip(got, columns):
+                expect = one_column(model, bp, kind, gamma)
+                assert len(blocks) == len(expect)
+                for a, e in zip(blocks, expect):
+                    assert np.array_equal(a.view(np.uint64), e.view(np.uint64))
+
+    def test_top_block_factored_once_for_both_pch_columns(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        model = random_model(rng)
+        x, y = random_batch(rng, model)
+        bp = batch_pass(model, CrossEntropySoftmax(), x, y)
+        calls = []
+        original = curvature.sym_eig
+        monkeypatch.setattr(curvature, "sym_eig", lambda a: calls.append(a) or original(a))
+        ea_curvatures(model, bp, self.COLUMNS)
+        assert len(calls) == 1
+
+    def test_rejects_a_pch_gamma_outside_minus_one_and_zero(self):
+        rng = np.random.default_rng(6)
+        model = random_model(rng)
+        x, y = random_batch(rng, model)
+        bp = batch_pass(model, CrossEntropySoftmax(), x, y)
+        with pytest.raises(ConfigError, match="^gamma: expected -1 or 0, got -0.5$"):
+            ea_curvatures(model, bp, [(CurvatureKind.FISHER, -1.0), (CurvatureKind.PCH, -0.5)])
 
 
 class TestEaCurvature:

@@ -69,7 +69,10 @@ README = {
 
 
 def _optimizer(**changes):
-    return dict(README, optimizer=dict(README["optimizer"], **changes))
+    optimizer = dict(README["optimizer"], **changes)
+    if optimizer["curvature"] != "pch":  # only PCH reads gamma
+        del optimizer["gamma"]
+    return dict(README, optimizer=optimizer)
 
 
 def _workload(name, epochs):

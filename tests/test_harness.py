@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from blocknewton import curvature, experiments, fcnn, trainer
-from blocknewton.curvature import CurvatureKind, ea_curvature
+from blocknewton.curvature import CurvatureKind, covariance_bound_check, ea_curvature
 from blocknewton.errors import ConfigError
 from blocknewton.experiments import (
+    APPROXIMATIONS,
     ExperimentSpec,
     atomic_write_text,
     compare_curvatures,
@@ -250,12 +251,13 @@ class TestCurvaturePerPass:
         ids=["sgd", "ea_cg-pch1", "ea_cg-pch2", "kfi-fisher"],
     )
     def test_compare_curvatures_steps_on_its_column(self, monkeypatch, second_order):
-        # the step reuses its kind's column: one ea_curvature call per column
-        # (the convex criterion has all four)
+        # the step reuses its kind's column: one ea_curvatures call per step,
+        # for the table's four columns alone (the convex criterion has all four)
         spec = spec_with(second_order, compare_steps=3)
-        calls = count_calls(monkeypatch, curvature, "ea_curvature")
+        calls = count_calls(monkeypatch, curvature, "ea_curvatures")
         compare_curvatures(spec)
-        assert len(calls) == 4 * spec.compare_steps
+        assert len(calls) == spec.compare_steps
+        assert all(args[2] == list(APPROXIMATIONS.values()) for args, _, _ in calls)
 
     @pytest.mark.parametrize("second_order", [None, PCH1], ids=["sgd", "ea_cg-pch1"])
     def test_train_builds_curvature_once_per_pass(self, monkeypatch, second_order):
@@ -514,3 +516,20 @@ class TestBoundCheck:
         spec = small_spec(activation=Activation.RELU)
         results = run_bound_check(spec, seed=1, batch=8)
         assert all(r.holds for r in results)
+
+    def test_runs_the_exact_recursion_once(self, monkeypatch):
+        # every layer's check reads the same per-instance Hessians
+        calls = count_calls(monkeypatch, curvature, "exact_bias_hessian_instances")
+        results = run_bound_check(ExperimentSpec(), seed=0, batch=16)
+        assert [r.layer for r in results] == list(range(2, 8))
+        assert len(calls) == 1
+
+    def test_matches_each_layer_checked_alone(self):
+        spec = ExperimentSpec()
+        _, model, (x_train, y_train, _, _) = spec.setup(0)
+        bp = batch_pass(model, spec.criterion, x_train[:16], y_train[:16])
+        alone = [
+            covariance_bound_check(model, bp, t, model.activation.lipschitz)
+            for t in range(2, model.num_layers + 1)
+        ]
+        assert [(r.lhs, r.rhs) for r in run_bound_check(spec, seed=0, batch=16)] == alone

@@ -8,9 +8,11 @@ from blocknewton.linalg import (
     LinearOperator,
     cg_solve,
     check_symmetric,
+    clip_eigenvalues,
     kron_apply,
     pos_eig,
     sym_eig,
+    sym_eigs,
 )
 
 
@@ -271,3 +273,78 @@ class TestCgSolve:
     def test_rejects_bad_rhs_shape(self):
         with pytest.raises(DimensionError):
             cg_solve(LinearOperator.from_matrix(np.eye(2)), np.ones(3), 5, 1e-10)
+
+
+def symmetric(rng, n):
+    a = rng.standard_normal((n, n))
+    return a + a.T
+
+
+def bits(eig):
+    return [part.view(np.uint64) for part in eig]
+
+
+class TestSymEigs:
+    """sym_eigs factors a list as sym_eig factors each matrix, in list order."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_per_matrix_on_mixed_sizes(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = [*range(1, 41), 1, 3, 3, 8, 8, 8, 16, 32, 40]
+        rng.shuffle(sizes)
+        mats = [symmetric(rng, n) for n in sizes]
+        for got, a in zip(sym_eigs(mats), mats, strict=True):
+            expect = sym_eig(a)
+            for g, e in zip(bits(got), bits(expect)):
+                assert np.array_equal(g, e)
+
+    def test_one_eigh_call_per_distinct_size(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        # the README net's bias blocks, then its input Grams at batch 32
+        mats = [symmetric(rng, n) for n in (32, 16, 16, 8, 8, 8, 10, 32, 32, 16, 16, 8, 8, 8)]
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        sym_eigs(mats)
+        assert sorted(calls) == [(1, 10, 10), (3, 32, 32), (4, 16, 16), (6, 8, 8)]
+
+    @pytest.mark.parametrize(
+        "faults,error,message",
+        [
+            (("inf", "asymmetric"), NumericalBreakdownError, "sym_eig input is not finite"),
+            (("asymmetric", "nan"), DimensionError, "sym_eig input is not symmetric within tolerance"),
+            (("rectangular", "nan"), DimensionError, "sym_eig input must be square, got shape (3, 4)"),
+        ],
+        ids=["non-finite-first", "asymmetric-first", "rectangular-first"],
+    )
+    def test_first_failing_matrix_raises_its_error(self, faults, error, message):
+        rng = np.random.default_rng(5)
+        mats = [symmetric(rng, 3)]
+        for fault in faults:
+            a = symmetric(rng, 3)
+            if fault == "asymmetric":
+                a[0, 1] += 1.0
+            elif fault == "rectangular":
+                a = rng.standard_normal((3, 4))
+            else:
+                a[1, 1] = float(fault)
+            mats.append(a)
+        with pytest.raises(error) as excinfo:
+            sym_eigs(mats)
+        assert str(excinfo.value) == message
+
+    def test_symmetric_within_tolerance_matches_sym_eig(self):
+        rng = np.random.default_rng(6)
+        mats = [symmetric(rng, n) for n in (4, 4, 4)]
+        mats[1][0, 1] = np.nextafter(mats[1][0, 1], np.inf)  # one ulp off its mirror
+        for got, a in zip(sym_eigs(mats), mats, strict=True):
+            for g, e in zip(bits(got), bits(sym_eig(a))):
+                assert np.array_equal(g, e)
+
+    def test_clip_eigenvalues_is_pos_eig(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 5, 12):
+            a = symmetric(rng, n)
+            for gamma in (-1.0, 0.0, -0.5):
+                clipped = clip_eigenvalues(sym_eig(a), gamma)
+                assert np.array_equal(clipped.view(np.uint64), pos_eig(a, gamma).view(np.uint64))

@@ -28,7 +28,6 @@ from blocknewton.solvers import (
     SolverConfig,
     ea_cg_direction,
     kfi_direction,
-    sherman_morrison_apply,
 )
 from blocknewton.trainer import Optimizer, SecondOrderSpec, TrainConfig
 from helpers import (
@@ -40,6 +39,7 @@ from helpers import (
     hold_lane,
     random_batch,
     random_model,
+    sherman_morrison_apply,
     weight_gradients,
     weight_hvp,
 )
@@ -101,6 +101,25 @@ def model_problem(seed, batch=5, kind=CurvatureKind.PCH):
     bp = batch_pass(model, criterion, x, y)
     curv = ea_curvature(model, bp, kind)
     return curv, bp.grads
+
+
+def assert_factored_once(monkeypatch, curv, solve):
+    """solve() factors each block in curv and one Gram matrix per layer
+    once: by one sym_eigs call whose list is curv's blocks, then the Grams,
+    which makes one np.linalg.eigh call per distinct size, and by no
+    sym_eig call."""
+    with monkeypatch.context() as mp:
+        sym_eig = count_calls(mp, solvers, "sym_eig")
+        sym_eigs = count_calls(mp, solvers, "sym_eigs")
+        eigh = count_calls(mp, np.linalg, "eigh")
+        solve()
+    assert sym_eig == [] and len(sym_eigs) == 1
+    (factored,), _, _ = sym_eigs[0]
+    k = len(curv)
+    assert len(factored) == 2 * k and all(a is hb for a, hb in zip(factored, curv))
+    stacks = [args[0] for args, _, _ in eigh]
+    assert sum(len(stack) for stack in stacks) == 2 * k
+    assert len(stacks) == len({a.shape for a in factored})
 
 
 # faults that make layer 2 of both solvers' breakdown problem unsolvable
@@ -196,19 +215,12 @@ class TestEaCg:
 
     @pytest.mark.parametrize("mode", list(HvpMode))
     def test_factors_each_layer_once(self, monkeypatch, mode):
-        # two sym_eig per layer, one of hb and one of the Gram matrix, each
-        # one eigh
-        sym_eig = count_calls(monkeypatch, solvers, "sym_eig")
-        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        # every hb and every Gram matrix factored once, by one eigh per size
         for seed in range(5):
             curv, grads = model_problem(seed=seed)
-            sym_eig.clear()  # model_problem's pos_eig calls sym_eig too
-            eigh.clear()
-            ea_cg_direction(curv, grads, SolverConfig(hvp_mode=mode))
-            assert len(sym_eig) == 2 * len(curv)
-            assert len(eigh) == 2 * len(curv)
-            factored = [args[0] for args, _, _ in sym_eig]
-            assert all(any(a is hb for a in factored) for hb in curv)
+            assert_factored_once(
+                monkeypatch, curv, lambda: ea_cg_direction(curv, grads, SolverConfig(hvp_mode=mode))
+            )
 
     @pytest.mark.parametrize("fault", BREAKDOWN_FAULTS)
     def test_breakdown_names_layer(self, fault):
@@ -757,12 +769,12 @@ class TestKfi:
 
     def test_factors_each_layer_once(self, monkeypatch):
         curv, grads = model_problem(seed=3)
-        sym_eig = count_calls(monkeypatch, solvers, "sym_eig")
         svd = count_calls(monkeypatch, np.linalg, "svd")
-        kfi_direction(curv, grads, SolverConfig(pi_policy=PiPolicy.TRACE_NORM))
-        # one sym_eig of each hb and one of each input factor's Gram matrix
-        calls = {"sym_eig": len(sym_eig), "svd": len(svd)}
-        assert calls == {"sym_eig": 2 * len(curv), "svd": 0}
+        # one factorization of each hb and one of each input factor's Gram matrix
+        assert_factored_once(
+            monkeypatch, curv, lambda: kfi_direction(curv, grads, SolverConfig(pi_policy=PiPolicy.TRACE_NORM))
+        )
+        assert svd == []
 
     @pytest.mark.parametrize("fault", BREAKDOWN_FAULTS + ["indefinite_bias_block"])
     def test_breakdown_names_layer(self, fault):
@@ -947,3 +959,105 @@ def test_every_direction_descends_or_names_its_layer(stack):
                 f = input_factor(h, setting)
                 residual = weight_hvp(f, hb, alpha, dw) + gw
                 assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(gw), setting
+
+
+README_NET = [64, 32, 16, 16, 8, 8, 8, 10]
+
+# each Newton setting: (solver, its config, whether it factors the row E[h])
+STACKED_SETTINGS = {
+    "ea_cg-exact_kron": (ea_cg_direction, SolverConfig(hvp_mode=HvpMode.EXACT_KRON), False),
+    "ea_cg-ea_one_rank": (ea_cg_direction, SolverConfig(hvp_mode=HvpMode.EA_ONE_RANK), True),
+    "kfi-unit": (kfi_direction, SolverConfig(pi_policy=PiPolicy.UNIT), False),
+    "kfi-trace_norm": (kfi_direction, SolverConfig(pi_policy=PiPolicy.TRACE_NORM), False),
+}
+
+
+def readme_problem(seed=0, batch=32):
+    """The README net's PCH-1 blocks and gradients on one random batch."""
+    rng = np.random.default_rng(seed)
+    model = FcnnModel.xavier(README_NET, seed=seed)
+    x, y = random_batch(rng, model, batch=batch)
+    bp = batch_pass(model, CrossEntropySoftmax(), x, y)
+    return ea_curvature(model, bp, CurvatureKind.PCH), bp.grads
+
+
+def outcome(solve, *args, **kwargs):
+    """("ok", the direction's bits) of solve(*args, **kwargs), or (its
+    error's type, its message)."""
+    try:
+        return "ok", flat_direction(solve(*args, **kwargs)).view(np.uint64).tolist()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestStackedSolve:
+    """A solve handed no lane and no grams runs _solve_stacked: its
+    directions are bitwise the per-layer jobs', which a solver handed grams
+    runs, and where it meets an anomaly the per-layer jobs rerun the step,
+    so the error is theirs."""
+
+    @staticmethod
+    def both_paths(setting, curv, grads):
+        solve, cfg, one_rank = STACKED_SETTINGS[setting]
+        grams = [partial(solvers._gram_eig, h, one_rank) for h in grads.inputs]
+        return outcome(solve, curv, grads, cfg), outcome(solve, curv, grads, cfg, grams=grams)
+
+    @pytest.mark.parametrize("setting", list(STACKED_SETTINGS))
+    @pytest.mark.parametrize("seed,batch", [(0, 32), (1, 5), (2, 100)])
+    def test_bitwise_equal_to_the_per_layer_path(self, monkeypatch, setting, seed, batch):
+        # batch 5 factors the wide layers' Grams on the batch side, 100 none
+        curv, grads = readme_problem(seed, batch)
+        stacked = count_calls(monkeypatch, solvers, "_solve_stacked")
+        fast, per_layer = self.both_paths(setting, curv, grads)
+        assert fast[0] == "ok" and fast == per_layer
+        assert len(stacked) == 1 and stacked[0][2] is not None  # no fallback
+
+    @pytest.mark.parametrize("setting", list(STACKED_SETTINGS))
+    def test_indefinite_block_named_before_a_later_non_finite_gradient(self, setting):
+        curv, grads = readme_problem()
+        curv[1] = -np.eye(curv[1].shape[0])
+        grads.bias_per_instance[3][0, 0] = np.nan
+        fast, per_layer = self.both_paths(setting, curv, grads)
+        assert fast == per_layer
+        assert fast[0] is NumericalBreakdownError and fast[1].startswith("layer 2: damped ")
+
+    @pytest.mark.parametrize("setting", list(STACKED_SETTINGS))
+    @pytest.mark.parametrize(
+        "errstate,error,message",
+        [
+            ({"all": "raise"}, FloatingPointError, "layer 4: overflow encountered in divide"),
+            ({}, NumericalBreakdownError, "layer 4: direction is not finite"),
+        ],
+        ids=["raise", "default"],
+    )
+    def test_overflow_names_its_layer(self, setting, errstate, error, message):
+        # a finite gradient whose solve overflows: the stacked path raises
+        # (or finds a non-finite direction) and the per-layer jobs name layer 4
+        curv, grads = readme_problem()
+        grads.grad_bias[3][...] = 1e308
+        with np.errstate(**errstate), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fast, per_layer = self.both_paths(setting, curv, grads)
+        assert fast == per_layer == (error, message)
+
+    @pytest.mark.parametrize("setting", list(STACKED_SETTINGS))
+    def test_block_symmetric_within_tolerance_gives_todays_direction(self, setting):
+        curv, grads = readme_problem()
+        curv[2][0, 1] = np.nextafter(curv[2][0, 1], np.inf)  # one ulp off its mirror
+        assert not np.array_equal(curv[2], curv[2].T)
+        fast, per_layer = self.both_paths(setting, curv, grads)
+        assert fast[0] == "ok" and fast == per_layer
+
+    @pytest.mark.parametrize("setting", list(STACKED_SETTINGS))
+    def test_linalg_error_in_a_stacked_eigh_falls_back(self, monkeypatch, setting):
+        curv, grads = readme_problem()
+        eigh = np.linalg.eigh
+
+        def fails_on_stacks(a):
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", fails_on_stacks)
+        fast, per_layer = self.both_paths(setting, curv, grads)
+        assert fast[0] == "ok" and fast == per_layer

@@ -17,8 +17,6 @@ UNREAD = {
     "cg_solve": "traced by perfbench/spans.py until the benchmark drops its CG rows",
     "kron_apply": "traced by perfbench/spans.py until the benchmark drops its CG rows",
     "LinearOperator.from_matrix": "how the perfbench-traced cg_solve is given a dense matrix",
-    "sherman_morrison_apply": "imported by acceptance criterion 6",
-    "median_total_errors": "imported by the acceptance tests",
     "layerwise_error": "imported by the acceptance tests and traced by perfbench/spans.py",
 }
 

@@ -318,7 +318,7 @@ class TestEvaluationOverlap:
         monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(trainer, "_blas_threads", lambda: 1)
         started, ran_on = count_calls(monkeypatch, threading, "Thread"), []
-        for name in ("_gram_eig", "_solve_layer"):
+        for name in ("_gram_eig", "_solve_layer", "_solve_stacked"):
             record_thread(monkeypatch, name, ran_on)
         ds = synth_blobs(classes=10, dim=64, per_class=600, spread=0.08, seed=0)
         x_train, y_train, x_test, y_test = ds.split()
@@ -563,9 +563,14 @@ class TestRunLane:
         # the widest layer fails on the calling thread while the lane still
         # holds the other layers' solves
         monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
-        module = trainer if driver == "train" else experiments
-        original = module.ea_curvature
-        monkeypatch.setattr(module, "ea_curvature", lambda *a: [-hb for hb in original(*a)])
+        if driver == "train":
+            original = trainer.ea_curvature
+            monkeypatch.setattr(trainer, "ea_curvature", lambda *a: [-hb for hb in original(*a)])
+        else:  # every column of the one recursion, the step's among them
+            columns = experiments.ea_curvatures
+            monkeypatch.setattr(
+                experiments, "ea_curvatures", lambda *a: [[-hb for hb in c] for c in columns(*a)]
+            )
         spec = paper_spec(SecondOrderSpec())
 
         def run():

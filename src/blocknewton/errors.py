@@ -19,6 +19,12 @@ def check_range(name: str, value, ok: bool, expected: str) -> None:
         raise ConfigError(f"{name}: expected {expected}, got {value!r}")
 
 
+def unknown_key(key: str, allowed: list[str], where: str = "") -> ConfigError:
+    """ConfigError "key: unknown key[ for <where>]; expected one of <allowed>"."""
+    where = f" for {where}" if where else ""
+    return ConfigError(f"{key}: unknown key{where}; expected one of {allowed}")
+
+
 class NumericalBreakdownError(BlockNewtonError, ArithmeticError):
     """A numerical routine produced NaN/Inf or an impossible state."""
 

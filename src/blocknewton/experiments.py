@@ -25,7 +25,7 @@ from .curvature import (
     true_bias_hessian,
 )
 from .data import MAX_FLOATS, TRAIN_FRACTION, Dataset, load_csv, load_idx, synth_blobs
-from .errors import ConfigError, check_range
+from .errors import ConfigError, check_range, unknown_key
 from .fcnn import (
     Activation,
     BatchPass,
@@ -171,9 +171,7 @@ def _only(doc: dict, path: str, allowed: list[str], where: str = "") -> None:
     """Reject the first key of the section at the dotted path not in allowed."""
     unknown = sorted(doc.keys() - set(allowed))
     if unknown:
-        key = f"{path}.{unknown[0]}" if path else unknown[0]
-        where = f" for {where}" if where else ""
-        raise ConfigError(f"{key}: unknown key{where}; expected one of {allowed}")
+        raise unknown_key(f"{path}.{unknown[0]}" if path else unknown[0], allowed, where)
 
 
 def _read(doc: dict, path: str, table: dict, where: str = "") -> dict:

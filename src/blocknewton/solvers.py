@@ -43,7 +43,8 @@ first thread to reach it: the lane's thread, or a thread that asks for its
 result before the lane gets to it and so runs it itself, as a
 work-stealing scheduler's idle worker does (Blumofe & Leiserson, J. ACM
 1999).  So no thread waits on a job queued behind another.  numpy releases
-the interpreter lock inside LAPACK and BLAS, so the threads overlap, and a
+the interpreter lock inside LAPACK and BLAS, so the threads overlap, on
+disjoint halves of the CPUs while the lane is open (see Lane), and a
 job makes the same calls on the same arrays on either thread, so the
 directions are bit-identical to solving inline.  The Lane is the package's
 one thread primitive; trainer.Optimizer decides where one opens and what
@@ -53,6 +54,7 @@ runs on it.
 from __future__ import annotations
 
 import enum
+import os
 import queue
 import threading
 from dataclasses import dataclass
@@ -230,42 +232,93 @@ class Job:
         return self._value
 
 
+def _affinity_halves() -> tuple[int, set[int], list[int], list[int]] | None:
+    """The calling thread's native id, its CPU affinity mask and the mask's
+    two halves, the first the larger for an odd count; None where the mask
+    holds fewer than 2 CPUs or cannot be read (no os.sched_getaffinity on
+    this platform, or an OSError).  The id is what _set_affinity is given:
+    on Linux sched_setaffinity acts on one thread, not the process."""
+    try:
+        tid = threading.get_native_id()
+        cpus = sorted(os.sched_getaffinity(tid))
+    except (AttributeError, OSError):
+        return None
+    cut = (len(cpus) + 1) // 2
+    return (tid, set(cpus), cpus[:cut], cpus[cut:]) if len(cpus) >= 2 else None
+
+
+def _set_affinity(tid: int, cpus) -> bool:
+    """os.sched_setaffinity(tid, cpus); False where it is missing or raises
+    OSError (EPERM under a seccomp filter, say), which changes nothing."""
+    try:
+        os.sched_setaffinity(tid, cpus)
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
 class Lane:
     """A helper lane: one worker thread, started by the first submit, that
     runs the submitted jobs in submission order, each a Job that the
     thread asking for its result runs itself if the lane has not claimed
     it.  Leaving the with-block joins the thread once the queue is empty,
     and empties the queue first when an error leaves it; a job dropped so
-    still runs in the thread that asks for its result."""
+    still runs in the thread that asks for its result.
+
+    The two threads run on disjoint CPUs while the lane is open, so the
+    scheduler cannot queue one behind the other on one CPU while another
+    idles: the submit that starts the worker splits its own thread's
+    affinity mask in two (_affinity_halves), the worker pins itself to the
+    second half and the submitting thread keeps the first.  Threads the
+    submitting thread starts meanwhile inherit its half.  Leaving the
+    with-block restores that thread's mask once the worker is joined, on
+    errors too.  A mask of fewer than 2 CPUs, or one that cannot be read
+    or set, pins nothing."""
 
     def __init__(self):
         self._queue: queue.SimpleQueue[Job | None] = queue.SimpleQueue()
         self._thread = None
+        self._restore = None  # (native id, mask) of the thread pinned to a half
 
     def __enter__(self) -> Lane:
         return self
 
     def __exit__(self, exc_type, exc, tb):
         if self._thread is not None:
-            if exc_type is not None:
-                try:
-                    while True:
-                        self._queue.get_nowait()
-                except queue.Empty:
-                    pass
-            self._queue.put(None)
-            self._thread.join()
+            try:
+                if exc_type is not None:
+                    try:
+                        while True:
+                            self._queue.get_nowait()
+                    except queue.Empty:
+                        pass
+                self._queue.put(None)
+                self._thread.join()
+            finally:
+                if self._restore is not None:
+                    _set_affinity(*self._restore)
+                    self._restore = None
         return False
 
     def submit(self, fn, /, *args) -> Job:
         job = Job(fn, *args, queued=True)
         self._queue.put(job)
         if self._thread is None:
-            self._thread = threading.Thread(target=self._work, daemon=True)
+            # the worker starts on the whole mask, so it keeps it if its own pin fails
+            halves = _affinity_halves()
+            self._thread = threading.Thread(
+                target=self._work, args=(halves and halves[3],), daemon=True
+            )
             self._thread.start()
+            if halves is not None:
+                tid, mask, kept, _ = halves
+                if _set_affinity(tid, kept):
+                    self._restore = tid, mask
         return job
 
-    def _work(self) -> None:
+    def _work(self, cpus: list[int] | None) -> None:
+        if cpus:
+            _set_affinity(threading.get_native_id(), cpus)
         while (job := self._queue.get()) is not None:
             job._run()
 

@@ -41,15 +41,17 @@ the last epoch's calling thread on row blocks the lane has not reached.
 Every lane job runs under the caller's numpy error state and makes the
 same calls on the same values, whichever thread runs it, so the records
 and the parameters are bit-identical to running inline; numpy releases
-the interpreter lock inside BLAS and LAPACK, so the two threads overlap.
+the interpreter lock inside BLAS and LAPACK, so the two threads overlap,
+each pinned to its own half of the calling thread's CPUs while the lane
+is open (see solvers.Lane).
 Narrow nets with cheap evaluations open no lane and start no thread, and
 a narrow run with a costly evaluation steps inline.  A step taken
 outside the Optimizer's with-block runs inline.
 Five epochs of the paper-width EA-CG PCH-1 run (784-256-128-64-10, 1024
-rows, batch 128, one BLAS thread, 2-vCPU host, seeds 3-8) wait on the
-lane a median 0.2-0.8 ms per epoch's steps, where waiting for queued jobs
-would cost each epoch from epoch 1 on 19-23 ms for the previous epoch's
-score.
+rows, batch 128, one BLAS thread, 2-vCPU host, seeds 3-8, two rounds)
+wait on the lane a median 0.4-2.1 ms per epoch's steps, where waiting for
+queued jobs would cost each epoch from epoch 1 on 17-22 ms for the
+previous epoch's score.
 """
 
 from __future__ import annotations
@@ -61,13 +63,13 @@ import os
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 
 import numpy as np
 
 from .curvature import CurvatureKind, ea_curvature
-from .errors import ConfigError, TrainingDivergedError, check_range
+from .errors import ConfigError, TrainingDivergedError, check_range, unknown_key
 from .fcnn import (
     BatchPass,
     Criterion,
@@ -91,25 +93,27 @@ EVAL_ROWS = 128
 # scores on the run's lane.  The overlap pays only when evaluation runs
 # mostly inside BLAS, which releases the interpreter lock; below this the
 # helper's interpreter work stalls the steps.  SGD train() time, threaded
-# against inline (one BLAS thread, 2-vCPU host, medians of 8 alternations):
-# 64-32-10 on 400 rows (0.9M) +80 %, 64-128-10 on 1280 rows (12M) +15 %,
-# 64-512-10 on 400 rows (15M) +1 %, 784-16-10 on 1280 rows (16M) -7 %,
-# 64-1024-10 on 400 rows (30M) -16 %, 784-256-128-64-10 on 1280 rows
-# (310M) -17 %.
+# against inline (one BLAS thread, 2-vCPU host, medians of 8 alternations,
+# two rounds): 64-32-10 on 400 rows (0.9M) +69/+35 %, 64-128-10 on 1280
+# rows (12M) +16/+28 %, 64-512-10 on 400 rows (15M) -18/-21 %, 784-16-10
+# on 1280 rows (16M) +1/-4 %, 64-1024-10 on 400 rows (30M) -25/-23 %,
+# 784-256-128-64-10 on 1280 rows (310M) -36/-29 %.  The 15M row gains below
+# the gate in both rounds; one row, untimed in pairs, does not move it.
 EVAL_OVERLAP_MIN_MACS = 2**24
 
 # Narrowest widest factored matrix -- a bias block, or an input Gram on its
 # smaller side -- for which a Newton run's steps use a lane: handing a job to
-# the lane and taking its result costs 0.01-0.07 ms, one eigh 1.5 ms at
-# n = 128, 0.38 ms at n = 64 and 0.09 ms at n = 32 (numpy 2.4.6, one BLAS
-# thread, 2-vCPU Xeon).  At paper width the lane factors the four input
-# Grams while the batch pass (2.3-2.8 ms) and the curvature (1.8-2.0 ms)
-# run on the calling thread, then solves layers 2-4 while the calling
-# thread factors and solves layer 1; the direction takes 12-13 ms so
-# against 20-21 ms inline.  Nets as narrow as the README's (blocks <= 32,
-# Grams <= 64 wide) step inline, also where their evaluation opens a lane:
-# two EA-CG PCH-1 epochs of that net on 8000 rows at batch 32 take
-# 820-1184 ms so, against 1137-1639 ms with the steps on the lane.
+# the lane and taking its result costs about 0.01 ms, one eigh 1.3-1.4 ms
+# at n = 128, 0.33-0.47 ms at n = 64 and 0.10 ms at n = 32 (numpy 2.4.6,
+# one BLAS thread, 2-vCPU Xeon).  At paper width the lane factors the four
+# input Grams while the batch pass (1.7-2.3 ms) and the curvature
+# (1.5-2.3 ms) run on the calling thread, then solves layers 2-4 while the
+# calling thread factors and solves layer 1; the direction takes
+# 10.0-11.4 ms so against 15.3-22.1 ms inline.  Nets as narrow as the
+# README's (blocks <= 32, Grams <= 64 wide) step inline, also where their
+# evaluation opens a lane: two EA-CG PCH-1 epochs of that net on 8000 rows
+# at batch 32 take 421-679 ms so, against 476-594 ms with the steps on the
+# lane, and inline was faster in 10 of 12 rounds.
 _OVERLAP_MIN_WIDTH = 128
 
 # Multiply-adds in one layer's weight-gradient product (a step's rows x n_out
@@ -118,9 +122,9 @@ _OVERLAP_MIN_WIDTH = 128
 # but while it scores an epoch each step's half is queued behind the score
 # and run on the calling thread, at the cost of handing it over.  SGD
 # train() time, split against inline (10 epochs of 1024 blob rows at batch
-# 128, one BLAS thread, 2-vCPU host, medians of 16 alternations): 64-512-10
-# (4.2M) -1 %, 784-128-10 (12.8M) -6 %, 784-192-10 (19.3M) +10 %,
-# 784-256-128-64-10 (25.7M) +6 %.
+# 128, one BLAS thread, 2-vCPU host, medians of 16 alternations, two
+# rounds): 64-512-10 (4.2M) -7/-2 %, 784-128-10 (12.8M) -1/-5 %,
+# 784-192-10 (19.3M) +6/+5 %, 784-256-128-64-10 (25.7M) +12/+2 %.
 _SGD_SPLIT_MIN_MACS = 2**24
 
 
@@ -215,8 +219,11 @@ class SecondOrderSpec:
     solver_cfg: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        pch_ok = self.kind is not CurvatureKind.PCH or self.gamma in (-1.0, 0.0)
-        check_range("gamma", self.gamma, pch_ok, "-1 or 0 for pch curvature")
+        if self.kind is CurvatureKind.PCH:
+            check_range("gamma", self.gamma, self.gamma in (-1.0, 0.0), "-1 or 0 for pch curvature")
+        elif self.gamma != -1.0:  # read only by PCH's eigenvalue clipping, as spec_from_json says
+            others = [f.name for f in fields(self) if f.name != "gamma"]
+            raise unknown_key("gamma", others, f"curvature {self.kind.value!r}")
 
 
 @dataclass(frozen=True)
@@ -318,7 +325,8 @@ class Optimizer:
     the with-block, where every step runs inline and starts no thread.
     The steps use the lane only where their own gate passed: SGD steps
     split on a lane the scoring opened, where numpy's own OpenBLAS was
-    found.  Leaving the with-block joins the lane's thread."""
+    found.  Leaving the with-block joins the lane's thread and restores
+    the calling thread's CPU affinity mask, which the lane halved."""
 
     def __init__(self, model: FcnnModel, cfg: TrainConfig, scores: bool = False):
         self.model, self.cfg = model, cfg

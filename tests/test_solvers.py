@@ -1,4 +1,6 @@
+import contextlib
 import ctypes
+import os
 import re
 import sys
 import threading
@@ -548,6 +550,17 @@ class TestEaCgOverlap:
         assert len(threads) == 1
 
 
+def can_pin() -> bool:
+    """Whether this thread's CPU affinity mask holds 2 or more CPUs and may
+    be set (to itself, which changes nothing)."""
+    try:
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, mask)
+    except (AttributeError, OSError):
+        return False
+    return len(mask) >= 2
+
+
 class TestLane:
     """The helper lane: a job that the lane has not started runs in the
     thread that asks for its result."""
@@ -625,6 +638,88 @@ class TestLane:
         assert ran == ran_on == [] and not lane._thread.is_alive()
         assert dropped.result() == 7 and ran_on == [threading.current_thread()]
         assert dropped.result() == 7 and len(ran_on) == 1
+
+    @staticmethod
+    def fake_affinity(monkeypatch, cpus, get_error=None, set_error=None, missing=False):
+        """Replace os.sched_getaffinity and os.sched_setaffinity by fakes
+        over a dict of per-thread masks, every thread starting on cpus; a
+        given error is raised by its call instead, and with missing both are
+        deleted.  Returns the dict, keyed by native thread id, which holds
+        the masks the fakes set."""
+        masks = {}
+        if missing:
+            monkeypatch.delattr(solvers.os, "sched_getaffinity", raising=False)
+            monkeypatch.delattr(solvers.os, "sched_setaffinity", raising=False)
+            return masks
+
+        def get(tid):
+            if get_error is not None:
+                raise get_error
+            return set(masks.get(tid, cpus))
+
+        def set_(tid, mask):
+            if set_error is not None:
+                raise set_error
+            masks[tid] = set(mask)
+
+        monkeypatch.setattr(solvers.os, "sched_getaffinity", get)
+        monkeypatch.setattr(solvers.os, "sched_setaffinity", set_)
+        return masks
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0, 2, 3, 5, 7}, set(range(64))])
+    @pytest.mark.parametrize("error", [None, RuntimeError("left")])
+    def test_the_two_threads_split_the_mask_until_the_block_is_left(self, monkeypatch, cpus, error):
+        masks = self.fake_affinity(monkeypatch, cpus)
+        here = threading.get_native_id()
+        with pytest.raises(RuntimeError) if error else contextlib.nullcontext():
+            with solvers.Lane() as lane:
+                release = hold_lane(lane)  # the worker pins itself before its first job
+                mine, theirs = masks[here], masks[lane._thread.native_id]
+                release.set()
+                assert lane.submit(abs, -7).result() == 7
+                if error:
+                    raise error
+        assert mine and theirs and not mine & theirs and mine | theirs == cpus
+        assert len(mine) - len(theirs) in (0, 1)
+        assert masks[here] == cpus and not lane._thread.is_alive()
+
+    @pytest.mark.parametrize(
+        "cpus,errors",
+        [
+            ({4}, {}),
+            ({0, 1}, {"get_error": OSError(1, "Operation not permitted")}),
+            ({0, 1}, {"set_error": OSError(1, "Operation not permitted")}),
+            ({0, 1}, {"missing": True}),
+        ],
+        ids=["one-cpu", "get-raises", "set-raises", "no-affinity-calls"],
+    )
+    def test_nothing_is_pinned_where_the_mask_cannot_be_split(self, monkeypatch, cpus, errors):
+        masks = self.fake_affinity(monkeypatch, cpus, **errors)
+        ran_on = []
+
+        def job(value):
+            ran_on.append(threading.current_thread())
+            return value
+
+        with solvers.Lane() as lane:
+            release = hold_lane(lane)
+            release.set()
+            jobs = [lane.submit(job, i) for i in range(4)]
+            assert [j.result() for j in jobs] == list(range(4))
+        assert masks == {} and len(ran_on) == 4 and not lane._thread.is_alive()
+
+    @pytest.mark.skipif(not can_pin(), reason="fewer than 2 usable CPUs, or the mask cannot be set")
+    def test_the_lane_runs_on_cpus_the_caller_does_not_use(self):
+        before = os.sched_getaffinity(0)
+        seen, done = [], threading.Event()
+        with solvers.Lane() as lane:
+            # awaited through the event, not result(), so the lane runs it
+            lane.submit(lambda: seen.append(os.sched_getaffinity(0)) or done.set())
+            assert done.wait(30)
+            mine = os.sched_getaffinity(0)
+        (theirs,) = seen
+        assert mine and theirs and not mine & theirs and mine | theirs == before
+        assert os.sched_getaffinity(0) == before
 
     # (cpus, BLAS threads read, lane opened): a paper-width Newton run's
     # Optimizer opens a lane where the usable CPUs hold both threads' BLAS

@@ -212,6 +212,15 @@ class TestSecondOrder:
         r = train(model, CrossEntropySoftmax(), x_train, y_train, cfg, x_test, y_test)
         assert r.final_loss < r.epochs[0].loss or r.final_loss < 0.1
 
+    @pytest.mark.parametrize("kind", [CurvatureKind.GAUSS_NEWTON, CurvatureKind.FISHER])
+    @pytest.mark.parametrize("gamma", [7.0, 0.0, np.nan])
+    def test_rejects_a_gamma_only_pch_reads(self, kind, gamma):
+        # spec_from_json's wording for the optimizer.gamma key
+        expected = f"^gamma: unknown key for curvature '{kind.value}'; expected one of \\['kind', "
+        with pytest.raises(ConfigError, match=expected):
+            SecondOrderSpec(kind=kind, gamma=gamma)
+        assert SecondOrderSpec(kind=kind, gamma=-1.0) == SecondOrderSpec(kind=kind)
+
     def test_heavy_damping_approaches_scaled_gradient(self):
         # alpha -> 1 makes the damped system nearly d = -g
         model, x_train, y_train, _, _ = small_problem(seed=4)
@@ -490,6 +499,11 @@ LANE_RUNS = [
 ]
 
 
+def affinity():
+    """The calling thread's CPU affinity mask, or None where it cannot be read."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
 def new_threads_left(run):
     """Run run(); return the threads it started (a list, one per start)
     and the threads alive after it that were not alive before it."""
@@ -553,10 +567,12 @@ class TestRunLane:
 
     @pytest.mark.parametrize("driver", list(DRIVERS))
     def test_no_thread_outlives_a_run(self, driver):
+        before = affinity()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trainer, "_usable_cpus", lambda: 2)
             started, left = new_threads_left(lambda: DRIVERS[driver](paper_spec(SecondOrderSpec())))
         assert len(started) == 1 and left == set()
+        assert affinity() == before  # the lane's half-mask pin is undone
 
     @pytest.mark.parametrize("driver", list(DRIVERS))
     def test_no_thread_outlives_an_indefinite_block(self, monkeypatch, driver):
@@ -600,8 +616,10 @@ class TestRunLane:
             with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="at epoch 0 "):
                 run_train(spec)
 
+        before = affinity()
         started, left = new_threads_left(run)
         assert len(started) == 1 and left == set()
+        assert affinity() == before
         # epoch 0, the one scored, was scored on the lane
         assert len(scored_on) == 1 and scored_on[0] is not threading.current_thread()
 
